@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trace import ExecutionTrace
+from .trace import ExecutionTrace, positions_in
 
 
 class ProfileSource(enum.Enum):
@@ -78,20 +78,12 @@ class EventIndex:
 
     @classmethod
     def from_trace(cls, trace: ExecutionTrace) -> "EventIndex":
-        counts = np.array(
-            [trace.blocks[e.block_id].instruction_count for e in trace.events],
-            dtype=np.int64,
-        )
-        starts = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        cycles = None
-        if trace.is_golden:
-            cycles = np.array([e.cycles for e in trace.events], dtype=float)
+        """View of the columns the trace built at validation; copies nothing."""
         return cls(
-            block_ids=np.array([e.block_id for e in trace.events], dtype=np.int64),
-            starts=starts,
-            instr_counts=counts,
-            event_cycles=cycles,
+            block_ids=trace.event_blocks,
+            starts=trace.event_starts,
+            instr_counts=trace.event_instructions,
+            event_cycles=trace.event_cycles if trace.is_golden else None,
         )
 
     @property
@@ -106,6 +98,18 @@ class EventIndex:
         if self.event_cycles is None:
             raise ValueError("golden cycles required")
         return self.event_cycles / self.instr_counts
+
+
+def split_by_block(block_ids: np.ndarray, *columns: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Group aligned columns by block, in ascending block id order.
+
+    Returns one tuple per block: its slice of block_ids, then its slice of
+    each column. A stable sort keeps every block's entries in the order
+    given, and each slice is contiguous.
+    """
+    order = np.argsort(block_ids, kind="stable")
+    cuts = np.flatnonzero(np.diff(block_ids[order])) + 1
+    return list(zip(*(np.split(column[order], cuts) for column in (block_ids, *columns))))
 
 
 def attribute_block_cpi(
@@ -125,46 +129,45 @@ def attribute_block_cpi(
         raise ValueError(f"unknown attribution mode {mode!r}")
 
     index = EventIndex.from_trace(trace)
-    profiles: dict[int, BlockProfile] = {}
-
     if mode == "quantum":
         if not trace.has_quanta:
             raise ValueError("quantum attribution requires quantum records")
         v = np.array([q.cpi for q in trace.quanta], dtype=float)
         # an event belongs to the quantum holding its first instruction
-        quantum_of_event = index.starts[:-1] // trace.quantum_length
-        per_event_v = v[quantum_of_event]
-        for bid in np.unique(index.block_ids):
-            mask = index.block_ids == bid
-            n = int(mask.sum())
-            cpi = float(per_event_v[mask].sum() / n)
-            if cpi <= 0:
-                raise ValueError(f"non-positive attributed CPI for block {bid}")
-            profiles[int(bid)] = BlockProfile(
-                int(bid), cpi, n, ProfileSource.QUANTUM_WEIGHTED
-            )
+        values = v[index.starts[:-1] // trace.quantum_length]
+        source = ProfileSource.QUANTUM_WEIGHTED
     else:
         if index.event_cycles is None:
             raise ValueError("golden attribution requires cycles on every event")
-        for bid in np.unique(index.block_ids):
-            mask = index.block_ids == bid
-            n = int(mask.sum())
-            instrs = int(index.instr_counts[mask].sum())
-            cpi = float(index.event_cycles[mask].sum() / instrs)
-            if cpi <= 0:
-                raise ValueError(f"non-positive attributed CPI for block {bid}")
-            profiles[int(bid)] = BlockProfile(int(bid), cpi, n, ProfileSource.GOLDEN)
+        values = index.event_cycles
+        source = ProfileSource.GOLDEN
 
+    # Each block sums exactly the values, in exactly the order, that a
+    # per-block boolean mask would select; np.bincount would add them in
+    # another order and change last digits of the profile CPIs.
+    profiles: dict[int, BlockProfile] = {}
+    for ids, block_values, instrs in split_by_block(index.block_ids, values, index.instr_counts):
+        bid = int(ids[0])
+        n = ids.size
+        weight = n if mode == "quantum" else int(instrs.sum())
+        cpi = float(block_values.sum() / weight)
+        if cpi <= 0:
+            raise ValueError(f"non-positive attributed CPI for block {bid}")
+        profiles[bid] = BlockProfile(bid, cpi, n, source)
     return profiles
 
 
 def profile_rates(index: EventIndex, profiles: dict[int, BlockProfile]) -> np.ndarray:
     """Per-event CPI taken from the block profiles, aligned with the index."""
-    rate_by_block: dict[int, float] = {b: p.cpi for b, p in profiles.items()}
-    try:
-        return np.array([rate_by_block[int(b)] for b in index.block_ids], dtype=float)
-    except KeyError as exc:
-        raise ValueError(f"missing profile for executed block {exc.args[0]}") from None
+    ids = np.array(sorted(profiles), dtype=np.int64)
+    rates = np.array([profiles[b].cpi for b in ids.tolist()], dtype=float)
+    slot = positions_in(ids, index.block_ids)
+    missing = np.flatnonzero(slot < 0)
+    if missing.size:
+        raise ValueError(
+            f"missing profile for executed block {int(index.block_ids[missing[0]])}"
+        )
+    return rates[slot]
 
 
 def sample_range(
@@ -236,15 +239,15 @@ def range_mean_cpi(
     return (weight_below(stop) - weight_below(start)) / length
 
 
-def quantum_cpis(trace: ExecutionTrace, quantum_length: int) -> np.ndarray:
-    """Exact CPI of each quantum, splitting event cycles per instruction.
+def quantum_cpis(index: EventIndex, quantum_length: int) -> np.ndarray:
+    """Exact CPI of each quantum of a golden event stream, splitting event
+    cycles per instruction.
 
     Every instruction of an event costs cycles/instr_count, so a quantum's
     CPI is well defined even when events straddle its boundaries.
     """
     if quantum_length < 1:
         raise ValueError("quantum_length must be positive")
-    index = EventIndex.from_trace(trace)
     rates = index.golden_event_cpi()
     prefix = weighted_cpi_prefix(index, rates)
     total = index.total_instructions

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .attribution import Waveform, quantum_cpis
+from .attribution import EventIndex, Waveform, quantum_cpis
 from .phases import PhaseNode
 from .trace import ExecutionTrace
 
@@ -62,7 +62,7 @@ def tq_phases(
     if trace.has_quanta and trace.quantum_length == quantum_length:
         cpis = np.array([q.cpi for q in trace.quanta], dtype=float)
     elif trace.is_golden:
-        cpis = quantum_cpis(trace, quantum_length)
+        cpis = quantum_cpis(EventIndex.from_trace(trace), quantum_length)
     else:
         raise ValueError(
             "need golden cycles or quantum records matching quantum_length"
@@ -176,4 +176,4 @@ def comparison_json(trace_name: str, reports: list[tuple[ErrorReport, int]]) -> 
             for report, phase_count in reports
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -99,6 +99,10 @@ def cmd_analyze(args) -> CommandOutcome:
 
 def cmd_compare(args) -> CommandOutcome:
     config = _config_from_args(args)
+    if any(length < 1 for length in args.tq or []):
+        raise InputError("--tq must be positive")
+    if not args.merge_delta > 0:
+        raise InputError("--merge-delta must be positive")
     trace = load_trace(args.trace)
     if not trace.is_golden:
         raise InputError("golden cycles required for comparison")

@@ -26,6 +26,7 @@ from .attribution import (
     profile_rates,
     range_mean_cpi,
     sample_range,
+    split_by_block,
     weighted_cpi_prefix,
 )
 from .spectral import FlatSpectrumError, Spectrum, dft_magnitude, is_flat, main_spectrum
@@ -89,15 +90,6 @@ class PhaseNode:
             yield from child.walk()
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A potential phase head: the second event of a large-CPI-jump pair."""
-
-    event_index: int
-    block_id: int
-    instruction_offset: int
-
-
 @dataclass
 class MarkerEntry:
     phase_path: tuple[int, ...]
@@ -114,68 +106,54 @@ class MarkerTable:
     entries: dict[int, MarkerEntry]
 
 
-def candidate_heads(
-    trace: ExecutionTrace, profiles: dict[int, BlockProfile], threshold: float
-) -> list[Candidate]:
-    """Every event whose block CPI differs from its predecessor's by more
-    than the threshold, in execution order (duplicates preserved)."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    index = EventIndex.from_trace(trace)
-    rates = profile_rates(index, profiles)
-    return _candidates_in_range(index, rates, threshold, 0, index.total_instructions)
-
-
 def _candidates_in_range(
     index: EventIndex, rates: np.ndarray, threshold: float, start: int, stop: int
-) -> list[Candidate]:
-    if len(rates) < 2:
-        return []
-    deltas = np.abs(np.diff(rates))
-    offsets = index.starts[1:-1]
-    sel = np.nonzero((deltas > threshold) & (offsets >= start) & (offsets < stop))[0]
-    return [
-        Candidate(int(i) + 1, int(index.block_ids[i + 1]), int(offsets[i]))
-        for i in sel
-    ]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Potential phase heads in [start, stop): (instruction offsets, block
+    ids) of every event whose CPI differs from its predecessor's by more
+    than the threshold, in execution order (duplicates preserved)."""
+    lo = max(1, int(np.searchsorted(index.starts, start)))
+    hi = min(len(rates), int(np.searchsorted(index.starts, stop)))
+    jumps = lo + np.flatnonzero(np.abs(rates[lo:hi] - rates[lo - 1 : hi - 1]) > threshold)
+    return index.starts[jumps], index.block_ids[jumps]
 
 
 def align_phase(
-    waveform: Waveform, candidates: list[Candidate], length: int
+    waveform: Waveform, offsets: np.ndarray, block_ids: np.ndarray, length: int
 ) -> tuple[int, int]:
     """Pick the candidate block whose recurrence rhythm best matches the
     phase length; return (start_instruction, block_id) of its first
     occurrence.
 
-    The score of a block is |median inter-arrival gap - length| over its
-    candidate offsets; ties break toward the earliest offset. Blocks seen
-    only once are a fallback when nothing recurs.
+    Candidate i is block block_ids[i] at instruction offsets[i]. The score
+    of a block is |median inter-arrival gap - length| over its candidate
+    offsets; ties break toward the earliest offset. Blocks seen only once
+    are a fallback when nothing recurs.
     """
     if length < 1:
         raise ValueError("length must be positive")
     lo = waveform.origin_instruction
     hi = lo + waveform.samples.size * waveform.sample_stride
-    in_range = [c for c in candidates if lo <= c.instruction_offset < hi]
-    if not in_range:
+    offsets = np.asarray(offsets, dtype=np.int64)
+    block_ids = np.asarray(block_ids, dtype=np.int64)
+    in_range = (offsets >= lo) & (offsets < hi)
+    offsets, block_ids = offsets[in_range], block_ids[in_range]
+    if not offsets.size:
         raise NoAlignmentError("no candidate heads in range")
 
-    offsets_by_block: dict[int, list[int]] = {}
-    for cand in in_range:
-        offsets_by_block.setdefault(cand.block_id, []).append(cand.instruction_offset)
-
     best: Optional[tuple[float, int, int]] = None  # (score, first_offset, block)
-    for block, offs in offsets_by_block.items():
-        if len(offs) < 2:
+    for ids, offs in split_by_block(block_ids, offsets):
+        if offs.size < 2:
             continue
         gap = float(np.median(np.diff(offs)))
-        key = (abs(gap - length), offs[0], block)
+        key = (abs(gap - length), int(offs[0]), int(ids[0]))
         if best is None or key < best:
             best = key
     if best is not None:
         return best[1], best[2]
 
-    first = min(in_range, key=lambda c: c.instruction_offset)
-    return first.instruction_offset, first.block_id
+    first = int(np.argmin(offsets))
+    return int(offsets[first]), int(block_ids[first])
 
 
 def split_step(waveform: Waveform) -> Optional[tuple[int, float, float]]:
@@ -290,9 +268,9 @@ class _Analysis:
         # node lengths stay within occurrence*length <= segment + one stride
         instance = min(max(1, round(length / reps)), (length + wave.sample_stride) // reps)
         theta = cfg.boundary_threshold_fraction * main.magnitude
-        candidates = _candidates_in_range(self.index, self.rates, theta, start, stop)
+        offsets, heads = _candidates_in_range(self.index, self.rates, theta, start, stop)
         try:
-            anchor, _ = align_phase(wave, candidates, instance)
+            anchor, _ = align_phase(wave, offsets, heads, instance)
         except NoAlignmentError:
             anchor = start
         if anchor > start:
@@ -339,6 +317,12 @@ def validate_tree(root: PhaseNode) -> None:
             cursor = child.end_instruction
 
 
+def _head_address(blocks, block_id: int) -> int:
+    """blocks maps block_id to a BlockDescriptor or directly to an address."""
+    entry = blocks[block_id]
+    return entry.start_address if isinstance(entry, BlockDescriptor) else int(entry)
+
+
 def export_markers(root: PhaseNode, blocks) -> MarkerTable:
     """Flatten a phase tree into per-head-address marker records.
 
@@ -347,15 +331,11 @@ def export_markers(root: PhaseNode, blocks) -> MarkerTable:
     entry and deeper paths are appended to additional_paths.
     """
 
-    def address_of(block_id: int) -> int:
-        entry = blocks[block_id]
-        return entry.start_address if isinstance(entry, BlockDescriptor) else int(entry)
-
     entries: dict[int, MarkerEntry] = {}
     queue: deque[tuple[PhaseNode, tuple[int, ...]]] = deque([(root, ())])
     while queue:
         node, path = queue.popleft()
-        addr = address_of(node.head_block)
+        addr = _head_address(blocks, node.head_block)
         if addr in entries:
             entries[addr].additional_paths.append(path)
         else:
@@ -368,11 +348,9 @@ def export_markers(root: PhaseNode, blocks) -> MarkerTable:
 # --- JSON interchange -------------------------------------------------------
 
 def tree_to_dict(node: PhaseNode, blocks) -> dict:
-    entry = blocks[node.head_block]
-    addr = entry.start_address if isinstance(entry, BlockDescriptor) else int(entry)
     return {
         "head_block": node.head_block,
-        "head_address": f"{addr:#x}",
+        "head_address": f"{_head_address(blocks, node.head_block):#x}",
         "start": node.start_instruction,
         "length": node.length_instructions,
         "occurrence": node.occurrence,
@@ -383,7 +361,7 @@ def tree_to_dict(node: PhaseNode, blocks) -> dict:
 
 
 def tree_json(root: PhaseNode, blocks) -> str:
-    return json.dumps(tree_to_dict(root, blocks), indent=2, sort_keys=True) + "\n"
+    return json.dumps(tree_to_dict(root, blocks), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
@@ -416,4 +394,4 @@ def markers_json(table: MarkerTable) -> str:
         }
         for addr, entry in table.entries.items()
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -21,15 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .attribution import quantum_cpis
+from .attribution import EventIndex, quantum_cpis
 from .phases import PhaseNode, Structure, classify_structure
-from .trace import (
-    BlockDescriptor,
-    BlockEvent,
-    ExecutionTrace,
-    QuantumRecord,
-    Terminator,
-)
+from .trace import BlockDescriptor, ExecutionTrace, QuantumRecord, Terminator
 
 _BASE_ADDRESS = 0x1000
 _ADDRESS_PITCH = 0x100
@@ -283,20 +277,22 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
         event_cpi = np.maximum(_MIN_CPI, event_cpi + noise)
     cycles = event_cpi * event_instr
 
-    events = [
-        BlockEvent(int(b), float(c)) for b, c in zip(event_block, cycles)
-    ]
-    trace = ExecutionTrace(blocks=blocks, events=events)
-
+    quanta = None
     if spec.quantum_length is not None:
-        v = quantum_cpis(trace, spec.quantum_length)
-        quanta = [QuantumRecord(i, float(cpi)) for i, cpi in enumerate(v)]
-        trace = ExecutionTrace(
-            blocks=blocks,
-            events=events,
-            quanta=quanta,
-            quantum_length=spec.quantum_length,
-        )
+        # quanta come from the event columns directly, so the trace is built
+        # and validated once, with them
+        starts = np.zeros(event_instr.size + 1, dtype=np.int64)
+        np.cumsum(event_instr, out=starts[1:])
+        index = EventIndex(event_block, starts, event_instr, cycles)
+        v = quantum_cpis(index, spec.quantum_length)
+        quanta = [QuantumRecord(i, cpi) for i, cpi in enumerate(v.tolist())]
+    trace = ExecutionTrace(
+        blocks=blocks,
+        event_blocks=event_block,
+        event_cycles=cycles,
+        quanta=quanta,
+        quantum_length=spec.quantum_length,
+    )
 
     annotation = GoldenAnnotation(true_phases=_build_annotation(spec, trace))
     return trace, annotation

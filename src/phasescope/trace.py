@@ -11,7 +11,13 @@ stream, one record per line:
 
 ``#`` starts a comment. A trace is "golden" when every event carries a
 cycle count, and "quantum" when Q/L records are present; at least one of
-the two must hold (both is fine for validation traces).
+the two must hold (both is fine for validation traces). Decimal fields
+must fit in a signed 64-bit integer; cycle counts and quantum CPIs must be
+finite.
+
+In memory the event stream is two numpy columns, block ids and cycle
+counts, built and validated once; validation also derives each event's
+instruction count and their prefix sums, which every later stage reads.
 """
 
 from __future__ import annotations
@@ -19,7 +25,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Iterable, Optional, Union
+
+import numpy as np
 
 
 class TraceFormatError(ValueError):
@@ -68,31 +77,51 @@ class BlockDescriptor:
 
 
 @dataclass(frozen=True)
-class BlockEvent:
-    """One dynamic execution of a block; cycles present in golden traces."""
-
-    block_id: int
-    cycles: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class QuantumRecord:
     quantum_index: int
     cpi: float
 
 
-@dataclass
-class ExecutionTrace:
-    """Validated trace: block table, ordered events, optional quantum samples.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
-    Immutable by convention after construction; safe to share across readers.
+
+def positions_in(sorted_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of each value in the ascending id array; -1 where it is absent.
+
+    Block ids come from the input and may be negative or huge, so they are
+    looked up by binary search, never used as table indices.
+    """
+    if sorted_ids.size == 0:
+        return np.full(values.shape, -1, dtype=np.intp)
+    slot = np.searchsorted(sorted_ids, values)
+    hit = np.take(sorted_ids, slot, mode="clip") == values
+    return np.where(hit, slot, -1)
+
+
+@dataclass(eq=False)
+class ExecutionTrace:
+    """Validated trace: block table, event columns, optional quantum samples.
+
+    event_blocks[e] (int64) is the block event e executed and
+    event_cycles[e] (float64) its cycle count, NaN when the event carries
+    none. Validation adds event_instructions[e], that block's instruction
+    count, and event_starts (length E+1), their prefix sums: event e covers
+    instructions [event_starts[e], event_starts[e+1]).
+
+    The trace copies the columns it is given and makes them read-only; do
+    not change the block table or quanta after construction either. Safe
+    to share across readers.
     """
 
     blocks: dict[int, BlockDescriptor]
-    events: list[BlockEvent]
+    event_blocks: np.ndarray
+    event_cycles: np.ndarray
     quanta: Optional[list[QuantumRecord]] = None
     quantum_length: Optional[int] = None
-    _total: int = field(init=False, repr=False, default=0)
+    event_instructions: np.ndarray = field(init=False, repr=False)
+    event_starts: np.ndarray = field(init=False, repr=False)
+    is_golden: bool = field(init=False)
+    total_instructions: int = field(init=False)
 
     def __post_init__(self):
         self._validate()
@@ -109,17 +138,43 @@ class ExecutionTrace:
                     f"duplicate start_address {block.start_address:#x}"
                 )
             addresses.add(block.start_address)
-        total = 0
-        for i, event in enumerate(self.events):
-            block = self.blocks.get(event.block_id)
-            if block is None:
-                raise TraceFormatError(f"unknown block {event.block_id} (event {i})")
-            if event.cycles is not None and event.cycles < 0:
-                raise TraceFormatError(f"event {i}: negative cycle count")
-            total += block.instruction_count
+        try:
+            ids = np.array(sorted(self.blocks), dtype=np.int64)
+            counts = np.array(
+                [self.blocks[b].instruction_count for b in ids.tolist()], dtype=np.int64
+            )
+            events = self.event_blocks = np.array(self.event_blocks, dtype=np.int64)
+        except OverflowError:
+            raise TraceFormatError(
+                "block ids and instruction counts must fit in int64"
+            ) from None
+        cycles = self.event_cycles = np.array(self.event_cycles, dtype=float)
+        if events.ndim != 1 or cycles.shape != events.shape:
+            raise TraceFormatError("event columns must be 1-D and of equal length")
+
+        slot = positions_in(ids, events)
+        unknown = np.flatnonzero(slot < 0)
+        if unknown.size:
+            i = int(unknown[0])
+            raise TraceFormatError(f"unknown block {int(events[i])} (event {i})")
+        negative = np.flatnonzero(cycles < 0)
+        if negative.size:
+            raise TraceFormatError(f"event {int(negative[0])}: negative cycle count")
+        infinite = np.flatnonzero(np.isinf(cycles))
+        if infinite.size:
+            raise TraceFormatError(f"event {int(infinite[0])}: non-finite cycle count")
+        if int(counts.max()) * events.size > _INT64_MAX:
+            raise TraceFormatError("instruction counts too large: the total could overflow int64")
+        self.event_instructions = counts[slot]
+        self.event_starts = np.zeros(events.size + 1, dtype=np.int64)
+        np.cumsum(self.event_instructions, out=self.event_starts[1:])
+        total = self.total_instructions = int(self.event_starts[-1])
         if total <= 0:
             raise TraceFormatError("trace has no events")
-        object.__setattr__(self, "_total", total)
+        self.is_golden = not np.isnan(cycles).any()
+        # every EventIndex shares these arrays, so none may change them
+        for column in (events, cycles, self.event_instructions, self.event_starts):
+            column.flags.writeable = False
 
         if (self.quanta is None) != (self.quantum_length is None):
             raise TraceFormatError("quantum records and quantum length must coexist")
@@ -137,6 +192,8 @@ class ExecutionTrace:
                     raise TraceFormatError(
                         f"quantum indices must be contiguous from 0 (got {q.quantum_index} at {i})"
                     )
+                if not math.isfinite(q.cpi):
+                    raise TraceFormatError(f"quantum {i}: non-finite cpi")
                 if q.cpi <= 0:
                     raise TraceFormatError(f"quantum {i}: cpi must be positive")
         if not self.is_golden and self.quanta is None:
@@ -146,110 +203,165 @@ class ExecutionTrace:
             )
 
     @property
-    def is_golden(self) -> bool:
-        return all(e.cycles is not None for e in self.events)
-
-    @property
     def has_quanta(self) -> bool:
         return self.quanta is not None
 
-    @property
-    def total_instructions(self) -> int:
-        return self._total
+
+#: lines parsed per step; bounds the parser's working memory
+_CHUNK_LINES = 4096
 
 
-def total_instructions(trace: ExecutionTrace) -> int:
-    """Total dynamic instruction count of the trace (the analysis horizon)."""
-    return trace.total_instructions
-
-
-def _parse_int(token: str, what: str, line: int, base: int = 10) -> int:
+def _parse_int(token: str, what: str, line: int) -> int:
+    """Decimal field; every one must fit in int64 to enter a column."""
     try:
-        return int(token, base)
+        value = int(token)
+    except ValueError:
+        raise TraceFormatError(f"malformed {what} {token!r}", line) from None
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise TraceFormatError(f"{what} {token!r} outside int64", line)
+    return value
+
+
+def _parse_address(token: str, what: str, line: int) -> int:
+    try:
+        return int(token, 16)
     except ValueError:
         raise TraceFormatError(f"malformed {what} {token!r}", line) from None
 
 
 def _parse_float(token: str, what: str, line: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise TraceFormatError(f"malformed {what} {token!r}", line) from None
+    if not math.isfinite(value):
+        raise TraceFormatError(f"non-finite {what} {token!r}", line)
+    return value
+
+
+def _event_columns(
+    chunk: list[str], known: np.ndarray
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(block ids, cycles) of a chunk made only of ``E`` lines, converted in
+    one step; None when any line needs the line-by-line parser (another
+    record, a comment, a blank line, a bad field, an unknown block), which
+    then reports the error with its line number."""
+    n = len(chunk)
+    if not all(map(str.startswith, chunk, repeat("E "))):
+        return None
+    fields = "\n".join(chunk).split()
+    width = len(fields) // n
+    # Each line starts with the field "E", and all fields but every width-th
+    # one must convert to numbers, so each line but the last spans a
+    # multiple of `width` fields; with width * n fields in all, every line
+    # has exactly `width`. A comment's "#" sits in a field that converts to
+    # no number.
+    if width not in (2, 3) or len(fields) != width * n:
+        return None
+    try:
+        ids = np.array(list(map(int, fields[1::width])), dtype=np.int64)
+        if width == 3:
+            cycles = np.array(list(map(float, fields[2::width])), dtype=float)
+        else:
+            cycles = np.full(n, math.nan)
+    except (ValueError, OverflowError):
+        return None
+    if width == 3 and not np.isfinite(cycles).all():
+        return None
+    if (positions_in(known, ids) < 0).any():
+        return None
+    return ids, cycles
 
 
 def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
     """Parse the text format into a validated ExecutionTrace.
 
-    Accepts a string or any iterable of lines (e.g. an open file).
-    Raises TraceFormatError with the offending line number on bad input.
+    Accepts a string or any iterable of lines (e.g. an open file), read in
+    chunks of lines. Raises TraceFormatError with the offending line number
+    on bad input.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = stream
+    lines = iter(stream.splitlines() if isinstance(stream, str) else stream)
 
     blocks: dict[int, BlockDescriptor] = {}
-    events: list[BlockEvent] = []
+    known = np.empty(0, dtype=np.int64)  # ascending ids of the blocks declared so far
+    block_parts: list[np.ndarray] = []
+    cycle_parts: list[np.ndarray] = []
     quanta: list[QuantumRecord] = []
     quantum_length: Optional[int] = None
     saw_version = False
 
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        fields = text.split()
-        kind = fields[0]
+    first = 1
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        columns = _event_columns(chunk, known) if saw_version else None
+        if columns is None:
+            ids: list[int] = []
+            cycles: list[float] = []
+            for lineno, raw in enumerate(chunk, start=first):
+                text = raw.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                fields = text.split()
+                kind = fields[0]
 
-        if not saw_version:
-            if kind != "V" or len(fields) != 2 or fields[1] != "1":
-                raise TraceFormatError("expected version header 'V 1'", lineno)
-            saw_version = True
-            continue
+                if not saw_version:
+                    if kind != "V" or len(fields) != 2 or fields[1] != "1":
+                        raise TraceFormatError("expected version header 'V 1'", lineno)
+                    saw_version = True
+                    continue
 
-        if kind == "B":
-            if len(fields) not in (5, 6):
-                raise TraceFormatError("malformed block record", lineno)
-            bid = _parse_int(fields[1], "block id", lineno)
-            addr = _parse_int(fields[2], "address", lineno, base=16)
-            count = _parse_int(fields[3], "instruction count", lineno)
-            try:
-                term = Terminator(fields[4])
-            except ValueError:
-                raise TraceFormatError(
-                    f"malformed terminator {fields[4]!r}", lineno
-                ) from None
-            target = (
-                _parse_int(fields[5], "target address", lineno, base=16)
-                if len(fields) == 6
-                else None
-            )
-            if bid in blocks:
-                raise TraceFormatError(f"duplicate block declaration {bid}", lineno)
-            try:
-                blocks[bid] = BlockDescriptor(bid, addr, count, term, target)
-            except TraceFormatError as exc:
-                raise TraceFormatError(str(exc), lineno) from None
-        elif kind == "E":
-            if len(fields) not in (2, 3):
-                raise TraceFormatError("malformed event record", lineno)
-            bid = _parse_int(fields[1], "block id", lineno)
-            if bid not in blocks:
-                raise TraceFormatError(f"unknown block {bid}", lineno)
-            cycles = _parse_float(fields[2], "cycle count", lineno) if len(fields) == 3 else None
-            events.append(BlockEvent(bid, cycles))
-        elif kind == "Q":
-            if len(fields) != 3:
-                raise TraceFormatError("malformed quantum record", lineno)
-            qidx = _parse_int(fields[1], "quantum index", lineno)
-            cpi = _parse_float(fields[2], "quantum cpi", lineno)
-            quanta.append(QuantumRecord(qidx, cpi))
-        elif kind == "L":
-            if len(fields) != 2:
-                raise TraceFormatError("malformed quantum length record", lineno)
-            quantum_length = _parse_int(fields[1], "quantum length", lineno)
-        else:
-            raise TraceFormatError(f"malformed line: unknown record {kind!r}", lineno)
+                if kind == "B":
+                    if len(fields) not in (5, 6):
+                        raise TraceFormatError("malformed block record", lineno)
+                    bid = _parse_int(fields[1], "block id", lineno)
+                    addr = _parse_address(fields[2], "address", lineno)
+                    count = _parse_int(fields[3], "instruction count", lineno)
+                    try:
+                        term = Terminator(fields[4])
+                    except ValueError:
+                        raise TraceFormatError(
+                            f"malformed terminator {fields[4]!r}", lineno
+                        ) from None
+                    target = (
+                        _parse_address(fields[5], "target address", lineno)
+                        if len(fields) == 6
+                        else None
+                    )
+                    if bid in blocks:
+                        raise TraceFormatError(f"duplicate block declaration {bid}", lineno)
+                    try:
+                        blocks[bid] = BlockDescriptor(bid, addr, count, term, target)
+                    except TraceFormatError as exc:
+                        raise TraceFormatError(str(exc), lineno) from None
+                elif kind == "E":
+                    if len(fields) not in (2, 3):
+                        raise TraceFormatError("malformed event record", lineno)
+                    bid = _parse_int(fields[1], "block id", lineno)
+                    if bid not in blocks:
+                        raise TraceFormatError(f"unknown block {bid}", lineno)
+                    ids.append(bid)
+                    cycles.append(
+                        _parse_float(fields[2], "cycle count", lineno)
+                        if len(fields) == 3
+                        else math.nan
+                    )
+                elif kind == "Q":
+                    if len(fields) != 3:
+                        raise TraceFormatError("malformed quantum record", lineno)
+                    qidx = _parse_int(fields[1], "quantum index", lineno)
+                    cpi = _parse_float(fields[2], "quantum cpi", lineno)
+                    quanta.append(QuantumRecord(qidx, cpi))
+                elif kind == "L":
+                    if len(fields) != 2:
+                        raise TraceFormatError("malformed quantum length record", lineno)
+                    quantum_length = _parse_int(fields[1], "quantum length", lineno)
+                else:
+                    raise TraceFormatError(f"malformed line: unknown record {kind!r}", lineno)
+            columns = np.array(ids, dtype=np.int64), np.array(cycles, dtype=float)
+            if len(blocks) != known.size:
+                known = np.array(sorted(blocks), dtype=np.int64)
+        block_parts.append(columns[0])
+        cycle_parts.append(columns[1])
+        first += len(chunk)
 
     if not saw_version:
         raise TraceFormatError("empty stream: missing version header")
@@ -260,7 +372,8 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
 
     return ExecutionTrace(
         blocks=blocks,
-        events=events,
+        event_blocks=np.concatenate(block_parts),
+        event_cycles=np.concatenate(cycle_parts),
         quanta=quanta or None,
         quantum_length=quantum_length,
     )
@@ -277,11 +390,9 @@ def serialize_trace(trace: ExecutionTrace) -> str:
         if block.target_address is not None:
             rec += f" {block.target_address:x}"
         out.append(rec)
-    for event in trace.events:
-        if event.cycles is None:
-            out.append(f"E {event.block_id}")
-        else:
-            out.append(f"E {event.block_id} {event.cycles!r}")
+    # .tolist() yields Python ints and floats, whose str/repr the format uses
+    for bid, cycles in zip(trace.event_blocks.tolist(), trace.event_cycles.tolist()):
+        out.append(f"E {bid}" if math.isnan(cycles) else f"E {bid} {cycles!r}")
     if trace.quanta is not None:
         out.append(f"L {trace.quantum_length}")
         for q in trace.quanta:

@@ -148,10 +148,10 @@ def test_criterion_4_attribution_fidelity():
     offsets = {}
     cursor = 0
     expect = {}
-    for event in trace.events:
-        blk = trace.blocks[event.block_id]
-        num, den = expect.get(event.block_id, (0.0, 0))
-        expect[event.block_id] = (num + v[cursor // 37], den + 1)
+    for bid in trace.event_blocks.tolist():
+        blk = trace.blocks[bid]
+        num, den = expect.get(bid, (0.0, 0))
+        expect[bid] = (num + v[cursor // 37], den + 1)
         cursor += blk.instruction_count
     profiles = attribute_block_cpi(trace, mode="quantum")
     for bid, (num, den) in expect.items():

@@ -7,7 +7,6 @@ import pytest
 
 from phasescope import (
     BlockDescriptor,
-    BlockEvent,
     ExecutionTrace,
     ProfileSource,
     QuantumRecord,
@@ -28,10 +27,15 @@ def block(bid, instrs, addr=None):
                            instrs, Terminator.FALLTHROUGH)
 
 
+def golden_trace(blocks, ids, cycles):
+    return ExecutionTrace(blocks=blocks, event_blocks=ids, event_cycles=cycles)
+
+
 def quantum_trace(blocks, event_ids, quantum_cpis_list, quantum_length):
     return ExecutionTrace(
         blocks={b.block_id: b for b in blocks},
-        events=[BlockEvent(i) for i in event_ids],
+        event_blocks=event_ids,
+        event_cycles=np.full(len(event_ids), np.nan),
         quanta=[QuantumRecord(i, v) for i, v in enumerate(quantum_cpis_list)],
         quantum_length=quantum_length,
     )
@@ -40,9 +44,8 @@ def quantum_trace(blocks, event_ids, quantum_cpis_list, quantum_length):
 def walk_instructions(trace, rates_by_block):
     """Oracle: per-instruction CPI array built event by event."""
     out = []
-    for event in trace.events:
-        blk = trace.blocks[event.block_id]
-        out.extend([rates_by_block[event.block_id]] * blk.instruction_count)
+    for bid in trace.event_blocks.tolist():
+        out.extend([rates_by_block[bid]] * trace.blocks[bid].instruction_count)
     return np.array(out)
 
 
@@ -68,10 +71,7 @@ def test_weighted_average_hand_oracle():
 
 
 def test_golden_mode_is_cycles_over_instructions():
-    trace = ExecutionTrace(
-        blocks={0: block(0, 4)},
-        events=[BlockEvent(0, 6.0), BlockEvent(0, 10.0)],
-    )
+    trace = golden_trace({0: block(0, 4)}, [0, 0], [6.0, 10.0])
     profiles = attribute_block_cpi(trace, mode="golden")
     assert profiles[0].cpi == pytest.approx(16.0 / 8.0)
     assert profiles[0].source is ProfileSource.GOLDEN
@@ -126,14 +126,11 @@ def test_mass_conservation():
     )
     trace, _ = generate(spec)
     profiles = attribute_block_cpi(trace, mode="golden")
-    assert sum(p.occurrence_total for p in profiles.values()) == len(trace.events)
+    assert sum(p.occurrence_total for p in profiles.values()) == trace.event_blocks.size
 
 
 def test_constant_block_waveform():
-    trace = ExecutionTrace(
-        blocks={0: block(0, 25)},
-        events=[BlockEvent(0, 37.5)] * 4,  # cpi 1.5, D = 100
-    )
+    trace = golden_trace({0: block(0, 25)}, [0] * 4, [37.5] * 4)  # cpi 1.5, D = 100
     wave = build_waveform(trace, attribute_block_cpi(trace), resolution=4)
     assert wave.sample_stride == 25
     np.testing.assert_allclose(wave.samples, [1.5, 1.5, 1.5, 1.5])
@@ -142,11 +139,8 @@ def test_constant_block_waveform():
 
 def test_alternating_blocks_waveform():
     blocks = {0: block(0, 10), 1: block(1, 10)}
-    events = []
-    for _ in range(8):
-        events.append(BlockEvent(0, 10.0))  # cpi 1.0
-        events.append(BlockEvent(1, 20.0))  # cpi 2.0
-    trace = ExecutionTrace(blocks=blocks, events=events)
+    # block 0 at cpi 1.0, block 1 at cpi 2.0, alternating
+    trace = golden_trace(blocks, [0, 1] * 8, [10.0, 20.0] * 8)
     wave = build_waveform(trace, attribute_block_cpi(trace), resolution=16)
     np.testing.assert_allclose(wave.samples, [1.0, 2.0] * 8)
 
@@ -158,10 +152,7 @@ def test_waveform_matches_instruction_walk_oracle():
         blocks = {i: block(i, int(rng.integers(1, 9))) for i in range(n_blocks)}
         ids = [int(rng.integers(0, n_blocks)) for _ in range(int(rng.integers(5, 40)))]
         cpis = {i: float(rng.uniform(0.5, 4.0)) for i in range(n_blocks)}
-        events = [
-            BlockEvent(i, cpis[i] * blocks[i].instruction_count) for i in ids
-        ]
-        trace = ExecutionTrace(blocks=blocks, events=events)
+        trace = golden_trace(blocks, ids, [cpis[i] * blocks[i].instruction_count for i in ids])
         profiles = attribute_block_cpi(trace)
         resolution = int(rng.integers(2, 50))
         wave = build_waveform(trace, profiles, resolution)
@@ -200,27 +191,22 @@ def test_waveform_mean_close_to_trace_mean():
         blocks = {i: block(i, int(rng.integers(2, 12))) for i in range(n_blocks)}
         cpis = {i: float(rng.uniform(0.5, 3.0)) for i in range(n_blocks)}
         ids = [int(rng.integers(0, n_blocks)) for _ in range(60)]
-        events = [BlockEvent(i, cpis[i] * blocks[i].instruction_count) for i in ids]
-        trace = ExecutionTrace(blocks=blocks, events=events)
+        trace = golden_trace(blocks, ids, [cpis[i] * blocks[i].instruction_count for i in ids])
         profiles = attribute_block_cpi(trace)
         wave = build_waveform(trace, profiles, resolution=256)
 
         total = trace.total_instructions
         exact_mean = sum(
-            profiles[e.block_id].cpi * trace.blocks[e.block_id].instruction_count
-            for e in trace.events
+            profiles[b].cpi * trace.blocks[b].instruction_count for b in ids
         ) / total
-        rates = [profiles[e.block_id].cpi for e in trace.events]
+        rates = [profiles[b].cpi for b in ids]
         transitions = sum(1 for a, b in zip(rates, rates[1:]) if a != b)
         bound = (max(cpis.values()) - min(cpis.values())) * transitions * wave.sample_stride / total
         assert abs(float(wave.samples.mean()) - exact_mean) <= bound + 1e-12
 
 
 def test_missing_profile_rejected():
-    trace = ExecutionTrace(
-        blocks={0: block(0, 5), 1: block(1, 5)},
-        events=[BlockEvent(0, 5.0), BlockEvent(1, 10.0)],
-    )
+    trace = golden_trace({0: block(0, 5), 1: block(1, 5)}, [0, 1], [5.0, 10.0])
     profiles = attribute_block_cpi(trace)
     del profiles[1]
     with pytest.raises(ValueError, match="missing profile for executed block 1"):
@@ -228,34 +214,26 @@ def test_missing_profile_rejected():
 
 
 def test_unexecuted_block_omitted_from_profiles():
-    trace = ExecutionTrace(
-        blocks={0: block(0, 5), 9: block(9, 5)},
-        events=[BlockEvent(0, 5.0)],
-    )
+    trace = golden_trace({0: block(0, 5), 9: block(9, 5)}, [0], [5.0])
     profiles = attribute_block_cpi(trace)
     assert 9 not in profiles
 
 
 def test_golden_waveform_uses_exact_event_cpi():
     # same block, different cycles per event: profile averages, golden does not
-    trace = ExecutionTrace(
-        blocks={0: block(0, 10)},
-        events=[BlockEvent(0, 10.0), BlockEvent(0, 30.0)],
-    )
+    trace = golden_trace({0: block(0, 10)}, [0, 0], [10.0, 30.0])
     wave = golden_waveform(trace, resolution=2)
     np.testing.assert_allclose(wave.samples, [1.0, 3.0])
 
 
 def test_quantum_cpis_split_straddling_events():
     # event of 10 instructions at cpi 2.0 followed by 10 at 1.0; quanta of 5
-    trace = ExecutionTrace(
-        blocks={0: block(0, 10), 1: block(1, 10)},
-        events=[BlockEvent(0, 20.0), BlockEvent(1, 10.0)],
-    )
-    v = quantum_cpis(trace, 5)
+    trace = golden_trace({0: block(0, 10), 1: block(1, 10)}, [0, 1], [20.0, 10.0])
+    index = EventIndex.from_trace(trace)
+    v = quantum_cpis(index, 5)
     np.testing.assert_allclose(v, [2.0, 2.0, 1.0, 1.0])
     # straddle: quanta of 8 -> [2.0*8/8, (2*2 + 1*6)/8, (1*6 + pad)/4]
-    v = quantum_cpis(trace, 8)
+    v = quantum_cpis(index, 8)
     np.testing.assert_allclose(v, [2.0, (2.0 * 2 + 1.0 * 6) / 8, 1.0])
 
 
@@ -264,8 +242,7 @@ def test_range_mean_cpi_matches_walk():
     blocks = {i: block(i, int(rng.integers(1, 7))) for i in range(4)}
     cpis = {i: float(rng.uniform(0.5, 3.0)) for i in range(4)}
     ids = [int(rng.integers(0, 4)) for _ in range(30)]
-    events = [BlockEvent(i, cpis[i] * blocks[i].instruction_count) for i in ids]
-    trace = ExecutionTrace(blocks=blocks, events=events)
+    trace = golden_trace(blocks, ids, [cpis[i] * blocks[i].instruction_count for i in ids])
     profiles = attribute_block_cpi(trace)
     index = EventIndex.from_trace(trace)
     rates = profile_rates(index, profiles)
@@ -278,3 +255,99 @@ def test_range_mean_cpi_matches_walk():
         assert range_mean_cpi(index, rates, prefix, a, b) == pytest.approx(
             float(per_instr[a:b].mean()), abs=1e-9
         )
+
+
+# --- exact equality with the per-block mask loop ---------------------------------
+
+def mask_loop_profiles(trace, mode):
+    """Reference attribution: one boolean mask per block over all events,
+    the way profiles were computed before the sort-based grouping."""
+    index = EventIndex.from_trace(trace)
+    if mode == "quantum":
+        v = np.array([q.cpi for q in trace.quanta], dtype=float)
+        per_event_v = v[index.starts[:-1] // trace.quantum_length]
+    out = {}
+    for bid in np.unique(index.block_ids):
+        mask = index.block_ids == bid
+        n = int(mask.sum())
+        if mode == "quantum":
+            cpi = float(per_event_v[mask].sum() / n)
+        else:
+            cpi = float(index.event_cycles[mask].sum() / int(index.instr_counts[mask].sum()))
+        out[int(bid)] = (cpi, n)
+    return out
+
+
+def random_quantum_trace(rng, block_ids, n_events):
+    """Golden trace with noisy cycles over the given ids, plus quanta."""
+    blocks = {b: block(b, int(rng.integers(1, 12)), addr=0x1000 + 0x40 * i)
+              for i, b in enumerate(block_ids)}
+    ids = rng.choice(np.array(block_ids, dtype=np.int64), n_events)
+    counts = np.array([blocks[b].instruction_count for b in ids.tolist()])
+    cycles = counts * rng.uniform(0.3, 4.0, n_events)
+    golden = golden_trace(blocks, ids, cycles)
+    length = int(rng.integers(20, 400))
+    quanta = [QuantumRecord(i, c)
+              for i, c in enumerate(quantum_cpis(EventIndex.from_trace(golden), length).tolist())]
+    return ExecutionTrace(blocks=blocks, event_blocks=ids, event_cycles=cycles,
+                          quanta=quanta, quantum_length=length)
+
+
+@pytest.mark.parametrize("n_blocks, sparse", [(8, False), (512, False), (8, True), (512, True)])
+def test_attribution_equals_mask_loop_exactly(n_blocks, sparse):
+    rng = np.random.default_rng(n_blocks + sparse)
+    block_ids = list(range(n_blocks))
+    if sparse:  # -7, 10**12 and even ids in [-10**9, 10**9)
+        others = 2 * rng.choice(10**9, n_blocks - 2, replace=False) - 10**9
+        block_ids = [-7, 10**12, *others.tolist()]
+    trace = random_quantum_trace(rng, block_ids, 40 * n_blocks)
+    for mode in ("golden", "quantum"):
+        expected = mask_loop_profiles(trace, mode)
+        profiles = attribute_block_cpi(trace, mode=mode)
+        assert list(profiles) == list(expected)  # ascending block id
+        for bid, (cpi, n) in expected.items():
+            assert profiles[bid].cpi == cpi  # exact: same additions, same order
+            assert profiles[bid].occurrence_total == n
+
+
+def test_sparse_ids_analyze_and_serialize_like_renumbered_ids():
+    from phasescope import analyze, serialize_trace
+
+    spec = ScenarioSpec(
+        segments=[SegmentSpec(f"s{i}", block_cpi=0.8 + 0.4 * i, block_instruction_count=3 + i,
+                              event_count=5 + i) for i in range(8)],
+        repetitions=12,
+        noise_stddev=0.05,
+        seed=4,
+        quantum_length=97,
+    )
+    dense, _ = generate(spec)
+    # an order-preserving renumbering, so ties broken by block id break alike
+    sparse_of = dict(zip(range(8), [-7, -3, 0, 5, 2**40, 10**12, 10**15, 2**63 - 1]))
+    sparse = ExecutionTrace(
+        blocks={sparse_of[b]: BlockDescriptor(sparse_of[b], d.start_address, d.instruction_count,
+                                              d.terminator, d.target_address)
+                for b, d in dense.blocks.items()},
+        event_blocks=[sparse_of[b] for b in dense.event_blocks.tolist()],
+        event_cycles=dense.event_cycles,
+        quanta=dense.quanta,
+        quantum_length=dense.quantum_length,
+    )
+
+    renumbered = []
+    for line in serialize_trace(dense).splitlines():
+        fields = line.split()
+        if fields[0] in ("B", "E"):
+            fields[1] = str(sparse_of[int(fields[1])])
+        renumbered.append(" ".join(fields))
+    assert serialize_trace(sparse) == "\n".join(renumbered) + "\n"
+
+    for mode in ("golden", "quantum"):
+        a = list(analyze(dense, mode=mode).walk())
+        b = list(analyze(sparse, mode=mode).walk())
+        assert len(a) == len(b) and len(a) > 1
+        for x, y in zip(a, b):
+            assert sparse_of[x.head_block] == y.head_block
+            assert (x.start_instruction, x.length_instructions, x.occurrence, x.mean_cpi,
+                    x.structure) == (y.start_instruction, y.length_instructions,
+                                     y.occurrence, y.mean_cpi, y.structure)

@@ -5,7 +5,6 @@ import pytest
 
 from phasescope import (
     BlockDescriptor,
-    BlockEvent,
     ExecutionTrace,
     PhaseNode,
     QuantumRecord,
@@ -28,8 +27,8 @@ def block(bid, instrs=10):
 def golden_trace_from_quanta(cpis, quantum=10):
     """One block per quantum so per-quantum CPI equals the scripted list."""
     blocks = {0: block(0, quantum)}
-    events = [BlockEvent(0, cpi * quantum) for cpi in cpis]
-    return ExecutionTrace(blocks=blocks, events=events)
+    cycles = [cpi * quantum for cpi in cpis]
+    return ExecutionTrace(blocks=blocks, event_blocks=[0] * len(cpis), event_cycles=cycles)
 
 
 def greedy_oracle(cpis, delta):
@@ -125,7 +124,8 @@ def test_tq_from_matching_quantum_records():
 def test_quantum_only_trace_with_mismatched_length_rejected():
     trace = ExecutionTrace(
         blocks={0: block(0, 10)},
-        events=[BlockEvent(0)] * 4,
+        event_blocks=[0] * 4,
+        event_cycles=[np.nan] * 4,
         quanta=[QuantumRecord(i, 1.5) for i in range(4)],
         quantum_length=10,
     )

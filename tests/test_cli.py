@@ -164,3 +164,42 @@ def test_config_file_and_flag_overrides(tmp_path, trace_file):
     bad = tmp_path / "bad_config.json"
     bad.write_text(json.dumps({"no_such_field": 1}))
     assert main(["analyze", str(trace_file), "--tree", str(tree), "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("text, line", [
+    ("V 1\nB 0 1000 5 F\nE 0 nan\n", 3),
+    ("V 1\nB 0 1000 5 F\nE 0 5.0\nE 0 inf\n", 4),
+    ("V 1\nB 0 1000 10 F\nE 0\nE 0\nL 10\nQ 0 nan\nQ 1 1.5\n", 6),
+    ("V 1\nB 9223372036854775808 1000 5 F\nE 0 5.0\n", 2),
+    ("V 1\nB 0 1000 5 F\nE 99999999999999999999 5.0\n", 3),
+])
+def test_non_finite_and_out_of_range_input_exits_2(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.trace"
+    bad.write_text(text)
+    tree = tmp_path / "tree.json"
+    assert main(["analyze", str(bad), "--tree", str(tree)]) == 2
+    assert f"line {line}:" in capsys.readouterr().err
+    assert not tree.exists()
+
+
+@pytest.mark.parametrize("flags", [["--tq", "0"], ["--tq", "-5"], ["--tq", "37", "--tq", "0"],
+                                   ["--merge-delta", "0"], ["--merge-delta", "-0.1"]])
+def test_compare_rejects_non_positive_settings_with_exit_2(tmp_path, capsys, trace_file, flags):
+    out = tmp_path / "cmp.json"
+    assert main(["compare", str(trace_file), "--out", str(out), *flags]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_writers_refuse_non_finite_numbers():
+    from phasescope import ErrorReport, PhaseNode
+    from phasescope.baseline import comparison_json
+    from phasescope.phases import export_markers, markers_json, tree_json
+
+    node = PhaseNode(0, 0, 10, float("nan"))
+    with pytest.raises(ValueError):
+        tree_json(node, {0: 0x1000})
+    with pytest.raises(ValueError):
+        markers_json(export_markers(node, {0: 0x1000}))
+    with pytest.raises(ValueError):
+        comparison_json("t", [(ErrorReport(float("inf"), "bbfda"), 1)])

@@ -1,0 +1,92 @@
+"""Byte identity of every emitted text against recorded SHA-256 digests.
+
+Trace text, trees, marker tables and comparison reports must not change
+when the implementation underneath them does; a digest changes only with
+an intended change of output. Covered: the criterion-5 two-level
+scenario, the 20-scenario criterion-9 corpus and a quantum-mode scenario
+whose attribution uses Q/L records.
+"""
+
+import hashlib
+
+import pytest
+
+from phasescope import EntryKind, ScenarioSpec, SegmentSpec, analyze, generate, serialize_trace
+from phasescope.cli import main
+from phasescope.phases import export_markers, markers_json, tree_json
+from test_acceptance import _misaligned_scenario
+
+
+def flat(label, cpi, instrs, events, entry=EntryKind.FALLTHROUGH):
+    return SegmentSpec(label, block_cpi=cpi, block_instruction_count=instrs,
+                       event_count=events, entry_kind=entry)
+
+
+CRITERION_5 = ScenarioSpec(
+    segments=[
+        SegmentSpec("bc", nested=[flat("b", 1.2, 50, 1), flat("c", 0.8, 50, 1)],
+                    nested_repetitions=3),
+        SegmentSpec("ef", nested=[flat("e", 4.2, 50, 1), flat("f", 3.8, 50, 1)],
+                    nested_repetitions=3),
+    ],
+    repetitions=4,
+)
+
+QUANTA = ScenarioSpec(
+    segments=[flat(f"b{i}", 0.8 + 0.3 * i, 3 + i, 5 + 2 * i,
+                   EntryKind.BACKWARD_BRANCH if i == 0 else EntryKind.FALLTHROUGH)
+              for i in range(8)],
+    repetitions=30,
+    noise_stddev=0.05,
+    seed=8,
+    quantum_length=500,
+)
+
+CASES = {
+    "criterion-5": ([CRITERION_5], []),
+    "criterion-9": ([_misaligned_scenario(i) for i in range(20)], []),
+    "quanta": ([QUANTA], ["--tq", "500"]),
+}
+
+DIGESTS = {
+    "criterion-5": {
+        "trace": "c310cafa86b920f8440667d5120e80dc2da1606ba79395247fd04110f609fcf8",
+        "tree": "e03f3820efd2328e22cbc6cf360b184f03d54a8c481aab65ab3373b91ef57045",
+        "markers": "2c4607d65f8bb42b2104a97840e371ecbd17ecf591bfcf1ce3e5113e3afeccc2",
+        "compare": "daeece94df3c503528e1dcc634400909ed1adac61343eaf21a3e04f9a3015829",
+    },
+    "criterion-9": {
+        "trace": "7845ad6aa907d41bee99f53d6fe227fb704c3cc7a4b3c0f1606428df70333f18",
+        "tree": "36cda62e5ab93a2a7e2fef6c4faf3bad2d26ff691360c17e66b52d2e0dcf48ed",
+        "markers": "5addee7bf1e88497d172a4aeb78bd36583c3ceec480f63a30bf7aa1b32e29976",
+        "compare": "cbadbb5ba31f4e687619cfbece00ff4286dbf55c837d465de24a82e18b6c0735",
+    },
+    "quanta": {
+        "trace": "b76abe169191bf18fe36479189d67ac7e50323064c6975f41ebfb634312d80c1",
+        "tree": "0d30634cd64df597b0c4e9ece380a428ca79bed0cda448d474f18fdf6c528d3a",
+        "markers": "a6c6500bef9edf48c7a9df969f6c198889f932e97e9f9146c6deaa225902e588",
+        "compare": "d3a45c27e88bb77495b0fa3240da5ad70e2a1dee72a9df99653e9be8f0625d62",
+    },
+}
+
+
+def digests(specs, compare_args, workdir):
+    hashes = {kind: hashlib.sha256() for kind in ("trace", "tree", "markers", "compare")}
+    for spec in specs:
+        trace, _ = generate(spec)
+        text = serialize_trace(trace)
+        tree = analyze(trace)
+        hashes["trace"].update(text.encode())
+        hashes["tree"].update(tree_json(tree, trace.blocks).encode())
+        hashes["markers"].update(markers_json(export_markers(tree, trace.blocks)).encode())
+        (workdir / "t.trace").write_text(text)
+        assert main(["compare", "t.trace", "--out", "cmp.json", *compare_args]) == 0
+        hashes["compare"].update((workdir / "cmp.json").read_bytes())
+    return {kind: h.hexdigest() for kind, h in hashes.items()}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_recorded_digests(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report names the trace by the path given
+    specs, compare_args = CASES[case]
+    assert digests(specs, compare_args, tmp_path) == DIGESTS[case]

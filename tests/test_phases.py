@@ -7,8 +7,6 @@ import pytest
 from phasescope import (
     AnalysisConfig,
     BlockDescriptor,
-    BlockEvent,
-    Candidate,
     EntryKind,
     ExecutionTrace,
     NoAlignmentError,
@@ -22,13 +20,13 @@ from phasescope import (
     align_phase,
     analyze,
     attribute_block_cpi,
-    candidate_heads,
     classify_structure,
     export_markers,
     generate,
     split_step,
 )
-from phasescope.phases import tree_from_dict, tree_json, validate_tree
+from phasescope.attribution import EventIndex, profile_rates
+from phasescope.phases import _candidates_in_range, tree_from_dict, tree_json, validate_tree
 
 import json
 
@@ -50,70 +48,69 @@ def wave(samples, stride=1, origin=0):
 # --- candidate heads ---------------------------------------------------------
 
 def golden_trace(blocks, ids_and_cpis):
-    events = [
-        BlockEvent(i, cpi * blocks[i].instruction_count) for i, cpi in ids_and_cpis
-    ]
-    return ExecutionTrace(blocks=blocks, events=events)
+    ids = [i for i, _ in ids_and_cpis]
+    cycles = [cpi * blocks[i].instruction_count for i, cpi in ids_and_cpis]
+    return ExecutionTrace(blocks=blocks, event_blocks=ids, event_cycles=cycles)
+
+
+def candidates(trace, threshold):
+    """(offsets, block ids) of the candidate heads over the whole trace."""
+    index = EventIndex.from_trace(trace)
+    rates = profile_rates(index, attribute_block_cpi(trace))
+    offsets, heads = _candidates_in_range(index, rates, threshold, 0, trace.total_instructions)
+    return offsets.tolist(), heads.tolist()
 
 
 def test_constant_cpi_yields_no_candidates():
     blocks = {0: block(0)}
     trace = golden_trace(blocks, [(0, 1.5)] * 6)
-    profiles = attribute_block_cpi(trace)
-    assert candidate_heads(trace, profiles, 0.01) == []
+    assert candidates(trace, 0.01) == ([], [])
 
 
 def test_candidates_mark_second_block_of_jumping_pairs():
-    # A A B B A with cpis 1,1,2,2,1 and threshold 0.5
+    # A A B B A with cpis 1,1,2,2,1 and threshold 0.5: events 2 and 4
     blocks = {0: block(0), 1: block(1)}
     trace = golden_trace(blocks, [(0, 1.0), (0, 1.0), (1, 2.0), (1, 2.0), (0, 1.0)])
-    profiles = attribute_block_cpi(trace)
-    cands = candidate_heads(trace, profiles, 0.5)
-    assert [(c.event_index, c.block_id) for c in cands] == [(2, 1), (4, 0)]
-    assert [c.instruction_offset for c in cands] == [20, 40]
+    assert candidates(trace, 0.5) == ([20, 40], [1, 0])
 
 
 def test_threshold_above_range_yields_nothing():
     blocks = {0: block(0), 1: block(1)}
     trace = golden_trace(blocks, [(0, 1.0), (1, 2.0), (0, 1.0)])
-    profiles = attribute_block_cpi(trace)
-    assert candidate_heads(trace, profiles, 1.5) == []
+    assert candidates(trace, 1.5) == ([], [])
 
 
 # --- alignment ---------------------------------------------------------------
 
 def test_align_perfectly_periodic_candidate():
     w = wave([1.0] * 100)
-    cands = [Candidate(i, 5, 25 * i) for i in range(4)]
-    start, head = align_phase(w, cands, 25)
+    start, head = align_phase(w, [0, 25, 50, 75], [5] * 4, 25)
     assert (start, head) == (0, 5)
 
 
 def test_align_prefers_gap_matching_length():
     w = wave([1.0] * 100)
-    cands = [Candidate(0, 1, 0), Candidate(1, 2, 5), Candidate(2, 1, 30),
-             Candidate(3, 2, 35), Candidate(4, 1, 60), Candidate(5, 2, 95)]
+    offsets = [0, 5, 30, 35, 60, 95]
+    blocks = [1, 2, 1, 2, 1, 2]
     # block 1 recurs every 30 = L; block 2 gaps are 30 and 60 (median 45)
-    start, head = align_phase(w, cands, 30)
+    start, head = align_phase(w, offsets, blocks, 30)
     assert (start, head) == (0, 1)
 
 
 def test_align_single_occurrence_fallback_is_earliest():
     w = wave([1.0] * 100)
-    cands = [Candidate(3, 7, 40), Candidate(1, 9, 10), Candidate(5, 8, 80)]
-    start, head = align_phase(w, cands, 25)
+    start, head = align_phase(w, [40, 10, 80], [7, 9, 8], 25)
     assert (start, head) == (10, 9)
 
 
 def test_align_empty_candidates_raises():
     with pytest.raises(NoAlignmentError):
-        align_phase(wave([1.0] * 10), [], 5)
+        align_phase(wave([1.0] * 10), [], [], 5)
 
 
 def test_align_ignores_out_of_range_candidates():
     w = wave([1.0] * 10, stride=1, origin=100)  # covers [100, 110)
-    cands = [Candidate(0, 1, 5), Candidate(1, 2, 104)]
-    start, head = align_phase(w, cands, 4)
+    start, head = align_phase(w, [5, 104], [1, 2], 4)
     assert (start, head) == (104, 2)
 
 
@@ -314,13 +311,15 @@ def test_scaling_quantum_cpis_scales_means_only():
     scale = 2.5
     scaled = ExecutionTrace(
         blocks=dict(trace.blocks),
-        events=[BlockEvent(e.block_id) for e in trace.events],
+        event_blocks=trace.event_blocks,
+        event_cycles=np.full(trace.event_blocks.size, np.nan),
         quanta=[QuantumRecord(q.quantum_index, q.cpi * scale) for q in trace.quanta],
         quantum_length=trace.quantum_length,
     )
     base_trace = ExecutionTrace(
         blocks=dict(trace.blocks),
-        events=[BlockEvent(e.block_id) for e in trace.events],
+        event_blocks=trace.event_blocks,
+        event_cycles=np.full(trace.event_blocks.size, np.nan),
         quanta=list(trace.quanta),
         quantum_length=trace.quantum_length,
     )

@@ -27,7 +27,7 @@ def test_single_segment_zero_noise_is_constant():
     trace, annotation = generate(ScenarioSpec(
         segments=[flat("a", 1.5, 5, 10)], repetitions=3,
     ))
-    cpis = {e.cycles / trace.blocks[e.block_id].instruction_count for e in trace.events}
+    cpis = set((trace.event_cycles / trace.event_instructions).tolist())
     assert cpis == {1.5}
     assert annotation.true_phases.children == []
     assert annotation.true_phases.mean_cpi == pytest.approx(1.5)
@@ -72,8 +72,7 @@ def test_noise_is_clamped_positive():
     trace, _ = generate(ScenarioSpec(
         segments=[flat("a", 0.2, 4, 500)], repetitions=1, noise_stddev=0.19, seed=7,
     ))
-    for event in trace.events:
-        assert event.cycles >= 4 * 0.05 - 1e-12
+    assert (trace.event_cycles >= 4 * 0.05 - 1e-12).all()
 
 
 def test_quantum_records_satisfy_count_invariant():
@@ -87,10 +86,10 @@ def test_quantum_records_satisfy_count_invariant():
     trace, _ = generate(spec)
     assert len(trace.quanta) == math.ceil(trace.total_instructions / 20)
     # quantum CPIs recompute exactly from the noisy golden events
-    from phasescope import quantum_cpis
+    from phasescope import EventIndex, quantum_cpis
 
     np.testing.assert_allclose(
-        [q.cpi for q in trace.quanta], quantum_cpis(trace, 20), atol=1e-12
+        [q.cpi for q in trace.quanta], quantum_cpis(EventIndex.from_trace(trace), 20), atol=1e-12
     )
 
 
