@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trace import ExecutionTrace, positions_in
+from .trace import ExecutionTrace, TraceFormatError, positions_in
 
 
 class ProfileSource(enum.Enum):
@@ -121,7 +121,8 @@ def attribute_block_cpi(
     quanta in which b's events start. mode "golden": cpi(b) is total event
     cycles over total instructions executed by b. mode "auto" picks quantum
     when quantum samples are present (the measurement path), golden otherwise.
-    Blocks with no dynamic occurrence are omitted.
+    Blocks with no dynamic occurrence are omitted. A block whose golden
+    cycles sum to 0 raises TraceFormatError.
     """
     if mode == "auto":
         mode = "quantum" if trace.has_quanta else "golden"
@@ -152,7 +153,9 @@ def attribute_block_cpi(
         weight = n if mode == "quantum" else int(instrs.sum())
         cpi = float(block_values.sum() / weight)
         if cpi <= 0:
-            raise ValueError(f"non-positive attributed CPI for block {bid}")
+            # validation keeps cycles >= 0 and quantum CPIs > 0: the input
+            # gave every event of this block 0 cycles
+            raise TraceFormatError(f"block {bid}: its events carry 0 cycles in all; a block CPI must be positive")
         profiles[bid] = BlockProfile(bid, cpi, n, source)
     return profiles
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 internal analysis failure, 2 usage/input errors
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import dataclass, field, fields
@@ -73,7 +74,9 @@ def cmd_analyze(args) -> CommandOutcome:
 
     spectra: list[tuple[int, int, int, spectral.Spectrum]] = []
     sink = (lambda d, a, b, s: spectra.append((d, a, b, s))) if args.spectrum_dir else None
-    tree = phases.analyze(trace, config, spectrum_sink=sink)
+    # the waveform CSV needs the block profiles the analysis attributes
+    profiles = attribute_block_cpi(trace) if args.waveform_csv else None
+    tree = phases.analyze(trace, config, spectrum_sink=sink, profiles=profiles)
 
     tree_text = phases.tree_json(tree, trace.blocks)
     if args.tree:
@@ -82,7 +85,6 @@ def cmd_analyze(args) -> CommandOutcome:
         sys.stdout.write(tree_text)
 
     if args.waveform_csv:
-        profiles = attribute_block_cpi(trace)
         wave = build_waveform(trace, profiles, config.resolution)
         _write(args.waveform_csv, waveform_csv(wave), emitted)
     if args.spectrum_dir:
@@ -110,6 +112,10 @@ def cmd_compare(args) -> CommandOutcome:
     total = trace.total_instructions
 
     golden = golden_waveform(trace, config.resolution)
+    zero = golden.samples == 0
+    if zero.any():
+        offset = int(golden.sample_offsets[zero.argmax()])
+        raise InputError(f"golden CPI is 0 at instruction offset {offset}, where MAPE is undefined")
     tree = phases.analyze(trace, config)
     predicted = baseline.predict_waveform(tree, total, config.resolution)
     keep = bool(args.samples_csv)
@@ -243,5 +249,19 @@ def main(argv=None) -> int:
     return outcome.exit_code
 
 
+def run() -> None:
+    """Program entry point (the ``phasescope`` script and ``python -m
+    phasescope.cli``): run main() and exit with its code.
+
+    Before exiting, gc.freeze() moves every live object to the permanent
+    generation, so interpreter teardown skips a full collection over them
+    (numpy's modules included). Only a process about to exit may do that;
+    main() itself never freezes, so calling it in-process is unaffected.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

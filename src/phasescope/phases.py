@@ -287,15 +287,19 @@ def analyze(
     *,
     mode: str = "auto",
     spectrum_sink: Optional[Callable[[int, int, int, Spectrum], None]] = None,
+    profiles: Optional[dict[int, BlockProfile]] = None,
 ) -> PhaseNode:
     """Build the hierarchical phase tree for a trace.
 
     The root covers the whole execution. mode selects the CPI attribution
     source (see attribute_block_cpi); spectrum_sink, when given, receives
-    (depth, start, stop, spectrum) for every analyzed segment.
+    (depth, start, stop, spectrum) for every analyzed segment. A caller that
+    needs the block profiles too passes attribute_block_cpi(trace, mode) as
+    profiles, and the trace is attributed once.
     """
     cfg = config or AnalysisConfig()
-    profiles = attribute_block_cpi(trace, mode=mode)
+    if profiles is None:
+        profiles = attribute_block_cpi(trace, mode=mode)
     run = _Analysis(trace, cfg, profiles, spectrum_sink)
     root = run.segment(0, run.index.total_instructions, 0, 1)
     validate_tree(root)

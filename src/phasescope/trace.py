@@ -18,6 +18,14 @@ finite.
 In memory the event stream is two numpy columns, block ids and cycle
 counts, built and validated once; validation also derives each event's
 instruction count and their prefix sums, which every later stage reads.
+
+The parser reads lines in fixed-size chunks. A chunk made only of ``E``
+lines is converted by one ``np.loadtxt`` call into a record array (kind,
+block id and, when present, cycle count). Any other chunk, and any chunk
+numpy's reader rejects or whose values fail a check (a kind other than
+``E``, a non-finite cycle count, an unknown block), goes through the
+line-by-line loop, which gives the same columns and names the offending
+line.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -239,35 +247,45 @@ def _parse_float(token: str, what: str, line: int) -> float:
     return value
 
 
+#: numpy record layouts of an ``E`` line with and without a cycle count
+_EVENT_ROWS = {
+    3: np.dtype([("kind", "U2"), ("block", "i8"), ("cycles", "f8")]),
+    2: np.dtype([("kind", "U2"), ("block", "i8")]),
+}
+
+
 def _event_columns(
     chunk: list[str], known: np.ndarray
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(block ids, cycles) of a chunk made only of ``E`` lines, converted in
-    one step; None when any line needs the line-by-line parser (another
-    record, a comment, a blank line, a bad field, an unknown block), which
-    then reports the error with its line number."""
-    n = len(chunk)
-    if not all(map(str.startswith, chunk, repeat("E "))):
-        return None
-    fields = "\n".join(chunk).split()
-    width = len(fields) // n
-    # Each line starts with the field "E", and all fields but every width-th
-    # one must convert to numbers, so each line but the last spans a
-    # multiple of `width` fields; with width * n fields in all, every line
-    # has exactly `width`. A comment's "#" sits in a field that converts to
-    # no number.
-    if width not in (2, 3) or len(fields) != width * n:
+    """(block ids, cycles) of a chunk made only of ``E`` lines, converted by
+    one ``np.loadtxt`` call; None when any line needs the line-by-line
+    parser (another record, a comment, a blank line, a bad field, an unknown
+    block), which then reports the error with its line number.
+
+    numpy's reader accepts a subset of what ``int``/``float`` accept (no
+    ``1_0``, no non-ASCII digits, no extra fields), splits fields at the
+    same whitespace and gives the same values, so an accepted chunk yields
+    the columns the line loop would. It does drop trailing NULs from the
+    kind field ("E\\x00" reads as "E"), so a chunk holding a NUL goes to the
+    line loop.
+    """
+    layout = _EVENT_ROWS.get(len(chunk[0].split()))
+    if layout is None or "\x00" in "".join(chunk):
         return None
     try:
-        ids = np.array(list(map(int, fields[1::width])), dtype=np.int64)
-        if width == 3:
-            cycles = np.array(list(map(float, fields[2::width])), dtype=float)
-        else:
-            cycles = np.full(n, math.nan)
-    except (ValueError, OverflowError):
+        rows = np.loadtxt(chunk, dtype=layout, comments=None, ndmin=1)
+    except ValueError:
         return None
-    if width == 3 and not np.isfinite(cycles).all():
+    if rows.size != len(chunk) or (rows["kind"] != "E").any():
         return None
+    # copies, so that each chunk's record array is freed while parsing goes on
+    ids = rows["block"].copy()
+    if "cycles" in layout.names:
+        cycles = rows["cycles"].copy()
+        if not np.isfinite(cycles).all():
+            return None
+    else:
+        cycles = np.full(ids.size, math.nan)
     if (positions_in(known, ids) < 0).any():
         return None
     return ids, cycles
@@ -370,10 +388,12 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
     if quantum_length is not None and not quanta:
         raise TraceFormatError("L quantum-length record present but no Q records")
 
+    event_blocks, event_cycles = np.concatenate(block_parts), np.concatenate(cycle_parts)
+    del block_parts, cycle_parts  # the trace copies the columns: free the chunks first
     return ExecutionTrace(
         blocks=blocks,
-        event_blocks=np.concatenate(block_parts),
-        event_cycles=np.concatenate(cycle_parts),
+        event_blocks=event_blocks,
+        event_cycles=event_cycles,
         quanta=quanta or None,
         quantum_length=quantum_length,
     )

@@ -1,10 +1,17 @@
 """CLI contract: exit codes, emitted files, determinism, round trips."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasescope
 from phasescope import ScenarioSpec, SegmentSpec, generate, load_trace, predict_waveform
 from phasescope.cli import main
 from phasescope.phases import tree_from_dict
@@ -203,3 +210,97 @@ def test_json_writers_refuse_non_finite_numbers():
         markers_json(export_markers(node, {0: 0x1000}))
     with pytest.raises(ValueError):
         comparison_json("t", [(ErrorReport(float("inf"), "bbfda"), 1)])
+
+
+def test_block_whose_events_all_carry_zero_cycles_exits_2(tmp_path, capsys):
+    bad = tmp_path / "zero.trace"
+    bad.write_text("V 1\nB 0 1000 5 F\nB 1 2000 5 F\nE 0 0.0\nE 1 5.0\nE 0 0.0\n")
+    tree = tmp_path / "tree.json"
+    assert main(["analyze", str(bad), "--tree", str(tree)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "block 0" in err
+    assert not tree.exists()
+
+
+def test_compare_with_a_zero_golden_cpi_exits_2_naming_the_offset(tmp_path, capsys):
+    trace = tmp_path / "zero.trace"
+    trace.write_text("V 1\nB 0 1000 5 F\nB 1 2000 5 F\nE 0 0.0\nE 0 5.0\nE 1 5.0\nE 0 4.0\n")
+    out = tmp_path / "cmp.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # MAPE over a zero CPI warns before it fails
+        assert main(["compare", str(trace), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "instruction offset 0" in err
+    assert not out.exists()
+
+
+def test_analyze_waveform_csv_attributes_once(tmp_path, trace_file, monkeypatch):
+    from phasescope import attribution, cli, phases
+
+    trace = load_trace(trace_file)
+    profiles = attribution.attribute_block_cpi(trace)
+    expected = attribution.waveform_csv(attribution.build_waveform(trace, profiles, 4096))
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return attribution.attribute_block_cpi(*args, **kwargs)
+
+    monkeypatch.setattr(phases, "attribute_block_cpi", counting)
+    monkeypatch.setattr(cli, "attribute_block_cpi", counting)
+    wave = tmp_path / "wave.csv"
+    tree = tmp_path / "tree.json"
+    assert main(["analyze", str(trace_file), "--tree", str(tree), "--waveform-csv", str(wave)]) == 0
+    assert len(calls) == 1
+    assert wave.read_text(encoding="utf-8") == expected
+
+    plain = tmp_path / "plain.json"
+    assert main(["analyze", str(trace_file), "--tree", str(plain)]) == 0
+    assert plain.read_bytes() == tree.read_bytes()
+
+
+def run_module(*args):
+    """`python -m phasescope.cli ARGS` in a child process importing this
+    checkout's package."""
+    src = str(Path(phasescope.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "phasescope.cli", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def test_module_entry_point_matches_in_process_main(tmp_path, trace_file):
+    outputs = {}
+    for how in ("child", "in_process"):
+        args = ["analyze", str(trace_file), "--tree", str(tmp_path / f"{how}.tree.json"),
+                "--markers", str(tmp_path / f"{how}.markers.json")]
+        if how == "child":
+            proc = run_module(*args)
+            assert (proc.returncode, proc.stderr) == (0, "")
+        else:
+            frozen = gc.get_freeze_count()
+            assert main(args) == 0
+            assert gc.get_freeze_count() == frozen  # only the program entry freezes
+        outputs[how] = [(tmp_path / f"{how}.{kind}.json").read_bytes() for kind in ("tree", "markers")]
+    assert outputs["child"] == outputs["in_process"]
+
+
+def test_module_entry_point_reports_a_malformed_trace_with_exit_2(tmp_path):
+    bad = tmp_path / "bad.trace"
+    bad.write_text("V 1\nB 0 1000 5 F\nE 0 5.0\nE zzz 5.0\n")
+    proc = run_module("analyze", str(bad), "--tree", str(tmp_path / "tree.json"))
+    assert proc.returncode == 2
+    assert "line 4" in proc.stderr and "malformed block id" in proc.stderr
+    assert not (tmp_path / "tree.json").exists()
+
+
+def test_program_entry_freezes_after_main_and_exits_with_its_code(monkeypatch):
+    from phasescope import cli
+
+    steps = []
+    monkeypatch.setattr(cli, "main", lambda: steps.append("main") or 2)
+    monkeypatch.setattr(gc, "freeze", lambda: steps.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 2
+    assert steps == ["main", "freeze"]

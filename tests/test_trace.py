@@ -1,6 +1,7 @@
 """Trace format parsing, validation and round-trip behavior."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from phasescope import (
     parse_trace,
     serialize_trace,
 )
+from phasescope import trace as trace_module
 from phasescope.trace import _CHUNK_LINES
 
 GOLDEN_SIMPLE = """\
@@ -326,3 +328,103 @@ def test_malformed_event_deep_in_a_chunk_names_its_line(seed, bad):
     with pytest.raises(TraceFormatError, match=bad[1]) as exc:
         parse_trace("\n".join(lines) + "\n")
     assert exc.value.line == at + 1
+
+
+# --- event chunks in odd spellings ----------------------------------------------
+
+#: spellings that numpy's reader accepts as well as int()/float()
+GOOD_SEPARATORS = [" ", " ", "\t", "\xa0", "  ", "\u3000", " \x0b", "\x1c"]
+GOOD_IDS = ["1", "+1", "003", "-0", "3"]
+GOOD_CYCLES = ["5.0", "+5", "007", ".5", "5.", "1E3", "-0.0", "0", "2.5e-3"]
+#: tokens that one or both reject, or that change the line's meaning
+BAD_TOKENS = ["EX", "E\x00", "e", "1_0", "\u0663", "5.0", "0x10", "9", "99999999999999999999",
+              "1#", "nan", "inf", "1e400", "-1", "2.5#c", "#", ""]
+SHORT_CHUNK = 64
+
+
+@st.composite
+def odd_event_lines(draw, with_cycles):
+    """1-12 E lines in good spellings, then up to 3 tokens replaced or
+    appended by a bad token or arbitrary text."""
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        fields = ["E", draw(st.sampled_from(GOOD_IDS))]
+        if with_cycles:
+            fields.append(draw(st.sampled_from(GOOD_CYCLES)))
+        lines.append(fields)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        fields = lines[draw(st.integers(0, len(lines) - 1))]
+        at = draw(st.integers(0, len(fields)))  # len(fields): an extra field
+        token = draw(st.one_of(st.sampled_from(BAD_TOKENS), st.text(max_size=3)))
+        fields[at:at + 1] = [token]
+    return [fields[0] + "".join(draw(st.sampled_from(GOOD_SEPARATORS)) + f for f in fields[1:])
+            for fields in lines]
+
+
+def parse_outcome(text, as_file):
+    """The parsed trace, or (message, line) of the TraceFormatError; any
+    other exception escapes and fails the test."""
+    try:
+        return parse_trace(io.StringIO(text) if as_file else text)
+    except TraceFormatError as exc:
+        return str(exc), exc.line
+
+
+def assert_parses_as_the_line_loop(text, as_file=False):
+    """Same columns bit for bit, or the same error, with event chunks
+    converted at once and with every line parsed one by one."""
+    got = parse_outcome(text, as_file)
+    with mock.patch.object(trace_module, "_event_columns", lambda chunk, known: None):
+        want = parse_outcome(text, as_file)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert got.event_blocks.tobytes() == want.event_blocks.tobytes()
+        assert got.event_cycles.tobytes() == want.event_cycles.tobytes()
+
+
+@pytest.mark.parametrize("line", [
+    "E\x00 1 5.0", "EX 1 5.0", "EXY 1 5.0", "e 1 5.0", "", "  \t",
+    "E 1 nan", "E 1 -inf", "E 1 1e400", "E 9 5.0", "E 1 5.0 7", "E 1 5.0 # note",
+    "E 1_0 5.0", "E \u0663 5.0", "E 1 \u0663", "E 5.0 5.0", "E 1 0x10", "E 1",
+    "E\t1\t5.0", "E\xa01 +5", "E 003 .5", "E -0 -0.0",
+])
+def test_each_fast_path_guard_falls_back_to_the_line_loop(line):
+    """One odd line deep in a full chunk of E lines parses, or fails, as in
+    the line loop."""
+    events = [f"E {i % 4} {1.0 + i % 7 / 8!r}" for i in range(2 * _CHUNK_LINES)]
+    events[_CHUNK_LINES + 100] = line
+    text = "V 1\n" + "".join(f"B {b} {0x1000 + 0x40 * b:x} 4 F\n" for b in range(4))
+    text += "\n".join(events) + "\n"
+    assert_parses_as_the_line_loop(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), with_cycles=st.booleans(), fill=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), as_file=st.booleans())
+def test_odd_event_chunks_parse_as_the_line_loop_does(data, with_cycles, fill, seed, as_file):
+    """A chunk of E lines deep in the trace converts, or fails, exactly as
+    the line-by-line parser would. Chunks are shortened to keep the examples
+    fast; the conversion does not depend on their length."""
+    odd_lines = data.draw(odd_event_lines(with_cycles))
+    rng = np.random.default_rng(seed)
+
+    def event(i):
+        cycles = f" {float(rng.uniform(0.5, 9.0))!r}" if with_cycles else ""
+        return f"E {i % 4}{cycles}"
+
+    header = ["V 1"] + [f"B {b} {0x1000 + 0x40 * b:x} 4 F" for b in range(4)]
+    lines = header + [event(i) for i in range(SHORT_CHUNK - len(header))]
+    if fill:  # the second chunk is odd lines only
+        chunk = [odd_lines[i % len(odd_lines)] for i in range(SHORT_CHUNK)]
+    else:
+        chunk = [event(i) for i in range(SHORT_CHUNK)]
+        for line, at in zip(odd_lines, rng.choice(SHORT_CHUNK, len(odd_lines), replace=False)):
+            chunk[at] = line
+    lines += chunk + [event(i) for i in range(SHORT_CHUNK + 5)]
+    lines += ["L 1000000000000", "Q 0 1.5"]  # valid with or without cycles
+    text = "\n".join(lines) + "\n"
+
+    with mock.patch.object(trace_module, "_CHUNK_LINES", SHORT_CHUNK):
+        assert_parses_as_the_line_loop(text, as_file)
