@@ -36,7 +36,6 @@ from .synth import EntryKind, GoldenAnnotation, ScenarioSpec, SegmentSpec, gener
 from .trace import (
     BlockDescriptor,
     ExecutionTrace,
-    QuantumRecord,
     Terminator,
     TraceFormatError,
     load_trace,
@@ -60,7 +59,6 @@ __all__ = [
     "NoAlignmentError",
     "PhaseNode",
     "ProfileSource",
-    "QuantumRecord",
     "ScenarioSpec",
     "SegmentSpec",
     "Spectrum",

@@ -133,9 +133,8 @@ def attribute_block_cpi(
     if mode == "quantum":
         if not trace.has_quanta:
             raise ValueError("quantum attribution requires quantum records")
-        v = np.array([q.cpi for q in trace.quanta], dtype=float)
         # an event belongs to the quantum holding its first instruction
-        values = v[index.starts[:-1] // trace.quantum_length]
+        values = trace.quanta[index.starts[:-1] // trace.quantum_length]
         source = ProfileSource.QUANTUM_WEIGHTED
     else:
         if index.event_cycles is None:
@@ -223,23 +222,28 @@ def weighted_cpi_prefix(index: EventIndex, rates: np.ndarray) -> np.ndarray:
     return prefix
 
 
+def cycles_below(
+    index: EventIndex, rates: np.ndarray, prefix: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Cycles of the instructions before each offset in [0, total].
+
+    An offset inside event e adds its share of e to prefix[e]. Only event
+    starts are searched, so the offset total falls in the last event, as its
+    end; that gives prefix[-1] bit for bit, since np.cumsum adds in sequence.
+    """
+    ev = np.searchsorted(index.starts[:-1], offsets, side="right") - 1
+    return prefix[ev] + (offsets - index.starts[ev]) * rates[ev]
+
+
 def range_mean_cpi(
     index: EventIndex, rates: np.ndarray, prefix: np.ndarray, start: int, stop: int
 ) -> float:
     """Exact instruction-weighted mean CPI over [start, stop)."""
-
-    def weight_below(x: int) -> float:
-        e = int(np.searchsorted(index.starts, x, side="right")) - 1
-        if e < 0:
-            return 0.0
-        if e >= len(rates):
-            return float(prefix[-1])
-        return float(prefix[e] + (x - index.starts[e]) * rates[e])
-
     length = stop - start
     if length < 1:
         raise ValueError("empty range")
-    return (weight_below(stop) - weight_below(start)) / length
+    below = cycles_below(index, rates, prefix, np.array((start, stop)))
+    return float((below[1] - below[0]) / length)
 
 
 def quantum_cpis(index: EventIndex, quantum_length: int) -> np.ndarray:
@@ -255,15 +259,8 @@ def quantum_cpis(index: EventIndex, quantum_length: int) -> np.ndarray:
     prefix = weighted_cpi_prefix(index, rates)
     total = index.total_instructions
     n_quanta = math.ceil(total / quantum_length)
-    bounds = np.minimum(
-        np.arange(n_quanta + 1, dtype=np.int64) * quantum_length, total
-    )
-    ev = index.events_at(np.minimum(bounds, total - 1))
-    cum = prefix[ev] + (bounds - index.starts[ev]) * rates[ev]
-    cum[-1] = prefix[-1]
-    cycles_per_quantum = np.diff(cum)
-    instrs_per_quantum = np.diff(bounds).astype(float)
-    return cycles_per_quantum / instrs_per_quantum
+    bounds = np.minimum(np.arange(n_quanta + 1, dtype=np.int64) * quantum_length, total)
+    return np.diff(cycles_below(index, rates, prefix, bounds)) / np.diff(bounds)
 
 
 def waveform_csv(waveform: Waveform) -> str:

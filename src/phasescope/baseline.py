@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class TqPhaseList:
 class ErrorReport:
     mean_absolute_percentage_error: float
     method_label: str
-    per_sample_errors: Optional[np.ndarray] = None
 
 
 def tq_phases(
@@ -60,7 +59,7 @@ def tq_phases(
         quantum_length = total  # degenerate request: one quantum spans the run
 
     if trace.has_quanta and trace.quantum_length == quantum_length:
-        cpis = np.array([q.cpi for q in trace.quanta], dtype=float)
+        cpis = trace.quanta
     elif trace.is_golden:
         cpis = quantum_cpis(EventIndex.from_trace(trace), quantum_length)
     else:
@@ -144,9 +143,7 @@ def predict_waveform(
     )
 
 
-def error_rate(
-    predicted: Waveform, golden: Waveform, label: str = "", keep_samples: bool = False
-) -> ErrorReport:
+def error_rate(predicted: Waveform, golden: Waveform, label: str = "") -> ErrorReport:
     """Mean absolute percentage error of a prediction against the golden
     waveform, per sample on the shared instruction grid."""
     if (
@@ -156,11 +153,7 @@ def error_rate(
     ):
         raise ValueError("waveforms must share grid (resolution and extent)")
     errors = np.abs(predicted.samples - golden.samples) / golden.samples * 100.0
-    return ErrorReport(
-        mean_absolute_percentage_error=float(errors.mean()),
-        method_label=label,
-        per_sample_errors=errors if keep_samples else None,
-    )
+    return ErrorReport(float(errors.mean()), label)
 
 
 def comparison_json(trace_name: str, reports: list[tuple[ErrorReport, int]]) -> str:

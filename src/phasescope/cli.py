@@ -10,7 +10,7 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from pathlib import Path
 
 from . import baseline, phases, spectral, synth
@@ -23,12 +23,6 @@ class InputError(ValueError):
     """Input violates a command's contract (maps to exit code 2)."""
 
 
-@dataclass
-class CommandOutcome:
-    exit_code: int
-    emitted_files: list[str] = field(default_factory=list)
-
-
 _CONFIG_FLAGS = [f.name for f in fields(AnalysisConfig)]
 
 
@@ -36,9 +30,11 @@ def _config_from_args(args) -> AnalysisConfig:
     values: dict = {}
     if getattr(args, "config", None):
         try:
-            values.update(json.loads(Path(args.config).read_text()))
+            values = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read config {args.config}: {exc}") from None
+        if not isinstance(values, dict):
+            raise InputError(f"config {args.config} must hold a JSON object of config fields")
         unknown = set(values) - set(_CONFIG_FLAGS)
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
@@ -54,23 +50,18 @@ def _config_from_args(args) -> AnalysisConfig:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with analysis config fields")
-    parser.add_argument("--resolution", type=int)
-    parser.add_argument("--boundary-threshold-fraction", dest="boundary_threshold_fraction", type=float)
-    parser.add_argument("--flat-cpi-range", dest="flat_cpi_range", type=float)
-    parser.add_argument("--flat-spectrum-ratio", dest="flat_spectrum_ratio", type=float)
-    parser.add_argument("--max-depth", dest="max_depth", type=int)
-    parser.add_argument("--min-segment-instructions", dest="min_segment_instructions", type=int)
+    for f in fields(AnalysisConfig):
+        # each field's type is that of its default (int or float)
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default))
 
 
-def _write(path: str, text: str, emitted: list[str]) -> None:
+def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
-    emitted.append(path)
 
 
-def cmd_analyze(args) -> CommandOutcome:
+def cmd_analyze(args) -> None:
     config = _config_from_args(args)
     trace = load_trace(args.trace)
-    emitted: list[str] = []
 
     spectra: list[tuple[int, int, int, spectral.Spectrum]] = []
     sink = (lambda d, a, b, s: spectra.append((d, a, b, s))) if args.spectrum_dir else None
@@ -80,26 +71,25 @@ def cmd_analyze(args) -> CommandOutcome:
 
     tree_text = phases.tree_json(tree, trace.blocks)
     if args.tree:
-        _write(args.tree, tree_text, emitted)
+        _write(args.tree, tree_text)
     else:
         sys.stdout.write(tree_text)
 
     if args.waveform_csv:
         wave = build_waveform(trace, profiles, config.resolution)
-        _write(args.waveform_csv, waveform_csv(wave), emitted)
+        _write(args.waveform_csv, waveform_csv(wave))
     if args.spectrum_dir:
         directory = Path(args.spectrum_dir)
         directory.mkdir(parents=True, exist_ok=True)
         for depth, start, stop, spec in spectra:
             path = directory / f"spectrum_d{depth}_i{start}_{stop}.csv"
-            _write(str(path), spectral.spectrum_csv(spec), emitted)
+            _write(str(path), spectral.spectrum_csv(spec))
     if args.markers:
         table = phases.export_markers(tree, trace.blocks)
-        _write(args.markers, phases.markers_json(table), emitted)
-    return CommandOutcome(0, emitted)
+        _write(args.markers, phases.markers_json(table))
 
 
-def cmd_compare(args) -> CommandOutcome:
+def cmd_compare(args) -> None:
     config = _config_from_args(args)
     if any(length < 1 for length in args.tq or []):
         raise InputError("--tq must be positive")
@@ -108,7 +98,6 @@ def cmd_compare(args) -> CommandOutcome:
     trace = load_trace(args.trace)
     if not trace.is_golden:
         raise InputError("golden cycles required for comparison")
-    emitted: list[str] = []
     total = trace.total_instructions
 
     golden = golden_waveform(trace, config.resolution)
@@ -118,9 +107,8 @@ def cmd_compare(args) -> CommandOutcome:
         raise InputError(f"golden CPI is 0 at instruction offset {offset}, where MAPE is undefined")
     tree = phases.analyze(trace, config)
     predicted = baseline.predict_waveform(tree, total, config.resolution)
-    keep = bool(args.samples_csv)
     reports: list[tuple[baseline.ErrorReport, int]] = [
-        (baseline.error_rate(predicted, golden, "bbfda", keep), sum(1 for _ in tree.walk()))
+        (baseline.error_rate(predicted, golden, "bbfda"), sum(1 for _ in tree.walk()))
     ]
     columns = [("bbfda", predicted)]
 
@@ -129,10 +117,10 @@ def cmd_compare(args) -> CommandOutcome:
         tq = baseline.tq_phases(trace, length, args.merge_delta)
         pred = baseline.predict_waveform(tq, total, config.resolution)
         label = f"tq-{length}"
-        reports.append((baseline.error_rate(pred, golden, label, keep), len(tq.phases)))
+        reports.append((baseline.error_rate(pred, golden, label), len(tq.phases)))
         columns.append((label, pred))
 
-    _write(args.out, baseline.comparison_json(args.trace, reports), emitted)
+    _write(args.out, baseline.comparison_json(args.trace, reports))
     if args.samples_csv:
         header = "instruction_offset,golden_cpi," + ",".join(label for label, _ in columns)
         rows = [header]
@@ -141,49 +129,38 @@ def cmd_compare(args) -> CommandOutcome:
             cells = [str(offsets[i]), repr(float(golden.samples[i]))]
             cells += [repr(float(wave.samples[i])) for _, wave in columns]
             rows.append(",".join(cells))
-        _write(args.samples_csv, "\n".join(rows) + "\n", emitted)
-    return CommandOutcome(0, emitted)
+        _write(args.samples_csv, "\n".join(rows) + "\n")
 
 
-def cmd_synth(args) -> CommandOutcome:
+def cmd_synth(args) -> None:
     try:
         text = Path(args.scenario).read_text()
     except OSError as exc:
         raise InputError(str(exc)) from None
     scenario = synth.scenario_from_json(text)
     trace, annotation = synth.generate(scenario)
-    emitted: list[str] = []
     save_trace(trace, f"{args.out_prefix}.trace")
-    emitted.append(f"{args.out_prefix}.trace")
     _write(
         f"{args.out_prefix}.annotation.json",
         phases.tree_json(annotation.true_phases, trace.blocks),
-        emitted,
     )
-    return CommandOutcome(0, emitted)
 
 
-def cmd_spectrum(args) -> CommandOutcome:
+def cmd_spectrum(args) -> None:
     config = _config_from_args(args)
     trace = load_trace(args.trace)
     profiles = attribute_block_cpi(trace)
     wave = build_waveform(trace, profiles, config.resolution)
     spectrum = spectral.dft_magnitude(wave)
-    emitted: list[str] = []
-    _write(args.out, spectral.spectrum_csv(spectrum), emitted)
-    return CommandOutcome(0, emitted)
+    _write(args.out, spectral.spectrum_csv(spectrum))
 
 
-def cmd_markers(args) -> CommandOutcome:
+def cmd_markers(args) -> None:
     try:
-        obj = json.loads(Path(args.tree).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        root, addresses = phases.tree_from_dict(json.loads(Path(args.tree).read_text()))
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise InputError(f"cannot read tree {args.tree}: {exc}") from None
-    root, addresses = phases.tree_from_dict(obj)
-    table = phases.export_markers(root, addresses)
-    emitted: list[str] = []
-    _write(args.out, phases.markers_json(table), emitted)
-    return CommandOutcome(0, emitted)
+    _write(args.out, phases.markers_json(phases.export_markers(root, addresses)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,17 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        outcome = args.func(args)
-    except (TraceFormatError, synth.ScenarioError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        args.func(args)
+    except (TraceFormatError, synth.ScenarioError, InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal invariant violation
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    return outcome.exit_code
+    return 0
 
 
 def run() -> None:

@@ -370,7 +370,8 @@ def tree_json(root: PhaseNode, blocks) -> str:
 
 def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
     """Rebuild a PhaseNode tree (plus a block_id -> address map) from the
-    JSON object shape produced by tree_to_dict."""
+    JSON object shape produced by tree_to_dict; ValueError on any other
+    shape."""
     addresses: dict[int, int] = {}
 
     def build(entry: dict) -> PhaseNode:
@@ -385,7 +386,13 @@ def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
             children=[build(c) for c in entry.get("children", [])],
         )
 
-    return build(obj), addresses
+    try:
+        root = build(obj)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed phase tree: {type(exc).__name__}: {exc}") from None
+    if not all(np.isfinite(node.mean_cpi) for node in root.walk()):
+        raise ValueError("malformed phase tree: a mean_cpi is not finite")
+    return root, addresses
 
 
 def markers_json(table: MarkerTable) -> str:

@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
 
 from .attribution import EventIndex, quantum_cpis
 from .phases import PhaseNode, Structure, classify_structure
-from .trace import BlockDescriptor, ExecutionTrace, QuantumRecord, Terminator
+from .trace import BlockDescriptor, ExecutionTrace, Terminator
 
 _BASE_ADDRESS = 0x1000
 _ADDRESS_PITCH = 0x100
@@ -83,23 +85,32 @@ class _Run:
     entry: EntryKind
 
 
+def _check_number(what: str, value, kind: type, positive: bool = True) -> None:
+    """Counts and the seed are integers (kind Integral), CPIs and noise
+    finite real numbers (kind Real), and a bool is neither; each must be
+    positive, or non-negative when positive is False."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not -math.inf < value < math.inf:
+        noun = "an integer" if kind is Integral else "a finite real number"
+        raise ScenarioError(f"{what} must be {noun}, got {value!r}")
+    if not (value > 0 if positive else value >= 0):
+        raise ScenarioError(f"{what} must be {'positive' if positive else 'non-negative'}")
+
+
 def _validate(spec: ScenarioSpec) -> None:
     if not spec.segments:
         raise ScenarioError("scenario needs at least one segment")
-    if spec.repetitions < 1:
-        raise ScenarioError("repetitions must be positive")
-    if spec.noise_stddev < 0:
-        raise ScenarioError("noise_stddev must be non-negative")
-    if spec.quantum_length is not None and spec.quantum_length < 1:
-        raise ScenarioError("quantum_length must be positive")
+    _check_number("repetitions", spec.repetitions, Integral)
+    _check_number("noise_stddev", spec.noise_stddev, Real, positive=False)
+    _check_number("seed", spec.seed, Integral, positive=False)
+    if spec.quantum_length is not None:
+        _check_number("quantum_length", spec.quantum_length, Integral)
 
     min_cpi = float("inf")
 
     def check(seg: SegmentSpec) -> None:
         nonlocal min_cpi
         if seg.nested:
-            if seg.nested_repetitions < 1:
-                raise ScenarioError(f"segment {seg.label!r}: nested_repetitions must be positive")
+            _check_number(f"segment {seg.label!r}: nested_repetitions", seg.nested_repetitions, Integral)
             for inner in seg.nested:
                 check(inner)
             return
@@ -108,10 +119,9 @@ def _validate(spec: ScenarioSpec) -> None:
                 f"segment {seg.label!r}: flat segment needs block_cpi, "
                 f"block_instruction_count and event_count"
             )
-        if seg.block_cpi <= 0:
-            raise ScenarioError(f"segment {seg.label!r}: block_cpi must be positive")
-        if seg.block_instruction_count < 1 or seg.event_count < 1:
-            raise ScenarioError(f"segment {seg.label!r}: counts must be positive")
+        for name, kind in (("block_cpi", Real), ("block_instruction_count", Integral),
+                           ("event_count", Integral)):
+            _check_number(f"segment {seg.label!r}: {name}", getattr(seg, name), kind)
         min_cpi = min(min_cpi, seg.block_cpi)
 
     for seg in spec.segments:
@@ -135,30 +145,29 @@ def _flatten(segments: list[SegmentSpec]) -> list[_Run]:
     return runs
 
 
-def _assign_blocks(runs: list[_Run], repetitions: int) -> dict[int, BlockDescriptor]:
-    """Block table: one block per flat segment, addresses in first-appearance
-    order, terminators encoding how each block's successor is entered."""
+def _assign_blocks(
+    runs: list[_Run], repetitions: int
+) -> tuple[dict[int, BlockDescriptor], list[int]]:
+    """(block table, block id of each run): one block per flat segment,
+    numbered and addressed in first-appearance order, with terminators
+    encoding how each block's successor is entered."""
     block_of: dict[int, int] = {}  # id(SegmentSpec) -> block_id
-    for run in runs:
-        block_of.setdefault(id(run.segment), len(block_of))
+    run_blocks = [block_of.setdefault(id(run.segment), len(block_of)) for run in runs]
 
     def address(block_id: int) -> int:
         return _BASE_ADDRESS + block_id * _ADDRESS_PITCH
 
     desired: dict[int, list[tuple[EntryKind, int]]] = {b: [] for b in block_of.values()}
-    last = len(runs) - 1
-    for j, run in enumerate(runs):
-        if j == last and repetitions < 2:
+    for j, src in enumerate(run_blocks):
+        if j == len(runs) - 1 and repetitions < 2:
             break  # the wrap edge never executes
-        nxt = runs[(j + 1) % len(runs)]
-        edge = (nxt.entry, block_of[id(nxt.segment)])
-        src = block_of[id(run.segment)]
+        nxt = (j + 1) % len(runs)
+        edge = (runs[nxt].entry, run_blocks[nxt])
         if edge not in desired[src]:
             desired[src].append(edge)
 
     blocks: dict[int, BlockDescriptor] = {}
-    for run in runs:
-        bid = block_of[id(run.segment)]
+    for run, bid in zip(runs, run_blocks):
         if bid in blocks:
             continue
         seg = run.segment
@@ -184,7 +193,7 @@ def _assign_blocks(runs: list[_Run], repetitions: int) -> dict[int, BlockDescrip
             terminator=terminator,
             target_address=target,
         )
-    return blocks
+    return blocks, run_blocks
 
 
 def _segment_extent(seg: SegmentSpec) -> tuple[int, float]:
@@ -249,25 +258,17 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
     requested, are computed exactly from the noisy events.
     """
     _validate(spec)
-    period_runs = _flatten(spec.segments)
-    blocks = _assign_blocks(period_runs, spec.repetitions)
+    runs = _flatten(spec.segments)
+    blocks, run_blocks = _assign_blocks(runs, spec.repetitions)
 
     # per-run vectors for one period, then tiled across repetitions
-    run_block = []
-    run_events = []
-    run_instr = []
-    run_cpi = []
-    seen: dict[int, int] = {}
-    for run in period_runs:
-        key = id(run.segment)
-        if key not in seen:
-            seen[key] = len(seen)
-        run_block.append(seen[key])
-        run_events.append(run.segment.event_count)
-        run_instr.append(run.segment.block_instruction_count)
-        run_cpi.append(run.segment.block_cpi)
+    run_events = [run.segment.event_count for run in runs]
+    run_instr = [run.segment.block_instruction_count for run in runs]
+    run_cpi = [run.segment.block_cpi for run in runs]
+    run_starts = np.zeros(len(runs), dtype=np.int64)
+    np.cumsum(np.multiply(run_events, run_instr)[:-1], out=run_starts[1:])
 
-    event_block = np.tile(np.repeat(run_block, run_events), spec.repetitions)
+    event_block = np.tile(np.repeat(run_blocks, run_events), spec.repetitions)
     event_instr = np.tile(np.repeat(run_instr, run_events), spec.repetitions)
     event_cpi = np.tile(np.repeat(run_cpi, run_events), spec.repetitions).astype(float)
 
@@ -284,8 +285,7 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
         starts = np.zeros(event_instr.size + 1, dtype=np.int64)
         np.cumsum(event_instr, out=starts[1:])
         index = EventIndex(event_block, starts, event_instr, cycles)
-        v = quantum_cpis(index, spec.quantum_length)
-        quanta = [QuantumRecord(i, cpi) for i, cpi in enumerate(v.tolist())]
+        quanta = quantum_cpis(index, spec.quantum_length)
     trace = ExecutionTrace(
         blocks=blocks,
         event_blocks=event_block,
@@ -294,33 +294,21 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
         quantum_length=spec.quantum_length,
     )
 
-    annotation = GoldenAnnotation(true_phases=_build_annotation(spec, trace))
+    annotation = GoldenAnnotation(_build_annotation(spec, trace, run_blocks, run_starts))
     return trace, annotation
 
 
-def _build_annotation(spec: ScenarioSpec, trace: ExecutionTrace) -> PhaseNode:
+def _build_annotation(
+    spec: ScenarioSpec, trace: ExecutionTrace, run_blocks: list[int], run_starts: np.ndarray
+) -> PhaseNode:
+    """Scripted phase tree; run_blocks and run_starts give the block id and
+    first instruction of each run of one period."""
     total = trace.total_instructions
     period = total // spec.repetitions
     total_cycles = sum(_segment_extent(s)[1] for s in spec.segments) * spec.repetitions
 
-    # period-local run layout for head lookup and steady-state entry edges
-    runs = _flatten(spec.segments)
-    seen: dict[int, int] = {}
-    run_blocks: list[int] = []
-    run_starts = [0]
-    for run in runs:
-        key = id(run.segment)
-        if key not in seen:
-            seen[key] = len(seen)
-        run_blocks.append(seen[key])
-        run_starts.append(
-            run_starts[-1]
-            + run.segment.block_instruction_count * run.segment.event_count
-        )
-    starts = np.array(run_starts[:-1], dtype=np.int64)
-
     def head_at(offset: int) -> int:
-        j = int(np.searchsorted(starts, offset, side="right")) - 1
+        j = int(np.searchsorted(run_starts, offset, side="right")) - 1
         return run_blocks[j]
 
     def classify_at(offset: int, context_block: Optional[int]) -> Structure:
@@ -372,7 +360,7 @@ def _segment_from_dict(obj: dict) -> SegmentSpec:
         event_count=obj.get("event_count"),
         entry_kind=EntryKind(obj.get("entry_kind", "fallthrough")),
         nested=[_segment_from_dict(s) for s in nested] if nested else None,
-        nested_repetitions=int(obj.get("nested_repetitions", 1)),
+        nested_repetitions=obj.get("nested_repetitions", 1),
     )
 
 
@@ -384,12 +372,12 @@ def scenario_from_json(text: str) -> ScenarioSpec:
     try:
         return ScenarioSpec(
             segments=[_segment_from_dict(s) for s in obj["segments"]],
-            repetitions=int(obj.get("repetitions", 1)),
-            noise_stddev=float(obj.get("noise_stddev", 0.0)),
-            seed=int(obj.get("seed", 0)),
+            repetitions=obj.get("repetitions", 1),
+            noise_stddev=obj.get("noise_stddev", 0.0),
+            seed=obj.get("seed", 0),
             quantum_length=obj.get("quantum_length"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario JSON: {exc}") from None
 
 

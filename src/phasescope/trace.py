@@ -18,6 +18,9 @@ finite.
 In memory the event stream is two numpy columns, block ids and cycle
 counts, built and validated once; validation also derives each event's
 instruction count and their prefix sums, which every later stage reads.
+The quantum CPIs are one more column, indexed by quantum number; the
+parser checks that ``Q`` records come in index order 0, 1, 2, ... and names
+the line of the first one that does not.
 
 The parser reads lines in fixed-size chunks. A chunk made only of ``E``
 lines is converted by one ``np.loadtxt`` call into a record array (kind,
@@ -84,12 +87,6 @@ class BlockDescriptor:
             )
 
 
-@dataclass(frozen=True)
-class QuantumRecord:
-    quantum_index: int
-    cpi: float
-
-
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -108,23 +105,25 @@ def positions_in(sorted_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class ExecutionTrace:
-    """Validated trace: block table, event columns, optional quantum samples.
+    """Validated trace: block table, event columns, optional quantum column.
 
     event_blocks[e] (int64) is the block event e executed and
     event_cycles[e] (float64) its cycle count, NaN when the event carries
     none. Validation adds event_instructions[e], that block's instruction
     count, and event_starts (length E+1), their prefix sums: event e covers
-    instructions [event_starts[e], event_starts[e+1]).
+    instructions [event_starts[e], event_starts[e+1]). quanta[q] (float64),
+    when present, is the measured CPI of instructions
+    [q * quantum_length, (q + 1) * quantum_length).
 
     The trace copies the columns it is given and makes them read-only; do
-    not change the block table or quanta after construction either. Safe
-    to share across readers.
+    not change the block table after construction either. Safe to share
+    across readers.
     """
 
     blocks: dict[int, BlockDescriptor]
     event_blocks: np.ndarray
     event_cycles: np.ndarray
-    quanta: Optional[list[QuantumRecord]] = None
+    quanta: Optional[np.ndarray] = None
     quantum_length: Optional[int] = None
     event_instructions: np.ndarray = field(init=False, repr=False)
     event_starts: np.ndarray = field(init=False, repr=False)
@@ -189,21 +188,21 @@ class ExecutionTrace:
         if self.quanta is not None:
             if self.quantum_length < 1:
                 raise TraceFormatError("quantum_length must be positive")
+            quanta = self.quanta = np.array(self.quanta, dtype=float)
             expected = math.ceil(total / self.quantum_length)
-            if len(self.quanta) != expected:
+            if quanta.shape != (expected,):
                 raise TraceFormatError(
-                    f"quantum count mismatch: {len(self.quanta)} records, "
+                    f"quantum count mismatch: {quanta.size} records, "
                     f"expected ceil({total}/{self.quantum_length}) = {expected}"
                 )
-            for i, q in enumerate(self.quanta):
-                if q.quantum_index != i:
-                    raise TraceFormatError(
-                        f"quantum indices must be contiguous from 0 (got {q.quantum_index} at {i})"
-                    )
-                if not math.isfinite(q.cpi):
-                    raise TraceFormatError(f"quantum {i}: non-finite cpi")
-                if q.cpi <= 0:
-                    raise TraceFormatError(f"quantum {i}: cpi must be positive")
+            finite = np.isfinite(quanta)
+            bad = np.flatnonzero(~(finite & (quanta > 0)))
+            if bad.size:
+                i = int(bad[0])
+                raise TraceFormatError(
+                    f"quantum {i}: " + ("cpi must be positive" if finite[i] else "non-finite cpi")
+                )
+            quanta.flags.writeable = False
         if not self.is_golden and self.quanta is None:
             raise TraceFormatError(
                 "mixed-mode violation: need per-event cycles on every event "
@@ -304,7 +303,7 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
     known = np.empty(0, dtype=np.int64)  # ascending ids of the blocks declared so far
     block_parts: list[np.ndarray] = []
     cycle_parts: list[np.ndarray] = []
-    quanta: list[QuantumRecord] = []
+    quanta: list[float] = []
     quantum_length: Optional[int] = None
     saw_version = False
 
@@ -366,8 +365,12 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
                     if len(fields) != 3:
                         raise TraceFormatError("malformed quantum record", lineno)
                     qidx = _parse_int(fields[1], "quantum index", lineno)
-                    cpi = _parse_float(fields[2], "quantum cpi", lineno)
-                    quanta.append(QuantumRecord(qidx, cpi))
+                    if qidx != len(quanta):
+                        raise TraceFormatError(
+                            f"quantum indices must be contiguous from 0 (got {qidx} at {len(quanta)})",
+                            lineno,
+                        )
+                    quanta.append(_parse_float(fields[2], "quantum cpi", lineno))
                 elif kind == "L":
                     if len(fields) != 2:
                         raise TraceFormatError("malformed quantum length record", lineno)
@@ -415,8 +418,7 @@ def serialize_trace(trace: ExecutionTrace) -> str:
         out.append(f"E {bid}" if math.isnan(cycles) else f"E {bid} {cycles!r}")
     if trace.quanta is not None:
         out.append(f"L {trace.quantum_length}")
-        for q in trace.quanta:
-            out.append(f"Q {q.quantum_index} {q.cpi!r}")
+        out.extend(f"Q {i} {cpi!r}" for i, cpi in enumerate(trace.quanta.tolist()))
     return "\n".join(out) + "\n"
 
 

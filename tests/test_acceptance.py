@@ -144,7 +144,7 @@ def test_criterion_4_attribution_fidelity():
         quantum_length=37,
     )
     trace, _ = generate(mixed)
-    v = [q.cpi for q in trace.quanta]
+    v = trace.quanta.tolist()
     offsets = {}
     cursor = 0
     expect = {}

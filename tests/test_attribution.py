@@ -9,7 +9,6 @@ from phasescope import (
     BlockDescriptor,
     ExecutionTrace,
     ProfileSource,
-    QuantumRecord,
     ScenarioSpec,
     SegmentSpec,
     Terminator,
@@ -36,7 +35,7 @@ def quantum_trace(blocks, event_ids, quantum_cpis_list, quantum_length):
         blocks={b.block_id: b for b in blocks},
         event_blocks=event_ids,
         event_cycles=np.full(len(event_ids), np.nan),
-        quanta=[QuantumRecord(i, v) for i, v in enumerate(quantum_cpis_list)],
+        quanta=quantum_cpis_list,
         quantum_length=quantum_length,
     )
 
@@ -264,8 +263,7 @@ def mask_loop_profiles(trace, mode):
     the way profiles were computed before the sort-based grouping."""
     index = EventIndex.from_trace(trace)
     if mode == "quantum":
-        v = np.array([q.cpi for q in trace.quanta], dtype=float)
-        per_event_v = v[index.starts[:-1] // trace.quantum_length]
+        per_event_v = trace.quanta[index.starts[:-1] // trace.quantum_length]
     out = {}
     for bid in np.unique(index.block_ids):
         mask = index.block_ids == bid
@@ -287,8 +285,7 @@ def random_quantum_trace(rng, block_ids, n_events):
     cycles = counts * rng.uniform(0.3, 4.0, n_events)
     golden = golden_trace(blocks, ids, cycles)
     length = int(rng.integers(20, 400))
-    quanta = [QuantumRecord(i, c)
-              for i, c in enumerate(quantum_cpis(EventIndex.from_trace(golden), length).tolist())]
+    quanta = quantum_cpis(EventIndex.from_trace(golden), length)
     return ExecutionTrace(blocks=blocks, event_blocks=ids, event_cycles=cycles,
                           quanta=quanta, quantum_length=length)
 

@@ -7,7 +7,6 @@ from phasescope import (
     BlockDescriptor,
     ExecutionTrace,
     PhaseNode,
-    QuantumRecord,
     ScenarioSpec,
     SegmentSpec,
     Terminator,
@@ -126,7 +125,7 @@ def test_quantum_only_trace_with_mismatched_length_rejected():
         blocks={0: block(0, 10)},
         event_blocks=[0] * 4,
         event_cycles=[np.nan] * 4,
-        quanta=[QuantumRecord(i, 1.5) for i in range(4)],
+        quanta=[1.5] * 4,
         quantum_length=10,
     )
     with pytest.raises(ValueError, match="matching quantum_length"):

@@ -6,14 +6,15 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import phasescope
-from phasescope import ScenarioSpec, SegmentSpec, generate, load_trace, predict_waveform
-from phasescope.cli import main
+from phasescope import AnalysisConfig, ScenarioSpec, SegmentSpec, generate, load_trace, predict_waveform
+from phasescope.cli import build_parser, main
 from phasescope.phases import tree_from_dict
 from phasescope.synth import scenario_json
 
@@ -304,3 +305,100 @@ def test_program_entry_freezes_after_main_and_exits_with_its_code(monkeypatch):
         cli.run()
     assert exc.value.code == 2
     assert steps == ["main", "freeze"]
+
+
+# --- malformed tree, config and scenario files --------------------------------
+
+MALFORMED_TREES = {
+    "empty object": lambda tree: {},
+    "array": lambda tree: [],
+    "bad head address": lambda tree: {**tree, "head_address": "zz"},
+    "bad structure": lambda tree: {**tree, "structure": "bogus"},
+    "child not an object": lambda tree: {**tree, "children": [1]},
+    "NaN mean CPI": lambda tree: {**tree, "mean_cpi": float("nan")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TREES))
+def test_markers_on_a_malformed_tree_exits_2_naming_the_file(tmp_path, capsys, trace_file, case):
+    tree = tmp_path / "tree.json"
+    assert main(["analyze", str(trace_file), "--tree", str(tree)]) == 0
+    bad = tmp_path / "bad_tree.json"
+    bad.write_text(json.dumps(MALFORMED_TREES[case](json.loads(tree.read_text()))))
+    out = tmp_path / "markers.json"
+    capsys.readouterr()
+    assert main(["markers", str(bad), "--out", str(out)]) == 2
+    assert f"cannot read tree {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[1]", "null", "3", '"resolution"'])
+def test_config_file_not_holding_an_object_exits_2_naming_the_file(tmp_path, capsys, trace_file, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    tree = tmp_path / "tree.json"
+    assert main(["analyze", str(trace_file), "--tree", str(tree), "--config", str(config)]) == 2
+    assert str(config) in capsys.readouterr().err
+    assert not tree.exists()
+
+
+def test_config_flags_follow_the_config_fields():
+    args = build_parser().parse_args([
+        "analyze", "t.trace", "--resolution", "8", "--boundary-threshold-fraction", "0.25",
+        "--flat-cpi-range", "0.5", "--flat-spectrum-ratio", "0.125", "--max-depth", "3",
+        "--min-segment-instructions", "16",
+    ])
+    values = {f.name: getattr(args, f.name) for f in fields(AnalysisConfig)}
+    assert values == {"resolution": 8, "boundary_threshold_fraction": 0.25, "flat_cpi_range": 0.5,
+                      "flat_spectrum_ratio": 0.125, "max_depth": 3, "min_segment_instructions": 16}
+    assert [type(v) for v in values.values()] == [int, float, float, float, int, int]
+
+
+NESTED_SCENARIO = json.loads(scenario_json(ScenarioSpec(
+    segments=[
+        SegmentSpec("a", block_cpi=1.0, block_instruction_count=5, event_count=3),
+        SegmentSpec("g", nested=[SegmentSpec("b", block_cpi=2.0, block_instruction_count=4,
+                                             event_count=2)], nested_repetitions=2),
+    ],
+    repetitions=2,
+    quantum_length=7,
+)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("block_cpi", "1.0"), ("block_cpi", True), ("block_cpi", None),
+    ("block_instruction_count", 1.5), ("block_instruction_count", "5"), ("event_count", 2.5),
+    ("nested_repetitions", 2.5), ("nested_repetitions", True),
+    ("repetitions", 2.5), ("repetitions", "2"), ("quantum_length", "5"), ("quantum_length", 2.5),
+    ("noise_stddev", "0.1"), ("noise_stddev", False), ("seed", 1.5), ("seed", "3"), ("seed", -1),
+])
+def test_synth_rejects_a_wrongly_typed_number_naming_the_field(tmp_path, capsys, field, value):
+    scenario = json.loads(json.dumps(NESTED_SCENARIO))
+    if field == "nested_repetitions":
+        scenario["segments"][1][field] = value
+    elif field in ("block_cpi", "block_instruction_count", "event_count"):
+        scenario["segments"][0][field] = value
+    else:
+        scenario[field] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["synth", str(path), "--out-prefix", str(tmp_path / "x")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "x.trace").exists()
+
+
+@pytest.mark.parametrize("segments", [[1], {"a": 1}, [{"label": "g", "nested": {"b": 1}}]])
+def test_synth_rejects_segments_that_are_not_objects(tmp_path, capsys, segments):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"segments": segments}))
+    assert main(["synth", str(path), "--out-prefix", str(tmp_path / "x")]) == 2
+    assert "invalid scenario JSON" in capsys.readouterr().err
+
+
+def test_out_of_order_quantum_index_exits_2_naming_the_line(tmp_path, capsys):
+    bad = tmp_path / "q.trace"
+    bad.write_text("V 1\nB 0 1000 10 F\nE 0\nE 0\nL 10\nQ 1 1.5\nQ 0 2.5\n")
+    tree = tmp_path / "tree.json"
+    assert main(["analyze", str(bad), "--tree", str(tree)]) == 2
+    assert "line 6: quantum indices must be contiguous from 0 (got 1 at 0)" in capsys.readouterr().err
+    assert not tree.exists()

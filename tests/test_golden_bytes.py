@@ -2,7 +2,8 @@
 
 Trace text, trees, marker tables and comparison reports must not change
 when the implementation underneath them does; a digest changes only with
-an intended change of output. Covered: the criterion-5 two-level
+an intended change of output. The generator's scripted annotation tree is
+covered too. Covered: the criterion-5 two-level
 scenario, the 20-scenario criterion-9 corpus and a quantum-mode scenario
 whose attribution uses Q/L records.
 """
@@ -54,26 +55,30 @@ DIGESTS = {
         "tree": "e03f3820efd2328e22cbc6cf360b184f03d54a8c481aab65ab3373b91ef57045",
         "markers": "2c4607d65f8bb42b2104a97840e371ecbd17ecf591bfcf1ce3e5113e3afeccc2",
         "compare": "daeece94df3c503528e1dcc634400909ed1adac61343eaf21a3e04f9a3015829",
+        "annotation": "d7aacfbb7c637d7cf333313ca12b18be716e27c7755572ae0b8cca2b2a2b67f1",
     },
     "criterion-9": {
         "trace": "7845ad6aa907d41bee99f53d6fe227fb704c3cc7a4b3c0f1606428df70333f18",
         "tree": "36cda62e5ab93a2a7e2fef6c4faf3bad2d26ff691360c17e66b52d2e0dcf48ed",
         "markers": "5addee7bf1e88497d172a4aeb78bd36583c3ceec480f63a30bf7aa1b32e29976",
         "compare": "cbadbb5ba31f4e687619cfbece00ff4286dbf55c837d465de24a82e18b6c0735",
+        "annotation": "4051cd326e48f983e10e10ccd105c088f33b1388a008ffda3baf8daf917ad83a",
     },
     "quanta": {
         "trace": "b76abe169191bf18fe36479189d67ac7e50323064c6975f41ebfb634312d80c1",
         "tree": "0d30634cd64df597b0c4e9ece380a428ca79bed0cda448d474f18fdf6c528d3a",
         "markers": "a6c6500bef9edf48c7a9df969f6c198889f932e97e9f9146c6deaa225902e588",
         "compare": "d3a45c27e88bb77495b0fa3240da5ad70e2a1dee72a9df99653e9be8f0625d62",
+        "annotation": "fdd6ccae63e4bcdaafa06fbfb5811dd21ac643f9e52a56901771c62a0952dd31",
     },
 }
 
 
 def digests(specs, compare_args, workdir):
-    hashes = {kind: hashlib.sha256() for kind in ("trace", "tree", "markers", "compare")}
+    kinds = ("trace", "tree", "markers", "compare", "annotation")
+    hashes = {kind: hashlib.sha256() for kind in kinds}
     for spec in specs:
-        trace, _ = generate(spec)
+        trace, annotation = generate(spec)
         text = serialize_trace(trace)
         tree = analyze(trace)
         hashes["trace"].update(text.encode())
@@ -82,6 +87,7 @@ def digests(specs, compare_args, workdir):
         (workdir / "t.trace").write_text(text)
         assert main(["compare", "t.trace", "--out", "cmp.json", *compare_args]) == 0
         hashes["compare"].update((workdir / "cmp.json").read_bytes())
+        hashes["annotation"].update(tree_json(annotation.true_phases, trace.blocks).encode())
     return {kind: h.hexdigest() for kind, h in hashes.items()}
 
 

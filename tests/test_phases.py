@@ -1,8 +1,13 @@
 """Phase identification: head candidates, alignment, step splitting,
 structure classification, the recursive driver, and marker export."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasescope import (
     AnalysisConfig,
@@ -11,7 +16,6 @@ from phasescope import (
     ExecutionTrace,
     NoAlignmentError,
     PhaseNode,
-    QuantumRecord,
     ScenarioSpec,
     SegmentSpec,
     Structure,
@@ -313,14 +317,14 @@ def test_scaling_quantum_cpis_scales_means_only():
         blocks=dict(trace.blocks),
         event_blocks=trace.event_blocks,
         event_cycles=np.full(trace.event_blocks.size, np.nan),
-        quanta=[QuantumRecord(q.quantum_index, q.cpi * scale) for q in trace.quanta],
+        quanta=trace.quanta * scale,
         quantum_length=trace.quantum_length,
     )
     base_trace = ExecutionTrace(
         blocks=dict(trace.blocks),
         event_blocks=trace.event_blocks,
         event_cycles=np.full(trace.event_blocks.size, np.nan),
-        quanta=list(trace.quanta),
+        quanta=trace.quanta,
         quantum_length=trace.quantum_length,
     )
     base = analyze(base_trace)
@@ -400,3 +404,51 @@ def test_markers_shared_head_keeps_shallowest():
     assert entry.phase_path == ()
     assert entry.mean_cpi == 1.5
     assert entry.additional_paths == [(0,), (0, 0)]
+
+
+# --- random nested scenarios: tree shape and exact node means --------------------
+
+@st.composite
+def nested_scenarios(draw):
+    """Up to three levels: flat segments and groups repeated 1-4 times."""
+    labels = itertools.count()
+    entries = st.sampled_from([EntryKind.FALLTHROUGH, EntryKind.CALL])
+
+    def segments(depth):
+        out = []
+        for _ in range(draw(st.integers(1, 3))):
+            if depth < 2 and draw(st.booleans()):
+                out.append(SegmentSpec(f"g{next(labels)}", nested=segments(depth + 1),
+                                       nested_repetitions=draw(st.integers(1, 4)),
+                                       entry_kind=draw(entries)))
+            else:
+                out.append(SegmentSpec(f"s{next(labels)}", block_cpi=draw(st.floats(0.5, 4.0)),
+                                       block_instruction_count=draw(st.integers(1, 30)),
+                                       event_count=draw(st.integers(1, 6)),
+                                       entry_kind=draw(entries)))
+        return out
+
+    return ScenarioSpec(
+        segments=segments(0),
+        repetitions=draw(st.integers(1, 6)),
+        noise_stddev=draw(st.sampled_from([0.0, 0.05, 0.2])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        quantum_length=draw(st.one_of(st.none(), st.integers(1, 300))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=nested_scenarios())
+def test_tree_is_well_formed_and_node_means_are_exact(spec):
+    trace, _ = generate(spec)
+    tree = analyze(trace)
+    validate_tree(tree)
+    # every instruction of event e costs its block's attributed CPI
+    profiles = attribute_block_cpi(trace)
+    rates = np.array([profiles[b].cpi for b in trace.event_blocks.tolist()])
+    starts, ends = trace.event_starts[:-1], trace.event_starts[1:]
+    for node in tree.walk():
+        lo, hi = node.start_instruction, node.end_instruction
+        overlap = np.clip(np.minimum(ends, hi) - np.maximum(starts, lo), 0, None)
+        exact = math.fsum((overlap * rates).tolist()) / node.length_instructions
+        assert node.mean_cpi == pytest.approx(exact, rel=1e-12, abs=0)

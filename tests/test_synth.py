@@ -89,7 +89,7 @@ def test_quantum_records_satisfy_count_invariant():
     from phasescope import EventIndex, quantum_cpis
 
     np.testing.assert_allclose(
-        [q.cpi for q in trace.quanta], quantum_cpis(EventIndex.from_trace(trace), 20), atol=1e-12
+        trace.quanta, quantum_cpis(EventIndex.from_trace(trace), 20), atol=1e-12
     )
 
 
@@ -196,3 +196,33 @@ def test_scenario_json_errors():
         scenario_from_json("{not json")
     with pytest.raises(ScenarioError, match="invalid scenario JSON"):
         scenario_from_json("{}")
+
+
+@pytest.mark.parametrize("spec, message", [
+    (ScenarioSpec(segments=[flat("a", 1.0, 5, 5)], repetitions=2.0), "repetitions must be an integer"),
+    (ScenarioSpec(segments=[flat("a", True, 5, 5)]), "'a': block_cpi must be a finite real number"),
+    (ScenarioSpec(segments=[flat("a", float("nan"), 5, 5)]), "block_cpi must be a finite real number"),
+    (ScenarioSpec(segments=[flat("a", 1.0, 5, 2.5)]), "'a': event_count must be an integer"),
+    (ScenarioSpec(segments=[flat("a", 1.0, 5, 5)], seed=-1), "seed must be non-negative"),
+    (ScenarioSpec(segments=[SegmentSpec("g", nested=[flat("a", 1.0, 5, 5)], nested_repetitions=1.5)]),
+     "'g': nested_repetitions must be an integer"),
+])
+def test_validation_requires_integer_counts_and_real_cpis(spec, message):
+    with pytest.raises(ScenarioError, match=message):
+        generate(spec)
+
+
+def test_numpy_numbers_are_valid_scenario_numbers():
+    spec = ScenarioSpec(segments=[flat("a", np.float64(1.5), np.int64(5), np.int64(3))],
+                        repetitions=np.int64(2), seed=np.int64(4), quantum_length=np.int64(7))
+    plain = ScenarioSpec(segments=[flat("a", 1.5, 5, 3)], repetitions=2, seed=4, quantum_length=7)
+    assert serialize_trace(generate(spec)[0]) == serialize_trace(generate(plain)[0])
+
+
+def test_scenario_json_keeps_numbers_as_written():
+    spec = scenario_from_json('{"segments": [{"label": "g", "nested_repetitions": 2.5, "nested": '
+                              '[{"label": "a", "block_cpi": 1, "block_instruction_count": 5, '
+                              '"event_count": 3}]}], "repetitions": 3.0, "seed": "7"}')
+    assert (spec.repetitions, spec.seed, spec.segments[0].nested_repetitions) == (3.0, "7", 2.5)
+    with pytest.raises(ScenarioError, match="repetitions must be an integer"):
+        generate(spec)

@@ -12,7 +12,6 @@ from phasescope import (
     BlockDescriptor,
     EntryKind,
     ExecutionTrace,
-    QuantumRecord,
     ScenarioSpec,
     SegmentSpec,
     Terminator,
@@ -114,7 +113,7 @@ def test_quantum_mode_trace_parses():
     trace = parse_trace(text)
     assert trace.has_quanta
     assert not trace.is_golden
-    assert [q.cpi for q in trace.quanta] == [1.5, 2.5]
+    assert trace.quanta.tolist() == [1.5, 2.5]
 
 
 def test_total_instructions_independent_of_quanta():
@@ -165,7 +164,7 @@ def test_round_trip_over_generated_traces(scenario):
     back = parse_trace(text)
     assert back.blocks == trace.blocks
     assert_same_columns(back, trace)
-    assert back.quanta == trace.quanta
+    np.testing.assert_array_equal(back.quanta, trace.quanta)
     assert back.quantum_length == trace.quantum_length
     assert serialize_trace(back) == text
 
@@ -196,6 +195,54 @@ def test_columns_are_read_only_copies():
             column[0] = 1
 
 
+def test_quanta_are_a_read_only_float64_copy():
+    blocks = {0: BlockDescriptor(0, 0x1000, 10, Terminator.FALLTHROUGH)}
+    cpis = [1.5, 2]
+    trace = ExecutionTrace(blocks=blocks, event_blocks=[0, 0], event_cycles=[np.nan] * 2,
+                           quanta=cpis, quantum_length=10)
+    cpis[0] = 9.0
+    assert trace.quanta.dtype == np.float64
+    assert trace.quanta.tolist() == [1.5, 2.0]
+    with pytest.raises(ValueError):
+        trace.quanta[0] = 1.0
+    assert parse_trace("V 1\nB 0 1000 10 F\nE 0\nL 10\nQ 0 1.5\n").quanta.flags.writeable is False
+
+
+@pytest.mark.parametrize("quanta, message", [
+    ([1.0, 0.0, np.nan], "quantum 1: cpi must be positive"),
+    ([1.0, np.inf, -1.0], "quantum 1: non-finite cpi"),
+    ([-2.0, 1.0, 1.0], "quantum 0: cpi must be positive"),
+    ([1.0, 1.0], "quantum count mismatch: 2 records, expected ceil(30/10) = 3"),
+    ([[1.0, 1.0, 1.0]], "quantum count mismatch: 3 records"),
+])
+def test_constructor_reports_the_first_bad_quantum(quanta, message):
+    blocks = {0: BlockDescriptor(0, 0x1000, 10, Terminator.FALLTHROUGH)}
+    with pytest.raises(TraceFormatError, match=message.replace("(", r"\(").replace(")", r"\)")):
+        ExecutionTrace(blocks=blocks, event_blocks=[0] * 3, event_cycles=[np.nan] * 3,
+                       quanta=quanta, quantum_length=10)
+
+
+@pytest.mark.parametrize("quanta, line, got, at", [
+    ("Q 1 1.5\nQ 0 2.5\n", 6, 1, 0),
+    ("Q 0 1.5\nQ 2 2.5\n", 7, 2, 1),
+    ("Q 0 1.5\nQ 0 2.5\n", 7, 0, 1),
+    ("Q 0 1.5\n# note\nQ 1 2.5\nQ -1 2.5\n", 9, -1, 2),
+])
+def test_out_of_order_quantum_index_names_its_line(quanta, line, got, at):
+    text = "V 1\nB 0 1000 10 F\nE 0\nE 0\nL 10\n" + quanta
+    with pytest.raises(TraceFormatError, match=rf"contiguous from 0 \(got {got} at {at}\)") as exc:
+        parse_trace(text)
+    assert exc.value.line == line
+
+
+def test_out_of_order_quantum_index_names_its_line_in_a_later_chunk():
+    events = _CHUNK_LINES + 5
+    text = "V 1\nB 0 1000 1 F\n" + "E 0\n" * events + "L 100000\nQ 0 1.5\nQ 2 1.5\n"
+    with pytest.raises(TraceFormatError, match=r"got 2 at 1") as exc:
+        parse_trace(text)
+    assert exc.value.line == events + 5
+
+
 @pytest.mark.parametrize("text, line", [
     ("V 1\nB 0 1000 5 F\nE 0 nan\n", 3),
     ("V 1\nB 0 1000 5 F\nE 0 5.0\nE 0 inf\n", 4),
@@ -213,7 +260,7 @@ def test_constructor_rejects_non_finite_values():
         ExecutionTrace(blocks=blocks, event_blocks=[0, 0], event_cycles=[1.0, np.inf])
     with pytest.raises(TraceFormatError, match="quantum 0: non-finite cpi"):
         ExecutionTrace(blocks=blocks, event_blocks=[0], event_cycles=[np.nan],
-                       quanta=[QuantumRecord(0, np.nan)], quantum_length=10)
+                       quanta=[np.nan], quantum_length=10)
 
 
 @pytest.mark.parametrize("text, line", [
@@ -265,7 +312,7 @@ def random_trace(rng, n_events, golden=True, quanta=False):
         length = int(rng.integers(1, 500))
         total = sum(blocks[b].instruction_count for b in events.tolist())
         count = -(-total // length)
-        records = [QuantumRecord(i, c) for i, c in enumerate(rng.uniform(0.1, 5.0, count).tolist())]
+        records = rng.uniform(0.1, 5.0, count)
     return ExecutionTrace(blocks=blocks, event_blocks=events, event_cycles=cycles,
                           quanta=records, quantum_length=length)
 
@@ -294,7 +341,7 @@ def test_round_trip_reproduces_columns_exactly(seed, n_events, mode, odd_lines, 
 
     assert back.blocks == trace.blocks
     assert_same_columns(back, trace)
-    assert back.quanta == trace.quanta
+    np.testing.assert_array_equal(back.quanta, trace.quanta)
     assert back.quantum_length == trace.quantum_length
     assert back.is_golden == trace.is_golden
     assert back.total_instructions == trace.total_instructions
