@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trace import ExecutionTrace, TraceFormatError, positions_in
+from .trace import ExecutionTrace, TraceFormatError, float_reprs, positions_in
 
 
 class ProfileSource(enum.Enum):
@@ -265,9 +265,9 @@ def quantum_cpis(index: EventIndex, quantum_length: int) -> np.ndarray:
 
 def waveform_csv(waveform: Waveform) -> str:
     """Plot-ready CSV: instruction_offset,cpi,block_id."""
-    rows = ["instruction_offset,cpi,block_id"]
-    for off, cpi, head in zip(
-        waveform.sample_offsets, waveform.samples, waveform.sample_heads
-    ):
-        rows.append(f"{int(off)},{float(cpi)!r},{int(head)}")
-    return "\n".join(rows) + "\n"
+    rows = zip(
+        waveform.sample_offsets.tolist(),
+        float_reprs(waveform.samples),
+        waveform.sample_heads.tolist(),
+    )
+    return "instruction_offset,cpi,block_id\n" + "".join("%d,%s,%d\n" % row for row in rows)

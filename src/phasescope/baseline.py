@@ -67,19 +67,18 @@ def tq_phases(
             "need golden cycles or quantum records matching quantum_length"
         )
 
+    # Python floats: the same IEEE arithmetic as numpy scalars, unboxed
+    values = cpis.tolist()
     phases: list[TqPhase] = []
-    start = 0
-    acc = cpis[0]
-    count = 1
-    for q in range(1, len(cpis)):
-        mean = acc / count
-        if abs(cpis[q] - mean) <= merge_delta:
-            acc += cpis[q]
+    start, acc, count = 0, values[0], 1
+    for q, cpi in enumerate(values[1:], start=1):
+        if abs(cpi - acc / count) <= merge_delta:
+            acc += cpi
             count += 1
         else:
-            phases.append(TqPhase(start, count, float(acc / count)))
-            start, acc, count = q, cpis[q], 1
-    phases.append(TqPhase(start, count, float(acc / count)))
+            phases.append(TqPhase(start, count, acc / count))
+            start, acc, count = q, cpi, 1
+    phases.append(TqPhase(start, count, acc / count))
     return TqPhaseList(quantum_length, phases, merge_delta)
 
 

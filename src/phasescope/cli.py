@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -16,14 +17,27 @@ from pathlib import Path
 from . import baseline, phases, spectral, synth
 from .attribution import attribute_block_cpi, build_waveform, golden_waveform, waveform_csv
 from .phases import AnalysisConfig
-from .trace import TraceFormatError, load_trace, save_trace
+from .trace import TraceFormatError, float_reprs, load_trace, save_trace
 
 
 class InputError(ValueError):
     """Input violates a command's contract (maps to exit code 2)."""
 
 
-_CONFIG_FLAGS = [f.name for f in fields(AnalysisConfig)]
+#: each config field's type is that of its default (int or float)
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(AnalysisConfig)}
+
+
+def _check_config_value(name: str, value, source: str) -> None:
+    """An int field takes an integer, a float field a finite real number;
+    a bool is neither."""
+    if _CONFIG_TYPES[name] is int:
+        ok, noun = isinstance(value, int), "an integer"
+    else:
+        ok = isinstance(value, (int, float)) and math.isfinite(value)
+        noun = "a finite real number"
+    if isinstance(value, bool) or not ok:
+        raise InputError(f"{source}: config field {name} must be {noun}, got {value!r}")
 
 
 def _config_from_args(args) -> AnalysisConfig:
@@ -35,24 +49,26 @@ def _config_from_args(args) -> AnalysisConfig:
             raise InputError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(values, dict):
             raise InputError(f"config {args.config} must hold a JSON object of config fields")
-        unknown = set(values) - set(_CONFIG_FLAGS)
+        unknown = values.keys() - _CONFIG_TYPES.keys()
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
-    for name in _CONFIG_FLAGS:
+        for name, value in values.items():
+            _check_config_value(name, value, f"config {args.config}")
+    for name in _CONFIG_TYPES:
         override = getattr(args, name, None)
         if override is not None:
+            _check_config_value(name, override, "--" + name.replace("_", "-"))
             values[name] = override
     try:
         return AnalysisConfig(**values)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad analysis config: {exc}") from None
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with analysis config fields")
-    for f in fields(AnalysisConfig):
-        # each field's type is that of its default (int or float)
-        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default))
+    for name, kind in _CONFIG_TYPES.items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
 
 
 def _write(path: str, text: str) -> None:
@@ -123,12 +139,9 @@ def cmd_compare(args) -> None:
     _write(args.out, baseline.comparison_json(args.trace, reports))
     if args.samples_csv:
         header = "instruction_offset,golden_cpi," + ",".join(label for label, _ in columns)
-        rows = [header]
-        offsets = golden.sample_offsets
-        for i in range(golden.samples.size):
-            cells = [str(offsets[i]), repr(float(golden.samples[i]))]
-            cells += [repr(float(wave.samples[i])) for _, wave in columns]
-            rows.append(",".join(cells))
+        cells = [map(str, golden.sample_offsets.tolist()), float_reprs(golden.samples)]
+        cells += [float_reprs(wave.samples) for _, wave in columns]
+        rows = [header, *map(",".join, zip(*cells))]
         _write(args.samples_csv, "\n".join(rows) + "\n")
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribution import Waveform
+from .trace import float_reprs
 
 
 class FlatSpectrumError(ValueError):
@@ -96,7 +97,5 @@ def is_flat(waveform: Waveform, spectrum: Spectrum, config) -> bool:
 
 def spectrum_csv(spectrum: Spectrum) -> str:
     """CSV with header occurrence,magnitude; row 0 carries the DC value."""
-    rows = ["occurrence,magnitude"]
-    for k, mag in enumerate(spectrum.magnitudes):
-        rows.append(f"{k},{float(mag)!r}")
-    return "\n".join(rows) + "\n"
+    rows = enumerate(float_reprs(spectrum.magnitudes))
+    return "occurrence,magnitude\n" + "".join(f"{k},{text}\n" for k, text in rows)

@@ -107,13 +107,12 @@ def _validate(spec: ScenarioSpec) -> None:
 
     min_cpi = float("inf")
 
-    def check(seg: SegmentSpec) -> None:
+    def check(seg: SegmentSpec) -> tuple[int, int]:
+        """(events, instructions) of one pass through seg, as Python ints."""
         nonlocal min_cpi
         if seg.nested:
             _check_number(f"segment {seg.label!r}: nested_repetitions", seg.nested_repetitions, Integral)
-            for inner in seg.nested:
-                check(inner)
-            return
+            return repeated(seg.nested, seg.nested_repetitions)
         if seg.block_cpi is None or seg.block_instruction_count is None or seg.event_count is None:
             raise ScenarioError(
                 f"segment {seg.label!r}: flat segment needs block_cpi, "
@@ -123,9 +122,20 @@ def _validate(spec: ScenarioSpec) -> None:
                            ("event_count", Integral)):
             _check_number(f"segment {seg.label!r}: {name}", getattr(seg, name), kind)
         min_cpi = min(min_cpi, seg.block_cpi)
+        return seg.event_count, seg.event_count * seg.block_instruction_count
 
-    for seg in spec.segments:
-        check(seg)
+    def repeated(segments: list[SegmentSpec], repetitions: int) -> tuple[int, int]:
+        events = instructions = 0
+        for seg in segments:
+            n_events, n_instructions = check(seg)
+            events += n_events
+            instructions += n_instructions
+        return events * repetitions, instructions * repetitions
+
+    # checked before anything is allocated: the event columns are int64
+    for what, total in zip(("events", "instructions"), repeated(spec.segments, spec.repetitions)):
+        if total > np.iinfo(np.int64).max:
+            raise ScenarioError(f"scenario has {total} {what} in total, more than int64 holds")
     if spec.noise_stddev >= min_cpi:
         raise ScenarioError("noise_stddev must stay below the smallest segment CPI")
 

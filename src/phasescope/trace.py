@@ -29,6 +29,14 @@ numpy's reader rejects or whose values fail a check (a kind other than
 ``E``, a non-finite cycle count, an unknown block), goes through the
 line-by-line loop, which gives the same columns and names the offending
 line.
+
+The writer prints every float as repr() does (the shortest digits that
+read back to the same float64), and formats a whole column at once:
+``float_reprs`` has orjson write the column's shortest digits in native
+code, then gives repr()'s own text to the few values outside repr()'s
+positional range (nonzero ``|x| < 1e-4``, ``|x| >= 1e16``), where the two
+spell the exponent differently. The event lines are then built by one
+``%`` formatting step, so every byte equals what per-event repr() gives.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -402,9 +410,39 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
     )
 
 
+def float_reprs(values: np.ndarray) -> list[str]:
+    """repr() of each element of a 1-D float64 column, "null" for NaN.
+
+    Every float the package writes as text goes through here. orjson writes
+    the same shortest round-trip digits as repr() in native code, and spells
+    them the same way in repr()'s positional range, 1e-4 <= |x| < 1e16 (and
+    0). Outside it the exponent spellings differ (1e16 against 1e+16,
+    0.00001 against 1e-05), so those rare values, and the infinities, take
+    repr().
+    """
+    import orjson  # here, so that analyze and compare, which write no trace, skip its import
+
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.size == 0:
+        return []  # "".split(",") is [""]
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(values)
+    for i in np.flatnonzero((magnitude >= 1e16) | ((magnitude < 1e-4) & (magnitude > 0))).tolist():
+        texts[i] = repr(float(values[i]))
+    return texts
+
+
+def _numbered_lines(kind: str, numbers: Sequence[int], values: np.ndarray) -> str:
+    """One "<kind> <number> <value>" line per pair, formatted in one step."""
+    fields: list = [None] * (2 * len(numbers))
+    fields[::2] = numbers
+    fields[1::2] = float_reprs(values)
+    return (f"{kind} %d %s\n" * len(numbers)) % tuple(fields)
+
+
 def serialize_trace(trace: ExecutionTrace) -> str:
     """Render a trace in the text format; parse(serialize(t)) == t."""
-    out = ["V 1"]
+    out = ["V 1\n"]
     for block in trace.blocks.values():
         rec = (
             f"B {block.block_id} {block.start_address:x} "
@@ -412,14 +450,15 @@ def serialize_trace(trace: ExecutionTrace) -> str:
         )
         if block.target_address is not None:
             rec += f" {block.target_address:x}"
-        out.append(rec)
-    # .tolist() yields Python ints and floats, whose str/repr the format uses
-    for bid, cycles in zip(trace.event_blocks.tolist(), trace.event_cycles.tolist()):
-        out.append(f"E {bid}" if math.isnan(cycles) else f"E {bid} {cycles!r}")
+        out.append(rec + "\n")
+    # an event without a cycle count is written "E <id> null", then loses
+    # the token; no other field of an E line can hold " null"
+    events = _numbered_lines("E", trace.event_blocks.tolist(), trace.event_cycles)
+    out.append(events.replace(" null", ""))
     if trace.quanta is not None:
-        out.append(f"L {trace.quantum_length}")
-        out.extend(f"Q {i} {cpi!r}" for i, cpi in enumerate(trace.quanta.tolist()))
-    return "\n".join(out) + "\n"
+        out.append(f"L {trace.quantum_length}\n")
+        out.append(_numbered_lines("Q", range(trace.quanta.size), trace.quanta))
+    return "".join(out)
 
 
 def load_trace(path) -> ExecutionTrace:

@@ -18,7 +18,14 @@ from phasescope import (
     golden_waveform,
     quantum_cpis,
 )
-from phasescope.attribution import EventIndex, profile_rates, range_mean_cpi, weighted_cpi_prefix
+from phasescope.attribution import (
+    EventIndex,
+    Waveform,
+    profile_rates,
+    range_mean_cpi,
+    waveform_csv,
+    weighted_cpi_prefix,
+)
 
 
 def block(bid, instrs, addr=None):
@@ -348,3 +355,15 @@ def test_sparse_ids_analyze_and_serialize_like_renumbered_ids():
             assert (x.start_instruction, x.length_instructions, x.occurrence, x.mean_cpi,
                     x.structure) == (y.start_instruction, y.length_instructions,
                                      y.occurrence, y.mean_cpi, y.structure)
+
+
+def test_waveform_csv_matches_the_per_row_writer():
+    rng = np.random.default_rng(3)
+    samples = 10.0 ** rng.uniform(-8, 20, 500)  # both exponent spellings and positional
+    samples[::4] = rng.uniform(0.5, 3.0, 125)
+    wave = Waveform(samples=samples, sample_stride=7, origin_instruction=11,
+                    sample_heads=rng.integers(-1, 2**40, 500))
+    rows = ["instruction_offset,cpi,block_id"]
+    for off, cpi, head in zip(wave.sample_offsets, wave.samples, wave.sample_heads):
+        rows.append(f"{int(off)},{float(cpi)!r},{int(head)}")
+    assert waveform_csv(wave) == "\n".join(rows) + "\n"

@@ -226,3 +226,16 @@ def test_square_vs_its_mean_closed_form():
 def test_mismatched_grids_rejected():
     with pytest.raises(ValueError, match="share grid"):
         error_rate(constant_wave(1.0, 16), constant_wave(1.0, 32))
+
+
+def test_merge_is_bit_identical_to_the_numpy_scalar_merge():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        cpis = rng.uniform(0.5, 3.0, size=int(rng.integers(2, 60)))
+        delta = float(rng.uniform(0.05, 1.0))
+        trace = ExecutionTrace(blocks={0: block(0, 10)}, event_blocks=[0] * cpis.size,
+                               event_cycles=cpis * 10, quanta=cpis, quantum_length=10)
+        result = tq_phases(trace, 10, delta)
+        # the oracle merges numpy float64 scalars read from the quantum column
+        expected = greedy_oracle(trace.quanta, delta)
+        assert [(p.start_quantum, p.quantum_count, p.mean_cpi) for p in result.phases] == expected

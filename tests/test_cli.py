@@ -13,7 +13,17 @@ import numpy as np
 import pytest
 
 import phasescope
-from phasescope import AnalysisConfig, ScenarioSpec, SegmentSpec, generate, load_trace, predict_waveform
+from phasescope import (
+    AnalysisConfig,
+    ScenarioSpec,
+    SegmentSpec,
+    analyze,
+    generate,
+    golden_waveform,
+    load_trace,
+    predict_waveform,
+    tq_phases,
+)
 from phasescope.cli import build_parser, main
 from phasescope.phases import tree_from_dict
 from phasescope.synth import scenario_json
@@ -96,6 +106,28 @@ def test_compare_reports_all_methods(tmp_path, trace_file):
     assert report["methods"][0]["mape_percent"] == pytest.approx(0.0, abs=1e-9)
     header = samples.read_text().splitlines()[0]
     assert header == "instruction_offset,golden_cpi,bbfda,tq-37,tq-100"
+
+
+def test_samples_csv_matches_the_per_row_writer(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(scenario_json(ScenarioSpec(segments=SCENARIO.segments, repetitions=4,
+                                                   noise_stddev=0.3, seed=5)))
+    assert main(["synth", str(scenario), "--out-prefix", str(tmp_path / "t")]) == 0
+    samples = tmp_path / "samples.csv"
+    assert main(["compare", str(tmp_path / "t.trace"), "--out", str(tmp_path / "cmp.json"),
+                 "--tq", "37", "--samples-csv", str(samples)]) == 0
+
+    trace = load_trace(tmp_path / "t.trace")
+    config, total = AnalysisConfig(), trace.total_instructions
+    golden = golden_waveform(trace, config.resolution)
+    waves = [predict_waveform(source, total, config.resolution)
+             for source in (analyze(trace, config), tq_phases(trace, 37, 0.1))]
+    rows = ["instruction_offset,golden_cpi,bbfda,tq-37"]
+    for i in range(golden.samples.size):
+        cells = [str(golden.sample_offsets[i]), repr(float(golden.samples[i]))]
+        cells += [repr(float(wave.samples[i])) for wave in waves]
+        rows.append(",".join(cells))
+    assert samples.read_text() == "\n".join(rows) + "\n"
 
 
 def test_compare_requires_golden_cycles(tmp_path, capsys):
@@ -261,13 +293,14 @@ def test_analyze_waveform_csv_attributes_once(tmp_path, trace_file, monkeypatch)
     assert plain.read_bytes() == tree.read_bytes()
 
 
-def run_module(*args):
-    """`python -m phasescope.cli ARGS` in a child process importing this
-    checkout's package."""
+def run_module(*args, python_flags=()):
+    """`python [FLAGS] -m phasescope.cli ARGS` in a child process importing
+    this checkout's package."""
     src = str(Path(phasescope.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "phasescope.cli", *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    return subprocess.run([sys.executable, *python_flags, "-m", "phasescope.cli", *args],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=120)
 
 
 def test_module_entry_point_matches_in_process_main(tmp_path, trace_file):
@@ -284,6 +317,24 @@ def test_module_entry_point_matches_in_process_main(tmp_path, trace_file):
             assert gc.get_freeze_count() == frozen  # only the program entry freezes
         outputs[how] = [(tmp_path / f"{how}.{kind}.json").read_bytes() for kind in ("tree", "markers")]
     assert outputs["child"] == outputs["in_process"]
+
+
+def test_only_commands_that_write_floats_import_orjson(tmp_path, trace_file):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(scenario_json(SCENARIO))
+    commands = {
+        "analyze": ["analyze", str(trace_file), "--tree", str(tmp_path / "tree.json")],
+        "compare": ["compare", str(trace_file), "--out", str(tmp_path / "cmp.json")],
+        "synth": ["synth", str(scenario), "--out-prefix", str(tmp_path / "s")],
+    }
+    imported = {}
+    for name, args in commands.items():
+        proc = run_module(*args, python_flags=["-X", "importtime"])
+        assert proc.returncode == 0, proc.stderr
+        # -X importtime writes "import time: self | cumulative | module" per import
+        modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        imported[name] = "orjson" in modules
+    assert imported == {"analyze": False, "compare": False, "synth": True}
 
 
 def test_module_entry_point_reports_a_malformed_trace_with_exit_2(tmp_path):
@@ -342,6 +393,48 @@ def test_config_file_not_holding_an_object_exits_2_naming_the_file(tmp_path, cap
     assert not tree.exists()
 
 
+@pytest.mark.parametrize("text, field, got", [
+    ('{"resolution": NaN}', "resolution", "nan"),
+    ('{"resolution": 100.5}', "resolution", "100.5"),
+    ('{"resolution": 512.0}', "resolution", "512.0"),
+    ('{"resolution": true}', "resolution", "True"),
+    ('{"max_depth": 2.5}', "max_depth", "2.5"),
+    ('{"max_depth": true}', "max_depth", "True"),
+    ('{"min_segment_instructions": "64"}', "min_segment_instructions", "'64'"),
+    ('{"flat_cpi_range": NaN}', "flat_cpi_range", "nan"),
+    ('{"flat_cpi_range": Infinity}', "flat_cpi_range", "inf"),
+    ('{"flat_spectrum_ratio": false}', "flat_spectrum_ratio", "False"),
+    ('{"boundary_threshold_fraction": null}', "boundary_threshold_fraction", "None"),
+])
+def test_wrongly_typed_config_value_exits_2_naming_field_and_file(
+        tmp_path, capsys, trace_file, text, field, got):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    tree = tmp_path / "tree.json"
+    assert main(["analyze", str(trace_file), "--tree", str(tree), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"config {config}: config field {field} must be" in err and f"got {got}" in err
+    assert not tree.exists()
+
+
+def test_non_finite_config_flag_exits_2_naming_the_flag(tmp_path, capsys, trace_file):
+    tree = tmp_path / "tree.json"
+    assert main(["analyze", str(trace_file), "--tree", str(tree), "--flat-cpi-range", "nan"]) == 2
+    assert "--flat-cpi-range: config field flat_cpi_range must be a finite real number" in \
+        capsys.readouterr().err
+    assert not tree.exists()
+
+
+def test_integer_config_value_for_a_float_field_is_accepted(tmp_path, trace_file):
+    config = tmp_path / "config.json"
+    config.write_text('{"flat_cpi_range": 0, "boundary_threshold_fraction": 1}')
+    by_file, by_floats = tmp_path / "by_file.json", tmp_path / "by_floats.json"
+    assert main(["analyze", str(trace_file), "--tree", str(by_file), "--config", str(config)]) == 0
+    assert main(["analyze", str(trace_file), "--tree", str(by_floats), "--flat-cpi-range", "0.0",
+                 "--boundary-threshold-fraction", "1.0"]) == 0
+    assert by_file.read_bytes() == by_floats.read_bytes()
+
+
 def test_config_flags_follow_the_config_fields():
     args = build_parser().parse_args([
         "analyze", "t.trace", "--resolution", "8", "--boundary-threshold-fraction", "0.25",
@@ -384,6 +477,24 @@ def test_synth_rejects_a_wrongly_typed_number_naming_the_field(tmp_path, capsys,
     path.write_text(json.dumps(scenario))
     assert main(["synth", str(path), "--out-prefix", str(tmp_path / "x")]) == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "x.trace").exists()
+
+
+# NESTED_SCENARIO, twice: "a" (3 events of 5 instructions), then "b" (2 events of 4) twice
+@pytest.mark.parametrize("change, message", [
+    (lambda s: s["segments"][0].update(event_count=10**30), f"{(10**30 + 2 * 2) * 2} events"),
+    (lambda s: s.update(repetitions=2**62), f"{(3 + 2 * 2) * 2**62} events"),
+    (lambda s: s["segments"][1].update(nested_repetitions=2**62), f"{(3 + 2 * 2**62) * 2} events"),
+    (lambda s: s["segments"][0].update(block_instruction_count=2**62),
+     f"{(3 * 2**62 + 4 * 2 * 2) * 2} instructions"),
+])
+def test_synth_refuses_a_scenario_beyond_int64_before_allocating(tmp_path, capsys, change, message):
+    scenario = json.loads(json.dumps(NESTED_SCENARIO))
+    change(scenario)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["synth", str(path), "--out-prefix", str(tmp_path / "x")]) == 2
+    assert f"error: scenario has {message} in total, more than int64 holds" in capsys.readouterr().err
     assert not (tmp_path / "x.trace").exists()
 
 

@@ -168,3 +168,13 @@ def test_spectrum_csv_reserves_row_zero_for_dc():
     assert lines[0] == "occurrence,magnitude"
     assert lines[1].startswith("0,")
     assert float(lines[1].split(",")[1]) == pytest.approx(1.5)
+
+
+def test_spectrum_csv_matches_the_per_row_writer():
+    magnitudes = dft_magnitude(wave(np.where(np.arange(256) % 32 < 12, 2.75, 0.5))).magnitudes
+    assert (magnitudes < 1e-4).any()  # round-off bins take the exponent spelling
+    spectrum = Spectrum(magnitudes=magnitudes, source_length_instructions=256, sample_count=256)
+    rows = ["occurrence,magnitude"]
+    for k, mag in enumerate(spectrum.magnitudes):
+        rows.append(f"{k},{float(mag)!r}")
+    assert spectrum_csv(spectrum) == "\n".join(rows) + "\n"

@@ -1,11 +1,12 @@
 """Trace format parsing, validation and round-trip behavior."""
 
 import io
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasescope import (
@@ -21,7 +22,7 @@ from phasescope import (
     serialize_trace,
 )
 from phasescope import trace as trace_module
-from phasescope.trace import _CHUNK_LINES
+from phasescope.trace import _CHUNK_LINES, float_reprs
 
 GOLDEN_SIMPLE = """\
 V 1
@@ -475,3 +476,99 @@ def test_odd_event_chunks_parse_as_the_line_loop_does(data, with_cycles, fill, s
 
     with mock.patch.object(trace_module, "_CHUNK_LINES", SHORT_CHUNK):
         assert_parses_as_the_line_loop(text, as_file)
+
+
+# --- float text and the trace writer ------------------------------------------
+
+#: float64 neighbours of the edges of repr()'s positional range
+RANGE_EDGES = [float(np.nextafter(edge, toward)) for edge in (1e-4, 1e16)
+               for toward in (0.0, edge, math.inf)]
+
+
+def expected_reprs(column):
+    return ["null" if math.isnan(x) else repr(x) for x in column.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(), max_size=40))
+@example(values=[1e16])  # 1e+16
+@example(values=[1.5e-05])  # 1.5e-05
+@example(values=[-2.5e-300])  # -2.5e-300
+@example(values=[1.7976931348623157e308])  # 1.7976931348623157e+308
+@example(values=[5e-324, -2.2250738585072014e-308])  # subnormal, smallest normal
+@example(values=[0.0, -0.0, math.nan, math.inf, -math.inf])
+@example(values=RANGE_EDGES + [-x for x in RANGE_EDGES])
+def test_float_reprs_equals_repr_with_null_for_nan(values):
+    column = np.array(values, dtype=np.float64)
+    assert float_reprs(column) == expected_reprs(column)
+
+
+def test_float_reprs_on_random_bit_patterns():
+    # every exponent, sign and mantissa pattern, subnormals, NaNs and infinities among them
+    bits = np.random.default_rng(5).integers(0, 2**64, size=50_000, dtype=np.uint64)
+    column = bits.view(np.float64)
+    assert float_reprs(column) == expected_reprs(column)
+
+
+def test_float_reprs_takes_strided_and_empty_columns():
+    column = np.array([0.5, 1e-9, 2.5, 1e20, 3.5])
+    assert float_reprs(column[::2]) == ["0.5", "2.5", "3.5"]
+    assert float_reprs(column[::-2]) == ["3.5", "2.5", "0.5"]
+    assert float_reprs(np.empty(0)) == []
+
+
+def reference_serialize(trace):
+    """The per-event writer that serialize_trace replaced: the oracle."""
+    out = ["V 1"]
+    for block in trace.blocks.values():
+        rec = (
+            f"B {block.block_id} {block.start_address:x} "
+            f"{block.instruction_count} {block.terminator.value}"
+        )
+        if block.target_address is not None:
+            rec += f" {block.target_address:x}"
+        out.append(rec)
+    for bid, cycles in zip(trace.event_blocks.tolist(), trace.event_cycles.tolist()):
+        out.append(f"E {bid}" if math.isnan(cycles) else f"E {bid} {cycles!r}")
+    if trace.quanta is not None:
+        out.append(f"L {trace.quantum_length}")
+        out.extend(f"Q {i} {cpi!r}" for i, cpi in enumerate(trace.quanta.tolist()))
+    return "\n".join(out) + "\n"
+
+
+def with_missing_cycles(trace, missing):
+    cycles = trace.event_cycles.copy()
+    cycles[missing] = np.nan
+    return ExecutionTrace(blocks=trace.blocks, event_blocks=trace.event_blocks,
+                          event_cycles=cycles, quanta=trace.quanta,
+                          quantum_length=trace.quantum_length)
+
+
+def extreme_cycles(trace):
+    """Cycle counts spread over every exponent spelling, zero and subnormals."""
+    rng = np.random.default_rng(11)
+    cycles = 10.0 ** rng.uniform(-320, 300, trace.event_cycles.size)
+    cycles[::7] = 0.0
+    cycles[1 : 1 + len(RANGE_EDGES)] = RANGE_EDGES
+    return ExecutionTrace(blocks=trace.blocks, event_blocks=trace.event_blocks, event_cycles=cycles)
+
+
+WRITER_CASES = {
+    "golden": lambda rng: generate(SCENARIOS[2])[0],
+    "golden and quanta": lambda rng: generate(SCENARIOS[1])[0],
+    "quantum only": lambda rng: random_trace(rng, 3000, golden=False, quanta=True),
+    "30% missing cycles": lambda rng: with_missing_cycles(
+        random_trace(rng, 3000, quanta=True), rng.random(3000) < 0.3),
+    "last cycles missing": lambda rng: with_missing_cycles(
+        random_trace(rng, 3000, quanta=True), [-1]),
+    "sparse ids": lambda rng: random_trace(rng, 3000),
+    "every exponent": lambda rng: extreme_cycles(random_trace(rng, 3000)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_serialize_matches_the_per_event_writer(case):
+    trace = WRITER_CASES[case](np.random.default_rng(23))
+    text = serialize_trace(trace)
+    assert text == reference_serialize(trace)
+    assert_same_columns(parse_trace(text), trace)
