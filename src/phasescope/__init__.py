@@ -2,9 +2,7 @@
 CPI traces via frequency-domain analysis, with a time-quantum baseline."""
 
 from .attribution import (
-    BlockProfile,
     EventIndex,
-    ProfileSource,
     Waveform,
     attribute_block_cpi,
     build_waveform,
@@ -14,7 +12,6 @@ from .attribution import (
 from .baseline import ErrorReport, TqPhase, TqPhaseList, error_rate, predict_waveform, tq_phases
 from .phases import (
     AnalysisConfig,
-    MarkerTable,
     NoAlignmentError,
     PhaseNode,
     Structure,
@@ -47,7 +44,6 @@ from .trace import (
 __all__ = [
     "AnalysisConfig",
     "BlockDescriptor",
-    "BlockProfile",
     "EntryKind",
     "ErrorReport",
     "EventIndex",
@@ -55,10 +51,8 @@ __all__ = [
     "FlatSpectrumError",
     "GoldenAnnotation",
     "MainSpectrum",
-    "MarkerTable",
     "NoAlignmentError",
     "PhaseNode",
-    "ProfileSource",
     "ScenarioSpec",
     "SegmentSpec",
     "Spectrum",

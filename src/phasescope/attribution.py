@@ -9,7 +9,6 @@ grid by zero-order hold so a DFT can be applied.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -17,19 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .trace import ExecutionTrace, TraceFormatError, float_reprs, positions_in
-
-
-class ProfileSource(enum.Enum):
-    GOLDEN = "golden"
-    QUANTUM_WEIGHTED = "quantum_weighted"
-
-
-@dataclass(frozen=True)
-class BlockProfile:
-    block_id: int
-    cpi: float
-    occurrence_total: int
-    source: ProfileSource
 
 
 @dataclass
@@ -114,8 +100,8 @@ def split_by_block(block_ids: np.ndarray, *columns: np.ndarray) -> list[tuple[np
 
 def attribute_block_cpi(
     trace: ExecutionTrace, mode: str = "auto"
-) -> dict[int, BlockProfile]:
-    """Compute one CPI profile per executed block.
+) -> dict[int, float]:
+    """Map each executed block's id to its CPI, in ascending id order.
 
     mode "quantum": cpi(b) is the weighted average of quantum CPIs over the
     quanta in which b's events start. mode "golden": cpi(b) is total event
@@ -135,34 +121,31 @@ def attribute_block_cpi(
             raise ValueError("quantum attribution requires quantum records")
         # an event belongs to the quantum holding its first instruction
         values = trace.quanta[index.starts[:-1] // trace.quantum_length]
-        source = ProfileSource.QUANTUM_WEIGHTED
     else:
         if index.event_cycles is None:
             raise ValueError("golden attribution requires cycles on every event")
         values = index.event_cycles
-        source = ProfileSource.GOLDEN
 
     # Each block sums exactly the values, in exactly the order, that a
     # per-block boolean mask would select; np.bincount would add them in
-    # another order and change last digits of the profile CPIs.
-    profiles: dict[int, BlockProfile] = {}
+    # another order and change last digits of the block CPIs.
+    profiles: dict[int, float] = {}
     for ids, block_values, instrs in split_by_block(index.block_ids, values, index.instr_counts):
         bid = int(ids[0])
-        n = ids.size
-        weight = n if mode == "quantum" else int(instrs.sum())
+        weight = ids.size if mode == "quantum" else int(instrs.sum())
         cpi = float(block_values.sum() / weight)
         if cpi <= 0:
             # validation keeps cycles >= 0 and quantum CPIs > 0: the input
             # gave every event of this block 0 cycles
             raise TraceFormatError(f"block {bid}: its events carry 0 cycles in all; a block CPI must be positive")
-        profiles[bid] = BlockProfile(bid, cpi, n, source)
+        profiles[bid] = cpi
     return profiles
 
 
-def profile_rates(index: EventIndex, profiles: dict[int, BlockProfile]) -> np.ndarray:
-    """Per-event CPI taken from the block profiles, aligned with the index."""
+def profile_rates(index: EventIndex, profiles: dict[int, float]) -> np.ndarray:
+    """Per-event CPI taken from the block CPIs, aligned with the index."""
     ids = np.array(sorted(profiles), dtype=np.int64)
-    rates = np.array([profiles[b].cpi for b in ids.tolist()], dtype=float)
+    rates = np.array([profiles[b] for b in ids.tolist()], dtype=float)
     slot = positions_in(ids, index.block_ids)
     missing = np.flatnonzero(slot < 0)
     if missing.size:
@@ -202,9 +185,9 @@ def sample_range(
 
 
 def build_waveform(
-    trace: ExecutionTrace, profiles: dict[int, BlockProfile], resolution: int = 4096
+    trace: ExecutionTrace, profiles: dict[int, float], resolution: int = 4096
 ) -> Waveform:
-    """Full-trace CPI waveform using the block-profile rates."""
+    """Full-trace CPI waveform using the block CPIs (see attribute_block_cpi)."""
     index = EventIndex.from_trace(trace)
     return sample_range(index, profile_rates(index, profiles), 0, index.total_instructions, resolution)
 

@@ -32,7 +32,6 @@ class TqPhase:
 class TqPhaseList:
     quantum_length: int
     phases: list[TqPhase]
-    merge_delta: float
 
 
 @dataclass
@@ -79,7 +78,7 @@ def tq_phases(
             phases.append(TqPhase(start, count, acc / count))
             start, acc, count = q, cpi, 1
     phases.append(TqPhase(start, count, acc / count))
-    return TqPhaseList(quantum_length, phases, merge_delta)
+    return TqPhaseList(quantum_length, phases)
 
 
 def _render_tree(

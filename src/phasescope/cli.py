@@ -9,14 +9,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import baseline, phases, spectral, synth
 from .attribution import attribute_block_cpi, build_waveform, golden_waveform, waveform_csv
-from .phases import AnalysisConfig
+from .phases import CONFIG_TYPES, AnalysisConfig, check_config_value
 from .trace import TraceFormatError, float_reprs, load_trace, save_trace
 
 
@@ -24,20 +22,12 @@ class InputError(ValueError):
     """Input violates a command's contract (maps to exit code 2)."""
 
 
-#: each config field's type is that of its default (int or float)
-_CONFIG_TYPES = {f.name: type(f.default) for f in fields(AnalysisConfig)}
-
-
 def _check_config_value(name: str, value, source: str) -> None:
-    """An int field takes an integer, a float field a finite real number;
-    a bool is neither."""
-    if _CONFIG_TYPES[name] is int:
-        ok, noun = isinstance(value, int), "an integer"
-    else:
-        ok = isinstance(value, (int, float)) and math.isfinite(value)
-        noun = "a finite real number"
-    if isinstance(value, bool) or not ok:
-        raise InputError(f"{source}: config field {name} must be {noun}, got {value!r}")
+    """check_config_value, with the file or flag that gave the value named."""
+    try:
+        check_config_value(name, value)
+    except ValueError as exc:
+        raise InputError(f"{source}: {exc}") from None
 
 
 def _config_from_args(args) -> AnalysisConfig:
@@ -49,12 +39,12 @@ def _config_from_args(args) -> AnalysisConfig:
             raise InputError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(values, dict):
             raise InputError(f"config {args.config} must hold a JSON object of config fields")
-        unknown = values.keys() - _CONFIG_TYPES.keys()
+        unknown = values.keys() - CONFIG_TYPES.keys()
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
         for name, value in values.items():
             _check_config_value(name, value, f"config {args.config}")
-    for name in _CONFIG_TYPES:
+    for name in CONFIG_TYPES:
         override = getattr(args, name, None)
         if override is not None:
             _check_config_value(name, override, "--" + name.replace("_", "-"))
@@ -67,7 +57,7 @@ def _config_from_args(args) -> AnalysisConfig:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with analysis config fields")
-    for name, kind in _CONFIG_TYPES.items():
+    for name, kind in CONFIG_TYPES.items():
         parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
 
 
@@ -101,8 +91,7 @@ def cmd_analyze(args) -> None:
             path = directory / f"spectrum_d{depth}_i{start}_{stop}.csv"
             _write(str(path), spectral.spectrum_csv(spec))
     if args.markers:
-        table = phases.export_markers(tree, trace.blocks)
-        _write(args.markers, phases.markers_json(table))
+        _write(args.markers, phases.markers_json(phases.export_markers(tree, trace.blocks)))
 
 
 def cmd_compare(args) -> None:

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
 
 from .attribution import (
     EventIndex,
-    BlockProfile,
     Waveform,
     attribute_block_cpi,
     profile_rates,
@@ -53,6 +54,8 @@ class AnalysisConfig:
     min_segment_instructions: int = 64
 
     def __post_init__(self):
+        for name in CONFIG_TYPES:
+            check_config_value(name, getattr(self, name))
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
         if not 0.0 < self.boundary_threshold_fraction <= 1.0:
@@ -65,6 +68,22 @@ class AnalysisConfig:
             raise ValueError("max_depth must be positive")
         if self.min_segment_instructions < 2:
             raise ValueError("min_segment_instructions must be >= 2")
+
+
+#: each config field's type is that of its default (int or float)
+CONFIG_TYPES = {f.name: type(f.default) for f in fields(AnalysisConfig)}
+
+
+def check_config_value(name: str, value) -> None:
+    """An int field takes an integer, a float field a finite real number;
+    a bool is neither. Raises ValueError naming the field."""
+    if CONFIG_TYPES[name] is int:
+        ok, noun = isinstance(value, Integral), "an integer"
+    else:
+        ok = isinstance(value, Real) and math.isfinite(value)
+        noun = "a finite real number"
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"config field {name} must be {noun}, got {value!r}")
 
 
 @dataclass
@@ -96,14 +115,6 @@ class MarkerEntry:
     mean_cpi: float
     structure: Structure
     additional_paths: list[tuple[int, ...]] = field(default_factory=list)
-
-
-@dataclass
-class MarkerTable:
-    """What a binary patcher would consume: one record per phase head
-    address, shallowest phase first when heads collide."""
-
-    entries: dict[int, MarkerEntry]
 
 
 def _candidates_in_range(
@@ -206,7 +217,7 @@ class _Analysis:
         self,
         trace: ExecutionTrace,
         config: AnalysisConfig,
-        profiles: dict[int, BlockProfile],
+        profiles: dict[int, float],
         spectrum_sink: Optional[Callable[[int, int, int, Spectrum], None]],
     ):
         self.trace = trace
@@ -285,21 +296,21 @@ def analyze(
     trace: ExecutionTrace,
     config: Optional[AnalysisConfig] = None,
     *,
-    mode: str = "auto",
     spectrum_sink: Optional[Callable[[int, int, int, Spectrum], None]] = None,
-    profiles: Optional[dict[int, BlockProfile]] = None,
+    profiles: Optional[dict[int, float]] = None,
 ) -> PhaseNode:
     """Build the hierarchical phase tree for a trace.
 
-    The root covers the whole execution. mode selects the CPI attribution
-    source (see attribute_block_cpi); spectrum_sink, when given, receives
-    (depth, start, stop, spectrum) for every analyzed segment. A caller that
-    needs the block profiles too passes attribute_block_cpi(trace, mode) as
-    profiles, and the trace is attributed once.
+    The root covers the whole execution. profiles maps block id to CPI and
+    defaults to attribute_block_cpi(trace); a caller that wants a specific
+    attribution mode, or needs the block CPIs too, passes
+    attribute_block_cpi(trace, mode) and the trace is attributed once.
+    spectrum_sink, when given, receives (depth, start, stop, spectrum) for
+    every analyzed segment.
     """
     cfg = config or AnalysisConfig()
     if profiles is None:
-        profiles = attribute_block_cpi(trace, mode=mode)
+        profiles = attribute_block_cpi(trace)
     run = _Analysis(trace, cfg, profiles, spectrum_sink)
     root = run.segment(0, run.index.total_instructions, 0, 1)
     validate_tree(root)
@@ -327,8 +338,9 @@ def _head_address(blocks, block_id: int) -> int:
     return entry.start_address if isinstance(entry, BlockDescriptor) else int(entry)
 
 
-def export_markers(root: PhaseNode, blocks) -> MarkerTable:
-    """Flatten a phase tree into per-head-address marker records.
+def export_markers(root: PhaseNode, blocks) -> dict[int, MarkerEntry]:
+    """Flatten a phase tree into what a binary patcher would consume: one
+    marker record per phase head address, keyed by that address.
 
     blocks maps block_id to a BlockDescriptor or directly to an address.
     When nested phases share a head block, the shallowest node keeps the
@@ -346,7 +358,7 @@ def export_markers(root: PhaseNode, blocks) -> MarkerTable:
             entries[addr] = MarkerEntry(path, node.mean_cpi, node.structure)
         for i, child in enumerate(node.children):
             queue.append((child, path + (i,)))
-    return MarkerTable(entries)
+    return entries
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -395,7 +407,7 @@ def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
     return root, addresses
 
 
-def markers_json(table: MarkerTable) -> str:
+def markers_json(markers: dict[int, MarkerEntry]) -> str:
     payload = {
         f"{addr:#x}": {
             "phase_path": list(entry.phase_path),
@@ -403,6 +415,6 @@ def markers_json(table: MarkerTable) -> str:
             "structure": entry.structure.value,
             "additional_paths": [list(p) for p in entry.additional_paths],
         }
-        for addr, entry in table.entries.items()
+        for addr, entry in markers.items()
     }
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

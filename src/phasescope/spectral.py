@@ -25,14 +25,13 @@ class FlatSpectrumError(ValueError):
 class Spectrum:
     """Single-sided magnitude spectrum.
 
-    Layout: magnitudes[k] is occurrence k for k = 0..sample_count//2, with
+    Layout: magnitudes[k] is occurrence k for k = 0..N//2 (N samples), with
     the DC term kept at index 0 (dc_value mirrors it); main-spectrum search
     never considers index 0.
     """
 
     magnitudes: np.ndarray
     source_length_instructions: int
-    sample_count: int
 
     @property
     def dc_value(self) -> float:
@@ -60,7 +59,6 @@ def dft_magnitude(waveform: Waveform) -> Spectrum:
     return Spectrum(
         magnitudes=mags,
         source_length_instructions=n * waveform.sample_stride,
-        sample_count=n,
     )
 
 

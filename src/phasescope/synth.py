@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Optional
 
@@ -79,10 +79,8 @@ class GoldenAnnotation:
     true_phases: PhaseNode
 
 
-@dataclass
-class _Run:
-    segment: SegmentSpec
-    entry: EntryKind
+#: entry kinds as the integer codes of a run layout
+_KIND_CODE = {kind: code for code, kind in enumerate(EntryKind)}
 
 
 def _check_number(what: str, value, kind: type, positive: bool = True) -> None:
@@ -140,53 +138,48 @@ def _validate(spec: ScenarioSpec) -> None:
         raise ScenarioError("noise_stddev must stay below the smallest segment CPI")
 
 
-def _flatten(segments: list[SegmentSpec]) -> list[_Run]:
-    runs: list[_Run] = []
+def _layout(segments: list[SegmentSpec], flat: dict[int, tuple[int, SegmentSpec]]) -> np.ndarray:
+    """One pass through segments as int64 rows (flat-segment number, entry-kind
+    code), one per run. flat maps a flat segment's id() to (its number, the
+    segment), numbered on first appearance. A nested group tiles its inner
+    rows, so no Python or numpy call is made per run."""
+    pieces: list = [[]]  # row lists of consecutive flat segments, group arrays
     for seg in segments:
         if seg.nested:
-            for rep in range(seg.nested_repetitions):
-                sub = _flatten(seg.nested)
-                if rep == 0:
-                    # the group is entered from outside on its first iteration
-                    sub[0] = _Run(sub[0].segment, seg.entry_kind)
-                runs.extend(sub)
+            group = np.tile(_layout(seg.nested, flat), (seg.nested_repetitions, 1))
+            # the group is entered from outside on its first iteration
+            group[0, 1] = _KIND_CODE[seg.entry_kind]
+            pieces += [group, []]
         else:
-            runs.append(_Run(seg, seg.entry_kind))
-    return runs
+            number, _ = flat.setdefault(id(seg), (len(flat), seg))
+            pieces[-1].append((number, _KIND_CODE[seg.entry_kind]))
+    return np.concatenate([np.asarray(piece, dtype=np.int64).reshape(-1, 2) for piece in pieces])
 
 
 def _assign_blocks(
-    runs: list[_Run], repetitions: int
-) -> tuple[dict[int, BlockDescriptor], list[int]]:
-    """(block table, block id of each run): one block per flat segment,
-    numbered and addressed in first-appearance order, with terminators
-    encoding how each block's successor is entered."""
-    block_of: dict[int, int] = {}  # id(SegmentSpec) -> block_id
-    run_blocks = [block_of.setdefault(id(run.segment), len(block_of)) for run in runs]
+    flat: list[SegmentSpec], runs: np.ndarray, kinds: np.ndarray, repetitions: int
+) -> dict[int, BlockDescriptor]:
+    """Block table: block b is flat segment b, addressed in that order, with
+    a terminator encoding how its successor is entered. A block's first
+    call edge sets it, else its first backward-branch edge."""
 
     def address(block_id: int) -> int:
         return _BASE_ADDRESS + block_id * _ADDRESS_PITCH
 
-    desired: dict[int, list[tuple[EntryKind, int]]] = {b: [] for b in block_of.values()}
-    for j, src in enumerate(run_blocks):
-        if j == len(runs) - 1 and repetitions < 2:
-            break  # the wrap edge never executes
-        nxt = (j + 1) % len(runs)
-        edge = (runs[nxt].entry, run_blocks[nxt])
-        if edge not in desired[src]:
-            desired[src].append(edge)
+    # edge j leaves run j for run nxt[j]; the wrap edge, from the last run
+    # back to the first, executes only when the period repeats
+    nxt = np.arange(1, runs.size + (repetitions >= 2)) % runs.size
+    edge_keys, first = np.unique(runs[: nxt.size] * len(EntryKind) + kinds[nxt], return_index=True)
+    first_target = dict(zip(edge_keys.tolist(), runs[nxt[first]].tolist()))
 
     blocks: dict[int, BlockDescriptor] = {}
-    for run, bid in zip(runs, run_blocks):
-        if bid in blocks:
-            continue
-        seg = run.segment
-        calls = [t for k, t in desired[bid] if k is EntryKind.CALL]
-        backs = [t for k, t in desired[bid] if k is EntryKind.BACKWARD_BRANCH]
-        if calls:
-            terminator, target = Terminator.CALL, address(calls[0])
-        elif backs:
-            target = address(backs[0])
+    for bid, seg in enumerate(flat):
+        call = first_target.get(bid * len(EntryKind) + _KIND_CODE[EntryKind.CALL])
+        back = first_target.get(bid * len(EntryKind) + _KIND_CODE[EntryKind.BACKWARD_BRANCH])
+        if call is not None:
+            terminator, target = Terminator.CALL, address(call)
+        elif back is not None:
+            target = address(back)
             if target > address(bid):
                 raise ScenarioError(
                     f"segment {seg.label!r}: backward-branch entry is not "
@@ -203,7 +196,7 @@ def _assign_blocks(
             terminator=terminator,
             target_address=target,
         )
-    return blocks, run_blocks
+    return blocks
 
 
 def _segment_extent(seg: SegmentSpec) -> tuple[int, float]:
@@ -268,19 +261,21 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
     requested, are computed exactly from the noisy events.
     """
     _validate(spec)
-    runs = _flatten(spec.segments)
-    blocks, run_blocks = _assign_blocks(runs, spec.repetitions)
+    numbered: dict[int, tuple[int, SegmentSpec]] = {}
+    runs, kinds = _layout(spec.segments, numbered).T
+    flat = [seg for _, seg in numbered.values()]
+    blocks = _assign_blocks(flat, runs, kinds, spec.repetitions)
 
     # per-run vectors for one period, then tiled across repetitions
-    run_events = [run.segment.event_count for run in runs]
-    run_instr = [run.segment.block_instruction_count for run in runs]
-    run_cpi = [run.segment.block_cpi for run in runs]
-    run_starts = np.zeros(len(runs), dtype=np.int64)
-    np.cumsum(np.multiply(run_events, run_instr)[:-1], out=run_starts[1:])
+    run_events = np.array([seg.event_count for seg in flat], dtype=np.int64)[runs]
+    run_instr = np.array([seg.block_instruction_count for seg in flat], dtype=np.int64)[runs]
+    run_cpi = np.array([seg.block_cpi for seg in flat], dtype=float)[runs]
+    run_starts = np.zeros(runs.size, dtype=np.int64)
+    np.cumsum((run_events * run_instr)[:-1], out=run_starts[1:])
 
-    event_block = np.tile(np.repeat(run_blocks, run_events), spec.repetitions)
+    event_block = np.tile(np.repeat(runs, run_events), spec.repetitions)
     event_instr = np.tile(np.repeat(run_instr, run_events), spec.repetitions)
-    event_cpi = np.tile(np.repeat(run_cpi, run_events), spec.repetitions).astype(float)
+    event_cpi = np.tile(np.repeat(run_cpi, run_events), spec.repetitions)
 
     if spec.noise_stddev > 0:
         rng = np.random.Generator(np.random.PCG64(spec.seed))
@@ -304,12 +299,12 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
         quantum_length=spec.quantum_length,
     )
 
-    annotation = GoldenAnnotation(_build_annotation(spec, trace, run_blocks, run_starts))
+    annotation = GoldenAnnotation(_build_annotation(spec, trace, runs, run_starts))
     return trace, annotation
 
 
 def _build_annotation(
-    spec: ScenarioSpec, trace: ExecutionTrace, run_blocks: list[int], run_starts: np.ndarray
+    spec: ScenarioSpec, trace: ExecutionTrace, run_blocks: np.ndarray, run_starts: np.ndarray
 ) -> PhaseNode:
     """Scripted phase tree; run_blocks and run_starts give the block id and
     first instruction of each run of one period."""
@@ -318,17 +313,17 @@ def _build_annotation(
     total_cycles = sum(_segment_extent(s)[1] for s in spec.segments) * spec.repetitions
 
     def head_at(offset: int) -> int:
-        j = int(np.searchsorted(run_starts, offset, side="right")) - 1
-        return run_blocks[j]
+        j = int(run_starts.searchsorted(offset, side="right")) - 1
+        return int(run_blocks[j])
 
     def classify_at(offset: int, context_block: Optional[int]) -> Structure:
         context = trace.blocks[context_block] if context_block is not None else None
         return classify_structure(trace.blocks[head_at(offset)], context)
 
-    period_wrap = run_blocks[-1] if spec.repetitions >= 2 else None
+    period_wrap = int(run_blocks[-1]) if spec.repetitions >= 2 else None
 
     root = PhaseNode(
-        head_block=run_blocks[0],
+        head_block=int(run_blocks[0]),
         start_instruction=0,
         length_instructions=total,
         mean_cpi=total_cycles / total,
@@ -341,7 +336,7 @@ def _build_annotation(
 
     if spec.repetitions >= 2:
         template = PhaseNode(
-            head_block=run_blocks[0],
+            head_block=root.head_block,
             start_instruction=0,
             length_instructions=period,
             mean_cpi=root.mean_cpi,

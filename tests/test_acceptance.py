@@ -133,7 +133,7 @@ def test_criterion_4_attribution_fidelity():
     quantum = attribute_block_cpi(trace, mode="quantum")
     golden = attribute_block_cpi(trace, mode="golden")
     for bid in golden:
-        assert quantum[bid].cpi == pytest.approx(golden[bid].cpi, abs=1e-9)
+        assert quantum[bid] == pytest.approx(golden[bid], abs=1e-9)
 
     # mixed quanta: boundary at 37 cuts across both blocks; the expected
     # value is the hand-evaluated weighted average of quantum CPIs over the
@@ -155,7 +155,7 @@ def test_criterion_4_attribution_fidelity():
         cursor += blk.instruction_count
     profiles = attribute_block_cpi(trace, mode="quantum")
     for bid, (num, den) in expect.items():
-        assert profiles[bid].cpi == pytest.approx(num / den, abs=1e-9)
+        assert profiles[bid] == pytest.approx(num / den, abs=1e-9)
     _report(4, time.perf_counter() - t0, 5.0, "pure and mixed quanta match oracles")
 
 

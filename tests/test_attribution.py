@@ -8,7 +8,6 @@ import pytest
 from phasescope import (
     BlockDescriptor,
     ExecutionTrace,
-    ProfileSource,
     ScenarioSpec,
     SegmentSpec,
     Terminator,
@@ -61,9 +60,7 @@ def test_single_quantum_block_gets_that_quantum_cpi():
     events = [0, 0, 0, 1]  # block 1's first instruction is at offset 30 -> quantum 3
     trace = quantum_trace(blocks, events, [1.0, 1.0, 1.0, 2.0], 10)
     profiles = attribute_block_cpi(trace, mode="quantum")
-    assert profiles[1].cpi == 2.0
-    assert profiles[1].occurrence_total == 1
-    assert profiles[1].source is ProfileSource.QUANTUM_WEIGHTED
+    assert profiles[1] == 2.0
 
 
 def test_weighted_average_hand_oracle():
@@ -72,15 +69,13 @@ def test_weighted_average_hand_oracle():
     events = [0, 0, 0, 1, 0]  # block 0 starts at offsets 0,3,6 (q0) and 14 (q1)
     trace = quantum_trace(blocks, events, [1.0, 2.0], 10)
     profiles = attribute_block_cpi(trace, mode="quantum")
-    assert profiles[0].cpi == pytest.approx((3 * 1.0 + 1 * 2.0) / 4, abs=1e-12)
-    assert profiles[0].occurrence_total == 4
+    assert profiles[0] == pytest.approx((3 * 1.0 + 1 * 2.0) / 4, abs=1e-12)
 
 
 def test_golden_mode_is_cycles_over_instructions():
     trace = golden_trace({0: block(0, 4)}, [0, 0], [6.0, 10.0])
     profiles = attribute_block_cpi(trace, mode="golden")
-    assert profiles[0].cpi == pytest.approx(16.0 / 8.0)
-    assert profiles[0].source is ProfileSource.GOLDEN
+    assert profiles[0] == pytest.approx(16.0 / 8.0)
 
 
 def test_quantum_matches_golden_when_quanta_are_pure():
@@ -97,7 +92,7 @@ def test_quantum_matches_golden_when_quanta_are_pure():
     quantum = attribute_block_cpi(trace, mode="quantum")
     golden = attribute_block_cpi(trace, mode="golden")
     for bid in golden:
-        assert quantum[bid].cpi == pytest.approx(golden[bid].cpi, abs=1e-9)
+        assert quantum[bid] == pytest.approx(golden[bid], abs=1e-9)
 
 
 def test_weighted_average_identity_constant_quanta():
@@ -106,18 +101,23 @@ def test_weighted_average_identity_constant_quanta():
     events = [0, 1, 0, 1, 0, 1, 0]
     trace = quantum_trace(blocks, events, [1.7, 1.7, 1.7, 1.7], 10)
     profiles = attribute_block_cpi(trace, mode="quantum")
-    assert profiles[0].cpi == 1.7
-    assert profiles[1].cpi == 1.7
+    assert profiles[0] == 1.7
+    assert profiles[1] == 1.7
 
 
 def test_auto_mode_prefers_quantum_samples():
+    # quanta straddle the two blocks, so quantum weighting smears their CPIs
     spec = ScenarioSpec(
-        segments=[SegmentSpec("a", block_cpi=1.5, block_instruction_count=5, event_count=8)],
-        repetitions=1,
+        segments=[
+            SegmentSpec("a", block_cpi=1.0, block_instruction_count=3, event_count=7),
+            SegmentSpec("b", block_cpi=2.0, block_instruction_count=4, event_count=5),
+        ],
+        repetitions=3,
         quantum_length=10,
     )
     trace, _ = generate(spec)
-    assert attribute_block_cpi(trace)[0].source is ProfileSource.QUANTUM_WEIGHTED
+    auto = attribute_block_cpi(trace)
+    assert auto == attribute_block_cpi(trace, mode="quantum") != attribute_block_cpi(trace, mode="golden")
 
 
 def test_mass_conservation():
@@ -132,7 +132,9 @@ def test_mass_conservation():
     )
     trace, _ = generate(spec)
     profiles = attribute_block_cpi(trace, mode="golden")
-    assert sum(p.occurrence_total for p in profiles.values()) == trace.event_blocks.size
+    assert list(profiles) == np.unique(trace.event_blocks).tolist()
+    cycles = sum(profiles[b] * trace.event_instructions[trace.event_blocks == b].sum() for b in profiles)
+    assert cycles == pytest.approx(trace.event_cycles.sum(), rel=1e-12)
 
 
 def test_constant_block_waveform():
@@ -163,7 +165,7 @@ def test_waveform_matches_instruction_walk_oracle():
         resolution = int(rng.integers(2, 50))
         wave = build_waveform(trace, profiles, resolution)
 
-        per_instr = walk_instructions(trace, {b: profiles[b].cpi for b in profiles})
+        per_instr = walk_instructions(trace, profiles)
         expected = per_instr[np.asarray(wave.sample_offsets)]
         np.testing.assert_allclose(wave.samples, expected, atol=1e-12)
 
@@ -203,9 +205,9 @@ def test_waveform_mean_close_to_trace_mean():
 
         total = trace.total_instructions
         exact_mean = sum(
-            profiles[b].cpi * trace.blocks[b].instruction_count for b in ids
+            profiles[b] * trace.blocks[b].instruction_count for b in ids
         ) / total
-        rates = [profiles[b].cpi for b in ids]
+        rates = [profiles[b] for b in ids]
         transitions = sum(1 for a, b in zip(rates, rates[1:]) if a != b)
         bound = (max(cpis.values()) - min(cpis.values())) * transitions * wave.sample_stride / total
         assert abs(float(wave.samples.mean()) - exact_mean) <= bound + 1e-12
@@ -253,7 +255,7 @@ def test_range_mean_cpi_matches_walk():
     index = EventIndex.from_trace(trace)
     rates = profile_rates(index, profiles)
     prefix = weighted_cpi_prefix(index, rates)
-    per_instr = walk_instructions(trace, {b: profiles[b].cpi for b in profiles})
+    per_instr = walk_instructions(trace, profiles)
     total = trace.total_instructions
     for _ in range(25):
         a = int(rng.integers(0, total - 1))
@@ -274,12 +276,10 @@ def mask_loop_profiles(trace, mode):
     out = {}
     for bid in np.unique(index.block_ids):
         mask = index.block_ids == bid
-        n = int(mask.sum())
         if mode == "quantum":
-            cpi = float(per_event_v[mask].sum() / n)
+            out[int(bid)] = float(per_event_v[mask].sum() / int(mask.sum()))
         else:
-            cpi = float(index.event_cycles[mask].sum() / int(index.instr_counts[mask].sum()))
-        out[int(bid)] = (cpi, n)
+            out[int(bid)] = float(index.event_cycles[mask].sum() / int(index.instr_counts[mask].sum()))
     return out
 
 
@@ -309,9 +309,8 @@ def test_attribution_equals_mask_loop_exactly(n_blocks, sparse):
         expected = mask_loop_profiles(trace, mode)
         profiles = attribute_block_cpi(trace, mode=mode)
         assert list(profiles) == list(expected)  # ascending block id
-        for bid, (cpi, n) in expected.items():
-            assert profiles[bid].cpi == cpi  # exact: same additions, same order
-            assert profiles[bid].occurrence_total == n
+        for bid, cpi in expected.items():
+            assert profiles[bid] == cpi  # exact: same additions, same order
 
 
 def test_sparse_ids_analyze_and_serialize_like_renumbered_ids():
@@ -347,8 +346,8 @@ def test_sparse_ids_analyze_and_serialize_like_renumbered_ids():
     assert serialize_trace(sparse) == "\n".join(renumbered) + "\n"
 
     for mode in ("golden", "quantum"):
-        a = list(analyze(dense, mode=mode).walk())
-        b = list(analyze(sparse, mode=mode).walk())
+        a = list(analyze(dense, profiles=attribute_block_cpi(dense, mode)).walk())
+        b = list(analyze(sparse, profiles=attribute_block_cpi(sparse, mode)).walk())
         assert len(a) == len(b) and len(a) > 1
         for x, y in zip(a, b):
             assert sparse_of[x.head_block] == y.head_block

@@ -167,7 +167,7 @@ def test_template_anchored_late_wraps_backwards():
 
 
 def test_tq_phase_list_renders_step():
-    source = TqPhaseList(10, [TqPhase(0, 2, 1.0), TqPhase(2, 2, 2.0)], 0.1)
+    source = TqPhaseList(10, [TqPhase(0, 2, 1.0), TqPhase(2, 2, 2.0)])
     wave = predict_waveform(source, 40, 40)
     np.testing.assert_allclose(wave.samples, [1.0] * 20 + [2.0] * 20)
 

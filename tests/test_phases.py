@@ -3,6 +3,7 @@ structure classification, the recursive driver, and marker export."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,28 @@ def wave(samples, stride=1, origin=0):
         origin_instruction=origin,
         sample_heads=np.zeros(samples.size, dtype=np.int64),
     )
+
+
+# --- config -------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value, noun", [
+    ("resolution", float("nan"), "an integer"),
+    ("max_depth", 2.5, "an integer"),
+    ("resolution", True, "an integer"),
+    ("min_segment_instructions", "64", "an integer"),
+    ("flat_cpi_range", float("nan"), "a finite real number"),
+    ("flat_spectrum_ratio", True, "a finite real number"),
+    ("boundary_threshold_fraction", "0.5", "a finite real number"),
+])
+def test_config_rejects_a_wrongly_typed_field(field, value, noun):
+    message = f"config field {field} must be {noun}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AnalysisConfig(**{field: value})
+
+
+def test_config_takes_integers_for_float_fields_and_numpy_numbers():
+    config = AnalysisConfig(resolution=np.int64(512), flat_cpi_range=0, flat_spectrum_ratio=np.float64(0.5))
+    assert (config.resolution, config.flat_cpi_range, config.flat_spectrum_ratio) == (512, 0, 0.5)
 
 
 # --- candidate heads ---------------------------------------------------------
@@ -377,9 +400,9 @@ def test_markers_leaf_only_tree():
         repetitions=1,
     ))
     tree = analyze(trace)
-    table = export_markers(tree, trace.blocks)
-    assert set(table.entries) == {trace.blocks[0].start_address}
-    entry = table.entries[trace.blocks[0].start_address]
+    markers = export_markers(tree, trace.blocks)
+    assert set(markers) == {trace.blocks[0].start_address}
+    entry = markers[trace.blocks[0].start_address]
     assert entry.phase_path == ()
     assert entry.additional_paths == []
 
@@ -388,9 +411,9 @@ def test_markers_two_distinct_heads():
     root = PhaseNode(0, 0, 200, 1.5, children=[
         PhaseNode(1, 0, 100, 1.0),
     ])
-    table = export_markers(root, {0: 0x1000, 1: 0x2000})
-    assert set(table.entries) == {0x1000, 0x2000}
-    assert table.entries[0x2000].phase_path == (0,)
+    markers = export_markers(root, {0: 0x1000, 1: 0x2000})
+    assert set(markers) == {0x1000, 0x2000}
+    assert markers[0x2000].phase_path == (0,)
 
 
 def test_markers_shared_head_keeps_shallowest():
@@ -399,8 +422,7 @@ def test_markers_shared_head_keeps_shallowest():
         PhaseNode(0, 0, 100, 1.2, children=[inner]),
         PhaseNode(1, 100, 100, 2.0),
     ])
-    table = export_markers(root, {0: 0x1000, 1: 0x2000})
-    entry = table.entries[0x1000]
+    entry = export_markers(root, {0: 0x1000, 1: 0x2000})[0x1000]
     assert entry.phase_path == ()
     assert entry.mean_cpi == 1.5
     assert entry.additional_paths == [(0,), (0, 0)]
@@ -445,7 +467,7 @@ def test_tree_is_well_formed_and_node_means_are_exact(spec):
     validate_tree(tree)
     # every instruction of event e costs its block's attributed CPI
     profiles = attribute_block_cpi(trace)
-    rates = np.array([profiles[b].cpi for b in trace.event_blocks.tolist()])
+    rates = np.array([profiles[b] for b in trace.event_blocks.tolist()])
     starts, ends = trace.event_starts[:-1], trace.event_starts[1:]
     for node in tree.walk():
         lo, hi = node.start_instruction, node.end_instruction

@@ -128,7 +128,6 @@ def test_tie_breaks_toward_smaller_occurrence():
     spectrum = Spectrum(
         magnitudes=np.array([5.0, 0.1, 0.0, 0.9, 0.2, 0.3, 0.9]),
         source_length_instructions=600,
-        sample_count=12,
     )
     main = main_spectrum(spectrum)
     assert main.occurrence == 3
@@ -139,7 +138,6 @@ def test_flat_spectrum_raises():
     spectrum = Spectrum(
         magnitudes=np.array([2.0, 0.0, 0.0]),
         source_length_instructions=4,
-        sample_count=4,
     )
     with pytest.raises(FlatSpectrumError):
         main_spectrum(spectrum)
@@ -173,7 +171,7 @@ def test_spectrum_csv_reserves_row_zero_for_dc():
 def test_spectrum_csv_matches_the_per_row_writer():
     magnitudes = dft_magnitude(wave(np.where(np.arange(256) % 32 < 12, 2.75, 0.5))).magnitudes
     assert (magnitudes < 1e-4).any()  # round-off bins take the exponent spelling
-    spectrum = Spectrum(magnitudes=magnitudes, source_length_instructions=256, sample_count=256)
+    spectrum = Spectrum(magnitudes=magnitudes, source_length_instructions=256)
     rows = ["occurrence,magnitude"]
     for k, mag in enumerate(spectrum.magnitudes):
         rows.append(f"{k},{float(mag)!r}")

@@ -1,13 +1,21 @@
 """Scenario generator: determinism, block table realization, quantum
 records, annotation shape, and scenario JSON handling."""
 
+import itertools
 import math
+import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasescope import (
+    BlockDescriptor,
     EntryKind,
+    ExecutionTrace,
+    GoldenAnnotation,
     ScenarioSpec,
     SegmentSpec,
     Structure,
@@ -15,7 +23,18 @@ from phasescope import (
     generate,
     serialize_trace,
 )
-from phasescope.synth import ScenarioError, scenario_from_json, scenario_json
+from phasescope.attribution import EventIndex, quantum_cpis
+from phasescope.phases import tree_json
+from phasescope.synth import (
+    _ADDRESS_PITCH,
+    _BASE_ADDRESS,
+    _MIN_CPI,
+    ScenarioError,
+    _build_annotation,
+    _validate,
+    scenario_from_json,
+    scenario_json,
+)
 
 
 def flat(label, cpi, instrs, events, entry=EntryKind.FALLTHROUGH):
@@ -226,3 +245,196 @@ def test_scenario_json_keeps_numbers_as_written():
     assert (spec.repetitions, spec.seed, spec.segments[0].nested_repetitions) == (3.0, "7", 2.5)
     with pytest.raises(ScenarioError, match="repetitions must be an integer"):
         generate(spec)
+
+
+# --- run layout against the run-by-run expansion --------------------------------
+
+@dataclass
+class _Run:
+    segment: SegmentSpec
+    entry: EntryKind
+
+
+def _flatten(segments: list[SegmentSpec]) -> list[_Run]:
+    runs: list[_Run] = []
+    for seg in segments:
+        if seg.nested:
+            for rep in range(seg.nested_repetitions):
+                sub = _flatten(seg.nested)
+                if rep == 0:
+                    # the group is entered from outside on its first iteration
+                    sub[0] = _Run(sub[0].segment, seg.entry_kind)
+                runs.extend(sub)
+        else:
+            runs.append(_Run(seg, seg.entry_kind))
+    return runs
+
+
+def _assign_blocks(
+    runs: list[_Run], repetitions: int
+) -> tuple[dict[int, BlockDescriptor], list[int]]:
+    """(block table, block id of each run): one block per flat segment,
+    numbered and addressed in first-appearance order, with terminators
+    encoding how each block's successor is entered."""
+    block_of: dict[int, int] = {}  # id(SegmentSpec) -> block_id
+    run_blocks = [block_of.setdefault(id(run.segment), len(block_of)) for run in runs]
+
+    def address(block_id: int) -> int:
+        return _BASE_ADDRESS + block_id * _ADDRESS_PITCH
+
+    desired: dict[int, list[tuple[EntryKind, int]]] = {b: [] for b in block_of.values()}
+    for j, src in enumerate(run_blocks):
+        if j == len(runs) - 1 and repetitions < 2:
+            break  # the wrap edge never executes
+        nxt = (j + 1) % len(runs)
+        edge = (runs[nxt].entry, run_blocks[nxt])
+        if edge not in desired[src]:
+            desired[src].append(edge)
+
+    blocks: dict[int, BlockDescriptor] = {}
+    for run, bid in zip(runs, run_blocks):
+        if bid in blocks:
+            continue
+        seg = run.segment
+        calls = [t for k, t in desired[bid] if k is EntryKind.CALL]
+        backs = [t for k, t in desired[bid] if k is EntryKind.BACKWARD_BRANCH]
+        if calls:
+            terminator, target = Terminator.CALL, address(calls[0])
+        elif backs:
+            target = address(backs[0])
+            if target > address(bid):
+                raise ScenarioError(
+                    f"segment {seg.label!r}: backward-branch entry is not "
+                    f"realizable (target lies after the branching block); "
+                    f"reorder segments so the loop head comes first"
+                )
+            terminator = Terminator.BRANCH
+        else:
+            terminator, target = Terminator.FALLTHROUGH, None
+        blocks[bid] = BlockDescriptor(
+            block_id=bid,
+            start_address=address(bid),
+            instruction_count=seg.block_instruction_count,
+            terminator=terminator,
+            target_address=target,
+        )
+    return blocks, run_blocks
+
+
+def run_by_run_generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
+    """Reference generate: the scenario expanded into one Python object per run."""
+    _validate(spec)
+    runs = _flatten(spec.segments)
+    blocks, run_blocks = _assign_blocks(runs, spec.repetitions)
+
+    run_events = [run.segment.event_count for run in runs]
+    run_instr = [run.segment.block_instruction_count for run in runs]
+    run_cpi = [run.segment.block_cpi for run in runs]
+    run_starts = np.zeros(len(runs), dtype=np.int64)
+    np.cumsum(np.multiply(run_events, run_instr)[:-1], out=run_starts[1:])
+
+    event_block = np.tile(np.repeat(run_blocks, run_events), spec.repetitions)
+    event_instr = np.tile(np.repeat(run_instr, run_events), spec.repetitions)
+    event_cpi = np.tile(np.repeat(run_cpi, run_events), spec.repetitions).astype(float)
+    if spec.noise_stddev > 0:
+        rng = np.random.Generator(np.random.PCG64(spec.seed))
+        noise = rng.normal(0.0, spec.noise_stddev, size=event_cpi.size)
+        event_cpi = np.maximum(_MIN_CPI, event_cpi + noise)
+    cycles = event_cpi * event_instr
+
+    quanta = None
+    if spec.quantum_length is not None:
+        starts = np.zeros(event_instr.size + 1, dtype=np.int64)
+        np.cumsum(event_instr, out=starts[1:])
+        quanta = quantum_cpis(EventIndex(event_block, starts, event_instr, cycles), spec.quantum_length)
+    trace = ExecutionTrace(blocks=blocks, event_blocks=event_block, event_cycles=cycles,
+                           quanta=quanta, quantum_length=spec.quantum_length)
+    return trace, GoldenAnnotation(_build_annotation(spec, trace, run_blocks, run_starts))
+
+
+@st.composite
+def layered_scenarios(draw):
+    """Up to three levels of groups, every entry kind, group and scenario
+    repetitions of 1 and more, and one flat segment object used twice."""
+    labels = itertools.count()
+    kinds = st.sampled_from(list(EntryKind))
+    made: list[SegmentSpec] = []
+
+    def segments(depth):
+        out = []
+        for _ in range(draw(st.integers(1, 3))):
+            if depth < 2 and draw(st.booleans()):
+                out.append(SegmentSpec(f"g{next(labels)}", nested=segments(depth + 1),
+                                       nested_repetitions=draw(st.sampled_from([1, 2, 3, 5])),
+                                       entry_kind=draw(kinds)))
+            else:
+                made.append(SegmentSpec(f"s{next(labels)}", block_cpi=draw(st.floats(0.5, 4.0)),
+                                        block_instruction_count=draw(st.integers(1, 20)),
+                                        event_count=draw(st.integers(1, 4)),
+                                        entry_kind=draw(kinds)))
+                out.append(made[-1])
+        return out
+
+    top = segments(0)
+    reused = made[draw(st.integers(0, len(made) - 1))]
+    top.insert(draw(st.integers(0, len(top))), reused)
+    return ScenarioSpec(
+        segments=top,
+        repetitions=draw(st.sampled_from([1, 2, 3])),
+        noise_stddev=draw(st.sampled_from([0.0, 0.1])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        quantum_length=draw(st.one_of(st.none(), st.integers(1, 200))),
+    )
+
+
+def _outcome(make, spec):
+    try:
+        trace, annotation = make(spec)
+    except ScenarioError as exc:
+        return str(exc)
+    return trace, tree_json(annotation.true_phases, trace.blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=layered_scenarios())
+def test_layout_matches_the_run_by_run_expansion(spec):
+    expected, got = _outcome(run_by_run_generate, spec), _outcome(generate, spec)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    (want, want_json), (trace, annotation_json) = expected, got
+    assert trace.blocks == want.blocks
+    assert trace.event_blocks.tolist() == want.event_blocks.tolist()
+    assert trace.event_cycles.tolist() == want.event_cycles.tolist()
+    assert (trace.quanta is None and want.quanta is None) or \
+        trace.quanta.tolist() == want.quanta.tolist()
+    assert annotation_json == want_json
+
+
+def test_unrealizable_backward_branch_inside_a_group_names_the_segment():
+    spec = ScenarioSpec(segments=[
+        flat("head", 1.0, 4, 2),
+        SegmentSpec("g", nested=[flat("x", 2.0, 4, 2), flat("y", 1.5, 4, 1)], nested_repetitions=3),
+        flat("later", 2.5, 4, 2, entry=EntryKind.BACKWARD_BRANCH),
+    ], repetitions=2)
+    message = _outcome(run_by_run_generate, spec)
+    assert message.startswith("segment 'y': backward-branch entry is not realizable")
+    assert _outcome(generate, spec) == message
+
+
+def test_nested_repetitions_cost_per_segment_not_per_run():
+    runs = 200_000
+    nested = ScenarioSpec(segments=[
+        SegmentSpec("g", nested=[flat("a", 1.5, 3, 1)], nested_repetitions=runs)])
+    one_run = ScenarioSpec(segments=[flat("a", 1.5, 3, runs)])
+
+    def best_of(spec):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            generate(spec)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert serialize_trace(generate(nested)[0]) == serialize_trace(generate(one_run)[0])
+    assert best_of(nested) < 8 * best_of(one_run)
