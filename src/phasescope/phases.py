@@ -30,7 +30,7 @@ from .attribution import (
     split_by_block,
     weighted_cpi_prefix,
 )
-from .spectral import FlatSpectrumError, Spectrum, dft_magnitude, is_flat, main_spectrum
+from .spectral import Spectrum, dft_magnitude, is_flat, main_spectrum
 from .trace import BlockDescriptor, ExecutionTrace, Terminator
 
 
@@ -250,25 +250,18 @@ class _Analysis:
             return node
 
         wave = sample_range(self.index, self.rates, start, stop, cfg.resolution)
-        if wave.samples.size < 2:
-            return node
         spectrum = dft_magnitude(wave)
         if self.spectrum_sink is not None:
             self.spectrum_sink(depth, start, stop, spectrum)
         if is_flat(wave, spectrum, cfg):
-            return node
-        try:
-            main = main_spectrum(spectrum)
-        except FlatSpectrumError:
-            return node
+            return node  # else some non-DC bin is nonzero, as main_spectrum needs
+        main = main_spectrum(spectrum)
 
         if main.occurrence == 1:
             split = split_step(wave)
             if split is None:
                 return node
             boundary = split[0]
-            if not start < boundary < stop:
-                return node
             node.children = [
                 self.segment(start, boundary, depth + 1, 1),
                 self.segment(boundary, stop, depth + 1, 1),

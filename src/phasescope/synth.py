@@ -30,6 +30,7 @@ from .trace import BlockDescriptor, ExecutionTrace, Terminator
 _BASE_ADDRESS = 0x1000
 _ADDRESS_PITCH = 0x100
 _MIN_CPI = 0.05
+_INT64_MAX = 2**63 - 1
 
 
 class ScenarioError(ValueError):
@@ -94,7 +95,10 @@ def _check_number(what: str, value, kind: type, positive: bool = True) -> None:
         raise ScenarioError(f"{what} must be {'positive' if positive else 'non-negative'}")
 
 
-def _validate(spec: ScenarioSpec) -> None:
+def _validate(spec: ScenarioSpec) -> dict[int, tuple[int, float, int]]:
+    """Check the scenario and measure it in one walk: the result maps each
+    segment's id(), and the scenario's own, to the (instructions, scripted
+    cycles, runs) of one pass through it (the whole trace for the scenario)."""
     if not spec.segments:
         raise ScenarioError("scenario needs at least one segment")
     _check_number("repetitions", spec.repetitions, Integral)
@@ -103,39 +107,54 @@ def _validate(spec: ScenarioSpec) -> None:
     if spec.quantum_length is not None:
         _check_number("quantum_length", spec.quantum_length, Integral)
 
+    # cycles take each count through min(count, _INT64_MAX): a count past
+    # int64 fails the total check below and must not make the int-to-float
+    # conversion raise OverflowError first
+    sizes: dict[int, tuple[int, float, int]] = {}
     min_cpi = float("inf")
 
-    def check(seg: SegmentSpec) -> tuple[int, int]:
-        """(events, instructions) of one pass through seg, as Python ints."""
+    def measure(seg: SegmentSpec) -> tuple[int, int, float, int]:
+        """(events, instructions, cycles, runs) of one pass through seg."""
         nonlocal min_cpi
         if seg.nested:
             _check_number(f"segment {seg.label!r}: nested_repetitions", seg.nested_repetitions, Integral)
-            return repeated(seg.nested, seg.nested_repetitions)
-        if seg.block_cpi is None or seg.block_instruction_count is None or seg.event_count is None:
-            raise ScenarioError(
-                f"segment {seg.label!r}: flat segment needs block_cpi, "
-                f"block_instruction_count and event_count"
-            )
-        for name, kind in (("block_cpi", Real), ("block_instruction_count", Integral),
-                           ("event_count", Integral)):
-            _check_number(f"segment {seg.label!r}: {name}", getattr(seg, name), kind)
-        min_cpi = min(min_cpi, seg.block_cpi)
-        return seg.event_count, seg.event_count * seg.block_instruction_count
+            size = repeated(seg.nested, seg.nested_repetitions)
+        else:
+            if seg.block_cpi is None or seg.block_instruction_count is None or seg.event_count is None:
+                raise ScenarioError(
+                    f"segment {seg.label!r}: flat segment needs block_cpi, "
+                    f"block_instruction_count and event_count"
+                )
+            for name, kind in (("block_cpi", Real), ("block_instruction_count", Integral),
+                               ("event_count", Integral)):
+                _check_number(f"segment {seg.label!r}: {name}", getattr(seg, name), kind)
+            min_cpi = min(min_cpi, seg.block_cpi)
+            instructions = seg.event_count * seg.block_instruction_count
+            size = (seg.event_count, instructions, min(instructions, _INT64_MAX) * seg.block_cpi, 1)
+        sizes[id(seg)] = size[1:]
+        return size
 
-    def repeated(segments: list[SegmentSpec], repetitions: int) -> tuple[int, int]:
-        events = instructions = 0
+    def repeated(segments: list[SegmentSpec], repetitions: int) -> tuple[int, int, float, int]:
+        events = instructions = runs = 0
+        cycles = 0.0
         for seg in segments:
-            n_events, n_instructions = check(seg)
+            n_events, n_instructions, n_cycles, n_runs = measure(seg)
             events += n_events
             instructions += n_instructions
-        return events * repetitions, instructions * repetitions
+            cycles += n_cycles
+            runs += n_runs
+        return (events * repetitions, instructions * repetitions,
+                cycles * min(repetitions, _INT64_MAX), runs * repetitions)
 
+    events, instructions, cycles, runs = repeated(spec.segments, spec.repetitions)
     # checked before anything is allocated: the event columns are int64
-    for what, total in zip(("events", "instructions"), repeated(spec.segments, spec.repetitions)):
-        if total > np.iinfo(np.int64).max:
+    for what, total in (("events", events), ("instructions", instructions)):
+        if total > _INT64_MAX:
             raise ScenarioError(f"scenario has {total} {what} in total, more than int64 holds")
     if spec.noise_stddev >= min_cpi:
         raise ScenarioError("noise_stddev must stay below the smallest segment CPI")
+    sizes[id(spec)] = instructions, cycles, runs
+    return sizes
 
 
 def _layout(segments: list[SegmentSpec], flat: dict[int, tuple[int, SegmentSpec]]) -> np.ndarray:
@@ -199,60 +218,6 @@ def _assign_blocks(
     return blocks
 
 
-def _segment_extent(seg: SegmentSpec) -> tuple[int, float]:
-    """(instruction length, scripted cycle total) of one segment body."""
-    if seg.is_flat:
-        instrs = seg.block_instruction_count * seg.event_count
-        return instrs, instrs * seg.block_cpi
-    length = 0
-    cycles = 0.0
-    for inner in seg.nested:
-        n, c = _segment_extent(inner)
-        length += n
-        cycles += c
-    return length * seg.nested_repetitions, cycles * seg.nested_repetitions
-
-
-def _annotation_nodes(
-    segments: list[SegmentSpec],
-    start: int,
-    wrap_block: Optional[int],
-    head_at,
-    classify_at,
-) -> list[PhaseNode]:
-    """Nodes for a segment list whose repeating context re-enters its first
-    segment from wrap_block (None when nothing recurs into it)."""
-    nodes: list[PhaseNode] = []
-    cursor = start
-    for seg in segments:
-        length, cycles = _segment_extent(seg)
-        context = wrap_block if cursor == start else head_at(cursor - 1)
-        if seg.is_flat or seg.nested_repetitions >= 2:
-            node = PhaseNode(
-                head_block=head_at(cursor),
-                start_instruction=cursor,
-                length_instructions=length if seg.is_flat
-                else length // seg.nested_repetitions,
-                mean_cpi=cycles / length,
-                occurrence=1 if seg.is_flat else seg.nested_repetitions,
-                structure=classify_at(cursor, context),
-            )
-            if not seg.is_flat and (len(seg.nested) > 1 or seg.nested[0].nested):
-                iteration = length // seg.nested_repetitions
-                inner_wrap = head_at(cursor + iteration - 1)
-                node.children = _annotation_nodes(
-                    seg.nested, cursor, inner_wrap, head_at, classify_at
-                )
-            nodes.append(node)
-        else:
-            # a single pass through the group adds no level of its own
-            nodes.extend(
-                _annotation_nodes(seg.nested, cursor, context, head_at, classify_at)
-            )
-        cursor += length
-    return nodes
-
-
 def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
     """Emit (golden trace, scripted annotation) for a scenario.
 
@@ -260,7 +225,7 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
     CPI noise (clamped so CPI never drops below 0.05); quantum records, when
     requested, are computed exactly from the noisy events.
     """
-    _validate(spec)
+    sizes = _validate(spec)
     numbered: dict[int, tuple[int, SegmentSpec]] = {}
     runs, kinds = _layout(spec.segments, numbered).T
     flat = [seg for _, seg in numbered.values()]
@@ -270,8 +235,6 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
     run_events = np.array([seg.event_count for seg in flat], dtype=np.int64)[runs]
     run_instr = np.array([seg.block_instruction_count for seg in flat], dtype=np.int64)[runs]
     run_cpi = np.array([seg.block_cpi for seg in flat], dtype=float)[runs]
-    run_starts = np.zeros(runs.size, dtype=np.int64)
-    np.cumsum((run_events * run_instr)[:-1], out=run_starts[1:])
 
     event_block = np.tile(np.repeat(runs, run_events), spec.repetitions)
     event_instr = np.tile(np.repeat(run_instr, run_events), spec.repetitions)
@@ -299,58 +262,78 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
         quantum_length=spec.quantum_length,
     )
 
-    annotation = GoldenAnnotation(_build_annotation(spec, trace, runs, run_starts))
-    return trace, annotation
+    return trace, GoldenAnnotation(_build_annotation(spec, blocks, runs.tolist(), sizes))
 
 
 def _build_annotation(
-    spec: ScenarioSpec, trace: ExecutionTrace, run_blocks: np.ndarray, run_starts: np.ndarray
+    spec: ScenarioSpec,
+    blocks: dict[int, BlockDescriptor],
+    runs: list[int],
+    sizes: dict[int, tuple[int, float, int]],
 ) -> PhaseNode:
-    """Scripted phase tree; run_blocks and run_starts give the block id and
-    first instruction of each run of one period."""
-    total = trace.total_instructions
-    period = total // spec.repetitions
-    total_cycles = sum(_segment_extent(s)[1] for s in spec.segments) * spec.repetitions
+    """Scripted phase tree; runs holds the block id of each run of one
+    period and sizes what _validate measured."""
 
-    def head_at(offset: int) -> int:
-        j = int(run_starts.searchsorted(offset, side="right")) - 1
-        return int(run_blocks[j])
+    def classify(head: int, context: Optional[int]) -> Structure:
+        return classify_structure(blocks[head], blocks[context] if context is not None else None)
 
-    def classify_at(offset: int, context_block: Optional[int]) -> Structure:
-        context = trace.blocks[context_block] if context_block is not None else None
-        return classify_structure(trace.blocks[head_at(offset)], context)
+    def nodes(
+        segments: list[SegmentSpec], cursor: int, j: int, wrap_block: Optional[int]
+    ) -> list[PhaseNode]:
+        """Nodes for a segment list starting at instruction cursor and run j,
+        whose repeating context re-enters its first segment from wrap_block
+        (None when nothing recurs into it)."""
+        out: list[PhaseNode] = []
+        context = wrap_block
+        for seg in segments:
+            length, cycles, n_runs = sizes[id(seg)]
+            if seg.is_flat or seg.nested_repetitions >= 2:
+                reps = 1 if seg.is_flat else seg.nested_repetitions
+                node = PhaseNode(
+                    head_block=runs[j],
+                    start_instruction=cursor,
+                    length_instructions=length // reps,
+                    mean_cpi=cycles / length,
+                    occurrence=reps,
+                    structure=classify(runs[j], context),
+                )
+                if not seg.is_flat and (len(seg.nested) > 1 or seg.nested[0].nested):
+                    # an inner iteration is re-entered from its own last run
+                    node.children = nodes(seg.nested, cursor, j, runs[j + n_runs // reps - 1])
+                out.append(node)
+            else:
+                # a single pass through the group adds no level of its own
+                out.extend(nodes(seg.nested, cursor, j, context))
+            cursor += length
+            j += n_runs
+            context = runs[j - 1]
+        return out
 
-    period_wrap = int(run_blocks[-1]) if spec.repetitions >= 2 else None
-
+    total, total_cycles, _ = sizes[id(spec)]
     root = PhaseNode(
-        head_block=int(run_blocks[0]),
+        head_block=runs[0],
         start_instruction=0,
         length_instructions=total,
         mean_cpi=total_cycles / total,
         occurrence=1,
         structure=Structure.NONE,
     )
-    single_flat = len(spec.segments) == 1 and spec.segments[0].is_flat
-    if single_flat:
+    if len(spec.segments) == 1 and spec.segments[0].is_flat:
         return root  # a repeated constant run is one phase
 
     if spec.repetitions >= 2:
         template = PhaseNode(
             head_block=root.head_block,
             start_instruction=0,
-            length_instructions=period,
+            length_instructions=total // spec.repetitions,
             mean_cpi=root.mean_cpi,
             occurrence=spec.repetitions,
-            structure=classify_at(0, period_wrap),
+            structure=classify(runs[0], runs[-1]),
         )
-        template.children = _annotation_nodes(
-            spec.segments, 0, period_wrap, head_at, classify_at
-        )
+        template.children = nodes(spec.segments, 0, 0, runs[-1])
         root.children = [template]
     else:
-        root.children = _annotation_nodes(
-            spec.segments, 0, None, head_at, classify_at
-        )
+        root.children = nodes(spec.segments, 0, 0, None)
     return root
 
 

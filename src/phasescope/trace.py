@@ -12,8 +12,9 @@ stream, one record per line:
 ``#`` starts a comment. A trace is "golden" when every event carries a
 cycle count, and "quantum" when Q/L records are present; at least one of
 the two must hold (both is fine for validation traces). Decimal fields
-must fit in a signed 64-bit integer; cycle counts and quantum CPIs must be
-finite.
+must fit in a signed 64-bit integer; cycle counts must be finite and
+non-negative, quantum CPIs finite and positive, and block start addresses
+distinct.
 
 In memory the event stream is two numpy columns, block ids and cycle
 counts, built and validated once; validation also derives each event's
@@ -26,7 +27,7 @@ The parser reads lines in fixed-size chunks. A chunk made only of ``E``
 lines is converted by one ``np.loadtxt`` call into a record array (kind,
 block id and, when present, cycle count). Any other chunk, and any chunk
 numpy's reader rejects or whose values fail a check (a kind other than
-``E``, a non-finite cycle count, an unknown block), goes through the
+``E``, a non-finite or negative cycle count, an unknown block), goes through the
 line-by-line loop, which gives the same columns and names the offending
 line.
 
@@ -244,13 +245,18 @@ def _parse_address(token: str, what: str, line: int) -> int:
         raise TraceFormatError(f"malformed {what} {token!r}", line) from None
 
 
-def _parse_float(token: str, what: str, line: int) -> float:
+def _parse_float(token: str, what: str, line: int, positive: bool = False) -> float:
+    """Finite decimal field, non-negative, or positive when asked."""
     try:
         value = float(token)
     except ValueError:
         raise TraceFormatError(f"malformed {what} {token!r}", line) from None
     if not math.isfinite(value):
         raise TraceFormatError(f"non-finite {what} {token!r}", line)
+    if not (value > 0 if positive else value >= 0):
+        raise TraceFormatError(
+            f"{what} {token!r} must be {'positive' if positive else 'non-negative'}", line
+        )
     return value
 
 
@@ -289,8 +295,8 @@ def _event_columns(
     ids = rows["block"].copy()
     if "cycles" in layout.names:
         cycles = rows["cycles"].copy()
-        if not np.isfinite(cycles).all():
-            return None
+        if not ((cycles >= 0) & (cycles < math.inf)).all():
+            return None  # NaN, infinite or negative: the line loop names the line
     else:
         cycles = np.full(ids.size, math.nan)
     if (positions_in(known, ids) < 0).any():
@@ -312,6 +318,7 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
     block_parts: list[np.ndarray] = []
     cycle_parts: list[np.ndarray] = []
     quanta: list[float] = []
+    addresses: set[int] = set()
     quantum_length: Optional[int] = None
     saw_version = False
 
@@ -357,6 +364,9 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
                         blocks[bid] = BlockDescriptor(bid, addr, count, term, target)
                     except TraceFormatError as exc:
                         raise TraceFormatError(str(exc), lineno) from None
+                    if addr in addresses:
+                        raise TraceFormatError(f"duplicate start_address {addr:#x}", lineno)
+                    addresses.add(addr)
                 elif kind == "E":
                     if len(fields) not in (2, 3):
                         raise TraceFormatError("malformed event record", lineno)
@@ -378,7 +388,7 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
                             f"quantum indices must be contiguous from 0 (got {qidx} at {len(quanta)})",
                             lineno,
                         )
-                    quanta.append(_parse_float(fields[2], "quantum cpi", lineno))
+                    quanta.append(_parse_float(fields[2], "quantum cpi", lineno, positive=True))
                 elif kind == "L":
                     if len(fields) != 2:
                         raise TraceFormatError("malformed quantum length record", lineno)

@@ -212,6 +212,9 @@ def test_config_file_and_flag_overrides(tmp_path, trace_file):
     ("V 1\nB 0 1000 10 F\nE 0\nE 0\nL 10\nQ 0 nan\nQ 1 1.5\n", 6),
     ("V 1\nB 9223372036854775808 1000 5 F\nE 0 5.0\n", 2),
     ("V 1\nB 0 1000 5 F\nE 99999999999999999999 5.0\n", 3),
+    ("V 1\nB 0 1000 5 F\nE 0 5.0\nE 0 -5.0\n", 4),
+    ("V 1\nB 0 1000 10 F\nE 0\nE 0\nL 10\nQ 0 1.5\nQ 1 -2.0\n", 7),
+    ("V 1\nB 0 1000 5 F\nB 1 1000 5 F\nE 0 5.0\n", 3),
 ])
 def test_non_finite_and_out_of_range_input_exits_2(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.trace"
@@ -487,6 +490,9 @@ def test_synth_rejects_a_wrongly_typed_number_naming_the_field(tmp_path, capsys,
     (lambda s: s["segments"][1].update(nested_repetitions=2**62), f"{(3 + 2 * 2**62) * 2} events"),
     (lambda s: s["segments"][0].update(block_instruction_count=2**62),
      f"{(3 * 2**62 + 4 * 2 * 2) * 2} instructions"),
+    # past a float's range too: the scripted cycle sums must not raise first
+    (lambda s: s["segments"][0].update(event_count=10**400), f"{(10**400 + 2 * 2) * 2} events"),
+    (lambda s: s["segments"][1].update(nested_repetitions=10**400), f"{(3 + 2 * 10**400) * 2} events"),
 ])
 def test_synth_refuses_a_scenario_beyond_int64_before_allocating(tmp_path, capsys, change, message):
     scenario = json.loads(json.dumps(NESTED_SCENARIO))

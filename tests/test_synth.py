@@ -5,6 +5,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from phasescope import (
     EntryKind,
     ExecutionTrace,
     GoldenAnnotation,
+    PhaseNode,
     ScenarioSpec,
     SegmentSpec,
     Structure,
     Terminator,
+    classify_structure,
     generate,
     serialize_trace,
 )
@@ -30,7 +33,6 @@ from phasescope.synth import (
     _BASE_ADDRESS,
     _MIN_CPI,
     ScenarioError,
-    _build_annotation,
     _validate,
     scenario_from_json,
     scenario_json,
@@ -321,8 +323,114 @@ def _assign_blocks(
     return blocks, run_blocks
 
 
+def _segment_extent(seg: SegmentSpec) -> tuple[int, float]:
+    """(instruction length, scripted cycle total) of one segment body."""
+    if seg.is_flat:
+        instrs = seg.block_instruction_count * seg.event_count
+        return instrs, instrs * seg.block_cpi
+    length = 0
+    cycles = 0.0
+    for inner in seg.nested:
+        n, c = _segment_extent(inner)
+        length += n
+        cycles += c
+    return length * seg.nested_repetitions, cycles * seg.nested_repetitions
+
+
+def _annotation_nodes(
+    segments: list[SegmentSpec],
+    start: int,
+    wrap_block: Optional[int],
+    head_at,
+    classify_at,
+) -> list[PhaseNode]:
+    """Nodes for a segment list whose repeating context re-enters its first
+    segment from wrap_block (None when nothing recurs into it)."""
+    nodes: list[PhaseNode] = []
+    cursor = start
+    for seg in segments:
+        length, cycles = _segment_extent(seg)
+        context = wrap_block if cursor == start else head_at(cursor - 1)
+        if seg.is_flat or seg.nested_repetitions >= 2:
+            node = PhaseNode(
+                head_block=head_at(cursor),
+                start_instruction=cursor,
+                length_instructions=length if seg.is_flat
+                else length // seg.nested_repetitions,
+                mean_cpi=cycles / length,
+                occurrence=1 if seg.is_flat else seg.nested_repetitions,
+                structure=classify_at(cursor, context),
+            )
+            if not seg.is_flat and (len(seg.nested) > 1 or seg.nested[0].nested):
+                iteration = length // seg.nested_repetitions
+                inner_wrap = head_at(cursor + iteration - 1)
+                node.children = _annotation_nodes(
+                    seg.nested, cursor, inner_wrap, head_at, classify_at
+                )
+            nodes.append(node)
+        else:
+            # a single pass through the group adds no level of its own
+            nodes.extend(
+                _annotation_nodes(seg.nested, cursor, context, head_at, classify_at)
+            )
+        cursor += length
+    return nodes
+
+
+def _build_annotation(
+    spec: ScenarioSpec, trace: ExecutionTrace, run_blocks: np.ndarray, run_starts: np.ndarray
+) -> PhaseNode:
+    """Scripted phase tree; run_blocks and run_starts give the block id and
+    first instruction of each run of one period."""
+    total = trace.total_instructions
+    period = total // spec.repetitions
+    total_cycles = sum(_segment_extent(s)[1] for s in spec.segments) * spec.repetitions
+
+    def head_at(offset: int) -> int:
+        j = int(run_starts.searchsorted(offset, side="right")) - 1
+        return int(run_blocks[j])
+
+    def classify_at(offset: int, context_block: Optional[int]) -> Structure:
+        context = trace.blocks[context_block] if context_block is not None else None
+        return classify_structure(trace.blocks[head_at(offset)], context)
+
+    period_wrap = int(run_blocks[-1]) if spec.repetitions >= 2 else None
+
+    root = PhaseNode(
+        head_block=int(run_blocks[0]),
+        start_instruction=0,
+        length_instructions=total,
+        mean_cpi=total_cycles / total,
+        occurrence=1,
+        structure=Structure.NONE,
+    )
+    single_flat = len(spec.segments) == 1 and spec.segments[0].is_flat
+    if single_flat:
+        return root  # a repeated constant run is one phase
+
+    if spec.repetitions >= 2:
+        template = PhaseNode(
+            head_block=root.head_block,
+            start_instruction=0,
+            length_instructions=period,
+            mean_cpi=root.mean_cpi,
+            occurrence=spec.repetitions,
+            structure=classify_at(0, period_wrap),
+        )
+        template.children = _annotation_nodes(
+            spec.segments, 0, period_wrap, head_at, classify_at
+        )
+        root.children = [template]
+    else:
+        root.children = _annotation_nodes(
+            spec.segments, 0, None, head_at, classify_at
+        )
+    return root
+
+
 def run_by_run_generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
-    """Reference generate: the scenario expanded into one Python object per run."""
+    """Reference generate: the scenario expanded into one Python object per
+    run, and the annotation measured node by node from the run starts."""
     _validate(spec)
     runs = _flatten(spec.segments)
     blocks, run_blocks = _assign_blocks(runs, spec.repetitions)

@@ -436,7 +436,7 @@ def assert_parses_as_the_line_loop(text, as_file=False):
     "E\x00 1 5.0", "EX 1 5.0", "EXY 1 5.0", "e 1 5.0", "", "  \t",
     "E 1 nan", "E 1 -inf", "E 1 1e400", "E 9 5.0", "E 1 5.0 7", "E 1 5.0 # note",
     "E 1_0 5.0", "E \u0663 5.0", "E 1 \u0663", "E 5.0 5.0", "E 1 0x10", "E 1",
-    "E\t1\t5.0", "E\xa01 +5", "E 003 .5", "E -0 -0.0",
+    "E\t1\t5.0", "E\xa01 +5", "E 003 .5", "E -0 -0.0", "E 1 -5.0",
 ])
 def test_each_fast_path_guard_falls_back_to_the_line_loop(line):
     """One odd line deep in a full chunk of E lines parses, or fails, as in
