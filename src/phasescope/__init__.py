@@ -12,7 +12,6 @@ from .attribution import (
 from .baseline import ErrorReport, TqPhase, TqPhaseList, error_rate, predict_waveform, tq_phases
 from .phases import (
     AnalysisConfig,
-    NoAlignmentError,
     PhaseNode,
     Structure,
     align_phase,
@@ -51,7 +50,6 @@ __all__ = [
     "FlatSpectrumError",
     "GoldenAnnotation",
     "MainSpectrum",
-    "NoAlignmentError",
     "PhaseNode",
     "ScenarioSpec",
     "SegmentSpec",

@@ -22,23 +22,17 @@ from .trace import ExecutionTrace, TraceFormatError, float_reprs, positions_in
 class Waveform:
     """Uniformly resampled CPI signal.
 
-    samples[k] is the CPI of the block executing instruction
-    origin_instruction + k * sample_stride; sample_heads[k] is that block's
-    id (-1 for predicted waveforms with no underlying block).
+    samples[k] is the CPI at instruction origin_instruction + k * sample_stride.
     """
 
     samples: np.ndarray
     sample_stride: int
     origin_instruction: int
-    sample_heads: np.ndarray
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        self.sample_heads = np.asarray(self.sample_heads, dtype=np.int64)
         if self.samples.size < 1:
             raise ValueError("waveform needs at least one sample")
-        if self.samples.size != self.sample_heads.size:
-            raise ValueError("samples and sample_heads must have equal length")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be positive")
 
@@ -175,12 +169,10 @@ def sample_range(
         raise ValueError("empty sample range")
     stride = math.ceil(length / resolution)
     offsets = np.arange(start, stop, stride, dtype=np.int64)
-    ev = index.events_at(offsets)
     return Waveform(
-        samples=rates[ev],
+        samples=rates[index.events_at(offsets)],
         sample_stride=stride,
         origin_instruction=start,
-        sample_heads=index.block_ids[ev],
     )
 
 
@@ -246,11 +238,11 @@ def quantum_cpis(index: EventIndex, quantum_length: int) -> np.ndarray:
     return np.diff(cycles_below(index, rates, prefix, bounds)) / np.diff(bounds)
 
 
-def waveform_csv(waveform: Waveform) -> str:
-    """Plot-ready CSV: instruction_offset,cpi,block_id."""
-    rows = zip(
-        waveform.sample_offsets.tolist(),
-        float_reprs(waveform.samples),
-        waveform.sample_heads.tolist(),
-    )
+def waveform_csv(trace: ExecutionTrace, waveform: Waveform) -> str:
+    """Plot-ready CSV: instruction_offset,cpi,block_id, where block_id is
+    the trace's block executing at that offset."""
+    offsets = waveform.sample_offsets
+    index = EventIndex.from_trace(trace)
+    heads = index.block_ids[index.events_at(offsets)]
+    rows = zip(offsets.tolist(), float_reprs(waveform.samples), heads.tolist())
     return "instruction_offset,cpi,block_id\n" + "".join("%d,%s,%d\n" % row for row in rows)

@@ -137,7 +137,6 @@ def predict_waveform(
         samples=values,
         sample_stride=stride,
         origin_instruction=0,
-        sample_heads=np.full(offsets.size, -1, dtype=np.int64),
     )
 
 

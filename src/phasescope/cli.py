@@ -83,7 +83,7 @@ def cmd_analyze(args) -> None:
 
     if args.waveform_csv:
         wave = build_waveform(trace, profiles, config.resolution)
-        _write(args.waveform_csv, waveform_csv(wave))
+        _write(args.waveform_csv, waveform_csv(trace, wave))
     if args.spectrum_dir:
         directory = Path(args.spectrum_dir)
         directory.mkdir(parents=True, exist_ok=True)

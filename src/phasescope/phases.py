@@ -34,10 +34,6 @@ from .spectral import Spectrum, dft_magnitude, is_flat, main_spectrum
 from .trace import BlockDescriptor, ExecutionTrace, Terminator
 
 
-class NoAlignmentError(ValueError):
-    """No candidate head available to anchor the phase."""
-
-
 class Structure(enum.Enum):
     LOOP = "loop"
     FUNCTION = "function"
@@ -129,28 +125,23 @@ def _candidates_in_range(
     return index.starts[jumps], index.block_ids[jumps]
 
 
-def align_phase(
-    waveform: Waveform, offsets: np.ndarray, block_ids: np.ndarray, length: int
-) -> tuple[int, int]:
+def align_phase(offsets: np.ndarray, block_ids: np.ndarray, length: int) -> tuple[int, int]:
     """Pick the candidate block whose recurrence rhythm best matches the
     phase length; return (start_instruction, block_id) of its first
     occurrence.
 
-    Candidate i is block block_ids[i] at instruction offsets[i]. The score
-    of a block is |median inter-arrival gap - length| over its candidate
-    offsets; ties break toward the earliest offset. Blocks seen only once
-    are a fallback when nothing recurs.
+    Candidate i is block block_ids[i] at instruction offsets[i]; every
+    candidate given is used. The score of a block is |median inter-arrival
+    gap - length| over its candidate offsets; ties break toward the earliest
+    offset. Blocks seen only once are a fallback when nothing recurs. No
+    candidate at all raises ValueError.
     """
     if length < 1:
         raise ValueError("length must be positive")
-    lo = waveform.origin_instruction
-    hi = lo + waveform.samples.size * waveform.sample_stride
     offsets = np.asarray(offsets, dtype=np.int64)
     block_ids = np.asarray(block_ids, dtype=np.int64)
-    in_range = (offsets >= lo) & (offsets < hi)
-    offsets, block_ids = offsets[in_range], block_ids[in_range]
     if not offsets.size:
-        raise NoAlignmentError("no candidate heads in range")
+        raise ValueError("no candidate heads")
 
     best: Optional[tuple[float, int, int]] = None  # (score, first_offset, block)
     for ids, offs in split_by_block(block_ids, offsets):
@@ -273,10 +264,7 @@ class _Analysis:
         instance = min(max(1, round(length / reps)), (length + wave.sample_stride) // reps)
         theta = cfg.boundary_threshold_fraction * main.magnitude
         offsets, heads = _candidates_in_range(self.index, self.rates, theta, start, stop)
-        try:
-            anchor, _ = align_phase(wave, offsets, heads, instance)
-        except NoAlignmentError:
-            anchor = start
+        anchor = align_phase(offsets, heads, instance)[0] if offsets.size else start
         if anchor > start:
             # fold back to the earliest congruent instance of the pattern
             anchor = start + (anchor - start) % instance

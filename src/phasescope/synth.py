@@ -118,7 +118,7 @@ def _validate(spec: ScenarioSpec) -> dict[int, tuple[int, float, int]]:
         nonlocal min_cpi
         if seg.nested:
             _check_number(f"segment {seg.label!r}: nested_repetitions", seg.nested_repetitions, Integral)
-            size = repeated(seg.nested, seg.nested_repetitions)
+            size = repeated(seg.nested, int(seg.nested_repetitions))
         else:
             if seg.block_cpi is None or seg.block_instruction_count is None or seg.event_count is None:
                 raise ScenarioError(
@@ -128,9 +128,11 @@ def _validate(spec: ScenarioSpec) -> dict[int, tuple[int, float, int]]:
             for name, kind in (("block_cpi", Real), ("block_instruction_count", Integral),
                                ("event_count", Integral)):
                 _check_number(f"segment {seg.label!r}: {name}", getattr(seg, name), kind)
-            min_cpi = min(min_cpi, seg.block_cpi)
-            instructions = seg.event_count * seg.block_instruction_count
-            size = (seg.event_count, instructions, min(instructions, _INT64_MAX) * seg.block_cpi, 1)
+            # numpy numbers measure like Python ones: no int64 wrap, no float32
+            events, cpi = int(seg.event_count), float(seg.block_cpi)
+            min_cpi = min(min_cpi, cpi)
+            instructions = events * int(seg.block_instruction_count)
+            size = (events, instructions, min(instructions, _INT64_MAX) * cpi, 1)
         sizes[id(seg)] = size[1:]
         return size
 
@@ -146,7 +148,7 @@ def _validate(spec: ScenarioSpec) -> dict[int, tuple[int, float, int]]:
         return (events * repetitions, instructions * repetitions,
                 cycles * min(repetitions, _INT64_MAX), runs * repetitions)
 
-    events, instructions, cycles, runs = repeated(spec.segments, spec.repetitions)
+    events, instructions, cycles, runs = repeated(spec.segments, int(spec.repetitions))
     # checked before anything is allocated: the event columns are int64
     for what, total in (("events", events), ("instructions", instructions)):
         if total > _INT64_MAX:
@@ -288,7 +290,7 @@ def _build_annotation(
         for seg in segments:
             length, cycles, n_runs = sizes[id(seg)]
             if seg.is_flat or seg.nested_repetitions >= 2:
-                reps = 1 if seg.is_flat else seg.nested_repetitions
+                reps = 1 if seg.is_flat else int(seg.nested_repetitions)
                 node = PhaseNode(
                     head_block=runs[j],
                     start_instruction=cursor,
@@ -321,13 +323,14 @@ def _build_annotation(
     if len(spec.segments) == 1 and spec.segments[0].is_flat:
         return root  # a repeated constant run is one phase
 
-    if spec.repetitions >= 2:
+    reps = int(spec.repetitions)
+    if reps >= 2:
         template = PhaseNode(
             head_block=root.head_block,
             start_instruction=0,
-            length_instructions=total // spec.repetitions,
+            length_instructions=total // reps,
             mean_cpi=root.mean_cpi,
-            occurrence=spec.repetitions,
+            occurrence=reps,
             structure=classify(runs[0], runs[-1]),
         )
         template.children = nodes(spec.segments, 0, 0, runs[-1])

@@ -7,7 +7,8 @@ stream, one record per line:
     B <id> <addr_hex> <instrs> <F|B|C|R> [<target_hex>]
     E <block_id> [<cycles>]               dynamic event, execution order
     Q <quantum_index> <cpi>               quantum CPI sample
-    L <quantum_length>                    instructions per quantum
+    L <quantum_length>                    instructions per quantum, positive;
+                                          at most one L record
 
 ``#`` starts a comment. A trace is "golden" when every event carries a
 cycle count, and "quantum" when Q/L records are present; at least one of
@@ -392,7 +393,11 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
                 elif kind == "L":
                     if len(fields) != 2:
                         raise TraceFormatError("malformed quantum length record", lineno)
+                    if quantum_length is not None:
+                        raise TraceFormatError("repeated quantum length record", lineno)
                     quantum_length = _parse_int(fields[1], "quantum length", lineno)
+                    if quantum_length < 1:
+                        raise TraceFormatError(f"quantum length {fields[1]!r} must be positive", lineno)
                 else:
                     raise TraceFormatError(f"malformed line: unknown record {kind!r}", lineno)
             columns = np.array(ids, dtype=np.int64), np.array(cycles, dtype=float)

@@ -110,7 +110,6 @@ def test_criterion_3_dft_oracle_equivalence():
             samples=samples,
             sample_stride=1,
             origin_instruction=0,
-            sample_heads=np.zeros(n, dtype=np.int64),
         )
         fast = dft_magnitude(wave).magnitudes
         ks = np.arange(n // 2 + 1)

@@ -142,7 +142,8 @@ def test_constant_block_waveform():
     wave = build_waveform(trace, attribute_block_cpi(trace), resolution=4)
     assert wave.sample_stride == 25
     np.testing.assert_allclose(wave.samples, [1.5, 1.5, 1.5, 1.5])
-    assert list(wave.sample_heads) == [0, 0, 0, 0]
+    block_ids = [row.split(",")[2] for row in waveform_csv(trace, wave).splitlines()[1:]]
+    assert block_ids == ["0", "0", "0", "0"]
 
 
 def test_alternating_blocks_waveform():
@@ -358,11 +359,16 @@ def test_sparse_ids_analyze_and_serialize_like_renumbered_ids():
 
 def test_waveform_csv_matches_the_per_row_writer():
     rng = np.random.default_rng(3)
+    ids = [-7, 0, 2**40, 2**63 - 1]
+    blocks = {b: block(b, int(rng.integers(4, 9)), addr=0x1000 + 0x100 * i) for i, b in enumerate(ids)}
+    events = rng.choice(ids, 1000).tolist()  # at least 4000 instructions
+    trace = golden_trace(blocks, events, [1.5 * blocks[b].instruction_count for b in events])
     samples = 10.0 ** rng.uniform(-8, 20, 500)  # both exponent spellings and positional
     samples[::4] = rng.uniform(0.5, 3.0, 125)
-    wave = Waveform(samples=samples, sample_stride=7, origin_instruction=11,
-                    sample_heads=rng.integers(-1, 2**40, 500))
+    wave = Waveform(samples=samples, sample_stride=7, origin_instruction=11)
+    # oracle: the block executing each instruction, walked event by event
+    walked = [b for b in events for _ in range(blocks[b].instruction_count)]
     rows = ["instruction_offset,cpi,block_id"]
-    for off, cpi, head in zip(wave.sample_offsets, wave.samples, wave.sample_heads):
-        rows.append(f"{int(off)},{float(cpi)!r},{int(head)}")
-    assert waveform_csv(wave) == "\n".join(rows) + "\n"
+    for off, cpi in zip(wave.sample_offsets.tolist(), wave.samples):
+        rows.append(f"{off},{float(cpi)!r},{walked[off]}")
+    assert waveform_csv(trace, wave) == "\n".join(rows) + "\n"

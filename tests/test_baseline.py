@@ -196,7 +196,6 @@ def constant_wave(value, n=32):
         samples=np.full(n, float(value)),
         sample_stride=1,
         origin_instruction=0,
-        sample_heads=np.full(n, -1, dtype=np.int64),
     )
 
 
@@ -216,7 +215,6 @@ def test_square_vs_its_mean_closed_form():
         samples=np.array([1.0, 2.0] * 16),
         sample_stride=1,
         origin_instruction=0,
-        sample_heads=np.full(32, -1, dtype=np.int64),
     )
     report = error_rate(constant_wave(1.5), golden)
     # mean(|1.5-s|/s) over the two levels: (0.5/1.0 + 0.5/2.0)/2 = 0.375

@@ -78,6 +78,36 @@ def test_analyze_malformed_trace_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_analyze_without_tree_writes_the_tree_to_stdout(tmp_path, capsys, trace_file):
+    tree = tmp_path / "tree.json"
+    assert main(["analyze", str(trace_file), "--tree", str(tree)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(trace_file)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == tree.read_bytes()
+
+
+@pytest.mark.parametrize("config_text, flag, message", [
+    (None, "--config", "cannot read config {config}: [Errno 2]"),
+    ("{not json", "--config", "cannot read config {config}: Expecting property name"),
+    (None, "--resolution", "bad analysis config: resolution must be >= 2"),
+], ids=["missing-config", "malformed-config", "resolution-1"])
+def test_analyze_with_an_unusable_config_exits_2(tmp_path, capsys, trace_file, config_text, flag, message):
+    config = tmp_path / "config.json"
+    if config_text is not None:
+        config.write_text(config_text)
+    tree = tmp_path / "tree.json"
+    value = str(config) if flag == "--config" else "1"
+    assert main(["analyze", str(trace_file), "--tree", str(tree), flag, value]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message.format(config=config))
+    assert not tree.exists()
+
+
+def test_synth_on_a_missing_scenario_file_exits_2(tmp_path, capsys):
+    assert main(["synth", str(tmp_path / "nope.json"), "--out-prefix", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2]")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tree_json_rerender_is_bit_identical(tmp_path, trace_file):
     from phasescope import analyze
 
@@ -215,6 +245,9 @@ def test_config_file_and_flag_overrides(tmp_path, trace_file):
     ("V 1\nB 0 1000 5 F\nE 0 5.0\nE 0 -5.0\n", 4),
     ("V 1\nB 0 1000 10 F\nE 0\nE 0\nL 10\nQ 0 1.5\nQ 1 -2.0\n", 7),
     ("V 1\nB 0 1000 5 F\nB 1 1000 5 F\nE 0 5.0\n", 3),
+    ("V 1\nB 0 1000 10 F\nE 0\nE 0\nL 0\nQ 0 1.2\nQ 1 1.4\n", 5),
+    ("V 1\nB 0 1000 10 F\nE 0\nE 0\nL -5\nQ 0 1.2\nQ 1 1.4\n", 5),
+    ("V 1\nB 0 1000 10 F\nE 0\nE 0\nL 10\nQ 0 1.2\nQ 1 1.4\nL 11\n", 8),
 ])
 def test_non_finite_and_out_of_range_input_exits_2(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.trace"
@@ -275,7 +308,7 @@ def test_analyze_waveform_csv_attributes_once(tmp_path, trace_file, monkeypatch)
 
     trace = load_trace(trace_file)
     profiles = attribution.attribute_block_cpi(trace)
-    expected = attribution.waveform_csv(attribution.build_waveform(trace, profiles, 4096))
+    expected = attribution.waveform_csv(trace, attribution.build_waveform(trace, profiles, 4096))
 
     calls = []
 

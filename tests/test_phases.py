@@ -15,7 +15,6 @@ from phasescope import (
     BlockDescriptor,
     EntryKind,
     ExecutionTrace,
-    NoAlignmentError,
     PhaseNode,
     ScenarioSpec,
     SegmentSpec,
@@ -26,11 +25,13 @@ from phasescope import (
     analyze,
     attribute_block_cpi,
     classify_structure,
+    dft_magnitude,
     export_markers,
     generate,
+    main_spectrum,
     split_step,
 )
-from phasescope.attribution import EventIndex, profile_rates
+from phasescope.attribution import EventIndex, profile_rates, sample_range
 from phasescope.phases import _candidates_in_range, tree_from_dict, tree_json, validate_tree
 
 import json
@@ -46,7 +47,6 @@ def wave(samples, stride=1, origin=0):
         samples=samples,
         sample_stride=stride,
         origin_instruction=origin,
-        sample_heads=np.zeros(samples.size, dtype=np.int64),
     )
 
 
@@ -110,35 +110,32 @@ def test_threshold_above_range_yields_nothing():
 # --- alignment ---------------------------------------------------------------
 
 def test_align_perfectly_periodic_candidate():
-    w = wave([1.0] * 100)
-    start, head = align_phase(w, [0, 25, 50, 75], [5] * 4, 25)
+    start, head = align_phase([0, 25, 50, 75], [5] * 4, 25)
     assert (start, head) == (0, 5)
 
 
 def test_align_prefers_gap_matching_length():
-    w = wave([1.0] * 100)
     offsets = [0, 5, 30, 35, 60, 95]
     blocks = [1, 2, 1, 2, 1, 2]
     # block 1 recurs every 30 = L; block 2 gaps are 30 and 60 (median 45)
-    start, head = align_phase(w, offsets, blocks, 30)
+    start, head = align_phase(offsets, blocks, 30)
     assert (start, head) == (0, 1)
 
 
 def test_align_single_occurrence_fallback_is_earliest():
-    w = wave([1.0] * 100)
-    start, head = align_phase(w, [40, 10, 80], [7, 9, 8], 25)
+    start, head = align_phase([40, 10, 80], [7, 9, 8], 25)
     assert (start, head) == (10, 9)
 
 
 def test_align_empty_candidates_raises():
-    with pytest.raises(NoAlignmentError):
-        align_phase(wave([1.0] * 10), [], [], 5)
+    with pytest.raises(ValueError, match="no candidate heads"):
+        align_phase([], [], 5)
 
 
-def test_align_ignores_out_of_range_candidates():
-    w = wave([1.0] * 10, stride=1, origin=100)  # covers [100, 110)
-    start, head = align_phase(w, [5, 104], [1, 2], 4)
-    assert (start, head) == (104, 2)
+def test_align_uses_every_candidate_given():
+    # the caller limits candidates to its segment; align_phase drops none
+    start, head = align_phase([5, 104], [1, 2], 4)
+    assert (start, head) == (5, 1)
 
 
 # --- occurrence-one splitting -------------------------------------------------
@@ -390,6 +387,27 @@ def test_structure_tags_from_generated_entry_kinds():
              if n.start_instruction > 0 or n.length_instructions < trace.total_instructions}
     assert truth[0] is Structure.LOOP
     assert truth[1] is Structure.FUNCTION
+
+
+def test_segment_without_candidate_heads_anchors_its_instance_at_its_start():
+    # a CPI ramp 1.0 -> 2.0 -> 1.05 in steps of 0.05: the spectrum finds the
+    # 6 repetitions, but no event steps by theta, so no head is a candidate
+    ramp = [1.0 + 0.05 * i for i in range(21)] + [2.0 - 0.05 * i for i in range(1, 20)]
+    body = [SegmentSpec(f"r{i}", block_cpi=cpi, block_instruction_count=10, event_count=5)
+            for i, cpi in enumerate(ramp)]
+    trace, _ = generate(ScenarioSpec(segments=[SegmentSpec("ramp", nested=body, nested_repetitions=6)]))
+    cfg = AnalysisConfig()
+    index = EventIndex.from_trace(trace)
+    rates = profile_rates(index, attribute_block_cpi(trace))
+    total = trace.total_instructions
+    main = main_spectrum(dft_magnitude(sample_range(index, rates, 0, total, cfg.resolution)))
+    theta = cfg.boundary_threshold_fraction * main.magnitude
+    assert main.occurrence == 6 and np.abs(np.diff(rates)).max() < 0.051 < 0.1 < theta
+    offsets, heads = _candidates_in_range(index, rates, theta, 0, total)
+    assert offsets.size == heads.size == 0
+
+    child = analyze(trace, cfg).children[0]
+    assert (child.start_instruction, child.length_instructions, child.occurrence) == (0, 2000, 6)
 
 
 # --- markers -------------------------------------------------------------------

@@ -22,7 +22,6 @@ def wave(samples, stride=1, origin=0):
         samples=samples,
         sample_stride=stride,
         origin_instruction=origin,
-        sample_heads=np.zeros(samples.size, dtype=np.int64),
     )
 
 

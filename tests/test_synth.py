@@ -4,6 +4,7 @@ records, annotation shape, and scenario JSON handling."""
 import itertools
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -238,6 +239,30 @@ def test_numpy_numbers_are_valid_scenario_numbers():
                         repetitions=np.int64(2), seed=np.int64(4), quantum_length=np.int64(7))
     plain = ScenarioSpec(segments=[flat("a", 1.5, 5, 3)], repetitions=2, seed=4, quantum_length=7)
     assert serialize_trace(generate(spec)[0]) == serialize_trace(generate(plain)[0])
+
+
+def test_numpy_counts_are_measured_without_int64_wraparound():
+    # 4 * 2**62 wraps to 0 in int64 and would pass the total check
+    spec = ScenarioSpec(segments=[flat("a", 1.0, np.int64(2**62), np.int64(4))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing numpy product only warns
+        with pytest.raises(ScenarioError, match=f"scenario has {2**64} instructions in total"):
+            generate(spec)
+
+
+@pytest.mark.parametrize("cpi, count, reps", [
+    (np.float32(1.1), 5, 3),
+    (1.25, np.int64(5), 3),
+    (1.25, 5, np.int64(3)),
+], ids=["float32-cpi", "int64-count", "int64-repetitions"])
+def test_numpy_numbers_give_the_trace_and_annotation_of_their_python_values(cpi, count, reps):
+    def outputs(cpi, count, reps):
+        group = SegmentSpec("g", nested=[flat("a", cpi, count, 3), flat("b", 2.0, 5, count)],
+                            nested_repetitions=reps)
+        trace, annotation = generate(ScenarioSpec(segments=[group, flat("c", 3.0, 4, 2)], repetitions=reps))
+        return serialize_trace(trace), tree_json(annotation.true_phases, trace.blocks)
+
+    assert outputs(cpi, count, reps) == outputs(float(cpi), int(count), int(reps))
 
 
 def test_scenario_json_keeps_numbers_as_written():

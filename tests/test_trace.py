@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -253,6 +254,39 @@ def test_non_finite_values_rejected_with_line(text, line):
     with pytest.raises(TraceFormatError, match="non-finite") as exc:
         parse_trace(text)
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text, line, message", [
+    pytest.param("V 1\nB 0 1000 5\nE 0 5.0\n", 2, "malformed block record", id="block-4-fields"),
+    pytest.param("V 1\nB 0 1000 5 X\nE 0 5.0\n", 2, "malformed terminator 'X'", id="terminator"),
+    pytest.param("V 1\nB 0 zz 5 F\nE 0 5.0\n", 2, "malformed address 'zz'", id="address"),
+    pytest.param("V 1\nB 0 1000 0 F\nE 0 5.0\n", 2, "block 0: instruction_count must be >= 1",
+                 id="zero-instructions"),
+    pytest.param("V 1\nB 0 1000 5 F 2000\nE 0 5.0\n", 2,
+                 "block 0: target_address present iff terminator is branch or call", id="target"),
+    pytest.param("V 1\nB 0 1000 10 F\nE 0\nL 10\nQ 0\n", 5, "malformed quantum record",
+                 id="quantum-2-fields"),
+    pytest.param("V 1\nB 0 1000 10 F\nE 0\nL\nQ 0 1.5\n", 4, "malformed quantum length record",
+                 id="bare-L"),
+    # the first chunk holds only the header; the second, all E lines, meets
+    # an empty block table
+    pytest.param("V 1\n" + "\n" * (_CHUNK_LINES - 1) + "E 0 5.0\n" * 10, _CHUNK_LINES + 1,
+                 "unknown block 0", id="events-before-blocks"),
+])
+def test_rejected_record_names_its_line(text, line, message):
+    with pytest.raises(TraceFormatError, match=re.escape(f"line {line}: {message}")) as exc:
+        parse_trace(text)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty stream: missing version header"),
+    ("V 1\nB 0 1000 5 F\n", "trace has no events"),
+])
+def test_stream_without_events_is_rejected(text, message):
+    with pytest.raises(TraceFormatError, match=re.escape(message)) as exc:
+        parse_trace(text)
+    assert exc.value.line is None
 
 
 def test_constructor_rejects_non_finite_values():
