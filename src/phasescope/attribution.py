@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Optional
 
 import numpy as np
@@ -80,16 +81,11 @@ class EventIndex:
         return self.event_cycles / self.instr_counts
 
 
-def split_by_block(block_ids: np.ndarray, *columns: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """Group aligned columns by block, in ascending block id order.
-
-    Returns one tuple per block: its slice of block_ids, then its slice of
-    each column. A stable sort keeps every block's entries in the order
-    given, and each slice is contiguous.
-    """
-    order = np.argsort(block_ids, kind="stable")
-    cuts = np.flatnonzero(np.diff(block_ids[order])) + 1
-    return list(zip(*(np.split(column[order], cuts) for column in (block_ids, *columns))))
+def group_bounds(sorted_ids: np.ndarray) -> np.ndarray:
+    """Bounds of the runs of equal ids in a sorted, non-empty array: run k
+    is sorted_ids[bounds[k]:bounds[k + 1]]."""
+    cuts = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
+    return np.concatenate(([0], cuts, [sorted_ids.size]))
 
 
 def attribute_block_cpi(
@@ -120,20 +116,29 @@ def attribute_block_cpi(
             raise ValueError("golden attribution requires cycles on every event")
         values = index.event_cycles
 
-    # Each block sums exactly the values, in exactly the order, that a
-    # per-block boolean mask would select; np.bincount would add them in
-    # another order and change last digits of the block CPIs.
-    profiles: dict[int, float] = {}
-    for ids, block_values, instrs in split_by_block(index.block_ids, values, index.instr_counts):
-        bid = int(ids[0])
-        weight = ids.size if mode == "quantum" else int(instrs.sum())
-        cpi = float(block_values.sum() / weight)
-        if cpi <= 0:
-            # validation keeps cycles >= 0 and quantum CPIs > 0: the input
-            # gave every event of this block 0 cycles
-            raise TraceFormatError(f"block {bid}: its events carry 0 cycles in all; a block CPI must be positive")
-        profiles[bid] = cpi
-    return profiles
+    # a stable sort keeps each block's events in trace order
+    order = np.argsort(index.block_ids, kind="stable")
+    ids = index.block_ids[order]
+    bounds = group_bounds(ids)
+    firsts = bounds[:-1]
+    values = values[order]
+    # One pairwise .sum() per block slice adds exactly the values, in exactly
+    # the order, that a per-block boolean mask would select. np.add.reduceat
+    # and np.bincount add in sequence, which changes last digits of the block
+    # CPIs; the integer instruction counts are exact in any order.
+    sums = np.array([values[a:b].sum() for a, b in pairwise(bounds.tolist())])
+    if mode == "quantum":
+        weights = np.diff(bounds)
+    else:
+        weights = np.add.reduceat(index.instr_counts[order], firsts)
+    cpis = sums / weights
+    bad = np.flatnonzero(cpis <= 0)
+    if bad.size:
+        # validation keeps cycles >= 0 and quantum CPIs > 0: the input
+        # gave every event of this block 0 cycles
+        bid = int(ids[firsts[bad[0]]])
+        raise TraceFormatError(f"block {bid}: its events carry 0 cycles in all; a block CPI must be positive")
+    return dict(zip(ids[firsts].tolist(), cpis.tolist()))
 
 
 def profile_rates(index: EventIndex, profiles: dict[int, float]) -> np.ndarray:
@@ -208,17 +213,6 @@ def cycles_below(
     """
     ev = np.searchsorted(index.starts[:-1], offsets, side="right") - 1
     return prefix[ev] + (offsets - index.starts[ev]) * rates[ev]
-
-
-def range_mean_cpi(
-    index: EventIndex, rates: np.ndarray, prefix: np.ndarray, start: int, stop: int
-) -> float:
-    """Exact instruction-weighted mean CPI over [start, stop)."""
-    length = stop - start
-    if length < 1:
-        raise ValueError("empty range")
-    below = cycles_below(index, rates, prefix, np.array((start, stop)))
-    return float((below[1] - below[0]) / length)
 
 
 def quantum_cpis(index: EventIndex, quantum_length: int) -> np.ndarray:

@@ -86,23 +86,27 @@ def _render_tree(
 ) -> None:
     """Fill values[mask] with the deepest phase mean covering each offset.
 
-    A repeating child (occurrence >= 2) tiles periodically across its whole
-    parent interval anchored at its start, so offsets before the anchor fold
-    into the wrapped pattern instance.
+    A repeating child (occurrence >= 2) tiles periodically, anchored at its
+    start, across the stretch of its parent between the previous sibling's
+    extent and the next sibling's start; offsets before the anchor fold into
+    the wrapped pattern instance. A sibling's extent ends occurrence x length
+    after its start, so an only child tiles its whole parent.
     """
     values[mask] = node.mean_cpi
-    parent_lo = node.start_instruction
-    parent_hi = node.end_instruction
-    for child in node.children:
+    children = node.children
+    lo = node.start_instruction
+    for i, child in enumerate(children):
         length = child.length_instructions
         if child.occurrence >= 2:
-            span = mask & (offsets >= parent_lo) & (offsets < parent_hi)
+            hi = children[i + 1].start_instruction if i + 1 < len(children) else node.end_instruction
+            span = mask & (offsets >= lo) & (offsets < hi)
             folded = child.start_instruction + (offsets - child.start_instruction) % length
         else:
             span = mask & (offsets >= child.start_instruction) & (
                 offsets < child.end_instruction
             )
             folded = offsets
+        lo = child.start_instruction + child.occurrence * length
         if not span.any():
             continue
         _render_tree(child, folded, span, values)

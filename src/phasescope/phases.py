@@ -24,10 +24,10 @@ from .attribution import (
     EventIndex,
     Waveform,
     attribute_block_cpi,
+    cycles_below,
+    group_bounds,
     profile_rates,
-    range_mean_cpi,
     sample_range,
-    split_by_block,
     weighted_cpi_prefix,
 )
 from .spectral import Spectrum, dft_magnitude, is_flat, main_spectrum
@@ -143,16 +143,25 @@ def align_phase(offsets: np.ndarray, block_ids: np.ndarray, length: int) -> tupl
     if not offsets.size:
         raise ValueError("no candidate heads")
 
-    best: Optional[tuple[float, int, int]] = None  # (score, first_offset, block)
-    for ids, offs in split_by_block(block_ids, offsets):
-        if offs.size < 2:
-            continue
-        gap = float(np.median(np.diff(offs)))
-        key = (abs(gap - length), int(offs[0]), int(ids[0]))
-        if best is None or key < best:
-            best = key
-    if best is not None:
-        return best[1], best[2]
+    # group the candidates by block, each block's in the order given
+    order = np.argsort(block_ids, kind="stable")
+    ids, offs = block_ids[order], offsets[order]
+    bounds = group_bounds(ids)
+    recurring = bounds[:-1][np.diff(bounds) >= 2]
+    if recurring.size:
+        # gaps between consecutive candidates of one block, sorted per block
+        same = ids[1:] == ids[:-1]
+        gap_ids, gaps = ids[1:][same], np.diff(offs)[same]
+        by_gap = np.lexsort((gaps, gap_ids))
+        gap_ids, gaps = gap_ids[by_gap], gaps[by_gap]
+        gap_bounds = group_bounds(gap_ids)
+        lo, count = gap_bounds[:-1], np.diff(gap_bounds)
+        # the median of each block's gaps, as np.median gives it: the mean
+        # of the two middle gaps in float64 (the middle gap twice when odd)
+        median = (gaps[lo + (count - 1) // 2].astype(float) + gaps[lo + count // 2]) / 2
+        score = np.abs(median - length)
+        best = np.lexsort((ids[recurring], offs[recurring], score))[0]
+        return int(offs[recurring[best]]), int(ids[recurring[best]])
 
     first = int(np.argmin(offsets))
     return int(offsets[first]), int(block_ids[first])
@@ -217,21 +226,32 @@ class _Analysis:
         self.rates = profile_rates(self.index, profiles)
         self.prefix = weighted_cpi_prefix(self.index, self.rates)
         self.spectrum_sink = spectrum_sink
+        self.nodes: list[PhaseNode] = []
 
     def make_node(self, start: int, stop: int, occurrence: int) -> PhaseNode:
-        head_event = int(np.searchsorted(self.index.starts, start, side="right")) - 1
-        head_block = int(self.index.block_ids[head_event])
-        context = None
-        if head_event > 0:
-            context = self.trace.blocks[int(self.index.block_ids[head_event - 1])]
-        return PhaseNode(
-            head_block=head_block,
-            start_instruction=start,
-            length_instructions=stop - start,
-            mean_cpi=range_mean_cpi(self.index, self.rates, self.prefix, start, stop),
-            occurrence=occurrence,
-            structure=classify_structure(self.trace.blocks[head_block], context),
-        )
+        """A node for [start, stop); fill_nodes sets its head block, mean
+        CPI and structure once the recursion is done."""
+        node = PhaseNode(-1, start, stop - start, math.nan, occurrence)
+        self.nodes.append(node)
+        return node
+
+    def fill_nodes(self) -> None:
+        """Head block, exact mean CPI and structure of every node, read for
+        all nodes at once."""
+        starts = np.array([node.start_instruction for node in self.nodes], dtype=np.int64)
+        lengths = np.array([node.length_instructions for node in self.nodes], dtype=np.int64)
+        below = cycles_below(self.index, self.rates, self.prefix, np.concatenate((starts, starts + lengths)))
+        means = (below[starts.size :] - below[: starts.size]) / lengths
+        head_events = self.index.events_at(starts)
+        heads = self.index.block_ids[head_events].tolist()
+        contexts = self.index.block_ids[np.maximum(head_events - 1, 0)].tolist()
+        blocks = self.trace.blocks
+        for node, mean, head, event, context in zip(
+            self.nodes, means.tolist(), heads, head_events.tolist(), contexts
+        ):
+            node.head_block = head
+            node.mean_cpi = mean
+            node.structure = classify_structure(blocks[head], blocks[context] if event > 0 else None)
 
     def segment(self, start: int, stop: int, depth: int, occurrence: int) -> PhaseNode:
         cfg = self.config
@@ -294,6 +314,7 @@ def analyze(
         profiles = attribute_block_cpi(trace)
     run = _Analysis(trace, cfg, profiles, spectrum_sink)
     root = run.segment(0, run.index.total_instructions, 0, 1)
+    run.fill_nodes()
     validate_tree(root)
     return root
 

@@ -24,13 +24,14 @@ The quantum CPIs are one more column, indexed by quantum number; the
 parser checks that ``Q`` records come in index order 0, 1, 2, ... and names
 the line of the first one that does not.
 
-The parser reads lines in fixed-size chunks. A chunk made only of ``E``
-lines is converted by one ``np.loadtxt`` call into a record array (kind,
-block id and, when present, cycle count). Any other chunk, and any chunk
-numpy's reader rejects or whose values fail a check (a kind other than
-``E``, a non-finite or negative cycle count, an unknown block), goes through the
-line-by-line loop, which gives the same columns and names the offending
-line.
+The parser reads lines in fixed-size chunks and cuts a chunk that holds
+other records (the block table, the ``Q`` and ``L`` records) into runs of
+lines that start with ``E`` and runs of other lines. A run of ``E`` lines is
+converted by one ``np.loadtxt`` call into a record array (kind, block id
+and, when present, cycle count). Any other run, and any run numpy's reader
+rejects or whose values fail a check (a kind other than ``E``, a non-finite
+or negative cycle count, an unknown block), goes through the line-by-line
+loop, which gives the same columns and names the offending line.
 
 The writer prints every float as repr() does (the shortest digits that
 read back to the same float64), and formats a whole column at once:
@@ -46,8 +47,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable, Optional, Sequence, Union
+from itertools import groupby, islice
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -269,30 +270,30 @@ _EVENT_ROWS = {
 
 
 def _event_columns(
-    chunk: list[str], known: np.ndarray
+    run: list[str], known: np.ndarray
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(block ids, cycles) of a chunk made only of ``E`` lines, converted by
+    """(block ids, cycles) of a run made only of ``E`` lines, converted by
     one ``np.loadtxt`` call; None when any line needs the line-by-line
     parser (another record, a comment, a blank line, a bad field, an unknown
     block), which then reports the error with its line number.
 
     numpy's reader accepts a subset of what ``int``/``float`` accept (no
     ``1_0``, no non-ASCII digits, no extra fields), splits fields at the
-    same whitespace and gives the same values, so an accepted chunk yields
+    same whitespace and gives the same values, so an accepted run yields
     the columns the line loop would. It does drop trailing NULs from the
-    kind field ("E\\x00" reads as "E"), so a chunk holding a NUL goes to the
+    kind field ("E\\x00" reads as "E"), so a run holding a NUL goes to the
     line loop.
     """
-    layout = _EVENT_ROWS.get(len(chunk[0].split()))
-    if layout is None or "\x00" in "".join(chunk):
+    layout = _EVENT_ROWS.get(len(run[0].split()))
+    if layout is None or "\x00" in "".join(run):
         return None
     try:
-        rows = np.loadtxt(chunk, dtype=layout, comments=None, ndmin=1)
+        rows = np.loadtxt(run, dtype=layout, comments=None, ndmin=1)
     except ValueError:
         return None
-    if rows.size != len(chunk) or (rows["kind"] != "E").any():
+    if rows.size != len(run) or (rows["kind"] != "E").any():
         return None
-    # copies, so that each chunk's record array is freed while parsing goes on
+    # copies, so that each run's record array is freed while parsing goes on
     ids = rows["block"].copy()
     if "cycles" in layout.names:
         cycles = rows["cycles"].copy()
@@ -303,6 +304,23 @@ def _event_columns(
     if (positions_in(known, ids) < 0).any():
         return None
     return ids, cycles
+
+
+def _line_runs(lines: Iterator[str]) -> Iterator[tuple[int, list[str]]]:
+    """(number of its first line, lines) of each run the parser converts in
+    one step: the input read in chunks of _CHUNK_LINES lines, each chunk cut
+    into maximal runs of lines that start with ``E`` and runs of other
+    lines. A chunk that starts and ends with an ``E`` line is one run, with
+    no look at the lines between."""
+    first = 1
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        if chunk[0][:1] == "E" == chunk[-1][:1]:
+            runs = [chunk]
+        else:
+            runs = [list(run) for _, run in groupby(chunk, key=lambda raw: raw[:1] == "E")]
+        for run in runs:
+            yield first, run
+            first += len(run)
 
 
 def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
@@ -323,13 +341,12 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
     quantum_length: Optional[int] = None
     saw_version = False
 
-    first = 1
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        columns = _event_columns(chunk, known) if saw_version else None
+    for first, run in _line_runs(lines):
+        columns = _event_columns(run, known) if saw_version and run[0][:1] == "E" else None
         if columns is None:
             ids: list[int] = []
             cycles: list[float] = []
-            for lineno, raw in enumerate(chunk, start=first):
+            for lineno, raw in enumerate(run, start=first):
                 text = raw.split("#", 1)[0].strip()
                 if not text:
                     continue
@@ -405,7 +422,6 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
                 known = np.array(sorted(blocks), dtype=np.int64)
         block_parts.append(columns[0])
         cycle_parts.append(columns[1])
-        first += len(chunk)
 
     if not saw_version:
         raise TraceFormatError("empty stream: missing version header")

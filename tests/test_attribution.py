@@ -7,12 +7,16 @@ import pytest
 
 from phasescope import (
     BlockDescriptor,
+    EntryKind,
     ExecutionTrace,
     ScenarioSpec,
     SegmentSpec,
+    Structure,
     Terminator,
+    analyze,
     attribute_block_cpi,
     build_waveform,
+    classify_structure,
     generate,
     golden_waveform,
     quantum_cpis,
@@ -20,8 +24,8 @@ from phasescope import (
 from phasescope.attribution import (
     EventIndex,
     Waveform,
+    cycles_below,
     profile_rates,
-    range_mean_cpi,
     waveform_csv,
     weighted_cpi_prefix,
 )
@@ -246,24 +250,40 @@ def test_quantum_cpis_split_straddling_events():
     np.testing.assert_allclose(v, [2.0, (2.0 * 2 + 1.0 * 6) / 8, 1.0])
 
 
-def test_range_mean_cpi_matches_walk():
-    rng = np.random.default_rng(3)
-    blocks = {i: block(i, int(rng.integers(1, 7))) for i in range(4)}
-    cpis = {i: float(rng.uniform(0.5, 3.0)) for i in range(4)}
-    ids = [int(rng.integers(0, 4)) for _ in range(30)]
-    trace = golden_trace(blocks, ids, [cpis[i] * blocks[i].instruction_count for i in ids])
-    profiles = attribute_block_cpi(trace)
-    index = EventIndex.from_trace(trace)
-    rates = profile_rates(index, profiles)
-    prefix = weighted_cpi_prefix(index, rates)
-    per_instr = walk_instructions(trace, profiles)
-    total = trace.total_instructions
-    for _ in range(25):
-        a = int(rng.integers(0, total - 1))
-        b = int(rng.integers(a + 1, total + 1))
-        assert range_mean_cpi(index, rates, prefix, a, b) == pytest.approx(
-            float(per_instr[a:b].mean()), abs=1e-9
-        )
+def test_node_fields_match_per_node_lookups():
+    # analyze fills every node's fields in one batch after the recursion;
+    # each must equal what a lookup for that node alone gives
+    nodes_seen, structures = 0, set()
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+
+        def flat(label, entry=EntryKind.FALLTHROUGH):
+            return SegmentSpec(label, block_cpi=float(rng.uniform(0.5, 3.0)),
+                               block_instruction_count=int(rng.integers(1, 7)),
+                               event_count=int(rng.integers(2, 6)), entry_kind=entry)
+
+        # h calls the inner loop, so the root's head block ends in a call
+        inner = SegmentSpec("inner", nested=[flat("x"), flat("y", EntryKind.CALL)],
+                            nested_repetitions=3, entry_kind=EntryKind.CALL)
+        segments = [flat("h", EntryKind.BACKWARD_BRANCH), inner, flat("a"), flat("b", EntryKind.CALL)]
+        trace, _ = generate(ScenarioSpec(segments, repetitions=12, noise_stddev=0.05, seed=seed))
+        profiles = attribute_block_cpi(trace)
+        index = EventIndex.from_trace(trace)
+        rates = profile_rates(index, profiles)
+        prefix = weighted_cpi_prefix(index, rates)
+        per_instr = walk_instructions(trace, profiles)
+        for node in analyze(trace, profiles=profiles).walk():
+            a, b = node.start_instruction, node.end_instruction
+            below = cycles_below(index, rates, prefix, np.array((a, b)))
+            assert node.mean_cpi == float((below[1] - below[0]) / (b - a))
+            assert node.mean_cpi == pytest.approx(float(per_instr[a:b].mean()), abs=1e-9)
+            event = int(index.events_at(a))
+            assert node.head_block == int(index.block_ids[event])
+            context = trace.blocks[int(index.block_ids[event - 1])] if event > 0 else None
+            assert node.structure is classify_structure(trace.blocks[node.head_block], context)
+            nodes_seen += 1
+            structures.add(node.structure)
+    assert nodes_seen >= 20 and structures == set(Structure)
 
 
 # --- exact equality with the per-block mask loop ---------------------------------
@@ -312,6 +332,31 @@ def test_attribution_equals_mask_loop_exactly(n_blocks, sparse):
         assert list(profiles) == list(expected)  # ascending block id
         for bid, cpi in expected.items():
             assert profiles[bid] == cpi  # exact: same additions, same order
+
+
+@pytest.mark.parametrize("mode", ["golden", "quantum"])
+def test_block_sums_keep_the_pairwise_order_of_one_sum_per_block(mode):
+    # numpy's .sum() adds 8 or more values pairwise, in another order than a
+    # running sum (np.add.reduceat, np.bincount); on these blocks of 9 and
+    # 131 events the two orders give different last digits in both modes
+    rng = np.random.default_rng(25)
+    sizes = {3: 9, -1: 131, 40: 2}
+    blocks = {b: block(b, int(rng.integers(1, 12)), addr=0x1000 + 0x40 * i)
+              for i, b in enumerate(sizes)}
+    ids = rng.permutation(np.repeat(list(sizes), list(sizes.values())))
+    counts = np.array([blocks[b].instruction_count for b in ids.tolist()])
+    cycles = counts * rng.uniform(0.3, 4.0, ids.size)
+    # one quantum per instruction, each with its own random CPI
+    trace = ExecutionTrace(blocks=blocks, event_blocks=ids, event_cycles=cycles,
+                           quanta=rng.uniform(0.3, 4.0, counts.sum()), quantum_length=1)
+    values = cycles if mode == "golden" else trace.quanta[trace.event_starts[:-1]]
+    profiles = attribute_block_cpi(trace, mode=mode)
+    for bid, size in sizes.items():
+        mask = ids == bid
+        weight = int(counts[mask].sum()) if mode == "golden" else size
+        assert profiles[bid] == float(values[mask].sum() / weight)
+        if size >= 9:
+            assert values[mask].sum() != np.cumsum(values[mask])[-1]
 
 
 def test_sparse_ids_analyze_and_serialize_like_renumbered_ids():

@@ -5,6 +5,7 @@ import pytest
 
 from phasescope import (
     BlockDescriptor,
+    EntryKind,
     ExecutionTrace,
     PhaseNode,
     ScenarioSpec,
@@ -12,6 +13,7 @@ from phasescope import (
     Terminator,
     Waveform,
     error_rate,
+    generate,
     golden_waveform,
     predict_waveform,
     tq_phases,
@@ -164,6 +166,41 @@ def test_template_anchored_late_wraps_backwards():
     wave = predict_waveform(tree, 80, 80)
     expected = np.array(([1.0] * 10 + [2.0] * 10) * 4)
     np.testing.assert_allclose(wave.samples, expected)
+
+
+def test_sibling_loops_each_tile_only_their_own_stretch():
+    # a x3 then b x2 in one parent: each loop tiles from the previous
+    # sibling's extent to the next sibling's start, not the whole parent
+    loop_a = PhaseNode(0, 0, 10, 1.5, occurrence=3, children=[
+        PhaseNode(0, 0, 5, 1.0),
+        PhaseNode(1, 5, 5, 2.0),
+    ])
+    loop_b = PhaseNode(2, 30, 10, 3.5, occurrence=2, children=[
+        PhaseNode(2, 30, 5, 3.0),
+        PhaseNode(3, 35, 5, 4.0),
+    ])
+    tree = PhaseNode(0, 0, 50, 2.3, children=[loop_a, loop_b])
+    wave = predict_waveform(tree, 50, 50)
+    expected = np.array(([1.0] * 5 + [2.0] * 5) * 3 + ([3.0] * 5 + [4.0] * 5) * 2)
+    np.testing.assert_allclose(wave.samples, expected)
+
+
+def test_unequal_truth_tree_renders_near_the_golden_waveform():
+    # the scripted truth of two sibling loops, a x3 then b x2, repeated
+    def flat(label, cpi, instrs, events):
+        return SegmentSpec(label, block_cpi=cpi, block_instruction_count=instrs, event_count=events)
+
+    a = SegmentSpec("a", nested=[flat("a0", 0.8, 4, 9), flat("a1", 2.6, 6, 7)],
+                    nested_repetitions=3, entry_kind=EntryKind.BACKWARD_BRANCH)
+    b = SegmentSpec("b", nested=[flat("b0", 1.9, 5, 11), flat("b1", 0.6, 3, 13),
+                                 flat("b2", 2.9, 7, 5)], nested_repetitions=2)
+    trace, annotation = generate(ScenarioSpec([a, b], repetitions=10, noise_stddev=0.05, seed=7))
+    period = annotation.true_phases.children[0]
+    assert [c.occurrence for c in period.children] == [3, 2]
+    total = trace.total_instructions
+    predicted = predict_waveform(annotation.true_phases, total, 4096)
+    mape = error_rate(predicted, golden_waveform(trace, 4096)).mean_absolute_percentage_error
+    assert mape < 5.0
 
 
 def test_tq_phase_list_renders_step():

@@ -138,6 +138,70 @@ def test_align_uses_every_candidate_given():
     assert (start, head) == (5, 1)
 
 
+def align_phase_loop(offsets, block_ids, length):
+    """The per-block loop align_phase replaced, kept as its oracle: group
+    the candidates by block (a stable sort keeps each block's order), score
+    each block seen twice or more by |np.median of its gaps - length|, and
+    keep the least (score, first offset, block id)."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    block_ids = np.asarray(block_ids, dtype=np.int64)
+    order = np.argsort(block_ids, kind="stable")
+    cuts = np.flatnonzero(np.diff(block_ids[order])) + 1
+    best = None
+    for ids, offs in zip(np.split(block_ids[order], cuts), np.split(offsets[order], cuts)):
+        if offs.size < 2:
+            continue
+        key = (abs(float(np.median(np.diff(offs))) - length), int(offs[0]), int(ids[0]))
+        if best is None or key < best:
+            best = key
+    if best is not None:
+        return best[1], best[2]
+    first = int(np.argmin(offsets))
+    return int(offsets[first]), int(block_ids[first])
+
+
+#: negative, zero and sparse block ids
+ALIGN_BLOCK_IDS = [-(2**62), -5, -1, 0, 3, 4, 10**9, 2**62]
+
+
+@st.composite
+def align_inputs(draw):
+    """Candidates in no particular order: per block 1, 2 (an even gap count
+    of one), 3 or more offsets, from a small range (equal gaps and equal
+    scores) or a wide one (gaps that float64 rounds)."""
+    high = draw(st.sampled_from([60, 2**61]))
+    candidates = []
+    for bid in draw(st.lists(st.sampled_from(ALIGN_BLOCK_IDS), min_size=1, max_size=5, unique=True)):
+        count = draw(st.sampled_from([1, 2, 3, 4, 5, 8]))
+        candidates += [(draw(st.integers(0, high)), bid) for _ in range(count)]
+    candidates = draw(st.permutations(candidates))
+    length = draw(st.one_of(st.integers(1, 40), st.integers(1, 2**61)))
+    return [o for o, _ in candidates], [b for _, b in candidates], length
+
+
+@settings(max_examples=400, deadline=None)
+@given(inputs=align_inputs())
+def test_align_matches_the_per_block_loop(inputs):
+    assert align_phase(*inputs) == align_phase_loop(*inputs)
+
+
+@pytest.mark.parametrize("offsets, block_ids, length, expected", [
+    # both blocks recur every 10: the earlier first offset wins
+    ([30, 5, 40, 15], [7, -3, 7, -3], 10, (5, -3)),
+    # same score and first offset: the smaller block id wins
+    ([0, 0, 10, 10], [4, -5, 4, -5], 10, (0, -5)),
+    # a block's first offset is its first given, not its smallest
+    ([50, 20, 80], [1, 1, 1], 30, (50, 1)),
+    # block 2's gaps 10, 10, 40, 40 (an even count) have median 25, as has
+    # block 9's one gap; block 2 comes first
+    ([0, 10, 20, 60, 100, 3, 28], [2, 2, 2, 2, 2, 9, 9], 25, (0, 2)),
+    # block 1's gaps 10, 15 have median 12.5, not 12: block 2's gap 12 wins
+    ([0, 10, 25, 5, 17], [1, 1, 1, 2, 2], 12, (5, 2)),
+])
+def test_align_tie_breaks_and_medians(offsets, block_ids, length, expected):
+    assert align_phase(offsets, block_ids, length) == expected == align_phase_loop(offsets, block_ids, length)
+
+
 # --- occurrence-one splitting -------------------------------------------------
 
 def test_split_ideal_step():

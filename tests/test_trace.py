@@ -412,6 +412,47 @@ def test_malformed_event_deep_in_a_chunk_names_its_line(seed, bad):
     assert exc.value.line == at + 1
 
 
+def mixed_chunks_text(n_events):
+    """Block table, events and quantum records, so that the first chunk
+    holds the table and events and the last chunk events and the L/Q
+    records: (lines, index of the first event line)."""
+    header = ["V 1"] + [f"B {b} {0x1000 + 0x40 * b:x} 4 F" for b in range(4)]
+    events = [f"E {i % 4} {1.0 + i % 7 / 8!r}" for i in range(n_events)]
+    return header + events + [f"L {4 * n_events}", "Q 0 1.5"], len(header)
+
+
+def test_event_lines_of_mixed_chunks_convert_at_once(monkeypatch):
+    n_events = 2 * _CHUNK_LINES
+    lines, _ = mixed_chunks_text(n_events)
+    converted = []
+    event_columns = trace_module._event_columns
+
+    def spy(run, known):
+        columns = event_columns(run, known)
+        converted.append(None if columns is None else len(run))
+        return columns
+
+    monkeypatch.setattr(trace_module, "_event_columns", spy)
+    trace = parse_trace("\n".join(lines) + "\n")
+    assert trace.event_blocks.size == n_events
+    # the first chunk's events, the full middle chunk, the last chunk's events
+    assert converted == [_CHUNK_LINES - 5, _CHUNK_LINES, 5]
+
+
+@pytest.mark.parametrize("chunk", ["first", "last"])
+@pytest.mark.parametrize("bad", BAD_EVENT_LINES)
+def test_malformed_event_in_a_mixed_chunk_names_its_line(chunk, bad):
+    lines, first_event = mixed_chunks_text(_CHUNK_LINES + 200)
+    at = first_event + 100 if chunk == "first" else len(lines) - 5  # 0-based
+    assert lines[at].startswith("E ")
+    lines[at] = bad[0]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(TraceFormatError, match=bad[1]) as exc:
+        parse_trace(text)
+    assert exc.value.line == at + 1
+    assert_parses_as_the_line_loop(text)
+
+
 # --- event chunks in odd spellings ----------------------------------------------
 
 #: spellings that numpy's reader accepts as well as int()/float()
