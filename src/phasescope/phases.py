@@ -321,16 +321,16 @@ def analyze(
 
 def validate_tree(root: PhaseNode) -> None:
     """Structural well-formedness: children ordered, disjoint, inside the
-    parent interval."""
+    parent interval; ValueError naming the first violation."""
     for node in root.walk():
         cursor = node.start_instruction
         for child in node.children:
             if child.start_instruction < cursor:
-                raise AssertionError("children overlap or are out of order")
+                raise ValueError("children overlap or are out of order")
             if child.end_instruction > node.end_instruction:
-                raise AssertionError("child extends past its parent")
+                raise ValueError("child extends past its parent")
             if child.length_instructions < 1:
-                raise AssertionError("empty child interval")
+                raise ValueError("empty child interval")
             cursor = child.end_instruction
 
 
@@ -378,38 +378,96 @@ def tree_to_dict(node: PhaseNode, blocks) -> dict:
     }
 
 
+def _positional(obj) -> bool:
+    """Every float in obj is 0 or 1e-4 <= |x| < 1e16: repr()'s positional
+    range, the rule trace.float_reprs applies (NaN and inf are outside)."""
+    if isinstance(obj, float):
+        return obj == 0 or 1e-4 <= abs(obj) < 1e16
+    if isinstance(obj, dict):
+        return all(map(_positional, obj.values()))
+    if isinstance(obj, list):
+        return all(map(_positional, obj))
+    return True
+
+
+def _indented_json(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) plus a
+    newline, byte for byte, from orjson's native encoder where it writes the
+    same bytes (with indent, json runs its pure-Python encoder).
+
+    orjson differs on floats outside _positional's range (1e16 for 1e+16,
+    null for NaN) and refuses ints beyond 64 bits and numpy scalars with
+    TypeError: those payloads take json.dumps, which still raises ValueError
+    on NaN and inf. orjson writes non-ASCII text as UTF-8 where json escapes
+    it, so only ASCII payloads (hex addresses, fixed keys, enum values) come
+    here; baseline.comparison_json (the trace path) and synth.scenario_json
+    (segment labels) stay on json.dumps.
+    """
+    import orjson  # here, as in trace.float_reprs: importing the package skips it
+
+    try:
+        text = orjson.dumps(payload, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS)
+    except TypeError:  # orjson.JSONEncodeError is a TypeError
+        text = None
+    if text is None or not _positional(payload):
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return text.decode() + "\n"
+
+
 def tree_json(root: PhaseNode, blocks) -> str:
-    return json.dumps(tree_to_dict(root, blocks), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """tree_to_dict(root, blocks) as indented JSON with sorted keys and a
+    final newline, the bytes json.dumps writes (see _indented_json);
+    ValueError on a NaN or infinite mean_cpi."""
+    return _indented_json(tree_to_dict(root, blocks))
 
 
 def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
     """Rebuild a PhaseNode tree (plus a block_id -> address map) from the
     JSON object shape produced by tree_to_dict; ValueError on any other
-    shape."""
+    shape. head_block, start, length and occurrence must be integers within
+    int64 (a bool, float or str is not), length and occurrence at least 1,
+    mean_cpi a finite real number other than a bool, every child ordered
+    inside its parent (validate_tree), and a head_block at one address."""
     addresses: dict[int, int] = {}
 
+    def integer(entry: dict, key: str, low: int = -(2**63)) -> int:
+        value = entry[key]
+        if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value < 2**63:
+            raise ValueError(f"{key} must be an integer in [{low}, 2**63), got {value!r}")
+        return int(value)
+
     def build(entry: dict) -> PhaseNode:
-        addresses[int(entry["head_block"])] = int(entry["head_address"], 16)
+        head = integer(entry, "head_block")
+        address = int(entry["head_address"], 16)
+        if addresses.setdefault(head, address) != address:
+            raise ValueError(f"head_block {head} is given at two addresses")
+        cpi = entry["mean_cpi"]
+        if isinstance(cpi, bool) or not isinstance(cpi, Real) or not math.isfinite(cpi):
+            raise ValueError(f"mean_cpi must be a finite real number, got {cpi!r}")
         return PhaseNode(
-            head_block=int(entry["head_block"]),
-            start_instruction=int(entry["start"]),
-            length_instructions=int(entry["length"]),
-            mean_cpi=float(entry["mean_cpi"]),
-            occurrence=int(entry["occurrence"]),
+            head_block=head,
+            start_instruction=integer(entry, "start"),
+            length_instructions=integer(entry, "length", 1),
+            mean_cpi=float(cpi),
+            occurrence=integer(entry, "occurrence", 1),
             structure=Structure(entry["structure"]),
             children=[build(c) for c in entry.get("children", [])],
         )
 
     try:
         root = build(obj)
+        validate_tree(root)
+    except ValueError as exc:
+        raise ValueError(f"malformed phase tree: {exc}") from None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed phase tree: {type(exc).__name__}: {exc}") from None
-    if not all(np.isfinite(node.mean_cpi) for node in root.walk()):
-        raise ValueError("malformed phase tree: a mean_cpi is not finite")
     return root, addresses
 
 
 def markers_json(markers: dict[int, MarkerEntry]) -> str:
+    """The marker table keyed by hex head address, as indented JSON with
+    sorted keys and a final newline, the bytes json.dumps writes (see
+    _indented_json); ValueError on a NaN or infinite mean_cpi."""
     payload = {
         f"{addr:#x}": {
             "phase_path": list(entry.phase_path),
@@ -419,4 +477,4 @@ def markers_json(markers: dict[int, MarkerEntry]) -> str:
         }
         for addr, entry in markers.items()
     }
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _indented_json(payload)

@@ -28,10 +28,11 @@ The parser reads lines in fixed-size chunks and cuts a chunk that holds
 other records (the block table, the ``Q`` and ``L`` records) into runs of
 lines that start with ``E`` and runs of other lines. A run of ``E`` lines is
 converted by one ``np.loadtxt`` call into a record array (kind, block id
-and, when present, cycle count). Any other run, and any run numpy's reader
-rejects or whose values fail a check (a kind other than ``E``, a non-finite
-or negative cycle count, an unknown block), goes through the line-by-line
-loop, which gives the same columns and names the offending line.
+and, when present, cycle count). Any other run, any run holding a NUL or a
+non-ASCII character, and any run numpy's reader rejects or whose values
+fail a check (a kind other than ``E``, a non-finite or negative cycle
+count, an unknown block), goes through the line-by-line loop, which gives
+the same columns and names the offending line.
 
 The writer prints every float as repr() does (the shortest digits that
 read back to the same float64), and formats a whole column at once:
@@ -40,6 +41,9 @@ code, then gives repr()'s own text to the few values outside repr()'s
 positional range (nonzero ``|x| < 1e-4``, ``|x| >= 1e16``), where the two
 spell the exponent differently. The event lines are then built by one
 ``%`` formatting step, so every byte equals what per-event repr() gives.
+The CSV writers use ``float_reprs`` too; the phase tree and marker JSON
+writers apply the same range rule to whole payloads
+(``phases._indented_json``).
 """
 
 from __future__ import annotations
@@ -281,11 +285,14 @@ def _event_columns(
     ``1_0``, no non-ASCII digits, no extra fields), splits fields at the
     same whitespace and gives the same values, so an accepted run yields
     the columns the line loop would. It does drop trailing NULs from the
-    kind field ("E\\x00" reads as "E"), so a run holding a NUL goes to the
-    line loop.
+    kind field ("E\\x00" reads as "E"), and a field holding a non-ASCII
+    character it cannot convert can crash the process (numpy 2.4: a
+    segmentation fault in about one run in three for "E \\U000d6a92 5.0"),
+    so a run holding a NUL or any non-ASCII character goes to the line loop.
     """
     layout = _EVENT_ROWS.get(len(run[0].split()))
-    if layout is None or "\x00" in "".join(run):
+    text = "".join(run)
+    if layout is None or "\x00" in text or not text.isascii():
         return None
     try:
         rows = np.loadtxt(run, dtype=layout, comments=None, ndmin=1)
@@ -444,14 +451,16 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
 def float_reprs(values: np.ndarray) -> list[str]:
     """repr() of each element of a 1-D float64 column, "null" for NaN.
 
-    Every float the package writes as text goes through here. orjson writes
-    the same shortest round-trip digits as repr() in native code, and spells
-    them the same way in repr()'s positional range, 1e-4 <= |x| < 1e16 (and
-    0). Outside it the exponent spellings differ (1e16 against 1e+16,
-    0.00001 against 1e-05), so those rare values, and the infinities, take
-    repr().
+    The trace writer and the waveform, spectrum and sample CSV writers
+    format their float columns here. orjson writes the same shortest round-trip digits as
+    repr() in native code, and spells them the same way in repr()'s
+    positional range, 1e-4 <= |x| < 1e16 (and 0). Outside it the exponent
+    spellings differ (1e16 against 1e+16, 0.00001 against 1e-05), so those
+    rare values, and the infinities, take repr(). The JSON writers do not
+    come here: phases._indented_json applies the same rule to a payload and
+    gives json.dumps the payloads that break it.
     """
-    import orjson  # here, so that analyze and compare, which write no trace, skip its import
+    import orjson  # here, so that a run writing no trace, CSV or tree skips its import
 
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.size == 0:

@@ -329,14 +329,17 @@ def test_analyze_waveform_csv_attributes_once(tmp_path, trace_file, monkeypatch)
     assert plain.read_bytes() == tree.read_bytes()
 
 
-def run_module(*args, python_flags=()):
-    """`python [FLAGS] -m phasescope.cli ARGS` in a child process importing
-    this checkout's package."""
+def run_python(*argv):
+    """`python ARGV` in a child process importing this checkout's package."""
     src = str(Path(phasescope.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *python_flags, "-m", "phasescope.cli", *args],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-                          timeout=120)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def run_module(*args, python_flags=()):
+    """`python [FLAGS] -m phasescope.cli ARGS` in a child process."""
+    return run_python(*python_flags, "-m", "phasescope.cli", *args)
 
 
 def test_module_entry_point_matches_in_process_main(tmp_path, trace_file):
@@ -370,7 +373,17 @@ def test_only_commands_that_write_floats_import_orjson(tmp_path, trace_file):
         # -X importtime writes "import time: self | cumulative | module" per import
         modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
         imported[name] = "orjson" in modules
-    assert imported == {"analyze": False, "compare": False, "synth": True}
+    assert imported == {"analyze": True, "compare": False, "synth": True}
+
+
+def test_import_and_compare_leave_orjson_unloaded(tmp_path, trace_file):
+    # orjson's import costs every process that loads it about 5 ms
+    code = ("import sys, phasescope\n"
+            "print('orjson' in sys.modules)\n"
+            "from phasescope.cli import main\n"
+            "print(main(sys.argv[1:]), 'orjson' in sys.modules)\n")
+    proc = run_python("-c", code, "compare", str(trace_file), "--out", str(tmp_path / "cmp.json"))
+    assert (proc.stdout, proc.stderr) == ("False\n0 False\n", "")
 
 
 def test_module_entry_point_reports_a_malformed_trace_with_exit_2(tmp_path):
@@ -403,6 +416,16 @@ MALFORMED_TREES = {
     "bad structure": lambda tree: {**tree, "structure": "bogus"},
     "child not an object": lambda tree: {**tree, "children": [1]},
     "NaN mean CPI": lambda tree: {**tree, "mean_cpi": float("nan")},
+    "fractional occurrence": lambda tree: {**tree, "occurrence": 2.7},
+    "bool mean CPI": lambda tree: {**tree, "mean_cpi": True},
+    "string start": lambda tree: {**tree, "start": "12"},
+    "negative length": lambda tree: {**tree, "length": -5},
+    "zero occurrence": lambda tree: {**tree, "occurrence": 0},
+    "head block beyond int64": lambda tree: {**tree, "head_block": 2**70},
+    "child past its parent": lambda tree: {
+        **tree, "children": [{**tree, "children": [], "length": tree["length"] + 1}]},
+    "head block at two addresses": lambda tree: {
+        **tree, "children": [{**tree, "children": [], "head_address": "0x1"}]},
 }
 
 

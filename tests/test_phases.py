@@ -32,7 +32,15 @@ from phasescope import (
     split_step,
 )
 from phasescope.attribution import EventIndex, profile_rates, sample_range
-from phasescope.phases import _candidates_in_range, tree_from_dict, tree_json, validate_tree
+from phasescope.phases import (
+    MarkerEntry,
+    _candidates_in_range,
+    markers_json,
+    tree_from_dict,
+    tree_json,
+    tree_to_dict,
+    validate_tree,
+)
 
 import json
 
@@ -357,6 +365,102 @@ def test_tree_json_round_trip():
     text = tree_json(tree, trace.blocks)
     rebuilt, addresses = tree_from_dict(json.loads(text))
     assert tree_json(rebuilt, addresses) == text
+
+
+# --- JSON writers against the standard library's bytes -------------------------
+
+EDGE_FLOATS = [5e-324, 2.2250738585072014e-308, 1e-05, 9.999999999999999e-05, 1e-4, 0.1,
+               9999999999999998.0, 1e16, 1.2345678901234568e17, 1.7976931348623157e308,
+               0.0, -0.0, -1e-05, -1e16, math.nan, math.inf, -math.inf]
+EDGE_INTS = [0, -1, 2**63 - 1, -(2**63), 2**63, 2**64 - 1, 2**64, -(2**63) - 1, 2**70]
+
+
+def mostly(common, *rare):
+    """Each draw takes common 20 times as often as each rare strategy, so
+    that many payloads hold no rare value at all and take orjson's path."""
+    return st.sampled_from([common] * 20 + list(rare)).flatmap(lambda strategy: strategy)
+
+
+# orjson and json spell these alike: floats in repr()'s positional range, ints in [-2**63, 2**64)
+positional = st.floats(1e-4, 1e16, exclude_max=True) | st.floats(-1e16, -1e-4, exclude_min=True)
+json_floats = mostly(positional | st.sampled_from([0.0, -0.0]), st.floats(),
+                     st.sampled_from(EDGE_FLOATS), st.floats().map(np.float64))
+json_ints = mostly(st.integers(-(2**63), 2**64 - 1), st.sampled_from(EDGE_INTS),
+                   st.integers(-(2**63), 2**63 - 1).map(np.int64))
+
+
+def with_children(node, children):
+    node.children = children
+    return node
+
+
+def nested(tree, depth):
+    for _ in range(depth):
+        tree = PhaseNode(0, 0, 1, 1.0, children=[tree])
+    return tree
+
+
+phase_nodes = st.builds(PhaseNode, head_block=json_ints, start_instruction=json_ints,
+                        length_instructions=json_ints, mean_cpi=json_floats,
+                        occurrence=json_ints, structure=st.sampled_from(Structure))
+phase_trees = st.builds(
+    nested,
+    st.recursive(phase_nodes, lambda kids: st.builds(with_children, phase_nodes,
+                                                     st.lists(kids, max_size=4)), max_leaves=16),
+    st.sampled_from([0, 0, 0, 1, 7, 40, 150]),  # 150 levels pass orjson's nesting limit
+)
+marker_paths = st.lists(json_ints, max_size=5).map(tuple)
+marker_tables = st.dictionaries(
+    st.integers(0, 2**70),
+    st.builds(MarkerEntry, phase_path=marker_paths, mean_cpi=json_floats,
+              structure=st.sampled_from(Structure),
+              additional_paths=st.lists(marker_paths, max_size=4)),
+    max_size=8,
+)
+
+
+def stdlib_json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def outcome(write, *args):
+    """The text written, or the type of the exception raised."""
+    try:
+        return write(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=phase_trees)
+def test_tree_json_writes_the_standard_librarys_bytes(tree):
+    blocks = {node.head_block: 0x1000 + 0x40 * abs(int(node.head_block)) for node in tree.walk()}
+    expected = outcome(lambda: stdlib_json(tree_to_dict(tree, blocks)))
+    assert outcome(tree_json, tree, blocks) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(markers=marker_tables)
+def test_markers_json_writes_the_standard_librarys_bytes(markers):
+    payload = {
+        f"{addr:#x}": {
+            "phase_path": list(entry.phase_path),
+            "mean_cpi": entry.mean_cpi,
+            "structure": entry.structure.value,
+            "additional_paths": [list(p) for p in entry.additional_paths],
+        }
+        for addr, entry in markers.items()
+    }
+    assert outcome(markers_json, markers) == outcome(stdlib_json, payload)
+
+
+def test_plain_trees_and_markers_skip_the_standard_library_encoder(monkeypatch):
+    trace, _ = generate(TWO_LEVEL)
+    tree = analyze(trace)
+    expected = stdlib_json(tree_to_dict(tree, trace.blocks))
+    monkeypatch.setattr(json, "dumps", None)  # calling it would raise TypeError
+    assert tree_json(tree, trace.blocks) == expected
+    markers_json(export_markers(tree, trace.blocks))
 
 
 def test_tree_structural_invariants_on_random_scenarios():
