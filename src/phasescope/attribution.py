@@ -49,12 +49,14 @@ class Waveform:
 class EventIndex:
     """Prefix-sum view of the event stream for O(log E) offset lookups.
 
-    starts has length E+1; event e covers instructions [starts[e], starts[e+1]).
+    Three columns: block_ids and event_cycles (None unless golden) have
+    length E, starts has length E+1; event e covers instructions
+    [starts[e], starts[e+1]), so np.diff(starts) gives every event's
+    instruction count.
     """
 
     block_ids: np.ndarray
     starts: np.ndarray
-    instr_counts: np.ndarray
     event_cycles: Optional[np.ndarray]
 
     @classmethod
@@ -63,7 +65,6 @@ class EventIndex:
         return cls(
             block_ids=trace.event_blocks,
             starts=trace.event_starts,
-            instr_counts=trace.event_instructions,
             event_cycles=trace.event_cycles if trace.is_golden else None,
         )
 
@@ -78,7 +79,13 @@ class EventIndex:
     def golden_event_cpi(self) -> np.ndarray:
         if self.event_cycles is None:
             raise ValueError("golden cycles required")
-        return self.event_cycles / self.instr_counts
+        return self.event_cycles / _event_instructions(self.starts)
+
+
+def _event_instructions(starts: np.ndarray) -> np.ndarray:
+    """Each event's instruction count, from the prefix sums: np.diff(starts),
+    less np.diff's per-call cost, which shows on many small traces."""
+    return starts[1:] - starts[:-1]
 
 
 def group_bounds(sorted_ids: np.ndarray) -> np.ndarray:
@@ -125,12 +132,14 @@ def attribute_block_cpi(
     # One pairwise .sum() per block slice adds exactly the values, in exactly
     # the order, that a per-block boolean mask would select. np.add.reduceat
     # and np.bincount add in sequence, which changes last digits of the block
-    # CPIs; the integer instruction counts are exact in any order.
+    # CPIs.
     sums = np.array([values[a:b].sum() for a, b in pairwise(bounds.tolist())])
-    if mode == "quantum":
-        weights = np.diff(bounds)
-    else:
-        weights = np.add.reduceat(index.instr_counts[order], firsts)
+    weights = np.diff(bounds)
+    if mode == "golden":
+        # every event of a block runs its instruction count, so the block's
+        # instructions are an exact integer product (validation keeps the
+        # trace total, and so each product, within int64)
+        weights *= [trace.blocks[b].instruction_count for b in ids[firsts].tolist()]
     cpis = sums / weights
     bad = np.flatnonzero(cpis <= 0)
     if bad.size:
@@ -197,8 +206,12 @@ def golden_waveform(trace: ExecutionTrace, resolution: int = 4096) -> Waveform:
 
 def weighted_cpi_prefix(index: EventIndex, rates: np.ndarray) -> np.ndarray:
     """prefix[e] = sum of instr_count*rate over events before e (length E+1)."""
+    return _weighted_prefix(_event_instructions(index.starts), rates)
+
+
+def _weighted_prefix(counts: np.ndarray, rates: np.ndarray) -> np.ndarray:
     prefix = np.zeros(len(rates) + 1, dtype=float)
-    np.cumsum(index.instr_counts * rates, out=prefix[1:])
+    np.cumsum(counts * rates, out=prefix[1:])
     return prefix
 
 
@@ -224,8 +237,11 @@ def quantum_cpis(index: EventIndex, quantum_length: int) -> np.ndarray:
     """
     if quantum_length < 1:
         raise ValueError("quantum_length must be positive")
-    rates = index.golden_event_cpi()
-    prefix = weighted_cpi_prefix(index, rates)
+    if index.event_cycles is None:
+        raise ValueError("golden cycles required")
+    counts = _event_instructions(index.starts)  # once, for the rates and the prefix
+    rates = index.event_cycles / counts
+    prefix = _weighted_prefix(counts, rates)
     total = index.total_instructions
     n_quanta = math.ceil(total / quantum_length)
     bounds = np.minimum(np.arange(n_quanta + 1, dtype=np.int64) * quantum_length, total)

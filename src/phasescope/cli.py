@@ -35,7 +35,8 @@ def _config_from_args(args) -> AnalysisConfig:
     if getattr(args, "config", None):
         try:
             values = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: JSON nested past the interpreter's recursion limit
             raise InputError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(values, dict):
             raise InputError(f"config {args.config} must hold a JSON object of config fields")
@@ -136,16 +137,17 @@ def cmd_compare(args) -> None:
 
 def cmd_synth(args) -> None:
     try:
-        text = Path(args.scenario).read_text()
+        scenario = synth.scenario_from_json(Path(args.scenario).read_text())
+        trace, annotation = synth.generate(scenario)
+        annotation_text = phases.tree_json(annotation.true_phases, trace.blocks)
     except OSError as exc:
         raise InputError(str(exc)) from None
-    scenario = synth.scenario_from_json(text)
-    trace, annotation = synth.generate(scenario)
+    except RecursionError as exc:
+        # JSON or segments nested past the interpreter's recursion limit: the
+        # reader, generate and the annotation all recurse once per level
+        raise InputError(f"scenario {args.scenario} is nested too deeply: {exc}") from None
     save_trace(trace, f"{args.out_prefix}.trace")
-    _write(
-        f"{args.out_prefix}.annotation.json",
-        phases.tree_json(annotation.true_phases, trace.blocks),
-    )
+    _write(f"{args.out_prefix}.annotation.json", annotation_text)
 
 
 def cmd_spectrum(args) -> None:
@@ -160,7 +162,9 @@ def cmd_spectrum(args) -> None:
 def cmd_markers(args) -> None:
     try:
         root, addresses = phases.tree_from_dict(json.loads(Path(args.tree).read_text()))
-    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (OSError, ValueError, RecursionError) as exc:
+        # json.JSONDecodeError is a ValueError; RecursionError comes from JSON
+        # nested past the interpreter's recursion limit
         raise InputError(f"cannot read tree {args.tree}: {exc}") from None
     _write(args.out, phases.markers_json(phases.export_markers(root, addresses)))
 

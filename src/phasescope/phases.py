@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import re
 from collections import deque
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
@@ -421,13 +422,19 @@ def tree_json(root: PhaseNode, blocks) -> str:
     return _indented_json(tree_to_dict(root, blocks))
 
 
+#: the f"{address:#x}" spelling of a non-negative address
+_HEX_ADDRESS = re.compile(r"0x(0|[1-9a-f][0-9a-f]*)")
+
+
 def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
     """Rebuild a PhaseNode tree (plus a block_id -> address map) from the
     JSON object shape produced by tree_to_dict; ValueError on any other
     shape. head_block, start, length and occurrence must be integers within
-    int64 (a bool, float or str is not), length and occurrence at least 1,
-    mean_cpi a finite real number other than a bool, every child ordered
-    inside its parent (validate_tree), and a head_block at one address."""
+    int64 (a bool, float or str is not), start at least 0, length and
+    occurrence at least 1, mean_cpi a finite real number other than a bool,
+    every child ordered inside its parent (validate_tree), and a head_block
+    at one address, spelled as tree_to_dict writes it: 0x and lowercase hex
+    digits without leading zeros."""
     addresses: dict[int, int] = {}
 
     def integer(entry: dict, key: str, low: int = -(2**63)) -> int:
@@ -438,7 +445,10 @@ def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
 
     def build(entry: dict) -> PhaseNode:
         head = integer(entry, "head_block")
-        address = int(entry["head_address"], 16)
+        text = entry["head_address"]
+        if not _HEX_ADDRESS.fullmatch(text):
+            raise ValueError(f"head_address must be written 0x<lowercase hex>, got {text!r}")
+        address = int(text, 16)
         if addresses.setdefault(head, address) != address:
             raise ValueError(f"head_block {head} is given at two addresses")
         cpi = entry["mean_cpi"]
@@ -446,7 +456,7 @@ def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
             raise ValueError(f"mean_cpi must be a finite real number, got {cpi!r}")
         return PhaseNode(
             head_block=head,
-            start_instruction=integer(entry, "start"),
+            start_instruction=integer(entry, "start", 0),
             length_instructions=integer(entry, "length", 1),
             mean_cpi=float(cpi),
             occurrence=integer(entry, "occurrence", 1),

@@ -254,7 +254,7 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
         # and validated once, with them
         starts = np.zeros(event_instr.size + 1, dtype=np.int64)
         np.cumsum(event_instr, out=starts[1:])
-        index = EventIndex(event_block, starts, event_instr, cycles)
+        index = EventIndex(event_block, starts, cycles)
         quanta = quantum_cpis(index, spec.quantum_length)
     trace = ExecutionTrace(
         blocks=blocks,

@@ -14,12 +14,13 @@ stream, one record per line:
 cycle count, and "quantum" when Q/L records are present; at least one of
 the two must hold (both is fine for validation traces). Decimal fields
 must fit in a signed 64-bit integer; cycle counts must be finite and
-non-negative, quantum CPIs finite and positive, and block start addresses
-distinct.
+non-negative, quantum CPIs finite and positive, block addresses
+non-negative and block start addresses distinct.
 
 In memory the event stream is two numpy columns, block ids and cycle
-counts, built and validated once; validation also derives each event's
-instruction count and their prefix sums, which every later stage reads.
+counts, built and validated once; validation adds a third, the prefix sums
+of the events' instruction counts, which every later stage reads. An
+event's own count is the difference of two consecutive prefix sums.
 The quantum CPIs are one more column, indexed by quantum number; the
 parser checks that ``Q`` records come in index order 0, 1, 2, ... and names
 the line of the first one that does not.
@@ -90,6 +91,8 @@ class BlockDescriptor:
     target_address: Optional[int] = None
 
     def __post_init__(self):
+        if self.start_address < 0 or (self.target_address or 0) < 0:
+            raise TraceFormatError(f"block {self.block_id}: addresses must be non-negative")
         if self.instruction_count < 1:
             raise TraceFormatError(
                 f"block {self.block_id}: instruction_count must be >= 1"
@@ -122,11 +125,12 @@ def positions_in(sorted_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
 class ExecutionTrace:
     """Validated trace: block table, event columns, optional quantum column.
 
-    event_blocks[e] (int64) is the block event e executed and
-    event_cycles[e] (float64) its cycle count, NaN when the event carries
-    none. Validation adds event_instructions[e], that block's instruction
-    count, and event_starts (length E+1), their prefix sums: event e covers
-    instructions [event_starts[e], event_starts[e+1]). quanta[q] (float64),
+    Three event columns are stored. event_blocks[e] (int64) is the block
+    event e executed and event_cycles[e] (float64) its cycle count, NaN when
+    the event carries none. Validation adds event_starts (int64, length
+    E+1), the prefix sums of the executed blocks' instruction counts: event
+    e covers instructions [event_starts[e], event_starts[e+1]), so
+    np.diff(event_starts) gives each event's count. quanta[q] (float64),
     when present, is the measured CPI of instructions
     [q * quantum_length, (q + 1) * quantum_length).
 
@@ -140,7 +144,6 @@ class ExecutionTrace:
     event_cycles: np.ndarray
     quanta: Optional[np.ndarray] = None
     quantum_length: Optional[int] = None
-    event_instructions: np.ndarray = field(init=False, repr=False)
     event_starts: np.ndarray = field(init=False, repr=False)
     is_golden: bool = field(init=False)
     total_instructions: int = field(init=False)
@@ -187,15 +190,14 @@ class ExecutionTrace:
             raise TraceFormatError(f"event {int(infinite[0])}: non-finite cycle count")
         if int(counts.max()) * events.size > _INT64_MAX:
             raise TraceFormatError("instruction counts too large: the total could overflow int64")
-        self.event_instructions = counts[slot]
         self.event_starts = np.zeros(events.size + 1, dtype=np.int64)
-        np.cumsum(self.event_instructions, out=self.event_starts[1:])
+        np.cumsum(counts[slot], out=self.event_starts[1:])
         total = self.total_instructions = int(self.event_starts[-1])
         if total <= 0:
             raise TraceFormatError("trace has no events")
         self.is_golden = not np.isnan(cycles).any()
         # every EventIndex shares these arrays, so none may change them
-        for column in (events, cycles, self.event_instructions, self.event_starts):
+        for column in (events, cycles, self.event_starts):
             column.flags.writeable = False
 
         if (self.quanta is None) != (self.quantum_length is None):

@@ -137,7 +137,7 @@ def test_mass_conservation():
     trace, _ = generate(spec)
     profiles = attribute_block_cpi(trace, mode="golden")
     assert list(profiles) == np.unique(trace.event_blocks).tolist()
-    cycles = sum(profiles[b] * trace.event_instructions[trace.event_blocks == b].sum() for b in profiles)
+    cycles = sum(profiles[b] * np.diff(trace.event_starts)[trace.event_blocks == b].sum() for b in profiles)
     assert cycles == pytest.approx(trace.event_cycles.sum(), rel=1e-12)
 
 
@@ -292,6 +292,7 @@ def mask_loop_profiles(trace, mode):
     """Reference attribution: one boolean mask per block over all events,
     the way profiles were computed before the sort-based grouping."""
     index = EventIndex.from_trace(trace)
+    instr_counts = np.diff(index.starts)
     if mode == "quantum":
         per_event_v = trace.quanta[index.starts[:-1] // trace.quantum_length]
     out = {}
@@ -300,7 +301,7 @@ def mask_loop_profiles(trace, mode):
         if mode == "quantum":
             out[int(bid)] = float(per_event_v[mask].sum() / int(mask.sum()))
         else:
-            out[int(bid)] = float(index.event_cycles[mask].sum() / int(index.instr_counts[mask].sum()))
+            out[int(bid)] = float(index.event_cycles[mask].sum() / int(instr_counts[mask].sum()))
     return out
 
 

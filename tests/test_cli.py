@@ -24,6 +24,7 @@ from phasescope import (
     predict_waveform,
     tq_phases,
 )
+from phasescope import synth
 from phasescope.cli import build_parser, main
 from phasescope.phases import tree_from_dict
 from phasescope.synth import scenario_json
@@ -426,6 +427,14 @@ MALFORMED_TREES = {
         **tree, "children": [{**tree, "children": [], "length": tree["length"] + 1}]},
     "head block at two addresses": lambda tree: {
         **tree, "children": [{**tree, "children": [], "head_address": "0x1"}]},
+    # a leaf, so no other node's address or interval can refuse it instead
+    "signed, spaced and underscored head address": lambda tree: {
+        **tree, "children": [], "head_address": " -0x1_0 "},
+    "head address without 0x": lambda tree: {**tree, "children": [], "head_address": "1000"},
+    "uppercase head address": lambda tree: {**tree, "children": [], "head_address": "0X1000"},
+    "head address with a leading zero": lambda tree: {
+        **tree, "children": [], "head_address": "0x01000"},
+    "negative start": lambda tree: {**tree, "children": [], "start": -5},
 }
 
 
@@ -440,6 +449,60 @@ def test_markers_on_a_malformed_tree_exits_2_naming_the_file(tmp_path, capsys, t
     assert main(["markers", str(bad), "--out", str(out)]) == 2
     assert f"cannot read tree {bad}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- JSON nested past the interpreter's recursion limit -----------------------
+
+DEEP_JSON = '{"children": [' * 3000
+
+
+def deep_tree_json(levels):
+    """A well-formed phase tree, a chain of `levels` nodes, written without
+    recursing."""
+    node = ('{"head_block": 0, "head_address": "0x1000", "start": 0, "length": 1, '
+            '"mean_cpi": 1.0, "occurrence": 1, "structure": "none", "children": [')
+    return node * levels + "]}" * levels
+
+
+@pytest.mark.parametrize("text", [DEEP_JSON, deep_tree_json(700)], ids=["unclosed", "well-formed"])
+def test_markers_on_a_tree_nested_too_deeply_exits_2_naming_the_file(tmp_path, capsys, text):
+    path = tmp_path / "tree.json"
+    path.write_text(text)
+    out = tmp_path / "markers.json"
+    assert main(["markers", str(path), "--out", str(out)]) == 2
+    assert f"cannot read tree {path}: maximum recursion depth exceeded" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_nested_too_deeply_exits_2_naming_the_file(tmp_path, capsys, trace_file):
+    config = tmp_path / "config.json"
+    config.write_text(DEEP_JSON)
+    tree = tmp_path / "tree.json"
+    assert main(["analyze", str(trace_file), "--tree", str(tree), "--config", str(config)]) == 2
+    assert f"cannot read config {config}: maximum recursion depth exceeded" in capsys.readouterr().err
+    assert not tree.exists()
+
+
+def deep_scenario(levels):
+    segment = SegmentSpec("a", block_cpi=1.0, block_instruction_count=2, event_count=3)
+    for depth in range(levels):
+        segment = SegmentSpec(f"g{depth}", nested=[segment])
+    return ScenarioSpec(segments=[segment])
+
+
+@pytest.mark.parametrize("read", ["from JSON", "by generate"])
+def test_synth_on_a_scenario_nested_too_deeply_exits_2_naming_the_file(
+        tmp_path, capsys, monkeypatch, read):
+    # the JSON reader refuses DEEP_JSON; 2000 levels handed over past the
+    # reader make generate recurse past the limit
+    path = tmp_path / "scenario.json"
+    path.write_text(DEEP_JSON)
+    if read == "by generate":
+        monkeypatch.setattr(synth, "scenario_from_json", lambda text: deep_scenario(2000))
+    assert main(["synth", str(path), "--out-prefix", str(tmp_path / "x")]) == 2
+    assert f"scenario {path} is nested too deeply: maximum recursion depth exceeded" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "x.trace").exists()
 
 
 @pytest.mark.parametrize("text", ["[1]", "null", "3", '"resolution"'])

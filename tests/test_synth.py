@@ -49,7 +49,7 @@ def test_single_segment_zero_noise_is_constant():
     trace, annotation = generate(ScenarioSpec(
         segments=[flat("a", 1.5, 5, 10)], repetitions=3,
     ))
-    cpis = set((trace.event_cycles / trace.event_instructions).tolist())
+    cpis = set((trace.event_cycles / np.diff(trace.event_starts)).tolist())
     assert cpis == {1.5}
     assert annotation.true_phases.children == []
     assert annotation.true_phases.mean_cpi == pytest.approx(1.5)
@@ -479,7 +479,7 @@ def run_by_run_generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnot
     if spec.quantum_length is not None:
         starts = np.zeros(event_instr.size + 1, dtype=np.int64)
         np.cumsum(event_instr, out=starts[1:])
-        quanta = quantum_cpis(EventIndex(event_block, starts, event_instr, cycles), spec.quantum_length)
+        quanta = quantum_cpis(EventIndex(event_block, starts, cycles), spec.quantum_length)
     trace = ExecutionTrace(blocks=blocks, event_blocks=event_block, event_cycles=cycles,
                            quanta=quanta, quantum_length=spec.quantum_length)
     return trace, GoldenAnnotation(_build_annotation(spec, trace, run_blocks, run_starts))

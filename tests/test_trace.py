@@ -3,6 +3,7 @@
 import io
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -191,10 +192,28 @@ def test_columns_are_read_only_copies():
     trace = ExecutionTrace(blocks=blocks, event_blocks=ids, event_cycles=[1.0, 2.0])
     ids[0] = 7  # the caller's array stays writable and is not the trace's
     assert trace.event_blocks.tolist() == [0, 0]
-    for column in (trace.event_blocks, trace.event_cycles, trace.event_instructions,
-                   trace.event_starts):
+    for column in (trace.event_blocks, trace.event_cycles, trace.event_starts):
         with pytest.raises(ValueError):
             column[0] = 1
+
+
+def test_trace_retains_three_event_columns():
+    # block ids, cycles and instruction prefix sums, 8 bytes each per event;
+    # an event's instruction count is derived, not stored
+    rng = np.random.default_rng(5)
+    blocks = {b: BlockDescriptor(b, 0x1000 + 0x40 * b, b + 1, Terminator.FALLTHROUGH)
+              for b in range(16)}
+    ids = rng.integers(0, 16, 100_000)
+    cycles = rng.uniform(1.0, 50.0, ids.size)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = ExecutionTrace(blocks=blocks, event_blocks=ids, event_cycles=cycles)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 3 * 8 * ids.size + 64 * 1024
+    np.testing.assert_array_equal(np.diff(trace.event_starts), ids + 1)
 
 
 def test_quanta_are_a_read_only_float64_copy():
@@ -260,6 +279,10 @@ def test_non_finite_values_rejected_with_line(text, line):
     pytest.param("V 1\nB 0 1000 5\nE 0 5.0\n", 2, "malformed block record", id="block-4-fields"),
     pytest.param("V 1\nB 0 1000 5 X\nE 0 5.0\n", 2, "malformed terminator 'X'", id="terminator"),
     pytest.param("V 1\nB 0 zz 5 F\nE 0 5.0\n", 2, "malformed address 'zz'", id="address"),
+    pytest.param("V 1\nB 0 -10 5 F\nE 0 5.0\n", 2, "block 0: addresses must be non-negative",
+                 id="negative-address"),
+    pytest.param("V 1\nB 0 1000 5 B -10\nE 0 5.0\n", 2, "block 0: addresses must be non-negative",
+                 id="negative-target"),
     pytest.param("V 1\nB 0 1000 0 F\nE 0 5.0\n", 2, "block 0: instruction_count must be >= 1",
                  id="zero-instructions"),
     pytest.param("V 1\nB 0 1000 5 F 2000\nE 0 5.0\n", 2,
