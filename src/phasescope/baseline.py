@@ -123,13 +123,21 @@ def predict_waveform(
     offsets = np.arange(0, total_instructions, stride, dtype=np.int64)
 
     if isinstance(source, TqPhaseList):
-        per_quantum = np.empty(
-            math.ceil(total_instructions / source.quantum_length), dtype=float
-        )
+        # each quantum is predicted by exactly one phase: the phases follow
+        # one another from quantum 0 and end at the run's last quantum
+        quanta = math.ceil(total_instructions / source.quantum_length)
+        untiled = f"TQ phases must tile the run's {quanta} quanta in order"
+        end = 0
         for phase in source.phases:
-            per_quantum[phase.start_quantum : phase.start_quantum + phase.quantum_count] = (
-                phase.mean_cpi
-            )
+            if phase.start_quantum != end or phase.quantum_count < 1:
+                raise ValueError(untiled)
+            end += phase.quantum_count
+        if end != quanta:
+            raise ValueError(untiled)
+        per_quantum = np.repeat(
+            np.array([phase.mean_cpi for phase in source.phases], dtype=float),
+            [phase.quantum_count for phase in source.phases],
+        )
         values = per_quantum[offsets // source.quantum_length]
     elif isinstance(source, PhaseNode):
         values = np.empty(offsets.size, dtype=float)

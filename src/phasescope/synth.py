@@ -1,11 +1,11 @@
 """Deterministic synthetic traces with scripted ground truth.
 
-A scenario is an ordered list of segments repeated a number of times; each
-flat segment is one basic block executed event_count times at a scripted
-CPI, and a segment may instead nest an inner segment list with its own
-repetition count. The generator emits a golden-mode trace (optionally with
-quantum samples) plus an annotation tree describing the phases it scripted,
-so analysis results can be checked against known truth.
+A scenario is the outermost segment group: an ordered list of segments
+repeated a number of times. Each flat segment is one basic block executed
+event_count times at a scripted CPI; any other segment nests an inner group.
+The generator emits a golden-mode trace (optionally with quantum samples)
+plus an annotation tree describing the phases it scripted, so analysis
+results can be checked against known truth.
 
 Randomness (per-event CPI noise) comes from numpy's PCG64 generator seeded
 from the scenario seed, so identical scenarios produce byte-identical
@@ -95,10 +95,10 @@ def _check_number(what: str, value, kind: type, positive: bool = True) -> None:
         raise ScenarioError(f"{what} must be {'positive' if positive else 'non-negative'}")
 
 
-def _validate(spec: ScenarioSpec) -> dict[int, tuple[int, float, int]]:
-    """Check the scenario and measure it in one walk: the result maps each
-    segment's id(), and the scenario's own, to the (instructions, scripted
-    cycles, runs) of one pass through it (the whole trace for the scenario)."""
+def _validate(spec: ScenarioSpec) -> tuple[SegmentSpec, dict[int, tuple[int, float, int]]]:
+    """Check and measure the scenario in one walk. Returns it as its outermost
+    group (spec.segments nested spec.repetitions times) and maps every segment's
+    id(), the group's too, to the (instructions, cycles, runs) of one pass."""
     if not spec.segments:
         raise ScenarioError("scenario needs at least one segment")
     _check_number("repetitions", spec.repetitions, Integral)
@@ -118,7 +118,16 @@ def _validate(spec: ScenarioSpec) -> dict[int, tuple[int, float, int]]:
         nonlocal min_cpi
         if seg.nested:
             _check_number(f"segment {seg.label!r}: nested_repetitions", seg.nested_repetitions, Integral)
-            size = repeated(seg.nested, int(seg.nested_repetitions))
+            reps = int(seg.nested_repetitions)
+            events = instructions = runs = 0
+            cycles = 0.0
+            for inner in seg.nested:
+                n_events, n_instructions, n_cycles, n_runs = measure(inner)
+                events += n_events
+                instructions += n_instructions
+                cycles += n_cycles
+                runs += n_runs
+            size = (events * reps, instructions * reps, cycles * min(reps, _INT64_MAX), runs * reps)
         else:
             if seg.block_cpi is None or seg.block_instruction_count is None or seg.event_count is None:
                 raise ScenarioError(
@@ -136,27 +145,15 @@ def _validate(spec: ScenarioSpec) -> dict[int, tuple[int, float, int]]:
         sizes[id(seg)] = size[1:]
         return size
 
-    def repeated(segments: list[SegmentSpec], repetitions: int) -> tuple[int, int, float, int]:
-        events = instructions = runs = 0
-        cycles = 0.0
-        for seg in segments:
-            n_events, n_instructions, n_cycles, n_runs = measure(seg)
-            events += n_events
-            instructions += n_instructions
-            cycles += n_cycles
-            runs += n_runs
-        return (events * repetitions, instructions * repetitions,
-                cycles * min(repetitions, _INT64_MAX), runs * repetitions)
-
-    events, instructions, cycles, runs = repeated(spec.segments, int(spec.repetitions))
+    top = SegmentSpec("", nested=spec.segments, nested_repetitions=spec.repetitions)
+    events, instructions, _, _ = measure(top)
     # checked before anything is allocated: the event columns are int64
     for what, total in (("events", events), ("instructions", instructions)):
         if total > _INT64_MAX:
             raise ScenarioError(f"scenario has {total} {what} in total, more than int64 holds")
     if spec.noise_stddev >= min_cpi:
         raise ScenarioError("noise_stddev must stay below the smallest segment CPI")
-    sizes[id(spec)] = instructions, cycles, runs
-    return sizes
+    return top, sizes
 
 
 def _layout(segments: list[SegmentSpec], flat: dict[int, tuple[int, SegmentSpec]]) -> np.ndarray:
@@ -178,20 +175,17 @@ def _layout(segments: list[SegmentSpec], flat: dict[int, tuple[int, SegmentSpec]
 
 
 def _assign_blocks(
-    flat: list[SegmentSpec], runs: np.ndarray, kinds: np.ndarray, repetitions: int
+    flat: list[SegmentSpec], runs: np.ndarray, kinds: np.ndarray
 ) -> dict[int, BlockDescriptor]:
-    """Block table: block b is flat segment b, addressed in that order, with
-    a terminator encoding how its successor is entered. A block's first
-    call edge sets it, else its first backward-branch edge."""
+    """Block table: block b is flat segment b, addressed in that order, with a
+    terminator for how its successor is entered: its first call edge, else its
+    first backward-branch edge, where edge j leaves run j for run j + 1."""
 
     def address(block_id: int) -> int:
         return _BASE_ADDRESS + block_id * _ADDRESS_PITCH
 
-    # edge j leaves run j for run nxt[j]; the wrap edge, from the last run
-    # back to the first, executes only when the period repeats
-    nxt = np.arange(1, runs.size + (repetitions >= 2)) % runs.size
-    edge_keys, first = np.unique(runs[: nxt.size] * len(EntryKind) + kinds[nxt], return_index=True)
-    first_target = dict(zip(edge_keys.tolist(), runs[nxt[first]].tolist()))
+    edge_keys, first = np.unique(runs[:-1] * len(EntryKind) + kinds[1:], return_index=True)
+    first_target = dict(zip(edge_keys.tolist(), runs[first + 1].tolist()))
 
     blocks: dict[int, BlockDescriptor] = {}
     for bid, seg in enumerate(flat):
@@ -223,24 +217,23 @@ def _assign_blocks(
 def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
     """Emit (golden trace, scripted annotation) for a scenario.
 
-    Event cycles are block_cpi * instruction_count with optional Gaussian
-    CPI noise (clamped so CPI never drops below 0.05); quantum records, when
-    requested, are computed exactly from the noisy events.
+    The layout holds every run of the trace, the scenario's repetitions
+    included, as its outermost group. Event cycles are block_cpi *
+    instruction_count with optional Gaussian CPI noise (clamped so CPI
+    never drops below 0.05); quantum records, when requested, are computed
+    exactly from the noisy events.
     """
-    sizes = _validate(spec)
+    top, sizes = _validate(spec)
     numbered: dict[int, tuple[int, SegmentSpec]] = {}
-    runs, kinds = _layout(spec.segments, numbered).T
+    runs, kinds = _layout([top], numbered).T
     flat = [seg for _, seg in numbered.values()]
-    blocks = _assign_blocks(flat, runs, kinds, spec.repetitions)
+    blocks = _assign_blocks(flat, runs, kinds)
 
-    # per-run vectors for one period, then tiled across repetitions
-    run_events = np.array([seg.event_count for seg in flat], dtype=np.int64)[runs]
-    run_instr = np.array([seg.block_instruction_count for seg in flat], dtype=np.int64)[runs]
-    run_cpi = np.array([seg.block_cpi for seg in flat], dtype=float)[runs]
-
-    event_block = np.tile(np.repeat(runs, run_events), spec.repetitions)
-    event_instr = np.tile(np.repeat(run_instr, run_events), spec.repetitions)
-    event_cpi = np.tile(np.repeat(run_cpi, run_events), spec.repetitions)
+    # runs expand into events, which read their block's scripted numbers
+    block_events = np.array([seg.event_count for seg in flat], dtype=np.int64)
+    event_block = np.repeat(runs, block_events[runs])
+    event_instr = np.array([seg.block_instruction_count for seg in flat], dtype=np.int64)[event_block]
+    event_cpi = np.array([seg.block_cpi for seg in flat], dtype=float)[event_block]
 
     if spec.noise_stddev > 0:
         rng = np.random.Generator(np.random.PCG64(spec.seed))
@@ -264,17 +257,17 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
         quantum_length=spec.quantum_length,
     )
 
-    return trace, GoldenAnnotation(_build_annotation(spec, blocks, runs.tolist(), sizes))
+    return trace, GoldenAnnotation(_build_annotation(top, blocks, runs.tolist(), sizes))
 
 
 def _build_annotation(
-    spec: ScenarioSpec,
+    top: SegmentSpec,
     blocks: dict[int, BlockDescriptor],
     runs: list[int],
     sizes: dict[int, tuple[int, float, int]],
 ) -> PhaseNode:
-    """Scripted phase tree; runs holds the block id of each run of one
-    period and sizes what _validate measured."""
+    """Scripted phase tree: a root above the nodes of the outermost group top;
+    runs holds the block id of every run and sizes what _validate measured."""
 
     def classify(head: int, context: Optional[int]) -> Structure:
         return classify_structure(blocks[head], blocks[context] if context is not None else None)
@@ -311,7 +304,7 @@ def _build_annotation(
             context = runs[j - 1]
         return out
 
-    total, total_cycles, _ = sizes[id(spec)]
+    total, total_cycles, _ = sizes[id(top)]
     root = PhaseNode(
         head_block=runs[0],
         start_instruction=0,
@@ -320,23 +313,10 @@ def _build_annotation(
         occurrence=1,
         structure=Structure.NONE,
     )
-    if len(spec.segments) == 1 and spec.segments[0].is_flat:
+    if len(top.nested) == 1 and top.nested[0].is_flat:
         return root  # a repeated constant run is one phase
-
-    reps = int(spec.repetitions)
-    if reps >= 2:
-        template = PhaseNode(
-            head_block=root.head_block,
-            start_instruction=0,
-            length_instructions=total // reps,
-            mean_cpi=root.mean_cpi,
-            occurrence=reps,
-            structure=classify(runs[0], runs[-1]),
-        )
-        template.children = nodes(spec.segments, 0, 0, runs[-1])
-        root.children = [template]
-    else:
-        root.children = nodes(spec.segments, 0, 0, None)
+    # the scenario's repetitions re-enter its first segment from the last run
+    root.children = nodes([top], 0, 0, runs[-1] if top.nested_repetitions >= 2 else None)
     return root
 
 

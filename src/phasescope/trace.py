@@ -15,7 +15,9 @@ cycle count, and "quantum" when Q/L records are present; at least one of
 the two must hold (both is fine for validation traces). Decimal fields
 must fit in a signed 64-bit integer; cycle counts must be finite and
 non-negative, quantum CPIs finite and positive, block addresses
-non-negative and block start addresses distinct.
+non-negative and block start addresses distinct. Addresses are bare
+lowercase hex without leading zeros (``0``, ``1a0``), as the writer prints
+them.
 
 In memory the event stream is two numpy columns, block ids and cycle
 counts, built and validated once; validation adds a third, the prefix sums
@@ -51,8 +53,10 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import groupby, islice
+from numbers import Integral
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -203,14 +207,17 @@ class ExecutionTrace:
         if (self.quanta is None) != (self.quantum_length is None):
             raise TraceFormatError("quantum records and quantum length must coexist")
         if self.quanta is not None:
-            if self.quantum_length < 1:
+            length = self.quantum_length
+            if isinstance(length, bool) or not isinstance(length, Integral):
+                raise TraceFormatError(f"quantum_length must be an integer, got {length!r}")
+            if length < 1:
                 raise TraceFormatError("quantum_length must be positive")
             quanta = self.quanta = np.array(self.quanta, dtype=float)
-            expected = math.ceil(total / self.quantum_length)
+            expected = math.ceil(total / length)
             if quanta.shape != (expected,):
                 raise TraceFormatError(
                     f"quantum count mismatch: {quanta.size} records, "
-                    f"expected ceil({total}/{self.quantum_length}) = {expected}"
+                    f"expected ceil({total}/{length}) = {expected}"
                 )
             finite = np.isfinite(quanta)
             bad = np.flatnonzero(~(finite & (quanta > 0)))
@@ -246,11 +253,15 @@ def _parse_int(token: str, what: str, line: int) -> int:
     return value
 
 
+#: addresses as save_trace writes them, bare lowercase hex; a sign is let
+#: through so that a negative address meets the block's own check
+_HEX_ADDRESS = re.compile(r"0|-?[1-9a-f][0-9a-f]*")
+
+
 def _parse_address(token: str, what: str, line: int) -> int:
-    try:
-        return int(token, 16)
-    except ValueError:
-        raise TraceFormatError(f"malformed {what} {token!r}", line) from None
+    if not _HEX_ADDRESS.fullmatch(token):
+        raise TraceFormatError(f"malformed {what} {token!r}", line)
+    return int(token, 16)
 
 
 def _parse_float(token: str, what: str, line: int, positive: bool = False) -> float:

@@ -209,6 +209,19 @@ def test_tq_phase_list_renders_step():
     np.testing.assert_allclose(wave.samples, [1.0] * 20 + [2.0] * 20)
 
 
+@pytest.mark.parametrize("phases", [
+    pytest.param([TqPhase(0, 1, 1.5)], id="gap-at-end"),
+    pytest.param([TqPhase(0, 1, 1.0), TqPhase(2, 2, 2.0)], id="gap-inside"),
+    pytest.param([TqPhase(0, 3, 1.0), TqPhase(2, 2, 2.0)], id="overlap"),
+    pytest.param([TqPhase(0, 2, 1.0), TqPhase(2, 3, 2.0)], id="overrun"),
+    pytest.param([TqPhase(0, 0, 1.0), TqPhase(0, 4, 2.0)], id="empty-phase"),
+    pytest.param([], id="no-phases"),
+])
+def test_tq_phase_list_must_tile_the_quanta(phases):
+    with pytest.raises(ValueError, match="TQ phases must tile the run's 4 quanta"):
+        predict_waveform(TqPhaseList(10, phases), 40, 40)
+
+
 def test_prediction_grid_matches_golden_grid():
     spec = ScenarioSpec(
         segments=[

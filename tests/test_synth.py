@@ -1,6 +1,7 @@
 """Scenario generator: determinism, block table realization, quantum
 records, annotation shape, and scenario JSON handling."""
 
+import dataclasses
 import itertools
 import math
 import time
@@ -542,6 +543,33 @@ def test_layout_matches_the_run_by_run_expansion(spec):
     assert (trace.quanta is None and want.quanta is None) or \
         trace.quanta.tolist() == want.quanta.tolist()
     assert annotation_json == want_json
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=layered_scenarios())
+def test_scenario_repetitions_script_what_an_outermost_group_does(spec):
+    """Segments repeated r times by the scenario give the trace, and the
+    annotation node for node, of the same segments nested r times in a
+    scenario run once. Only the period node's structure differs: the
+    repeated scenario re-enters its first segment from the block that ends
+    the trace, while a group entered at event 0 has no entering block."""
+    group = SegmentSpec("all", nested=spec.segments, nested_repetitions=spec.repetitions)
+    nested = dataclasses.replace(spec, segments=[group], repetitions=1)
+    try:
+        trace, annotation = generate(spec)
+    except ScenarioError as exc:
+        assert _outcome(generate, nested) == str(exc)
+        return
+    nested_trace, nested_annotation = generate(nested)
+    assert serialize_trace(nested_trace) == serialize_trace(trace)
+    root, nested_root = annotation.true_phases, nested_annotation.true_phases
+    if spec.repetitions >= 2:
+        (period,), (nested_period,) = root.children, nested_root.children
+        last = trace.blocks[int(trace.event_blocks[-1])]
+        assert period.structure is classify_structure(trace.blocks[period.head_block], last)
+        assert nested_period.structure is Structure.NONE
+        nested_period.structure = period.structure
+    assert tree_json(nested_root, trace.blocks) == tree_json(root, trace.blocks)
 
 
 def test_unrealizable_backward_branch_inside_a_group_names_the_segment():

@@ -279,6 +279,17 @@ def test_non_finite_values_rejected_with_line(text, line):
     pytest.param("V 1\nB 0 1000 5\nE 0 5.0\n", 2, "malformed block record", id="block-4-fields"),
     pytest.param("V 1\nB 0 1000 5 X\nE 0 5.0\n", 2, "malformed terminator 'X'", id="terminator"),
     pytest.param("V 1\nB 0 zz 5 F\nE 0 5.0\n", 2, "malformed address 'zz'", id="address"),
+    # addresses are read only in the bare lowercase hex save_trace writes
+    pytest.param("V 1\nB 0 0x1_0 5 F\nE 0 5.0\n", 2, "malformed address '0x1_0'", id="address-0x"),
+    pytest.param("V 1\nB 0 1_0 5 F\nE 0 5.0\n", 2, "malformed address '1_0'",
+                 id="address-underscore"),
+    pytest.param("V 1\nB 0 +20 5 F\nE 0 5.0\n", 2, "malformed address '+20'", id="address-plus"),
+    pytest.param("V 1\nB 0 0010 5 F\nE 0 5.0\n", 2, "malformed address '0010'",
+                 id="address-leading-zero"),
+    pytest.param("V 1\nB 0 A0 5 F\nE 0 5.0\n", 2, "malformed address 'A0'", id="address-upper"),
+    pytest.param("V 1\nB 0 -0 5 F\nE 0 5.0\n", 2, "malformed address '-0'", id="address-minus-0"),
+    pytest.param("V 1\nB 0 1000 5 B 0X3_0\nE 0 5.0\n", 2, "malformed target address '0X3_0'",
+                 id="target-0X"),
     pytest.param("V 1\nB 0 -10 5 F\nE 0 5.0\n", 2, "block 0: addresses must be non-negative",
                  id="negative-address"),
     pytest.param("V 1\nB 0 1000 5 B -10\nE 0 5.0\n", 2, "block 0: addresses must be non-negative",
@@ -310,6 +321,22 @@ def test_stream_without_events_is_rejected(text, message):
     with pytest.raises(TraceFormatError, match=re.escape(message)) as exc:
         parse_trace(text)
     assert exc.value.line is None
+
+
+@pytest.mark.parametrize("length", [2.5, 10.0, True, "10"])
+def test_constructor_rejects_a_quantum_length_that_is_not_an_integer(length):
+    blocks = {0: BlockDescriptor(0, 0x1000, 10, Terminator.FALLTHROUGH)}
+    message = f"quantum_length must be an integer, got {length!r}"
+    with pytest.raises(TraceFormatError, match=re.escape(message)):
+        ExecutionTrace(blocks=blocks, event_blocks=[0], event_cycles=[15.0],
+                       quanta=[1.5], quantum_length=length)
+
+
+def test_constructor_takes_a_numpy_integer_quantum_length():
+    blocks = {0: BlockDescriptor(0, 0x1000, 10, Terminator.FALLTHROUGH)}
+    trace = ExecutionTrace(blocks=blocks, event_blocks=[0, 0], event_cycles=[15.0, 15.0],
+                           quanta=[1.5, 1.5], quantum_length=np.int64(10))
+    assert trace.quantum_length == 10
 
 
 def test_constructor_rejects_non_finite_values():
