@@ -204,48 +204,36 @@ def golden_waveform(trace: ExecutionTrace, resolution: int = 4096) -> Waveform:
     return sample_range(index, index.golden_event_cpi(), 0, index.total_instructions, resolution)
 
 
-def weighted_cpi_prefix(index: EventIndex, rates: np.ndarray) -> np.ndarray:
-    """prefix[e] = sum of instr_count*rate over events before e (length E+1)."""
-    return _weighted_prefix(_event_instructions(index.starts), rates)
+def cycles_below(index: EventIndex, rates: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Cycles of the instructions before each offset in [0, total], where
+    every instruction of event e costs rates[e].
 
-
-def _weighted_prefix(counts: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    prefix = np.zeros(len(rates) + 1, dtype=float)
-    np.cumsum(counts * rates, out=prefix[1:])
-    return prefix
-
-
-def cycles_below(
-    index: EventIndex, rates: np.ndarray, prefix: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """Cycles of the instructions before each offset in [0, total].
-
-    An offset inside event e adds its share of e to prefix[e]. Only event
+    One np.cumsum of instr_count*rate per call gives the cycles before each
+    event; an offset inside event e adds its share of e to those. Only event
     starts are searched, so the offset total falls in the last event, as its
-    end; that gives prefix[-1] bit for bit, since np.cumsum adds in sequence.
+    end; that gives the whole sum bit for bit, since np.cumsum adds in
+    sequence.
     """
+    prefix = np.zeros(len(rates) + 1, dtype=float)
+    np.cumsum(_event_instructions(index.starts) * rates, out=prefix[1:])
     ev = np.searchsorted(index.starts[:-1], offsets, side="right") - 1
     return prefix[ev] + (offsets - index.starts[ev]) * rates[ev]
 
 
 def quantum_cpis(index: EventIndex, quantum_length: int) -> np.ndarray:
-    """Exact CPI of each quantum of a golden event stream, splitting event
-    cycles per instruction.
+    """Exact CPI of each quantum of a golden event stream: the cycles_below
+    difference across the quantum at the per-event rates of
+    golden_event_cpi, over its instruction count.
 
     Every instruction of an event costs cycles/instr_count, so a quantum's
     CPI is well defined even when events straddle its boundaries.
     """
     if quantum_length < 1:
         raise ValueError("quantum_length must be positive")
-    if index.event_cycles is None:
-        raise ValueError("golden cycles required")
-    counts = _event_instructions(index.starts)  # once, for the rates and the prefix
-    rates = index.event_cycles / counts
-    prefix = _weighted_prefix(counts, rates)
     total = index.total_instructions
     n_quanta = math.ceil(total / quantum_length)
     bounds = np.minimum(np.arange(n_quanta + 1, dtype=np.int64) * quantum_length, total)
-    return np.diff(cycles_below(index, rates, prefix, bounds)) / np.diff(bounds)
+    return np.diff(cycles_below(index, index.golden_event_cpi(), bounds)) / np.diff(bounds)
 
 
 def waveform_csv(trace: ExecutionTrace, waveform: Waveform) -> str:

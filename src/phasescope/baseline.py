@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Union
 
 import numpy as np
@@ -123,6 +124,9 @@ def predict_waveform(
     offsets = np.arange(0, total_instructions, stride, dtype=np.int64)
 
     if isinstance(source, TqPhaseList):
+        length = source.quantum_length
+        if isinstance(length, bool) or not isinstance(length, Integral) or length < 1:
+            raise ValueError(f"quantum_length must be a positive integer, got {length!r}")
         # each quantum is predicted by exactly one phase: the phases follow
         # one another from quantum 0 and end at the run's last quantum
         quanta = math.ceil(total_instructions / source.quantum_length)

@@ -1,7 +1,8 @@
 """Command-line interface: trace analysis, method comparison, synthesis.
 
 Exit codes: 0 success, 1 internal analysis failure, 2 usage/input errors
-(bad files, malformed traces or scenarios).
+(bad files, malformed traces or scenarios, any OSError on an input or
+output path).
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ def _config_from_args(args) -> AnalysisConfig:
     values: dict = {}
     if getattr(args, "config", None):
         try:
-            values = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+            values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError: not UTF-8 or not JSON (json.JSONDecodeError);
             # RecursionError: JSON nested past the interpreter's recursion limit
             raise InputError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(values, dict):
@@ -137,15 +139,18 @@ def cmd_compare(args) -> None:
 
 def cmd_synth(args) -> None:
     try:
-        scenario = synth.scenario_from_json(Path(args.scenario).read_text())
+        scenario = synth.scenario_from_json(Path(args.scenario).read_text(encoding="utf-8"))
         trace, annotation = synth.generate(scenario)
         annotation_text = phases.tree_json(annotation.true_phases, trace.blocks)
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    except RecursionError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read scenario {args.scenario}: {exc}") from None
+    except (RecursionError, synth.ScenarioError) as exc:
         # JSON or segments nested past the interpreter's recursion limit: the
-        # reader, generate and the annotation all recurse once per level
-        raise InputError(f"scenario {args.scenario} is nested too deeply: {exc}") from None
+        # reader raises RecursionError, generate a ScenarioError raised from one
+        cause = exc if isinstance(exc, RecursionError) else exc.__cause__
+        if not isinstance(cause, RecursionError):
+            raise
+        raise InputError(f"scenario {args.scenario} is nested too deeply: {cause}") from None
     save_trace(trace, f"{args.out_prefix}.trace")
     _write(f"{args.out_prefix}.annotation.json", annotation_text)
 
@@ -161,7 +166,7 @@ def cmd_spectrum(args) -> None:
 
 def cmd_markers(args) -> None:
     try:
-        root, addresses = phases.tree_from_dict(json.loads(Path(args.tree).read_text()))
+        root, addresses = phases.tree_from_dict(json.loads(Path(args.tree).read_text(encoding="utf-8")))
     except (OSError, ValueError, RecursionError) as exc:
         # json.JSONDecodeError is a ValueError; RecursionError comes from JSON
         # nested past the interpreter's recursion limit
@@ -220,7 +225,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (TraceFormatError, synth.ScenarioError, InputError, FileNotFoundError) as exc:
+    except (TraceFormatError, synth.ScenarioError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal invariant violation

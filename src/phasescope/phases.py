@@ -29,7 +29,6 @@ from .attribution import (
     group_bounds,
     profile_rates,
     sample_range,
-    weighted_cpi_prefix,
 )
 from .spectral import Spectrum, dft_magnitude, is_flat, main_spectrum
 from .trace import BlockDescriptor, ExecutionTrace, Terminator
@@ -104,14 +103,6 @@ class PhaseNode:
         yield self
         for child in self.children:
             yield from child.walk()
-
-
-@dataclass
-class MarkerEntry:
-    phase_path: tuple[int, ...]
-    mean_cpi: float
-    structure: Structure
-    additional_paths: list[tuple[int, ...]] = field(default_factory=list)
 
 
 def _candidates_in_range(
@@ -225,7 +216,6 @@ class _Analysis:
         self.config = config
         self.index = EventIndex.from_trace(trace)
         self.rates = profile_rates(self.index, profiles)
-        self.prefix = weighted_cpi_prefix(self.index, self.rates)
         self.spectrum_sink = spectrum_sink
         self.nodes: list[PhaseNode] = []
 
@@ -241,7 +231,7 @@ class _Analysis:
         all nodes at once."""
         starts = np.array([node.start_instruction for node in self.nodes], dtype=np.int64)
         lengths = np.array([node.length_instructions for node in self.nodes], dtype=np.int64)
-        below = cycles_below(self.index, self.rates, self.prefix, np.concatenate((starts, starts + lengths)))
+        below = cycles_below(self.index, self.rates, np.concatenate((starts, starts + lengths)))
         means = (below[starts.size :] - below[: starts.size]) / lengths
         head_events = self.index.events_at(starts)
         heads = self.index.block_ids[head_events].tolist()
@@ -341,27 +331,34 @@ def _head_address(blocks, block_id: int) -> int:
     return entry.start_address if isinstance(entry, BlockDescriptor) else int(entry)
 
 
-def export_markers(root: PhaseNode, blocks) -> dict[int, MarkerEntry]:
+def export_markers(root: PhaseNode, blocks) -> dict[int, dict]:
     """Flatten a phase tree into what a binary patcher would consume: one
-    marker record per phase head address, keyed by that address.
+    marker per phase head address, keyed by that address, each the JSON
+    object markers_json writes for it: phase_path (child indices from the
+    root, a list), mean_cpi, structure (its value) and additional_paths.
 
     blocks maps block_id to a BlockDescriptor or directly to an address.
-    When nested phases share a head block, the shallowest node keeps the
-    entry and deeper paths are appended to additional_paths.
+    Nodes are visited breadth first. When nested phases share a head block,
+    the shallowest node keeps the marker and deeper paths are appended to
+    its additional_paths.
     """
-
-    entries: dict[int, MarkerEntry] = {}
-    queue: deque[tuple[PhaseNode, tuple[int, ...]]] = deque([(root, ())])
+    markers: dict[int, dict] = {}
+    queue: deque[tuple[PhaseNode, list[int]]] = deque([(root, [])])
     while queue:
         node, path = queue.popleft()
         addr = _head_address(blocks, node.head_block)
-        if addr in entries:
-            entries[addr].additional_paths.append(path)
+        if addr in markers:
+            markers[addr]["additional_paths"].append(path)
         else:
-            entries[addr] = MarkerEntry(path, node.mean_cpi, node.structure)
+            markers[addr] = {
+                "phase_path": path,
+                "mean_cpi": node.mean_cpi,
+                "structure": node.structure.value,
+                "additional_paths": [],
+            }
         for i, child in enumerate(node.children):
-            queue.append((child, path + (i,)))
-    return entries
+            queue.append((child, path + [i]))
+    return markers
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -474,17 +471,8 @@ def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
     return root, addresses
 
 
-def markers_json(markers: dict[int, MarkerEntry]) -> str:
-    """The marker table keyed by hex head address, as indented JSON with
-    sorted keys and a final newline, the bytes json.dumps writes (see
+def markers_json(markers: dict[int, dict]) -> str:
+    """The export_markers table keyed by hex head address, as indented JSON
+    with sorted keys and a final newline, the bytes json.dumps writes (see
     _indented_json); ValueError on a NaN or infinite mean_cpi."""
-    payload = {
-        f"{addr:#x}": {
-            "phase_path": list(entry.phase_path),
-            "mean_cpi": entry.mean_cpi,
-            "structure": entry.structure.value,
-            "additional_paths": [list(p) for p in entry.additional_paths],
-        }
-        for addr, entry in markers.items()
-    }
-    return _indented_json(payload)
+    return _indented_json({f"{addr:#x}": marker for addr, marker in markers.items()})

@@ -221,13 +221,19 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
     included, as its outermost group. Event cycles are block_cpi *
     instruction_count with optional Gaussian CPI noise (clamped so CPI
     never drops below 0.05); quantum records, when requested, are computed
-    exactly from the noisy events.
+    exactly from the noisy events. A scenario nested past the interpreter's
+    recursion limit raises ScenarioError, raised from the RecursionError.
     """
-    top, sizes = _validate(spec)
-    numbered: dict[int, tuple[int, SegmentSpec]] = {}
-    runs, kinds = _layout([top], numbered).T
-    flat = [seg for _, seg in numbered.values()]
-    blocks = _assign_blocks(flat, runs, kinds)
+    try:
+        # _validate, _layout and _build_annotation recurse once per level
+        top, sizes = _validate(spec)
+        numbered: dict[int, tuple[int, SegmentSpec]] = {}
+        runs, kinds = _layout([top], numbered).T
+        flat = [seg for _, seg in numbered.values()]
+        blocks = _assign_blocks(flat, runs, kinds)
+        annotation = GoldenAnnotation(_build_annotation(top, blocks, runs.tolist(), sizes))
+    except RecursionError as exc:
+        raise ScenarioError(f"scenario is nested too deeply: {exc}") from exc
 
     # runs expand into events, which read their block's scripted numbers
     block_events = np.array([seg.event_count for seg in flat], dtype=np.int64)
@@ -256,8 +262,7 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
         quanta=quanta,
         quantum_length=spec.quantum_length,
     )
-
-    return trace, GoldenAnnotation(_build_annotation(top, blocks, runs.tolist(), sizes))
+    return trace, annotation
 
 
 def _build_annotation(

@@ -515,8 +515,13 @@ def serialize_trace(trace: ExecutionTrace) -> str:
 
 
 def load_trace(path) -> ExecutionTrace:
+    """parse_trace on the file at path, read as UTF-8; TraceFormatError
+    naming the file when it is not UTF-8 text."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh)
+        try:
+            return parse_trace(fh)
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"cannot read trace {path}: {exc}") from None
 
 
 def save_trace(trace: ExecutionTrace, path) -> None:

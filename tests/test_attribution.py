@@ -27,7 +27,6 @@ from phasescope.attribution import (
     cycles_below,
     profile_rates,
     waveform_csv,
-    weighted_cpi_prefix,
 )
 
 
@@ -270,11 +269,10 @@ def test_node_fields_match_per_node_lookups():
         profiles = attribute_block_cpi(trace)
         index = EventIndex.from_trace(trace)
         rates = profile_rates(index, profiles)
-        prefix = weighted_cpi_prefix(index, rates)
         per_instr = walk_instructions(trace, profiles)
         for node in analyze(trace, profiles=profiles).walk():
             a, b = node.start_instruction, node.end_instruction
-            below = cycles_below(index, rates, prefix, np.array((a, b)))
+            below = cycles_below(index, rates, np.array((a, b)))
             assert node.mean_cpi == float((below[1] - below[0]) / (b - a))
             assert node.mean_cpi == pytest.approx(float(per_instr[a:b].mean()), abs=1e-9)
             event = int(index.events_at(a))

@@ -1,5 +1,7 @@
 """Time-quantum baseline phases, waveform prediction, and MAPE scoring."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,18 @@ def test_tq_phase_list_renders_step():
 def test_tq_phase_list_must_tile_the_quanta(phases):
     with pytest.raises(ValueError, match="TQ phases must tile the run's 4 quanta"):
         predict_waveform(TqPhaseList(10, phases), 40, 40)
+
+
+@pytest.mark.parametrize("length", [0, -5, 2.5, True, "10"])
+def test_tq_phase_list_quantum_length_must_be_a_positive_integer(length):
+    message = f"quantum_length must be a positive integer, got {length!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        predict_waveform(TqPhaseList(length, [TqPhase(0, 4, 1.0)]), 40, 40)
+
+
+def test_tq_phase_list_takes_a_numpy_integer_quantum_length():
+    wave = predict_waveform(TqPhaseList(np.int64(10), [TqPhase(0, 4, 1.5)]), 40, 40)
+    np.testing.assert_array_equal(wave.samples, [1.5] * 40)
 
 
 def test_prediction_grid_matches_golden_grid():

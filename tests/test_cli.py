@@ -638,3 +638,64 @@ def test_out_of_order_quantum_index_exits_2_naming_the_line(tmp_path, capsys):
     assert main(["analyze", str(bad), "--tree", str(tree)]) == 2
     assert "line 6: quantum indices must be contiguous from 0 (got 1 at 0)" in capsys.readouterr().err
     assert not tree.exists()
+
+
+# --- unusable paths: exit 2 naming the path --------------------------------------
+
+def writing_to(command, trace, out):
+    """argv that runs command on trace and writes its main output to out."""
+    return [command, str(trace), "--tree" if command == "analyze" else "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "spectrum"])
+def test_a_directory_as_the_trace_exits_2_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main(writing_to(command, tmp_path, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21]") and str(tmp_path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "spectrum"])
+def test_a_trace_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, command):
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(b"V 1\nB 0 1000 5 F\nE 0 5.0\n\xff\n")
+    out = tmp_path / "out"
+    assert main(writing_to(command, bad, out)) == 2
+    assert f"error: cannot read trace {bad}: 'utf-8' codec can't decode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, trace_file):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"resolution": 64}\xff')
+    tree = tmp_path / "tree.json"
+    assert main(["analyze", str(trace_file), "--tree", str(tree), "--config", str(config)]) == 2
+    assert f"error: cannot read config {config}: 'utf-8' codec" in capsys.readouterr().err
+    assert not tree.exists()
+
+
+def test_a_scenario_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(scenario_json(SCENARIO).encode() + b"\xff")
+    assert main(["synth", str(path), "--out-prefix", str(tmp_path / "x")]) == 2
+    assert f"error: cannot read scenario {path}: 'utf-8' codec" in capsys.readouterr().err
+    assert not (tmp_path / "x.trace").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{trace}", "--tree", "{taken}"],
+    ["analyze", "{trace}", "--tree", "{tree}", "--markers", "{taken}"],
+    ["compare", "{trace}", "--out", "{taken}"],
+    ["spectrum", "{trace}", "--out", "{taken}"],
+    ["markers", "{tree}", "--out", "{taken}"],
+    ["synth", "{scenario}", "--out-prefix", "{taken_prefix}"],
+])
+def test_a_directory_as_the_output_exits_2_naming_it(tmp_path, capsys, trace_file, argv):
+    paths = {"trace": trace_file, "tree": tmp_path / "tree.json", "scenario": tmp_path / "scenario.json",
+             "taken": tmp_path / "taken.trace", "taken_prefix": tmp_path / "taken"}
+    assert main(["analyze", str(trace_file), "--tree", str(paths["tree"])]) == 0
+    paths["taken"].mkdir()
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21]") and str(paths["taken"]) in err

@@ -33,7 +33,6 @@ from phasescope import (
 )
 from phasescope.attribution import EventIndex, profile_rates, sample_range
 from phasescope.phases import (
-    MarkerEntry,
     _candidates_in_range,
     markers_json,
     tree_from_dict,
@@ -260,6 +259,30 @@ def test_split_respects_stride_and_origin():
     assert boundary == 220
 
 
+def test_segment_without_a_split_is_a_leaf(monkeypatch):
+    # a short high stretch between two long low ones: the spectrum's main
+    # bin is occurrence one, and no boundary's mean jump beats the spread
+    from phasescope import phases
+
+    splits = []
+
+    def recorded(w):
+        splits.append(split_step(w))
+        return splits[-1]
+
+    monkeypatch.setattr(phases, "split_step", recorded)
+    trace, _ = generate(ScenarioSpec([
+        SegmentSpec("lo", block_cpi=1.0, block_instruction_count=1, event_count=1900),
+        SegmentSpec("hi", block_cpi=3.0, block_instruction_count=1, event_count=200),
+        SegmentSpec("lo2", block_cpi=1.0, block_instruction_count=1, event_count=1900),
+    ]))
+    root = analyze(trace)
+    assert splits == [None]
+    assert root.children == []
+    assert (root.start_instruction, root.length_instructions) == (0, 4000)
+    assert root.mean_cpi == pytest.approx(1.1)
+
+
 # --- structure classification -------------------------------------------------
 
 def test_classify_call_context_is_function():
@@ -409,12 +432,12 @@ phase_trees = st.builds(
                                                      st.lists(kids, max_size=4)), max_leaves=16),
     st.sampled_from([0, 0, 0, 1, 7, 40, 150]),  # 150 levels pass orjson's nesting limit
 )
-marker_paths = st.lists(json_ints, max_size=5).map(tuple)
+marker_paths = st.lists(json_ints, max_size=5)
 marker_tables = st.dictionaries(
     st.integers(0, 2**70),
-    st.builds(MarkerEntry, phase_path=marker_paths, mean_cpi=json_floats,
-              structure=st.sampled_from(Structure),
-              additional_paths=st.lists(marker_paths, max_size=4)),
+    st.fixed_dictionaries({"phase_path": marker_paths, "mean_cpi": json_floats,
+                           "structure": st.sampled_from([s.value for s in Structure]),
+                           "additional_paths": st.lists(marker_paths, max_size=4)}),
     max_size=8,
 )
 
@@ -442,15 +465,7 @@ def test_tree_json_writes_the_standard_librarys_bytes(tree):
 @settings(max_examples=300, deadline=None)
 @given(markers=marker_tables)
 def test_markers_json_writes_the_standard_librarys_bytes(markers):
-    payload = {
-        f"{addr:#x}": {
-            "phase_path": list(entry.phase_path),
-            "mean_cpi": entry.mean_cpi,
-            "structure": entry.structure.value,
-            "additional_paths": [list(p) for p in entry.additional_paths],
-        }
-        for addr, entry in markers.items()
-    }
+    payload = {f"{addr:#x}": marker for addr, marker in markers.items()}
     assert outcome(markers_json, markers) == outcome(stdlib_json, payload)
 
 
@@ -589,8 +604,8 @@ def test_markers_leaf_only_tree():
     markers = export_markers(tree, trace.blocks)
     assert set(markers) == {trace.blocks[0].start_address}
     entry = markers[trace.blocks[0].start_address]
-    assert entry.phase_path == ()
-    assert entry.additional_paths == []
+    assert entry["phase_path"] == []
+    assert entry["additional_paths"] == []
 
 
 def test_markers_two_distinct_heads():
@@ -599,7 +614,7 @@ def test_markers_two_distinct_heads():
     ])
     markers = export_markers(root, {0: 0x1000, 1: 0x2000})
     assert set(markers) == {0x1000, 0x2000}
-    assert markers[0x2000].phase_path == (0,)
+    assert markers[0x2000]["phase_path"] == [0]
 
 
 def test_markers_shared_head_keeps_shallowest():
@@ -609,9 +624,9 @@ def test_markers_shared_head_keeps_shallowest():
         PhaseNode(1, 100, 100, 2.0),
     ])
     entry = export_markers(root, {0: 0x1000, 1: 0x2000})[0x1000]
-    assert entry.phase_path == ()
-    assert entry.mean_cpi == 1.5
-    assert entry.additional_paths == [(0,), (0, 0)]
+    assert entry["phase_path"] == []
+    assert entry["mean_cpi"] == 1.5
+    assert entry["additional_paths"] == [[0], [0, 0]]
 
 
 # --- random nested scenarios: tree shape and exact node means --------------------

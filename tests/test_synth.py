@@ -199,6 +199,15 @@ def test_validation_errors():
         generate(ScenarioSpec(segments=[flat("a", -1.0, 5, 5)]))
 
 
+def test_scenario_nested_past_the_recursion_limit_raises_scenario_error():
+    segment = flat("a", 1.0, 2, 3)
+    for depth in range(2000):
+        segment = SegmentSpec(f"g{depth}", nested=[segment])
+    with pytest.raises(ScenarioError, match="scenario is nested too deeply") as exc:
+        generate(ScenarioSpec(segments=[segment]))
+    assert isinstance(exc.value.__cause__, RecursionError)
+
+
 def test_scenario_json_round_trip():
     spec = ScenarioSpec(
         segments=[

@@ -339,6 +339,36 @@ def test_constructor_takes_a_numpy_integer_quantum_length():
     assert trace.quantum_length == 10
 
 
+ONE_BLOCK = {0: BlockDescriptor(0, 0x1000, 10, Terminator.FALLTHROUGH)}
+
+
+@pytest.mark.parametrize("columns, message", [
+    (dict(blocks={}, event_blocks=[0], event_cycles=[1.0]), "trace declares no blocks"),
+    (dict(blocks={1: ONE_BLOCK[0]}, event_blocks=[0], event_cycles=[1.0]),
+     "block table key 1 != id 0"),
+    (dict(blocks={2**63: BlockDescriptor(2**63, 0x1000, 10, Terminator.FALLTHROUGH)},
+          event_blocks=[0], event_cycles=[1.0]),
+     "block ids and instruction counts must fit in int64"),
+    (dict(blocks=ONE_BLOCK, event_blocks=[0, 0], event_cycles=[1.0]),
+     "event columns must be 1-D and of equal length"),
+    (dict(blocks=ONE_BLOCK, event_blocks=[[0]], event_cycles=[[1.0]]),
+     "event columns must be 1-D and of equal length"),
+    (dict(blocks=ONE_BLOCK, event_blocks=[0, 7], event_cycles=[1.0, 1.0]), "unknown block 7 (event 1)"),
+    (dict(blocks=ONE_BLOCK, event_blocks=[0, 0], event_cycles=[1.0, -1.0]),
+     "event 1: negative cycle count"),
+    (dict(blocks=ONE_BLOCK, event_blocks=[0], event_cycles=[1.0], quanta=[1.5]),
+     "quantum records and quantum length must coexist"),
+    (dict(blocks=ONE_BLOCK, event_blocks=[0], event_cycles=[1.0], quantum_length=10),
+     "quantum records and quantum length must coexist"),
+    (dict(blocks=ONE_BLOCK, event_blocks=[0], event_cycles=[1.0], quanta=[1.5], quantum_length=0),
+     "quantum_length must be positive"),
+])
+def test_constructor_rejects_columns_the_parser_never_builds(columns, message):
+    with pytest.raises(TraceFormatError, match=re.escape(message)) as exc:
+        ExecutionTrace(**columns)
+    assert exc.value.line is None
+
+
 def test_constructor_rejects_non_finite_values():
     blocks = {0: BlockDescriptor(0, 0x1000, 10, Terminator.FALLTHROUGH)}
     with pytest.raises(TraceFormatError, match="event 1: non-finite cycle count"):
