@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import pairwise
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -163,6 +164,20 @@ def profile_rates(index: EventIndex, profiles: dict[int, float]) -> np.ndarray:
     return rates[slot]
 
 
+def sample_grid(start: int, stop: int, resolution: int) -> tuple[np.ndarray, int]:
+    """The sampling grid of [start, stop) at a resolution: (offsets, stride)
+    with stride = ceil((stop - start) / resolution) and the offsets at
+    start + k*stride, so refining the resolution never changes shared
+    offsets. ValueError on a resolution below 2 or an empty range."""
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+    length = stop - start
+    if length < 1:
+        raise ValueError("empty sample range")
+    stride = math.ceil(length / resolution)
+    return np.arange(start, stop, stride, dtype=np.int64), stride
+
+
 def sample_range(
     index: EventIndex,
     rates: np.ndarray,
@@ -170,19 +185,13 @@ def sample_range(
     stop: int,
     resolution: int,
 ) -> Waveform:
-    """Zero-order-hold resampling of the CPI function over [start, stop).
+    """Zero-order-hold resampling of the CPI function over [start, stop) on
+    sample_grid(start, stop, resolution).
 
     rates holds the per-event CPI to sample (block profile rate or exact
-    per-event rate). sample_stride = ceil(len / resolution); samples land on
-    start + k*stride, so refining the resolution never changes shared offsets.
+    per-event rate).
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    length = stop - start
-    if length < 1:
-        raise ValueError("empty sample range")
-    stride = math.ceil(length / resolution)
-    offsets = np.arange(start, stop, stride, dtype=np.int64)
+    offsets, stride = sample_grid(start, stop, resolution)
     return Waveform(
         samples=rates[index.events_at(offsets)],
         sample_stride=stride,
@@ -220,6 +229,12 @@ def cycles_below(index: EventIndex, rates: np.ndarray, offsets: np.ndarray) -> n
     return prefix[ev] + (offsets - index.starts[ev]) * rates[ev]
 
 
+def check_quantum_length(length) -> None:
+    """ValueError unless length is a positive integer (a bool is not one)."""
+    if isinstance(length, bool) or not isinstance(length, Integral) or length < 1:
+        raise ValueError(f"quantum_length must be a positive integer, got {length!r}")
+
+
 def quantum_cpis(index: EventIndex, quantum_length: int) -> np.ndarray:
     """Exact CPI of each quantum of a golden event stream: the cycles_below
     difference across the quantum at the per-event rates of
@@ -228,8 +243,7 @@ def quantum_cpis(index: EventIndex, quantum_length: int) -> np.ndarray:
     Every instruction of an event costs cycles/instr_count, so a quantum's
     CPI is well defined even when events straddle its boundaries.
     """
-    if quantum_length < 1:
-        raise ValueError("quantum_length must be positive")
+    check_quantum_length(quantum_length)
     total = index.total_instructions
     n_quanta = math.ceil(total / quantum_length)
     bounds = np.minimum(np.arange(n_quanta + 1, dtype=np.int64) * quantum_length, total)

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Union
 
 import numpy as np
 
-from .attribution import EventIndex, Waveform, quantum_cpis
+from .attribution import EventIndex, Waveform, check_quantum_length, quantum_cpis, sample_grid
 from .phases import PhaseNode
 from .trace import ExecutionTrace
 
@@ -38,7 +37,6 @@ class TqPhaseList:
 @dataclass
 class ErrorReport:
     mean_absolute_percentage_error: float
-    method_label: str
 
 
 def tq_phases(
@@ -50,10 +48,9 @@ def tq_phases(
     the phase's running mean. Per-quantum CPI comes from the trace's quantum
     records when they match quantum_length, else exactly from golden cycles.
     """
-    if merge_delta <= 0:
-        raise ValueError("merge_delta must be positive")
-    if quantum_length < 1:
-        raise ValueError("quantum_length must be positive")
+    check_quantum_length(quantum_length)
+    if not merge_delta > 0:
+        raise ValueError(f"merge_delta must be positive, got {merge_delta!r}")
     total = trace.total_instructions
     if quantum_length > total:
         quantum_length = total  # degenerate request: one quantum spans the run
@@ -118,15 +115,10 @@ def predict_waveform(
 ) -> Waveform:
     """Render a method's piecewise-constant CPI prediction over the run,
     sampled on the same grid build_waveform uses."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    stride = math.ceil(total_instructions / resolution)
-    offsets = np.arange(0, total_instructions, stride, dtype=np.int64)
+    offsets, stride = sample_grid(0, total_instructions, resolution)
 
     if isinstance(source, TqPhaseList):
-        length = source.quantum_length
-        if isinstance(length, bool) or not isinstance(length, Integral) or length < 1:
-            raise ValueError(f"quantum_length must be a positive integer, got {length!r}")
+        check_quantum_length(source.quantum_length)
         # each quantum is predicted by exactly one phase: the phases follow
         # one another from quantum 0 and end at the run's last quantum
         quanta = math.ceil(total_instructions / source.quantum_length)
@@ -156,9 +148,10 @@ def predict_waveform(
     )
 
 
-def error_rate(predicted: Waveform, golden: Waveform, label: str = "") -> ErrorReport:
+def error_rate(predicted: Waveform, golden: Waveform) -> ErrorReport:
     """Mean absolute percentage error of a prediction against the golden
-    waveform, per sample on the shared instruction grid."""
+    waveform, per sample on the shared instruction grid. The caller keeps
+    which method made the prediction (comparison_json takes it per row)."""
     if (
         predicted.samples.size != golden.samples.size
         or predicted.sample_stride != golden.sample_stride
@@ -166,20 +159,17 @@ def error_rate(predicted: Waveform, golden: Waveform, label: str = "") -> ErrorR
     ):
         raise ValueError("waveforms must share grid (resolution and extent)")
     errors = np.abs(predicted.samples - golden.samples) / golden.samples * 100.0
-    return ErrorReport(float(errors.mean()), label)
+    return ErrorReport(float(errors.mean()))
 
 
-def comparison_json(trace_name: str, reports: list[tuple[ErrorReport, int]]) -> str:
-    """Comparison report: one (MAPE, phase count) record per method."""
+def comparison_json(trace_name: str, methods: list[tuple[str, float, int]]) -> str:
+    """Comparison report: one (label, MAPE in percent, phase count) row per
+    method, in the order given."""
     payload = {
         "trace": trace_name,
         "methods": [
-            {
-                "label": report.method_label,
-                "mape_percent": report.mean_absolute_percentage_error,
-                "phase_count": phase_count,
-            }
-            for report, phase_count in reports
+            {"label": label, "mape_percent": mape, "phase_count": phase_count}
+            for label, mape, phase_count in methods
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -11,11 +11,12 @@ import argparse
 import gc
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import baseline, phases, spectral, synth
 from .attribution import attribute_block_cpi, build_waveform, golden_waveform, waveform_csv
-from .phases import CONFIG_TYPES, AnalysisConfig, check_config_value
+from .phases import CONFIG_TYPES, AnalysisConfig
 from .trace import TraceFormatError, float_reprs, load_trace, save_trace
 
 
@@ -23,16 +24,11 @@ class InputError(ValueError):
     """Input violates a command's contract (maps to exit code 2)."""
 
 
-def _check_config_value(name: str, value, source: str) -> None:
-    """check_config_value, with the file or flag that gave the value named."""
-    try:
-        check_config_value(name, value)
-    except ValueError as exc:
-        raise InputError(f"{source}: {exc}") from None
-
-
 def _config_from_args(args) -> AnalysisConfig:
-    values: dict = {}
+    """AnalysisConfig() updated by dataclasses.replace with the --config
+    file's fields, then with each config flag given; a value it rejects is
+    an InputError naming its source, "config <path>" or "--<flag>"."""
+    sources: list[tuple[str, dict]] = []
     if getattr(args, "config", None):
         try:
             values = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -45,17 +41,18 @@ def _config_from_args(args) -> AnalysisConfig:
         unknown = values.keys() - CONFIG_TYPES.keys()
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in values.items():
-            _check_config_value(name, value, f"config {args.config}")
+        sources.append((f"config {args.config}", values))
     for name in CONFIG_TYPES:
         override = getattr(args, name, None)
         if override is not None:
-            _check_config_value(name, override, "--" + name.replace("_", "-"))
-            values[name] = override
-    try:
-        return AnalysisConfig(**values)
-    except ValueError as exc:
-        raise InputError(f"bad analysis config: {exc}") from None
+            sources.append(("--" + name.replace("_", "-"), {name: override}))
+    config = AnalysisConfig()
+    for source, values in sources:
+        try:
+            config = replace(config, **values)
+        except ValueError as exc:
+            raise InputError(f"{source}: {exc}") from None
+    return config
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -78,12 +75,7 @@ def cmd_analyze(args) -> None:
     profiles = attribute_block_cpi(trace) if args.waveform_csv else None
     tree = phases.analyze(trace, config, spectrum_sink=sink, profiles=profiles)
 
-    tree_text = phases.tree_json(tree, trace.blocks)
-    if args.tree:
-        _write(args.tree, tree_text)
-    else:
-        sys.stdout.write(tree_text)
-
+    # the tree goes last: an unusable side output path leaves no tree behind
     if args.waveform_csv:
         wave = build_waveform(trace, profiles, config.resolution)
         _write(args.waveform_csv, waveform_csv(trace, wave))
@@ -95,6 +87,11 @@ def cmd_analyze(args) -> None:
             _write(str(path), spectral.spectrum_csv(spec))
     if args.markers:
         _write(args.markers, phases.markers_json(phases.export_markers(tree, trace.blocks)))
+    tree_text = phases.tree_json(tree, trace.blocks)
+    if args.tree:
+        _write(args.tree, tree_text)
+    else:
+        sys.stdout.write(tree_text)
 
 
 def cmd_compare(args) -> None:
@@ -114,25 +111,21 @@ def cmd_compare(args) -> None:
         offset = int(golden.sample_offsets[zero.argmax()])
         raise InputError(f"golden CPI is 0 at instruction offset {offset}, where MAPE is undefined")
     tree = phases.analyze(trace, config)
-    predicted = baseline.predict_waveform(tree, total, config.resolution)
-    reports: list[tuple[baseline.ErrorReport, int]] = [
-        (baseline.error_rate(predicted, golden, "bbfda"), sum(1 for _ in tree.walk()))
-    ]
-    columns = [("bbfda", predicted)]
-
-    quantum_lengths = args.tq or [max(1, total // 64), max(1, total // 8)]
-    for length in quantum_lengths:
+    # one (label, predicted waveform, phase count) row per method
+    methods = [("bbfda", baseline.predict_waveform(tree, total, config.resolution),
+                sum(1 for _ in tree.walk()))]
+    for length in args.tq or [max(1, total // 64), max(1, total // 8)]:
         tq = baseline.tq_phases(trace, length, args.merge_delta)
-        pred = baseline.predict_waveform(tq, total, config.resolution)
-        label = f"tq-{length}"
-        reports.append((baseline.error_rate(pred, golden, label), len(tq.phases)))
-        columns.append((label, pred))
+        methods.append((f"tq-{length}", baseline.predict_waveform(tq, total, config.resolution),
+                        len(tq.phases)))
 
-    _write(args.out, baseline.comparison_json(args.trace, reports))
+    scores = [(label, baseline.error_rate(wave, golden).mean_absolute_percentage_error, count)
+              for label, wave, count in methods]
+    _write(args.out, baseline.comparison_json(args.trace, scores))
     if args.samples_csv:
-        header = "instruction_offset,golden_cpi," + ",".join(label for label, _ in columns)
+        header = "instruction_offset,golden_cpi," + ",".join(label for label, _, _ in methods)
         cells = [map(str, golden.sample_offsets.tolist()), float_reprs(golden.samples)]
-        cells += [float_reprs(wave.samples) for _, wave in columns]
+        cells += [float_reprs(wave.samples) for _, wave, _ in methods]
         rows = [header, *map(",".join, zip(*cells))]
         _write(args.samples_csv, "\n".join(rows) + "\n")
 

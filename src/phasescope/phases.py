@@ -42,6 +42,10 @@ class Structure(enum.Enum):
 
 @dataclass(frozen=True)
 class AnalysisConfig:
+    """Analysis parameters, checked on construction and dataclasses.replace:
+    an int field takes an integer, a float field a finite real number (a bool
+    is neither), each within its range; ValueError names the field."""
+
     resolution: int = 4096
     boundary_threshold_fraction: float = 0.5
     flat_cpi_range: float = 0.3
@@ -50,8 +54,15 @@ class AnalysisConfig:
     min_segment_instructions: int = 64
 
     def __post_init__(self):
-        for name in CONFIG_TYPES:
-            check_config_value(name, getattr(self, name))
+        for name, kind in CONFIG_TYPES.items():
+            value = getattr(self, name)
+            if kind is int:
+                ok, noun = isinstance(value, Integral), "an integer"
+            else:
+                ok = isinstance(value, Real) and math.isfinite(value)
+                noun = "a finite real number"
+            if isinstance(value, bool) or not ok:
+                raise ValueError(f"config field {name} must be {noun}, got {value!r}")
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
         if not 0.0 < self.boundary_threshold_fraction <= 1.0:
@@ -60,26 +71,16 @@ class AnalysisConfig:
             raise ValueError("flat_cpi_range must be non-negative")
         if not 0.0 < self.flat_spectrum_ratio < 1.0:
             raise ValueError("flat_spectrum_ratio must be in (0, 1)")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be positive")
+        # tree_to_dict takes two frames per level (its list comprehension
+        # too): 500 levels overflow the default recursion limit of 1000
+        if not 1 <= self.max_depth <= 256:
+            raise ValueError("max_depth must be in [1, 256]")
         if self.min_segment_instructions < 2:
             raise ValueError("min_segment_instructions must be >= 2")
 
 
 #: each config field's type is that of its default (int or float)
 CONFIG_TYPES = {f.name: type(f.default) for f in fields(AnalysisConfig)}
-
-
-def check_config_value(name: str, value) -> None:
-    """An int field takes an integer, a float field a finite real number;
-    a bool is neither. Raises ValueError naming the field."""
-    if CONFIG_TYPES[name] is int:
-        ok, noun = isinstance(value, Integral), "an integer"
-    else:
-        ok = isinstance(value, Real) and math.isfinite(value)
-        noun = "a finite real number"
-    if isinstance(value, bool) or not ok:
-        raise ValueError(f"config field {name} must be {noun}, got {value!r}")
 
 
 @dataclass

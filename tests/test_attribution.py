@@ -2,6 +2,8 @@
 brute-force oracles (instruction-by-instruction walks, hand-evaluated
 weighted averages)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ from phasescope.attribution import (
     Waveform,
     cycles_below,
     profile_rates,
+    sample_grid,
+    sample_range,
     waveform_csv,
 )
 
@@ -416,3 +420,52 @@ def test_waveform_csv_matches_the_per_row_writer():
     for off, cpi in zip(wave.sample_offsets.tolist(), wave.samples):
         rows.append(f"{off},{float(cpi)!r},{walked[off]}")
     assert waveform_csv(trace, wave) == "\n".join(rows) + "\n"
+
+
+# --- input checks ---------------------------------------------------------------
+
+def _golden():
+    return golden_trace({0: block(0, 10)}, [0, 0, 0], [10.0, 20.0, 30.0])
+
+
+def _quantum():
+    return quantum_trace([block(0, 10)], [0, 0, 0], [1.0, 2.0, 3.0], 10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Waveform(samples=[], sample_stride=1, origin_instruction=0),
+     "waveform needs at least one sample"),
+    (lambda: Waveform(samples=[1.0], sample_stride=0, origin_instruction=0),
+     "sample_stride must be positive"),
+    (lambda: EventIndex.from_trace(_quantum()).golden_event_cpi(), "golden cycles required"),
+    (lambda: attribute_block_cpi(_golden(), "mean"), "unknown attribution mode 'mean'"),
+    (lambda: attribute_block_cpi(_golden(), "quantum"),
+     "quantum attribution requires quantum records"),
+    (lambda: attribute_block_cpi(_quantum(), "golden"),
+     "golden attribution requires cycles on every event"),
+    (lambda: sample_range(EventIndex.from_trace(_golden()), np.ones(3), 0, 30, 1),
+     "resolution must be >= 2"),
+    (lambda: sample_range(EventIndex.from_trace(_golden()), np.ones(3), 10, 10, 4),
+     "empty sample range"),
+    (lambda: sample_grid(5, 0, 4), "empty sample range"),
+    (lambda: quantum_cpis(EventIndex.from_trace(_golden()), 0),
+     "quantum_length must be a positive integer, got 0"),
+    (lambda: quantum_cpis(EventIndex.from_trace(_golden()), 2.5),
+     "quantum_length must be a positive integer, got 2.5"),
+    (lambda: quantum_cpis(EventIndex.from_trace(_golden()), True),
+     "quantum_length must be a positive integer, got True"),
+], ids=["empty-waveform", "zero-stride", "no-golden-cycles", "unknown-mode", "quantum-without-quanta",
+        "golden-without-cycles", "resolution-1", "empty-range", "reversed-range",
+        "quantum-length-0", "quantum-length-2.5", "quantum-length-True"])
+def test_attribution_rejects_unusable_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_sample_grid_is_the_grid_sample_range_samples_on():
+    offsets, stride = sample_grid(7, 30, 4)
+    assert stride == 6 and offsets.tolist() == [7, 13, 19, 25]
+    wave = sample_range(EventIndex.from_trace(_golden()), np.array([1.0, 2.0, 3.0]), 7, 30, 4)
+    assert (wave.sample_stride, wave.origin_instruction) == (6, 7)
+    assert wave.sample_offsets.tolist() == offsets.tolist()
+    assert wave.samples.tolist() == [1.0, 2.0, 2.0, 3.0]

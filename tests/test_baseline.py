@@ -236,6 +236,41 @@ def test_tq_phase_list_takes_a_numpy_integer_quantum_length():
     np.testing.assert_array_equal(wave.samples, [1.5] * 40)
 
 
+# 160 quanta of 10 instructions: 1600 instructions, CPI 1, 2, 1, 2, ...
+ALTERNATING = golden_trace_from_quanta([1.0, 2.0] * 80)
+
+
+@pytest.mark.parametrize("length, delta, message", [
+    (2.5, 0.1, "quantum_length must be a positive integer, got 2.5"),
+    (True, 0.1, "quantum_length must be a positive integer, got True"),
+    (0, 0.1, "quantum_length must be a positive integer, got 0"),
+    (-8, 0.1, "quantum_length must be a positive integer, got -8"),
+    (8, float("nan"), "merge_delta must be positive, got nan"),
+    (8, 0.0, "merge_delta must be positive, got 0.0"),
+    (8, -0.1, "merge_delta must be positive, got -0.1"),
+], ids=["length-2.5", "length-True", "length-0", "length-negative", "delta-nan", "delta-0",
+        "delta-negative"])
+def test_tq_phases_rejects_a_length_or_delta_the_prediction_cannot_use(length, delta, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tq_phases(ALTERNATING, length, delta)
+
+
+@pytest.mark.parametrize("source", [
+    PhaseNode(0, 0, 16, 1.0), TqPhaseList(8, [TqPhase(0, 2, 1.0)]),
+], ids=["tree", "tq"])
+@pytest.mark.parametrize("total", [0, -8])
+def test_prediction_over_an_empty_run_is_rejected(source, total):
+    with pytest.raises(ValueError, match="^empty sample range$"):
+        predict_waveform(source, total, 16)
+
+
+def test_prediction_rejects_a_coarse_resolution_and_an_unknown_source():
+    with pytest.raises(ValueError, match="^resolution must be >= 2$"):
+        predict_waveform(PhaseNode(0, 0, 16, 1.0), 16, 1)
+    with pytest.raises(TypeError, match="^cannot render list$"):
+        predict_waveform([TqPhase(0, 2, 1.0)], 16, 16)
+
+
 def test_prediction_grid_matches_golden_grid():
     spec = ScenarioSpec(
         segments=[
@@ -264,9 +299,8 @@ def constant_wave(value, n=32):
 
 
 def test_identical_waveforms_score_zero():
-    report = error_rate(constant_wave(1.5), constant_wave(1.5), "x")
+    report = error_rate(constant_wave(1.5), constant_wave(1.5))
     assert report.mean_absolute_percentage_error == 0.0
-    assert report.method_label == "x"
 
 
 def test_ten_percent_offset():

@@ -90,7 +90,7 @@ def test_analyze_without_tree_writes_the_tree_to_stdout(tmp_path, capsys, trace_
 @pytest.mark.parametrize("config_text, flag, message", [
     (None, "--config", "cannot read config {config}: [Errno 2]"),
     ("{not json", "--config", "cannot read config {config}: Expecting property name"),
-    (None, "--resolution", "bad analysis config: resolution must be >= 2"),
+    (None, "--resolution", "--resolution: resolution must be >= 2"),
 ], ids=["missing-config", "malformed-config", "resolution-1"])
 def test_analyze_with_an_unusable_config_exits_2(tmp_path, capsys, trace_file, config_text, flag, message):
     config = tmp_path / "config.json"
@@ -269,7 +269,7 @@ def test_compare_rejects_non_positive_settings_with_exit_2(tmp_path, capsys, tra
 
 
 def test_json_writers_refuse_non_finite_numbers():
-    from phasescope import ErrorReport, PhaseNode
+    from phasescope import PhaseNode
     from phasescope.baseline import comparison_json
     from phasescope.phases import export_markers, markers_json, tree_json
 
@@ -279,7 +279,7 @@ def test_json_writers_refuse_non_finite_numbers():
     with pytest.raises(ValueError):
         markers_json(export_markers(node, {0: 0x1000}))
     with pytest.raises(ValueError):
-        comparison_json("t", [(ErrorReport(float("inf"), "bbfda"), 1)])
+        comparison_json("t", [("bbfda", float("inf"), 1)])
 
 
 def test_block_whose_events_all_carry_zero_cycles_exits_2(tmp_path, capsys):
@@ -699,3 +699,112 @@ def test_a_directory_as_the_output_exits_2_naming_it(tmp_path, capsys, trace_fil
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno 21]") and str(paths["taken"]) in err
+
+
+@pytest.mark.parametrize("side", [
+    ["--waveform-csv", "{taken}"],
+    ["--spectrum-dir", "{trace}"],
+    ["--markers", "{taken}"],
+], ids=["waveform-csv", "spectrum-dir", "markers"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["tree-file", "stdout"])
+def test_an_unusable_side_output_leaves_no_tree(tmp_path, capsys, trace_file, side, to_file):
+    taken, tree = tmp_path / "taken", tmp_path / "tree.json"
+    taken.mkdir()
+    argv = ["analyze", str(trace_file), *[arg.format(taken=taken, trace=trace_file) for arg in side]]
+    assert main(argv + (["--tree", str(tree)] if to_file else [])) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: [Errno")
+    assert out == "" and not tree.exists()
+
+
+# --- config sources: each error names the file or flag that gave the value -------
+
+@pytest.mark.parametrize("field, value, message", [
+    ("resolution", 1, "resolution must be >= 2"),
+    ("boundary_threshold_fraction", 0.0, "boundary_threshold_fraction must be in (0, 1]"),
+    ("boundary_threshold_fraction", 1.5, "boundary_threshold_fraction must be in (0, 1]"),
+    ("flat_cpi_range", -0.5, "flat_cpi_range must be non-negative"),
+    ("flat_spectrum_ratio", 0.0, "flat_spectrum_ratio must be in (0, 1)"),
+    ("flat_spectrum_ratio", 1.0, "flat_spectrum_ratio must be in (0, 1)"),
+    ("max_depth", 0, "max_depth must be in [1, 256]"),
+    ("max_depth", 257, "max_depth must be in [1, 256]"),
+    ("min_segment_instructions", 1, "min_segment_instructions must be >= 2"),
+])
+@pytest.mark.parametrize("by_file", [True, False], ids=["file", "flag"])
+def test_an_out_of_range_config_value_exits_2_naming_its_source(
+        tmp_path, capsys, trace_file, field, value, message, by_file):
+    config, tree = tmp_path / "config.json", tmp_path / "tree.json"
+    flag = "--" + field.replace("_", "-")
+    if by_file:
+        config.write_text(json.dumps({field: value}))
+        argv, source = ["--config", str(config)], f"config {config}"
+    else:
+        argv, source = [flag, str(value)], flag
+    assert main(["analyze", str(trace_file), "--tree", str(tree), *argv]) == 2
+    assert capsys.readouterr().err == f"error: {source}: {message}\n"
+    assert not tree.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"resolution": 1}', "resolution must be >= 2"),
+    ('{"resolution": 1.5}', "config field resolution must be an integer, got 1.5"),
+], ids=["out-of-range", "wrongly-typed"])
+def test_a_bad_file_value_exits_2_though_a_flag_overrides_it(tmp_path, capsys, trace_file, text, message):
+    config, tree = tmp_path / "config.json", tmp_path / "tree.json"
+    config.write_text(text)
+    argv = ["analyze", str(trace_file), "--tree", str(tree), "--config", str(config), "--resolution", "64"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: config {config}: {message}\n"
+    assert not tree.exists()
+
+
+def test_a_flag_value_is_checked_after_the_file_is_applied(tmp_path, capsys, trace_file):
+    config, tree = tmp_path / "config.json", tmp_path / "tree.json"
+    config.write_text('{"resolution": 64, "max_depth": 3}')
+    argv = ["analyze", str(trace_file), "--tree", str(tree), "--config", str(config)]
+    assert main(argv + ["--max-depth", "300"]) == 2
+    assert capsys.readouterr().err == "error: --max-depth: max_depth must be in [1, 256]\n"
+    assert main(argv + ["--max-depth", "2", "--resolution", "32"]) == 0
+
+
+def ramp_trace(path):
+    """4096 blocks, each executed once for 50 instructions at CPI 1, 2, ...,
+    4096: every segment splits at a step, so the splits go as deep as
+    max_depth allows."""
+    lines = ["V 1", *(f"B {i} {0x1000 + 64 * i:x} 50 F" for i in range(4096))]
+    lines += [f"E {i} {50.0 * (i + 1)!r}" for i in range(4096)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_max_depth_at_the_ceiling_runs_every_command_on_a_ramp(tmp_path):
+    trace = ramp_trace(tmp_path / "ramp.trace")
+    tree, markers, report = tmp_path / "tree.json", tmp_path / "markers.json", tmp_path / "cmp.json"
+    assert main(["analyze", str(trace), "--tree", str(tree), "--max-depth", "256"]) == 0
+    depth, level = 0, [json.loads(tree.read_text())]
+    while level := [child for node in level for child in node["children"]]:
+        depth += 1
+    assert depth == 256
+    assert main(["markers", str(tree), "--out", str(markers)]) == 0
+    assert main(["compare", str(trace), "--out", str(report), "--max-depth", "256"]) == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_max_depth_above_the_ceiling_exits_2_naming_the_flag(tmp_path, capsys, command):
+    trace, out = ramp_trace(tmp_path / "ramp.trace"), tmp_path / "out"
+    assert main([*writing_to(command, trace, out), "--max-depth", "257"]) == 2
+    assert capsys.readouterr().err == "error: --max-depth: max_depth must be in [1, 256]\n"
+    assert not out.exists()
+
+
+def test_an_internal_failure_exits_1(tmp_path, capsys, trace_file, monkeypatch):
+    from phasescope import phases
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr(phases, "analyze", broken)
+    tree = tmp_path / "tree.json"
+    assert main(["analyze", str(trace_file), "--tree", str(tree)]) == 1
+    assert capsys.readouterr().err == "internal error: invariant broken\n"
+    assert not tree.exists()

@@ -1,6 +1,7 @@
 """Phase identification: head candidates, alignment, step splitting,
 structure classification, the recursive driver, and marker export."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -79,6 +80,14 @@ def test_config_takes_integers_for_float_fields_and_numpy_numbers():
     assert (config.resolution, config.flat_cpi_range, config.flat_spectrum_ratio) == (512, 0, 0.5)
 
 
+def test_config_replace_checks_the_values_it_applies():
+    with pytest.raises(ValueError, match="^resolution must be >= 2$"):
+        dataclasses.replace(AnalysisConfig(), resolution=1)
+    with pytest.raises(ValueError, match="^config field max_depth must be an integer, got 2.5$"):
+        dataclasses.replace(AnalysisConfig(), max_depth=2.5)
+    assert dataclasses.replace(AnalysisConfig(), max_depth=256).max_depth == 256
+
+
 # --- candidate heads ---------------------------------------------------------
 
 def golden_trace(blocks, ids_and_cpis):
@@ -137,6 +146,12 @@ def test_align_single_occurrence_fallback_is_earliest():
 def test_align_empty_candidates_raises():
     with pytest.raises(ValueError, match="no candidate heads"):
         align_phase([], [], 5)
+
+
+@pytest.mark.parametrize("length", [0, -5])
+def test_align_rejects_a_non_positive_length(length):
+    with pytest.raises(ValueError, match="^length must be positive$"):
+        align_phase([10, 20], [3, 3], length)
 
 
 def test_align_uses_every_candidate_given():
@@ -222,6 +237,10 @@ def test_split_ideal_step():
 
 def test_split_constant_returns_none():
     assert split_step(wave([1.5] * 32)) is None
+
+
+def test_split_of_one_sample_returns_none():
+    assert split_step(wave([1.5])) is None
 
 
 def test_split_linear_ramp():
@@ -675,3 +694,14 @@ def test_tree_is_well_formed_and_node_means_are_exact(spec):
         overlap = np.clip(np.minimum(ends, hi) - np.maximum(starts, lo), 0, None)
         exact = math.fsum((overlap * rates).tolist()) / node.length_instructions
         assert node.mean_cpi == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("children, message", [
+    ([PhaseNode(0, 0, 40, 1.0), PhaseNode(0, 30, 40, 1.0)], "children overlap or are out of order"),
+    ([PhaseNode(0, 50, 10, 1.0), PhaseNode(0, 0, 10, 1.0)], "children overlap or are out of order"),
+    ([PhaseNode(0, 90, 20, 1.0)], "child extends past its parent"),
+    ([PhaseNode(0, 10, 0, 1.0)], "empty child interval"),
+], ids=["overlap", "out-of-order", "past-parent", "empty"])
+def test_validate_tree_names_the_first_violation(children, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        validate_tree(PhaseNode(0, 0, 100, 1.0, children=children))

@@ -142,6 +142,19 @@ def test_flat_spectrum_raises():
         main_spectrum(spectrum)
 
 
+def test_one_sample_has_no_spectrum():
+    with pytest.raises(ValueError, match="^waveform must have at least 2 samples$"):
+        dft_magnitude(wave([1.5]))
+
+
+def test_a_dc_only_spectrum_has_no_main_bin_and_is_flat():
+    dc_only = Spectrum(magnitudes=np.array([1.5]), source_length_instructions=1)
+    with pytest.raises(FlatSpectrumError, match="^spectrum has no non-DC bins$"):
+        main_spectrum(dc_only)
+    # the CPI range (1.0) is outside the flat band, so the bins decide
+    assert is_flat(wave([1.0, 2.0]), dc_only, AnalysisConfig())
+
+
 def test_is_flat_constant_and_thresholds():
     config = AnalysisConfig()
     constant = wave([1.5] * 32)
