@@ -151,15 +151,30 @@ def predict_waveform(
 def error_rate(predicted: Waveform, golden: Waveform) -> ErrorReport:
     """Mean absolute percentage error of a prediction against the golden
     waveform, per sample on the shared instruction grid. The caller keeps
-    which method made the prediction (comparison_json takes it per row)."""
+    which method made the prediction (comparison_json takes it per row).
+
+    ValueError when the MAPE is not finite. It names the offset and golden
+    CPI of the first sample whose term is not finite (a golden CPI of 0, or
+    one so small that the term overflows), else says the mean overflows."""
     if (
         predicted.samples.size != golden.samples.size
         or predicted.sample_stride != golden.sample_stride
         or predicted.origin_instruction != golden.origin_instruction
     ):
         raise ValueError("waveforms must share grid (resolution and extent)")
-    errors = np.abs(predicted.samples - golden.samples) / golden.samples * 100.0
-    return ErrorReport(float(errors.mean()))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        errors = np.abs(predicted.samples - golden.samples) / golden.samples * 100.0
+        mape = float(errors.mean())
+    if not math.isfinite(mape):
+        undefined = np.flatnonzero(~np.isfinite(errors))
+        if undefined.size:
+            k = int(undefined[0])
+            raise ValueError(
+                f"golden CPI is {float(golden.samples[k])!r} at instruction offset "
+                f"{int(golden.sample_offsets[k])}, where MAPE is undefined"
+            )
+        raise ValueError("MAPE overflows float64")
+    return ErrorReport(mape)
 
 
 def comparison_json(trace_name: str, methods: list[tuple[str, float, int]]) -> str:

@@ -106,10 +106,6 @@ def cmd_compare(args) -> None:
     total = trace.total_instructions
 
     golden = golden_waveform(trace, config.resolution)
-    zero = golden.samples == 0
-    if zero.any():
-        offset = int(golden.sample_offsets[zero.argmax()])
-        raise InputError(f"golden CPI is 0 at instruction offset {offset}, where MAPE is undefined")
     tree = phases.analyze(trace, config)
     # one (label, predicted waveform, phase count) row per method
     methods = [("bbfda", baseline.predict_waveform(tree, total, config.resolution),
@@ -119,8 +115,11 @@ def cmd_compare(args) -> None:
         methods.append((f"tq-{length}", baseline.predict_waveform(tq, total, config.resolution),
                         len(tq.phases)))
 
-    scores = [(label, baseline.error_rate(wave, golden).mean_absolute_percentage_error, count)
-              for label, wave, count in methods]
+    try:  # the waveforms share one grid, so a ValueError is a MAPE the golden CPIs leave undefined
+        scores = [(label, baseline.error_rate(wave, golden).mean_absolute_percentage_error, count)
+                  for label, wave, count in methods]
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     _write(args.out, baseline.comparison_json(args.trace, scores))
     if args.samples_csv:
         header = "instruction_offset,golden_cpi," + ",".join(label for label, _, _ in methods)
@@ -151,6 +150,8 @@ def cmd_synth(args) -> None:
 def cmd_spectrum(args) -> None:
     config = _config_from_args(args)
     trace = load_trace(args.trace)
+    if trace.total_instructions < 2:
+        raise InputError("trace has one instruction: a spectrum needs at least 2 samples")
     profiles = attribute_block_cpi(trace)
     wave = build_waveform(trace, profiles, config.resolution)
     spectrum = spectral.dft_magnitude(wave)

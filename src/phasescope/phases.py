@@ -203,88 +203,6 @@ def classify_structure(
     return Structure.NONE
 
 
-class _Analysis:
-    """Per-run state shared across the recursion."""
-
-    def __init__(
-        self,
-        trace: ExecutionTrace,
-        config: AnalysisConfig,
-        profiles: dict[int, float],
-        spectrum_sink: Optional[Callable[[int, int, int, Spectrum], None]],
-    ):
-        self.trace = trace
-        self.config = config
-        self.index = EventIndex.from_trace(trace)
-        self.rates = profile_rates(self.index, profiles)
-        self.spectrum_sink = spectrum_sink
-        self.nodes: list[PhaseNode] = []
-
-    def make_node(self, start: int, stop: int, occurrence: int) -> PhaseNode:
-        """A node for [start, stop); fill_nodes sets its head block, mean
-        CPI and structure once the recursion is done."""
-        node = PhaseNode(-1, start, stop - start, math.nan, occurrence)
-        self.nodes.append(node)
-        return node
-
-    def fill_nodes(self) -> None:
-        """Head block, exact mean CPI and structure of every node, read for
-        all nodes at once."""
-        starts = np.array([node.start_instruction for node in self.nodes], dtype=np.int64)
-        lengths = np.array([node.length_instructions for node in self.nodes], dtype=np.int64)
-        below = cycles_below(self.index, self.rates, np.concatenate((starts, starts + lengths)))
-        means = (below[starts.size :] - below[: starts.size]) / lengths
-        head_events = self.index.events_at(starts)
-        heads = self.index.block_ids[head_events].tolist()
-        contexts = self.index.block_ids[np.maximum(head_events - 1, 0)].tolist()
-        blocks = self.trace.blocks
-        for node, mean, head, event, context in zip(
-            self.nodes, means.tolist(), heads, head_events.tolist(), contexts
-        ):
-            node.head_block = head
-            node.mean_cpi = mean
-            node.structure = classify_structure(blocks[head], blocks[context] if event > 0 else None)
-
-    def segment(self, start: int, stop: int, depth: int, occurrence: int) -> PhaseNode:
-        cfg = self.config
-        node = self.make_node(start, stop, occurrence)
-        length = stop - start
-        if depth >= cfg.max_depth or length < cfg.min_segment_instructions:
-            return node
-
-        wave = sample_range(self.index, self.rates, start, stop, cfg.resolution)
-        spectrum = dft_magnitude(wave)
-        if self.spectrum_sink is not None:
-            self.spectrum_sink(depth, start, stop, spectrum)
-        if is_flat(wave, spectrum, cfg):
-            return node  # else some non-DC bin is nonzero, as main_spectrum needs
-        main = main_spectrum(spectrum)
-
-        if main.occurrence == 1:
-            split = split_step(wave)
-            if split is None:
-                return node
-            boundary = split[0]
-            node.children = [
-                self.segment(start, boundary, depth + 1, 1),
-                self.segment(boundary, stop, depth + 1, 1),
-            ]
-            return node
-
-        reps = main.occurrence
-        # node lengths stay within occurrence*length <= segment + one stride
-        instance = min(max(1, round(length / reps)), (length + wave.sample_stride) // reps)
-        theta = cfg.boundary_threshold_fraction * main.magnitude
-        offsets, heads = _candidates_in_range(self.index, self.rates, theta, start, stop)
-        anchor = align_phase(offsets, heads, instance)[0] if offsets.size else start
-        if anchor > start:
-            # fold back to the earliest congruent instance of the pattern
-            anchor = start + (anchor - start) % instance
-        child_len = min(instance, stop - anchor)
-        node.children = [self.segment(anchor, anchor + child_len, depth + 1, reps)]
-        return node
-
-
 def analyze(
     trace: ExecutionTrace,
     config: Optional[AnalysisConfig] = None,
@@ -304,9 +222,67 @@ def analyze(
     cfg = config or AnalysisConfig()
     if profiles is None:
         profiles = attribute_block_cpi(trace)
-    run = _Analysis(trace, cfg, profiles, spectrum_sink)
-    root = run.segment(0, run.index.total_instructions, 0, 1)
-    run.fill_nodes()
+    index = EventIndex.from_trace(trace)
+    rates = profile_rates(index, profiles)
+    # every node in creation order; the recursion sets interval and
+    # occurrence, then one batch pass sets head block, mean CPI and structure
+    nodes: list[PhaseNode] = []
+
+    def segment(start: int, stop: int, depth: int, occurrence: int) -> PhaseNode:
+        length = stop - start
+        node = PhaseNode(-1, start, length, math.nan, occurrence)
+        nodes.append(node)
+        if depth >= cfg.max_depth or length < cfg.min_segment_instructions:
+            return node
+
+        wave = sample_range(index, rates, start, stop, cfg.resolution)
+        spectrum = dft_magnitude(wave)
+        if spectrum_sink is not None:
+            spectrum_sink(depth, start, stop, spectrum)
+        if is_flat(wave, spectrum, cfg):
+            return node  # else some non-DC bin is nonzero, as main_spectrum needs
+        main = main_spectrum(spectrum)
+
+        if main.occurrence == 1:
+            split = split_step(wave)
+            if split is None:
+                return node
+            boundary = split[0]
+            node.children = [
+                segment(start, boundary, depth + 1, 1),
+                segment(boundary, stop, depth + 1, 1),
+            ]
+            return node
+
+        reps = main.occurrence
+        # node lengths stay within occurrence*length <= segment + one stride
+        instance = min(max(1, round(length / reps)), (length + wave.sample_stride) // reps)
+        theta = cfg.boundary_threshold_fraction * main.magnitude
+        offsets, heads = _candidates_in_range(index, rates, theta, start, stop)
+        anchor = align_phase(offsets, heads, instance)[0] if offsets.size else start
+        # fold back to the earliest congruent instance (candidates are >= start)
+        anchor = start + (anchor - start) % instance
+        child_len = min(instance, stop - anchor)
+        node.children = [segment(anchor, anchor + child_len, depth + 1, reps)]
+        return node
+
+    root = segment(0, index.total_instructions, 0, 1)
+    del segment  # its closure holds itself: breaking that cycle frees rates on return
+
+    starts = np.array([node.start_instruction for node in nodes], dtype=np.int64)
+    lengths = np.array([node.length_instructions for node in nodes], dtype=np.int64)
+    below = cycles_below(index, rates, np.concatenate((starts, starts + lengths)))
+    means = (below[starts.size :] - below[: starts.size]) / lengths
+    head_events = index.events_at(starts)
+    heads = index.block_ids[head_events].tolist()
+    contexts = index.block_ids[np.maximum(head_events - 1, 0)].tolist()
+    blocks = trace.blocks
+    for node, mean, head, event, context in zip(
+        nodes, means.tolist(), heads, head_events.tolist(), contexts
+    ):
+        node.head_block = head
+        node.mean_cpi = mean
+        node.structure = classify_structure(blocks[head], blocks[context] if event > 0 else None)
     validate_tree(root)
     return root
 

@@ -13,11 +13,12 @@ stream, one record per line:
 ``#`` starts a comment. A trace is "golden" when every event carries a
 cycle count, and "quantum" when Q/L records are present; at least one of
 the two must hold (both is fine for validation traces). Decimal fields
-must fit in a signed 64-bit integer; cycle counts must be finite and
-non-negative, quantum CPIs finite and positive, block addresses
-non-negative and block start addresses distinct. Addresses are bare
-lowercase hex without leading zeros (``0``, ``1a0``), as the writer prints
-them.
+are ASCII, without ``_``, and must fit in a signed 64-bit integer; cycle
+counts must be finite and non-negative, with a finite float64 sum, quantum
+CPIs finite and positive, the largest times the instruction count finite,
+block addresses non-negative and block start addresses distinct. Addresses
+are bare lowercase hex without leading zeros (``0``, ``1a0``), as the
+writer prints them.
 
 In memory the event stream is two numpy columns, block ids and cycle
 counts, built and validated once; validation adds a third, the prefix sums
@@ -192,6 +193,11 @@ class ExecutionTrace:
         infinite = np.flatnonzero(np.isinf(cycles))
         if infinite.size:
             raise TraceFormatError(f"event {int(infinite[0])}: non-finite cycle count")
+        with np.errstate(over="ignore"):
+            cycle_sum = np.nansum(cycles)
+        if not math.isfinite(cycle_sum):
+            # node means and quantum CPIs divide prefix sums bounded by this sum
+            raise TraceFormatError("cycle counts too large: their sum overflows float64")
         if int(counts.max()) * events.size > _INT64_MAX:
             raise TraceFormatError("instruction counts too large: the total could overflow int64")
         self.event_starts = np.zeros(events.size + 1, dtype=np.int64)
@@ -226,6 +232,13 @@ class ExecutionTrace:
                 raise TraceFormatError(
                     f"quantum {i}: " + ("cpi must be positive" if finite[i] else "non-finite cpi")
                 )
+            if not math.isfinite(float(quanta.max()) * total):
+                # no block CPI exceeds the largest quantum CPI, so no cycle
+                # sum over the trace's instructions exceeds this product
+                raise TraceFormatError(
+                    "quantum cpis too large: the largest times the trace's "
+                    "instruction count overflows float64"
+                )
             quanta.flags.writeable = False
         if not self.is_golden and self.quanta is None:
             raise TraceFormatError(
@@ -242,12 +255,20 @@ class ExecutionTrace:
 _CHUNK_LINES = 4096
 
 
+def _decimal(convert, token: str, what: str, line: int):
+    """convert(token) for int or float, refusing what numpy's event reader
+    refuses though int() and float() take it: "_" and non-ASCII digits."""
+    if token.isascii() and "_" not in token:
+        try:
+            return convert(token)
+        except ValueError:
+            pass
+    raise TraceFormatError(f"malformed {what} {token!r}", line)
+
+
 def _parse_int(token: str, what: str, line: int) -> int:
     """Decimal field; every one must fit in int64 to enter a column."""
-    try:
-        value = int(token)
-    except ValueError:
-        raise TraceFormatError(f"malformed {what} {token!r}", line) from None
+    value = _decimal(int, token, what, line)
     if not _INT64_MIN <= value <= _INT64_MAX:
         raise TraceFormatError(f"{what} {token!r} outside int64", line)
     return value
@@ -266,10 +287,7 @@ def _parse_address(token: str, what: str, line: int) -> int:
 
 def _parse_float(token: str, what: str, line: int, positive: bool = False) -> float:
     """Finite decimal field, non-negative, or positive when asked."""
-    try:
-        value = float(token)
-    except ValueError:
-        raise TraceFormatError(f"malformed {what} {token!r}", line) from None
+    value = _decimal(float, token, what, line)
     if not math.isfinite(value):
         raise TraceFormatError(f"non-finite {what} {token!r}", line)
     if not (value > 0 if positive else value >= 0):
@@ -294,10 +312,10 @@ def _event_columns(
     parser (another record, a comment, a blank line, a bad field, an unknown
     block), which then reports the error with its line number.
 
-    numpy's reader accepts a subset of what ``int``/``float`` accept (no
-    ``1_0``, no non-ASCII digits, no extra fields), splits fields at the
-    same whitespace and gives the same values, so an accepted run yields
-    the columns the line loop would. It does drop trailing NULs from the
+    numpy's reader accepts the field spellings the line loop accepts (no
+    ``1_0``, no non-ASCII digits; see _decimal), splits fields at the same
+    whitespace and gives the same values, so an accepted run yields the
+    columns the line loop would. It does drop trailing NULs from the
     kind field ("E\\x00" reads as "E"), and a field holding a non-ASCII
     character it cannot convert can crash the process (numpy 2.4: a
     segmentation fault in about one run in three for "E \\U000d6a92 5.0"),

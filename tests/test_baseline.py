@@ -324,6 +324,18 @@ def test_mismatched_grids_rejected():
         error_rate(constant_wave(1.0, 16), constant_wave(1.0, 32))
 
 
+@pytest.mark.parametrize("predicted, golden, message", [
+    (1.0, [2.0, 0.0], "golden CPI is 0.0 at instruction offset 1, where MAPE is undefined"),
+    (0.5, [1e-320, 1.0], "golden CPI is 1e-320 at instruction offset 0, where MAPE is undefined"),
+    # each term is 1e308, their sum is not finite
+    (1e306, [1.0, 1.0], "MAPE overflows float64"),
+], ids=["zero", "subnormal", "sum"])
+def test_error_rate_refuses_a_mape_that_is_not_finite(predicted, golden, message):
+    golden = Waveform(samples=np.array(golden), sample_stride=1, origin_instruction=0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        error_rate(constant_wave(predicted, 2), golden)
+
+
 def test_merge_is_bit_identical_to_the_numpy_scalar_merge():
     rng = np.random.default_rng(41)
     for _ in range(20):

@@ -249,6 +249,7 @@ def test_config_file_and_flag_overrides(tmp_path, trace_file):
     ("V 1\nB 0 1000 10 F\nE 0\nE 0\nL 0\nQ 0 1.2\nQ 1 1.4\n", 5),
     ("V 1\nB 0 1000 10 F\nE 0\nE 0\nL -5\nQ 0 1.2\nQ 1 1.4\n", 5),
     ("V 1\nB 0 1000 10 F\nE 0\nE 0\nL 10\nQ 0 1.2\nQ 1 1.4\nL 11\n", 8),
+    ("V 1\nB 1 1000 5 F\nB 10 2000 5 F\nE 1 5.0\nE 1_0 5.0\n", 5),
 ])
 def test_non_finite_and_out_of_range_input_exits_2(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.trace"
@@ -302,6 +303,56 @@ def test_compare_with_a_zero_golden_cpi_exits_2_naming_the_offset(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "instruction offset 0" in err
     assert not out.exists()
+
+
+def test_compare_with_a_subnormal_golden_cpi_exits_2_naming_the_offset(tmp_path, capsys):
+    # the tree predicts 0.5, and |0.5 - 1e-320| / 1e-320 overflows float64
+    trace = tmp_path / "subnormal.trace"
+    trace.write_text("V 1\nB 0 1000 1 F\nE 0 1e-320\nE 0 1.0\n")
+    out = tmp_path / "cmp.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", str(trace), "--out", str(out)]) == 2
+    message = "golden CPI is 1e-320 at instruction offset 0, where MAPE is undefined"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "spectrum"])
+@pytest.mark.parametrize("text, message", [
+    ("V 1\nB 0 0 1 F\nB 1 10 1 F\nE 0 1e308\nE 0 1e308\nE 1 1.0\n",
+     "cycle counts too large: their sum overflows float64"),
+    ("V 1\nB 0 0 1 F\nB 1 10 1 F\nE 0 1e308\nE 1 1e308\nE 1 1.0\n",
+     "cycle counts too large: their sum overflows float64"),
+    ("V 1\nB 0 0 8 F\nB 1 10 8 F\nE 0\nE 1\nL 10\nQ 0 1e308\nQ 1 1e308\n",
+     "quantum cpis too large: the largest times the trace's instruction count overflows float64"),
+], ids=["one-block", "two-blocks", "quanta"])
+def test_cycle_sums_beyond_float64_exit_2(tmp_path, capsys, command, text, message):
+    trace = tmp_path / "huge.trace"
+    trace.write_text(text)
+    out = tmp_path / "out"
+    assert main(writing_to(command, trace, out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_spectrum_of_a_one_instruction_trace_exits_2(tmp_path, capsys):
+    trace = tmp_path / "one.trace"
+    trace.write_text("V 1\nB 0 0 1 F\nE 0 2.0\n")
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", str(trace), "--out", str(out)]) == 2
+    assert "trace has one instruction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_spectrum_of_the_whole_trace_is_the_spectrum_command(tmp_path, trace_file):
+    spectra = tmp_path / "spectra"
+    assert main(["analyze", str(trace_file), "--tree", str(tmp_path / "tree.json"),
+                 "--spectrum-dir", str(spectra)]) == 0
+    (root,) = spectra.glob("spectrum_d0_*.csv")
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", str(trace_file), "--out", str(out)]) == 0
+    assert root.read_bytes() == out.read_bytes()
 
 
 def test_analyze_waveform_csv_attributes_once(tmp_path, trace_file, monkeypatch):

@@ -2,6 +2,7 @@
 structure classification, the recursive driver, and marker export."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import re
@@ -392,6 +393,43 @@ def test_two_level_recovery():
     for node in tree.walk():
         expected = float(script[node.start_instruction:node.end_instruction].mean())
         assert node.mean_cpi == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("cfg", [AnalysisConfig(), AnalysisConfig(max_depth=2)],
+                         ids=["too-short-leaves", "max-depth"])
+def test_spectrum_sink_gets_each_sampled_segment_in_node_order(cfg):
+    trace, _ = generate(TWO_LEVEL)
+    calls = []
+    root = analyze(trace, cfg, spectrum_sink=lambda *call: calls.append(call))
+
+    def preorder(node, depth=0):  # the order analyze creates the nodes in
+        yield node, depth
+        for child in node.children:
+            yield from preorder(child, depth + 1)
+
+    sampled = [(depth, node.start_instruction, node.end_instruction)
+               for node, depth in preorder(root)
+               if depth < cfg.max_depth and node.length_instructions >= cfg.min_segment_instructions]
+    assert len(sampled) < sum(1 for _ in root.walk())
+    assert [call[:3] for call in calls] == sampled
+    index = EventIndex.from_trace(trace)
+    rates = profile_rates(index, attribute_block_cpi(trace))
+    for _, start, stop, spectrum in calls:
+        expected = dft_magnitude(sample_range(index, rates, start, stop, cfg.resolution))
+        assert spectrum.magnitudes.tobytes() == expected.magnitudes.tobytes()
+        assert spectrum.source_length_instructions == expected.source_length_instructions
+
+
+def test_analyze_leaves_no_reference_cycles():
+    # the recursion is a nested function that refers to itself
+    trace, _ = generate(TWO_LEVEL)
+    gc.collect()
+    gc.disable()
+    try:
+        analyze(trace)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_analyze_output_is_deterministic():

@@ -302,6 +302,19 @@ def test_non_finite_values_rejected_with_line(text, line):
                  id="quantum-2-fields"),
     pytest.param("V 1\nB 0 1000 10 F\nE 0\nL\nQ 0 1.5\n", 4, "malformed quantum length record",
                  id="bare-L"),
+    # int() and float() take "_" and non-ASCII digits, numpy's reader does not
+    pytest.param("V 1\nB 1 1000 5 F\nB 10 2000 5 F\nE 1_0 5.0\n", 4, "malformed block id '1_0'",
+                 id="block-id-underscore"),
+    pytest.param("V 1\nB 1 1000 5 F\nE 1 5_0\n", 3, "malformed cycle count '5_0'",
+                 id="cycles-underscore"),
+    pytest.param("V 1\nB 1 1000 5 F\nE \uff11 5\n", 3, "malformed block id '\uff11'",
+                 id="block-id-fullwidth"),
+    pytest.param("V 1\nB 1 1000 5 F\nE \u0661 5\n", 3, "malformed block id '\u0661'",
+                 id="block-id-arabic-indic"),
+    pytest.param("V 1\nB 0 0 1_0 F\nE 0 5.0\n", 2, "malformed instruction count '1_0'",
+                 id="instructions-underscore"),
+    pytest.param("V 1\nB 0 1000 10 F\nE 0\nL 10\nQ 0 1_0\n", 5, "malformed quantum cpi '1_0'",
+                 id="quantum-cpi-underscore"),
     # the first chunk holds only the header; the second, all E lines, meets
     # an empty block table
     pytest.param("V 1\n" + "\n" * (_CHUNK_LINES - 1) + "E 0 5.0\n" * 10, _CHUNK_LINES + 1,
@@ -376,6 +389,32 @@ def test_constructor_rejects_non_finite_values():
     with pytest.raises(TraceFormatError, match="quantum 0: non-finite cpi"):
         ExecutionTrace(blocks=blocks, event_blocks=[0], event_cycles=[np.nan],
                        quanta=[np.nan], quantum_length=10)
+
+
+TWO_BLOCKS = {b: BlockDescriptor(b, 0x10 * b, 1, Terminator.FALLTHROUGH) for b in (0, 1)}
+SUM_TOO_LARGE = "cycle counts too large: their sum overflows float64"
+
+
+@pytest.mark.parametrize("columns, message", [
+    pytest.param(dict(event_blocks=[0, 0, 1], event_cycles=[1e308, 1e308, 1.0]), SUM_TOO_LARGE,
+                 id="one-block"),
+    # each block's CPI is finite; the prefix sums behind node means are not
+    pytest.param(dict(event_blocks=[0, 1, 1], event_cycles=[1e308, 1e308, 1.0]), SUM_TOO_LARGE,
+                 id="two-blocks"),
+    pytest.param(dict(event_blocks=[0, 1] * 6, event_cycles=[math.nan] * 12,
+                      quanta=[1e308, 1e308], quantum_length=10),
+                 "quantum cpis too large: the largest times the trace's instruction count "
+                 "overflows float64", id="quanta"),
+])
+def test_cycle_sums_beyond_float64_are_rejected(columns, message):
+    with pytest.raises(TraceFormatError, match=re.escape(message)) as exc:
+        ExecutionTrace(blocks=TWO_BLOCKS, **columns)
+    assert exc.value.line is None
+
+
+def test_cycle_sums_at_the_float64_limit_are_accepted():
+    trace = parse_trace("V 1\nB 0 0 1 F\nE 0 1e308\nE 0 7e307\nL 2\nQ 0 8e307\n")
+    assert trace.total_instructions == 2
 
 
 @pytest.mark.parametrize("text, line", [
