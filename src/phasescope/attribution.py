@@ -9,7 +9,6 @@ grid by zero-order hold so a DFT can be applied.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import pairwise
 from numbers import Integral
@@ -17,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trace import ExecutionTrace, TraceFormatError, float_reprs, positions_in
+from .trace import ExecutionTrace, TraceFormatError, check_number, float_reprs, positions_in
 
 
 @dataclass
@@ -174,7 +173,8 @@ def sample_grid(start: int, stop: int, resolution: int) -> tuple[np.ndarray, int
     length = stop - start
     if length < 1:
         raise ValueError("empty sample range")
-    stride = math.ceil(length / resolution)
+    # the ceiling in integers: a float quotient rounds past 2**53 or overflows
+    stride = -(-length // resolution)
     return np.arange(start, stop, stride, dtype=np.int64), stride
 
 
@@ -229,10 +229,13 @@ def cycles_below(index: EventIndex, rates: np.ndarray, offsets: np.ndarray) -> n
     return prefix[ev] + (offsets - index.starts[ev]) * rates[ev]
 
 
-def check_quantum_length(length) -> None:
-    """ValueError unless length is a positive integer (a bool is not one)."""
-    if isinstance(length, bool) or not isinstance(length, Integral) or length < 1:
+def check_quantum_length(length) -> int:
+    """length as a Python int; ValueError unless it is a positive integer
+    that fits in int64."""
+    check_number("quantum_length", length, Integral)
+    if length < 1:
         raise ValueError(f"quantum_length must be a positive integer, got {length!r}")
+    return int(length)
 
 
 def quantum_cpis(index: EventIndex, quantum_length: int) -> np.ndarray:
@@ -243,9 +246,9 @@ def quantum_cpis(index: EventIndex, quantum_length: int) -> np.ndarray:
     Every instruction of an event costs cycles/instr_count, so a quantum's
     CPI is well defined even when events straddle its boundaries.
     """
-    check_quantum_length(quantum_length)
+    quantum_length = check_quantum_length(quantum_length)
     total = index.total_instructions
-    n_quanta = math.ceil(total / quantum_length)
+    n_quanta = -(-total // quantum_length)
     bounds = np.minimum(np.arange(n_quanta + 1, dtype=np.int64) * quantum_length, total)
     return np.diff(cycles_below(index, index.golden_event_cpi(), bounds)) / np.diff(bounds)
 

@@ -48,7 +48,7 @@ def tq_phases(
     the phase's running mean. Per-quantum CPI comes from the trace's quantum
     records when they match quantum_length, else exactly from golden cycles.
     """
-    check_quantum_length(quantum_length)
+    quantum_length = check_quantum_length(quantum_length)
     if not merge_delta > 0:
         raise ValueError(f"merge_delta must be positive, got {merge_delta!r}")
     total = trace.total_instructions
@@ -118,10 +118,10 @@ def predict_waveform(
     offsets, stride = sample_grid(0, total_instructions, resolution)
 
     if isinstance(source, TqPhaseList):
-        check_quantum_length(source.quantum_length)
+        length = check_quantum_length(source.quantum_length)
         # each quantum is predicted by exactly one phase: the phases follow
         # one another from quantum 0 and end at the run's last quantum
-        quanta = math.ceil(total_instructions / source.quantum_length)
+        quanta = -(-total_instructions // length)
         untiled = f"TQ phases must tile the run's {quanta} quanta in order"
         end = 0
         for phase in source.phases:
@@ -134,7 +134,7 @@ def predict_waveform(
             np.array([phase.mean_cpi for phase in source.phases], dtype=float),
             [phase.quantum_count for phase in source.phases],
         )
-        values = per_quantum[offsets // source.quantum_length]
+        values = per_quantum[offsets // length]
     elif isinstance(source, PhaseNode):
         values = np.empty(offsets.size, dtype=float)
         _render_tree(source, offsets, np.ones(offsets.size, dtype=bool), values)

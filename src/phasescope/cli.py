@@ -12,16 +12,27 @@ import gc
 import json
 import sys
 from dataclasses import replace
+from numbers import Integral
 from pathlib import Path
 
 from . import baseline, phases, spectral, synth
 from .attribution import attribute_block_cpi, build_waveform, golden_waveform, waveform_csv
 from .phases import CONFIG_TYPES, AnalysisConfig
-from .trace import TraceFormatError, float_reprs, load_trace, save_trace
+from .trace import TraceFormatError, check_number, float_reprs, load_trace, save_trace
 
 
 class InputError(ValueError):
     """Input violates a command's contract (maps to exit code 2)."""
+
+
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path; InputError "cannot read <what>
+    <path>: ..." when the file cannot be read, is not UTF-8 or not JSON
+    (ValueError), or nests past the interpreter's recursion limit."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from None
 
 
 def _config_from_args(args) -> AnalysisConfig:
@@ -30,12 +41,7 @@ def _config_from_args(args) -> AnalysisConfig:
     an InputError naming its source, "config <path>" or "--<flag>"."""
     sources: list[tuple[str, dict]] = []
     if getattr(args, "config", None):
-        try:
-            values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, ValueError, RecursionError) as exc:
-            # ValueError: not UTF-8 or not JSON (json.JSONDecodeError);
-            # RecursionError: JSON nested past the interpreter's recursion limit
-            raise InputError(f"cannot read config {args.config}: {exc}") from None
+        values = _read_json(args.config, "config")
         if not isinstance(values, dict):
             raise InputError(f"config {args.config} must hold a JSON object of config fields")
         unknown = values.keys() - CONFIG_TYPES.keys()
@@ -96,8 +102,8 @@ def cmd_analyze(args) -> None:
 
 def cmd_compare(args) -> None:
     config = _config_from_args(args)
-    if any(length < 1 for length in args.tq or []):
-        raise InputError("--tq must be positive")
+    for length in args.tq or []:
+        check_number("--tq", length, Integral, InputError, "positive")
     if not args.merge_delta > 0:
         raise InputError("--merge-delta must be positive")
     trace = load_trace(args.trace)
@@ -134,15 +140,8 @@ def cmd_synth(args) -> None:
         scenario = synth.scenario_from_json(Path(args.scenario).read_text(encoding="utf-8"))
         trace, annotation = synth.generate(scenario)
         annotation_text = phases.tree_json(annotation.true_phases, trace.blocks)
-    except UnicodeDecodeError as exc:
-        raise InputError(f"cannot read scenario {args.scenario}: {exc}") from None
-    except (RecursionError, synth.ScenarioError) as exc:
-        # JSON or segments nested past the interpreter's recursion limit: the
-        # reader raises RecursionError, generate a ScenarioError raised from one
-        cause = exc if isinstance(exc, RecursionError) else exc.__cause__
-        if not isinstance(cause, RecursionError):
-            raise
-        raise InputError(f"scenario {args.scenario} is nested too deeply: {cause}") from None
+    except (UnicodeDecodeError, TraceFormatError, synth.ScenarioError) as exc:
+        raise InputError(f"scenario {args.scenario}: {exc}") from None
     save_trace(trace, f"{args.out_prefix}.trace")
     _write(f"{args.out_prefix}.annotation.json", annotation_text)
 
@@ -159,11 +158,10 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_markers(args) -> None:
+    tree = _read_json(args.tree, "tree")
     try:
-        root, addresses = phases.tree_from_dict(json.loads(Path(args.tree).read_text(encoding="utf-8")))
-    except (OSError, ValueError, RecursionError) as exc:
-        # json.JSONDecodeError is a ValueError; RecursionError comes from JSON
-        # nested past the interpreter's recursion limit
+        root, addresses = phases.tree_from_dict(tree)
+    except (ValueError, RecursionError) as exc:  # a malformed tree, or one nested near the limit
         raise InputError(f"cannot read tree {args.tree}: {exc}") from None
     _write(args.out, phases.markers_json(phases.export_markers(root, addresses)))
 
@@ -219,7 +217,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (TraceFormatError, synth.ScenarioError, InputError, OSError) as exc:
+    except (TraceFormatError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal invariant violation

@@ -31,7 +31,7 @@ from .attribution import (
     sample_range,
 )
 from .spectral import Spectrum, dft_magnitude, is_flat, main_spectrum
-from .trace import BlockDescriptor, ExecutionTrace, Terminator
+from .trace import BlockDescriptor, ExecutionTrace, Terminator, check_number
 
 
 class Structure(enum.Enum):
@@ -43,8 +43,9 @@ class Structure(enum.Enum):
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Analysis parameters, checked on construction and dataclasses.replace:
-    an int field takes an integer, a float field a finite real number (a bool
-    is neither), each within its range; ValueError names the field."""
+    an int field takes an integer, a float field a finite real number, as
+    trace.check_number defines them, each within its range; ValueError
+    names the field."""
 
     resolution: int = 4096
     boundary_threshold_fraction: float = 0.5
@@ -55,14 +56,7 @@ class AnalysisConfig:
 
     def __post_init__(self):
         for name, kind in CONFIG_TYPES.items():
-            value = getattr(self, name)
-            if kind is int:
-                ok, noun = isinstance(value, Integral), "an integer"
-            else:
-                ok = isinstance(value, Real) and math.isfinite(value)
-                noun = "a finite real number"
-            if isinstance(value, bool) or not ok:
-                raise ValueError(f"config field {name} must be {noun}, got {value!r}")
+            check_number(f"config field {name}", getattr(self, name), Integral if kind is int else Real)
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
         if not 0.0 < self.boundary_threshold_fraction <= 1.0:
@@ -178,7 +172,14 @@ def split_step(waveform: Waveform) -> Optional[tuple[int, float, float]]:
     after = (prefix[-1] - prefix[:-1]) / (n - t)
     diff = np.abs(after - before)
     best = int(np.argmax(diff))
-    if not diff[best] > float(samples.std()):
+    with np.errstate(over="ignore"):
+        spread = float(samples.std())
+    if not math.isfinite(spread):
+        # std() squares the deviations, which overflows past about 1e154:
+        # take it of the samples scaled by their largest magnitude instead
+        scale = float(np.abs(samples).max())
+        spread = float((samples / scale).std()) * scale
+    if not diff[best] > spread:
         return None
     boundary = waveform.origin_instruction + (best + 1) * waveform.sample_stride
     return boundary, float(before[best]), float(after[best])
@@ -411,11 +412,9 @@ def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
     digits without leading zeros."""
     addresses: dict[int, int] = {}
 
-    def integer(entry: dict, key: str, low: int = -(2**63)) -> int:
-        value = entry[key]
-        if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value < 2**63:
-            raise ValueError(f"{key} must be an integer in [{low}, 2**63), got {value!r}")
-        return int(value)
+    def integer(entry: dict, key: str, sign: str = "") -> int:
+        check_number(key, entry[key], Integral, ValueError, sign)
+        return int(entry[key])
 
     def build(entry: dict) -> PhaseNode:
         head = integer(entry, "head_block")
@@ -426,14 +425,13 @@ def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
         if addresses.setdefault(head, address) != address:
             raise ValueError(f"head_block {head} is given at two addresses")
         cpi = entry["mean_cpi"]
-        if isinstance(cpi, bool) or not isinstance(cpi, Real) or not math.isfinite(cpi):
-            raise ValueError(f"mean_cpi must be a finite real number, got {cpi!r}")
+        check_number("mean_cpi", cpi, Real)
         return PhaseNode(
             head_block=head,
-            start_instruction=integer(entry, "start", 0),
-            length_instructions=integer(entry, "length", 1),
+            start_instruction=integer(entry, "start", "non-negative"),
+            length_instructions=integer(entry, "length", "positive"),
             mean_cpi=float(cpi),
-            occurrence=integer(entry, "occurrence", 1),
+            occurrence=integer(entry, "occurrence", "positive"),
             structure=Structure(entry["structure"]),
             children=[build(c) for c in entry.get("children", [])],
         )

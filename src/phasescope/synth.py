@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Optional
@@ -25,7 +24,7 @@ import numpy as np
 
 from .attribution import EventIndex, quantum_cpis
 from .phases import PhaseNode, Structure, classify_structure
-from .trace import BlockDescriptor, ExecutionTrace, Terminator
+from .trace import BlockDescriptor, ExecutionTrace, Terminator, check_number
 
 _BASE_ADDRESS = 0x1000
 _ADDRESS_PITCH = 0x100
@@ -84,32 +83,18 @@ class GoldenAnnotation:
 _KIND_CODE = {kind: code for code, kind in enumerate(EntryKind)}
 
 
-def _check_number(what: str, value, kind: type, positive: bool = True) -> None:
-    """Counts and the seed are integers (kind Integral), CPIs and noise
-    finite real numbers (kind Real), and a bool is neither; each must be
-    positive, or non-negative when positive is False."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not -math.inf < value < math.inf:
-        noun = "an integer" if kind is Integral else "a finite real number"
-        raise ScenarioError(f"{what} must be {noun}, got {value!r}")
-    if not (value > 0 if positive else value >= 0):
-        raise ScenarioError(f"{what} must be {'positive' if positive else 'non-negative'}")
-
-
 def _validate(spec: ScenarioSpec) -> tuple[SegmentSpec, dict[int, tuple[int, float, int]]]:
     """Check and measure the scenario in one walk. Returns it as its outermost
     group (spec.segments nested spec.repetitions times) and maps every segment's
     id(), the group's too, to the (instructions, cycles, runs) of one pass."""
     if not spec.segments:
         raise ScenarioError("scenario needs at least one segment")
-    _check_number("repetitions", spec.repetitions, Integral)
-    _check_number("noise_stddev", spec.noise_stddev, Real, positive=False)
-    _check_number("seed", spec.seed, Integral, positive=False)
+    check_number("repetitions", spec.repetitions, Integral, ScenarioError, "positive")
+    check_number("noise_stddev", spec.noise_stddev, Real, ScenarioError, "non-negative")
+    check_number("seed", spec.seed, Integral, ScenarioError, "non-negative")
     if spec.quantum_length is not None:
-        _check_number("quantum_length", spec.quantum_length, Integral)
+        check_number("quantum_length", spec.quantum_length, Integral, ScenarioError, "positive")
 
-    # cycles take each count through min(count, _INT64_MAX): a count past
-    # int64 fails the total check below and must not make the int-to-float
-    # conversion raise OverflowError first
     sizes: dict[int, tuple[int, float, int]] = {}
     min_cpi = float("inf")
 
@@ -117,7 +102,8 @@ def _validate(spec: ScenarioSpec) -> tuple[SegmentSpec, dict[int, tuple[int, flo
         """(events, instructions, cycles, runs) of one pass through seg."""
         nonlocal min_cpi
         if seg.nested:
-            _check_number(f"segment {seg.label!r}: nested_repetitions", seg.nested_repetitions, Integral)
+            check_number(f"segment {seg.label!r}: nested_repetitions", seg.nested_repetitions, Integral,
+                         ScenarioError, "positive")
             reps = int(seg.nested_repetitions)
             events = instructions = runs = 0
             cycles = 0.0
@@ -127,7 +113,7 @@ def _validate(spec: ScenarioSpec) -> tuple[SegmentSpec, dict[int, tuple[int, flo
                 instructions += n_instructions
                 cycles += n_cycles
                 runs += n_runs
-            size = (events * reps, instructions * reps, cycles * min(reps, _INT64_MAX), runs * reps)
+            size = (events * reps, instructions * reps, cycles * reps, runs * reps)
         else:
             if seg.block_cpi is None or seg.block_instruction_count is None or seg.event_count is None:
                 raise ScenarioError(
@@ -136,12 +122,13 @@ def _validate(spec: ScenarioSpec) -> tuple[SegmentSpec, dict[int, tuple[int, flo
                 )
             for name, kind in (("block_cpi", Real), ("block_instruction_count", Integral),
                                ("event_count", Integral)):
-                _check_number(f"segment {seg.label!r}: {name}", getattr(seg, name), kind)
+                check_number(f"segment {seg.label!r}: {name}", getattr(seg, name), kind, ScenarioError,
+                             "positive")
             # numpy numbers measure like Python ones: no int64 wrap, no float32
             events, cpi = int(seg.event_count), float(seg.block_cpi)
             min_cpi = min(min_cpi, cpi)
             instructions = events * int(seg.block_instruction_count)
-            size = (events, instructions, min(instructions, _INT64_MAX) * cpi, 1)
+            size = (events, instructions, instructions * cpi, 1)
         sizes[id(seg)] = size[1:]
         return size
 
@@ -343,9 +330,6 @@ def _segment_from_dict(obj: dict) -> SegmentSpec:
 def scenario_from_json(text: str) -> ScenarioSpec:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid scenario JSON: {exc}") from None
-    try:
         return ScenarioSpec(
             segments=[_segment_from_dict(s) for s in obj["segments"]],
             repetitions=obj.get("repetitions", 1),
@@ -353,7 +337,9 @@ def scenario_from_json(text: str) -> ScenarioSpec:
             seed=obj.get("seed", 0),
             quantum_length=obj.get("quantum_length"),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except RecursionError as exc:  # JSON nested past the interpreter's recursion limit
+        raise ScenarioError(f"scenario is nested too deeply: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError too
         raise ScenarioError(f"invalid scenario JSON: {exc}") from None
 
 

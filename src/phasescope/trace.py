@@ -57,7 +57,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import groupby, islice
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -84,6 +84,30 @@ class Terminator(enum.Enum):
 _TARGETED = (Terminator.BRANCH, Terminator.CALL)
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def check_number(what: str, value, kind: type, error: type = ValueError, sign: str = "") -> None:
+    """The one check on a number from outside the program: with kind
+    Integral, an integer that fits in int64 (the range of every integer
+    column and decimal field of the text format); with kind Real, a real
+    number finite as a float64; a bool is neither. sign "positive" or
+    "non-negative" asks for that sign too. Raises error naming what."""
+    try:
+        # builtin types first: an ABC's isinstance costs some 20 times more
+        ok = isinstance(value, (int, float, kind) if kind is Real else (int, kind)) and (
+            not isinstance(value, bool) and (kind is Integral or math.isfinite(value)))
+    except OverflowError:  # math.isfinite on an int or a Fraction beyond float64
+        ok = False
+    if not ok:
+        raise error(f"{what} must be {'an integer' if kind is Integral else 'a finite real number'}, "
+                    f"got {value!r}")
+    if kind is Integral and not _INT64_MIN <= int(value) <= _INT64_MAX:
+        raise error(f"{what} must be an integer within int64, got {value!r}")
+    if sign and not (value > 0 if sign == "positive" else value >= 0):
+        raise error(f"{what} must be {sign}")
+
+
 @dataclass(frozen=True)
 class BlockDescriptor:
     """Static description of one basic block, identified by its first
@@ -96,21 +120,52 @@ class BlockDescriptor:
     target_address: Optional[int] = None
 
     def __post_init__(self):
-        if self.start_address < 0 or (self.target_address or 0) < 0:
-            raise TraceFormatError(f"block {self.block_id}: addresses must be non-negative")
+        block = f"block {self.block_id}"
+        check_number(f"{block}: block_id", self.block_id, Integral, TraceFormatError)
+        check_number(f"{block}: instruction_count", self.instruction_count, Integral, TraceFormatError)
+        # of any size: the parser reads hex addresses of any length
+        for address in (self.start_address, 0 if self.target_address is None else self.target_address):
+            if not isinstance(address, (int, Integral)) or isinstance(address, bool) or address < 0:
+                raise TraceFormatError(f"{block}: addresses must be non-negative integers")
+        if not isinstance(self.terminator, Terminator):
+            raise TraceFormatError(f"{block}: terminator must be a Terminator, got {self.terminator!r}")
         if self.instruction_count < 1:
             raise TraceFormatError(
-                f"block {self.block_id}: instruction_count must be >= 1"
+                f"{block}: instruction_count must be >= 1"
             )
         has_target = self.target_address is not None
         if has_target != (self.terminator in _TARGETED):
             raise TraceFormatError(
-                f"block {self.block_id}: target_address present iff "
+                f"{block}: target_address present iff "
                 f"terminator is branch or call"
             )
 
 
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+def _column(name: str, values, kind: type) -> np.ndarray:
+    """A new int64 (kind Integral) or float64 (kind Real) array of values,
+    after the checks numpy's conversion would skip: TraceFormatError naming
+    the column when an element is not of kind (a bool or a string never
+    is), an integer does not fit in int64 or a number overflows float64.
+    NaN is a real number; the caller checks the shape."""
+    column = np.asarray(values)
+    # a list's dtype hides what it held: [True, 0] and [1, 0] convert alike
+    listed = column.ndim == 1 and not isinstance(values, np.ndarray)
+    types = set(map(type, values)) if listed else {column.dtype.type}
+    wrong = sorted(t.__name__ for t in types if issubclass(t, bool) or not issubclass(t, kind))
+    if wrong:
+        noun = "integers" if kind is Integral else "real numbers"
+        raise TraceFormatError(f"{name} must hold {noun}, got {', '.join(wrong)}")
+    if kind is Integral:
+        if listed:  # numpy makes a float64 array of mixed widths ([uint64, int8])
+            column = np.asarray(list(map(int, values)))
+        # ints past int64 make a uint64, float64 or object array
+        if column.size and (column.dtype.kind not in "iu" or column.dtype.kind == "u"
+                            and column.max() > _INT64_MAX):
+            raise TraceFormatError(f"{name} must hold integers within int64")
+    try:
+        return np.array(column, dtype=np.int64 if kind is Integral else np.float64)
+    except OverflowError:  # an int or a Fraction beyond float64
+        raise TraceFormatError(f"{name} must hold real numbers within float64") from None
 
 
 def positions_in(sorted_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -139,9 +194,10 @@ class ExecutionTrace:
     when present, is the measured CPI of instructions
     [q * quantum_length, (q + 1) * quantum_length).
 
-    The trace copies the columns it is given and makes them read-only; do
-    not change the block table after construction either. Safe to share
-    across readers.
+    The trace copies the columns it is given and makes them read-only,
+    refusing a column whose conversion would change what it holds (see
+    _column); do not change the block table after construction either.
+    Safe to share across readers.
     """
 
     blocks: dict[int, BlockDescriptor]
@@ -168,17 +224,13 @@ class ExecutionTrace:
                     f"duplicate start_address {block.start_address:#x}"
                 )
             addresses.add(block.start_address)
-        try:
-            ids = np.array(sorted(self.blocks), dtype=np.int64)
-            counts = np.array(
-                [self.blocks[b].instruction_count for b in ids.tolist()], dtype=np.int64
-            )
-            events = self.event_blocks = np.array(self.event_blocks, dtype=np.int64)
-        except OverflowError:
-            raise TraceFormatError(
-                "block ids and instruction counts must fit in int64"
-            ) from None
-        cycles = self.event_cycles = np.array(self.event_cycles, dtype=float)
+        # each block checked its id and instruction count against int64
+        ids = np.array(sorted(self.blocks), dtype=np.int64)
+        counts = np.array(
+            [self.blocks[b].instruction_count for b in ids.tolist()], dtype=np.int64
+        )
+        events = self.event_blocks = _column("event_blocks", self.event_blocks, Integral)
+        cycles = self.event_cycles = _column("event_cycles", self.event_cycles, Real)
         if events.ndim != 1 or cycles.shape != events.shape:
             raise TraceFormatError("event columns must be 1-D and of equal length")
 
@@ -213,13 +265,10 @@ class ExecutionTrace:
         if (self.quanta is None) != (self.quantum_length is None):
             raise TraceFormatError("quantum records and quantum length must coexist")
         if self.quanta is not None:
-            length = self.quantum_length
-            if isinstance(length, bool) or not isinstance(length, Integral):
-                raise TraceFormatError(f"quantum_length must be an integer, got {length!r}")
-            if length < 1:
-                raise TraceFormatError("quantum_length must be positive")
-            quanta = self.quanta = np.array(self.quanta, dtype=float)
-            expected = math.ceil(total / length)
+            check_number("quantum_length", self.quantum_length, Integral, TraceFormatError, "positive")
+            length = self.quantum_length = int(self.quantum_length)
+            quanta = self.quanta = _column("quanta", self.quanta, Real)
+            expected = -(-total // length)
             if quanta.shape != (expected,):
                 raise TraceFormatError(
                     f"quantum count mismatch: {quanta.size} records, "

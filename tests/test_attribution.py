@@ -451,9 +451,9 @@ def _quantum():
     (lambda: quantum_cpis(EventIndex.from_trace(_golden()), 0),
      "quantum_length must be a positive integer, got 0"),
     (lambda: quantum_cpis(EventIndex.from_trace(_golden()), 2.5),
-     "quantum_length must be a positive integer, got 2.5"),
+     "quantum_length must be an integer, got 2.5"),
     (lambda: quantum_cpis(EventIndex.from_trace(_golden()), True),
-     "quantum_length must be a positive integer, got True"),
+     "quantum_length must be an integer, got True"),
 ], ids=["empty-waveform", "zero-stride", "no-golden-cycles", "unknown-mode", "quantum-without-quanta",
         "golden-without-cycles", "resolution-1", "empty-range", "reversed-range",
         "quantum-length-0", "quantum-length-2.5", "quantum-length-True"])
@@ -469,3 +469,18 @@ def test_sample_grid_is_the_grid_sample_range_samples_on():
     assert (wave.sample_stride, wave.origin_instruction) == (6, 7)
     assert wave.sample_offsets.tolist() == offsets.tolist()
     assert wave.samples.tolist() == [1.0, 2.0, 2.0, 3.0]
+
+
+def test_a_resolution_beyond_float64_samples_every_instruction():
+    # a float quotient 64 / 10**400 raised ZeroDivisionError or OverflowError
+    offsets, stride = sample_grid(0, 64, 10**400)
+    assert stride == 1 and offsets.tolist() == list(range(64))
+    wave = golden_waveform(_golden(), 10**400)
+    assert wave.sample_stride == 1 and wave.samples.tolist() == [1.0] * 10 + [2.0] * 10 + [3.0] * 10
+
+
+def test_quantum_count_is_the_exact_ceiling():
+    # (2**60 + 1) / 2**59 rounds to 2.0 in float64; the ceiling is 3
+    trace = golden_trace({0: block(0, 2**60), 1: block(1, 1)}, [0, 1], [2.0**60, 2.0**60])
+    cpis = quantum_cpis(EventIndex.from_trace(trace), 2**59)
+    assert cpis.tolist() == [1.0, 1.0, 2.0**60]

@@ -226,7 +226,8 @@ def test_tq_phase_list_must_tile_the_quanta(phases):
 
 @pytest.mark.parametrize("length", [0, -5, 2.5, True, "10"])
 def test_tq_phase_list_quantum_length_must_be_a_positive_integer(length):
-    message = f"quantum_length must be a positive integer, got {length!r}"
+    noun = "a positive integer" if type(length) is int else "an integer"
+    message = f"quantum_length must be {noun}, got {length!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         predict_waveform(TqPhaseList(length, [TqPhase(0, 4, 1.0)]), 40, 40)
 
@@ -241,8 +242,8 @@ ALTERNATING = golden_trace_from_quanta([1.0, 2.0] * 80)
 
 
 @pytest.mark.parametrize("length, delta, message", [
-    (2.5, 0.1, "quantum_length must be a positive integer, got 2.5"),
-    (True, 0.1, "quantum_length must be a positive integer, got True"),
+    (2.5, 0.1, "quantum_length must be an integer, got 2.5"),
+    (True, 0.1, "quantum_length must be an integer, got True"),
     (0, 0.1, "quantum_length must be a positive integer, got 0"),
     (-8, 0.1, "quantum_length must be a positive integer, got -8"),
     (8, float("nan"), "merge_delta must be positive, got nan"),
@@ -347,3 +348,11 @@ def test_merge_is_bit_identical_to_the_numpy_scalar_merge():
         # the oracle merges numpy float64 scalars read from the quantum column
         expected = greedy_oracle(trace.quanta, delta)
         assert [(p.start_quantum, p.quantum_count, p.mean_cpi) for p in result.phases] == expected
+
+
+@pytest.mark.parametrize("source", [
+    PhaseNode(0, 0, 64, 1.5), TqPhaseList(8, [TqPhase(0, 8, 1.5)]),
+], ids=["tree", "tq"])
+def test_prediction_at_a_resolution_beyond_float64_samples_every_instruction(source):
+    wave = predict_waveform(source, 64, 10**400)
+    assert (wave.sample_stride, wave.samples.tolist()) == (1, [1.5] * 64)

@@ -474,6 +474,7 @@ MALFORMED_TREES = {
     "negative length": lambda tree: {**tree, "length": -5},
     "zero occurrence": lambda tree: {**tree, "occurrence": 0},
     "head block beyond int64": lambda tree: {**tree, "head_block": 2**70},
+    "mean CPI beyond float64": lambda tree: {**tree, "mean_cpi": 10**400},
     "child past its parent": lambda tree: {
         **tree, "children": [{**tree, "children": [], "length": tree["length"] + 1}]},
     "head block at two addresses": lambda tree: {
@@ -551,7 +552,7 @@ def test_synth_on_a_scenario_nested_too_deeply_exits_2_naming_the_file(
     if read == "by generate":
         monkeypatch.setattr(synth, "scenario_from_json", lambda text: deep_scenario(2000))
     assert main(["synth", str(path), "--out-prefix", str(tmp_path / "x")]) == 2
-    assert f"scenario {path} is nested too deeply: maximum recursion depth exceeded" in \
+    assert f"scenario {path}: scenario is nested too deeply: maximum recursion depth exceeded" in \
         capsys.readouterr().err
     assert not (tmp_path / "x.trace").exists()
 
@@ -578,6 +579,9 @@ def test_config_file_not_holding_an_object_exits_2_naming_the_file(tmp_path, cap
     ('{"flat_cpi_range": Infinity}', "flat_cpi_range", "inf"),
     ('{"flat_spectrum_ratio": false}', "flat_spectrum_ratio", "False"),
     ('{"boundary_threshold_fraction": null}', "boundary_threshold_fraction", "None"),
+    # an integer past float64 is no finite real number, one past int64 no config integer
+    ('{"flat_cpi_range": 1%s}' % ("0" * 400), "flat_cpi_range", "1" + "0" * 400),
+    ('{"resolution": 9223372036854775808}', "resolution", "9223372036854775808"),
 ])
 def test_wrongly_typed_config_value_exits_2_naming_field_and_file(
         tmp_path, capsys, trace_file, text, field, got):
@@ -596,6 +600,36 @@ def test_non_finite_config_flag_exits_2_naming_the_flag(tmp_path, capsys, trace_
     assert "--flat-cpi-range: config field flat_cpi_range must be a finite real number" in \
         capsys.readouterr().err
     assert not tree.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "spectrum"])
+def test_a_resolution_beyond_int64_exits_2_naming_the_flag(tmp_path, capsys, trace_file, command):
+    out = tmp_path / "out"
+    assert main([*writing_to(command, trace_file, out), "--resolution", "1" + "0" * 400]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: --resolution: config field resolution must be an integer within int64, got 1000")
+    assert not out.exists()
+
+
+def test_a_tq_length_beyond_int64_exits_2_naming_the_flag(tmp_path, capsys, trace_file):
+    out = tmp_path / "cmp.json"
+    assert main(["compare", str(trace_file), "--out", str(out), "--tq", str(2**63)]) == 2
+    assert capsys.readouterr().err == f"error: --tq must be an integer within int64, got {2**63}\n"
+    assert not out.exists()
+
+
+def test_a_step_between_huge_and_small_cpis_splits_without_a_warning(tmp_path, capsys):
+    # the block CPIs differ by 1e308; their squared deviations overflow float64
+    trace = tmp_path / "step.trace"
+    trace.write_text("V 1\nB 0 0 64 F\nB 1 1000 64 F\nE 0 1e308\nE 1 1.0\n")
+    tree = tmp_path / "tree.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", str(trace), "--tree", str(tree)]) == 0
+    root = json.loads(tree.read_text())
+    assert [(child["start"], child["length"]) for child in root["children"]] == [(0, 64), (64, 64)]
+    assert capsys.readouterr().err == ""
 
 
 def test_integer_config_value_for_a_float_field_is_accepted(tmp_path, trace_file):
@@ -637,6 +671,8 @@ NESTED_SCENARIO = json.loads(scenario_json(ScenarioSpec(
     ("nested_repetitions", 2.5), ("nested_repetitions", True),
     ("repetitions", 2.5), ("repetitions", "2"), ("quantum_length", "5"), ("quantum_length", 2.5),
     ("noise_stddev", "0.1"), ("noise_stddev", False), ("seed", 1.5), ("seed", "3"), ("seed", -1),
+    # past float64 or int64: refused at the field, not by a conversion that raises
+    ("block_cpi", 10**400), ("quantum_length", 10**20), ("seed", 2**64),
 ])
 def test_synth_rejects_a_wrongly_typed_number_naming_the_field(tmp_path, capsys, field, value):
     scenario = json.loads(json.dumps(NESTED_SCENARIO))
@@ -655,14 +691,10 @@ def test_synth_rejects_a_wrongly_typed_number_naming_the_field(tmp_path, capsys,
 
 # NESTED_SCENARIO, twice: "a" (3 events of 5 instructions), then "b" (2 events of 4) twice
 @pytest.mark.parametrize("change, message", [
-    (lambda s: s["segments"][0].update(event_count=10**30), f"{(10**30 + 2 * 2) * 2} events"),
     (lambda s: s.update(repetitions=2**62), f"{(3 + 2 * 2) * 2**62} events"),
     (lambda s: s["segments"][1].update(nested_repetitions=2**62), f"{(3 + 2 * 2**62) * 2} events"),
     (lambda s: s["segments"][0].update(block_instruction_count=2**62),
      f"{(3 * 2**62 + 4 * 2 * 2) * 2} instructions"),
-    # past a float's range too: the scripted cycle sums must not raise first
-    (lambda s: s["segments"][0].update(event_count=10**400), f"{(10**400 + 2 * 2) * 2} events"),
-    (lambda s: s["segments"][1].update(nested_repetitions=10**400), f"{(3 + 2 * 10**400) * 2} events"),
 ])
 def test_synth_refuses_a_scenario_beyond_int64_before_allocating(tmp_path, capsys, change, message):
     scenario = json.loads(json.dumps(NESTED_SCENARIO))
@@ -670,7 +702,28 @@ def test_synth_refuses_a_scenario_beyond_int64_before_allocating(tmp_path, capsy
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     assert main(["synth", str(path), "--out-prefix", str(tmp_path / "x")]) == 2
-    assert f"error: scenario has {message} in total, more than int64 holds" in capsys.readouterr().err
+    assert f"error: scenario {path}: scenario has {message} in total, more than int64 holds" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "x.trace").exists()
+
+
+# a single count past int64 is refused at the count, before the totals
+@pytest.mark.parametrize("change, message", [
+    (lambda s: s["segments"][0].update(event_count=10**30),
+     f"segment 'a': event_count must be an integer within int64, got {10**30}"),
+    # past a float's range too: the count must not reach a conversion to float
+    (lambda s: s["segments"][0].update(event_count=10**400),
+     f"segment 'a': event_count must be an integer within int64, got {10**400}"),
+    (lambda s: s["segments"][1].update(nested_repetitions=10**400),
+     f"segment 'g': nested_repetitions must be an integer within int64, got {10**400}"),
+])
+def test_synth_refuses_a_count_beyond_int64_before_allocating(tmp_path, capsys, change, message):
+    scenario = json.loads(json.dumps(NESTED_SCENARIO))
+    change(scenario)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["synth", str(path), "--out-prefix", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: scenario {path}: {message}\n"
     assert not (tmp_path / "x.trace").exists()
 
 
@@ -730,7 +783,7 @@ def test_a_scenario_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_bytes(scenario_json(SCENARIO).encode() + b"\xff")
     assert main(["synth", str(path), "--out-prefix", str(tmp_path / "x")]) == 2
-    assert f"error: cannot read scenario {path}: 'utf-8' codec" in capsys.readouterr().err
+    assert f"error: scenario {path}: 'utf-8' codec" in capsys.readouterr().err
     assert not (tmp_path / "x.trace").exists()
 
 

@@ -69,6 +69,8 @@ def wave(samples, stride=1, origin=0):
     ("flat_cpi_range", float("nan"), "a finite real number"),
     ("flat_spectrum_ratio", True, "a finite real number"),
     ("boundary_threshold_fraction", "0.5", "a finite real number"),
+    ("flat_cpi_range", 10**400, "a finite real number"),
+    ("resolution", 2**63, "an integer within int64"),
 ])
 def test_config_rejects_a_wrongly_typed_field(field, value, noun):
     message = f"config field {field} must be {noun}, got {value!r}"
@@ -242,6 +244,12 @@ def test_split_constant_returns_none():
 
 def test_split_of_one_sample_returns_none():
     assert split_step(wave([1.5])) is None
+
+
+def test_split_a_step_whose_squared_deviations_overflow():
+    # the deviations, about 1e306, overflow float64 when std() squares them
+    boundary, before, _ = split_step(wave([1.5625e306] * 32 + [0.015625] * 32))
+    assert boundary == 32 and before == pytest.approx(1.5625e306)
 
 
 def test_split_linear_ramp():

@@ -208,6 +208,12 @@ def test_scenario_nested_past_the_recursion_limit_raises_scenario_error():
     assert isinstance(exc.value.__cause__, RecursionError)
 
 
+def test_scenario_json_nested_past_the_recursion_limit_raises_scenario_error():
+    with pytest.raises(ScenarioError, match="scenario is nested too deeply") as exc:
+        scenario_from_json('{"segments": [' * 3000)
+    assert isinstance(exc.value.__cause__, RecursionError)
+
+
 def test_scenario_json_round_trip():
     spec = ScenarioSpec(
         segments=[

@@ -4,6 +4,9 @@ import io
 import math
 import re
 import tracemalloc
+from fractions import Fraction
+from functools import partial
+from numbers import Integral, Real
 from unittest import mock
 
 import numpy as np
@@ -24,7 +27,8 @@ from phasescope import (
     serialize_trace,
 )
 from phasescope import trace as trace_module
-from phasescope.trace import _CHUNK_LINES, float_reprs
+from phasescope.synth import ScenarioError
+from phasescope.trace import _CHUNK_LINES, check_number, float_reprs
 
 GOLDEN_SIMPLE = """\
 V 1
@@ -355,31 +359,173 @@ def test_constructor_takes_a_numpy_integer_quantum_length():
 ONE_BLOCK = {0: BlockDescriptor(0, 0x1000, 10, Terminator.FALLTHROUGH)}
 
 
+def _block_columns(*fields):
+    return dict(blocks={0: BlockDescriptor(*fields)}, event_blocks=[0], event_cycles=[1.0])
+
+
+def one_block(*fields):
+    """Columns of one event of a block made of fields, built when called."""
+    return partial(_block_columns, *fields)
+
+
+def with_columns(**columns):
+    """Columns of one event of ONE_BLOCK, updated with those given."""
+    return partial(dict, dict(blocks=ONE_BLOCK, event_blocks=[0], event_cycles=[1.0]), **columns)
+
+
 @pytest.mark.parametrize("columns, message", [
-    (dict(blocks={}, event_blocks=[0], event_cycles=[1.0]), "trace declares no blocks"),
-    (dict(blocks={1: ONE_BLOCK[0]}, event_blocks=[0], event_cycles=[1.0]),
-     "block table key 1 != id 0"),
-    (dict(blocks={2**63: BlockDescriptor(2**63, 0x1000, 10, Terminator.FALLTHROUGH)},
-          event_blocks=[0], event_cycles=[1.0]),
-     "block ids and instruction counts must fit in int64"),
-    (dict(blocks=ONE_BLOCK, event_blocks=[0, 0], event_cycles=[1.0]),
+    (with_columns(blocks={}), "trace declares no blocks"),
+    (with_columns(blocks={1: ONE_BLOCK[0]}), "block table key 1 != id 0"),
+    (one_block(2**63, 0x1000, 10, Terminator.FALLTHROUGH),
+     "block 9223372036854775808: block_id must be an integer within int64, got 9223372036854775808"),
+    (with_columns(event_blocks=[0, 0]), "event columns must be 1-D and of equal length"),
+    (with_columns(event_blocks=[[0]], event_cycles=[[1.0]]),
      "event columns must be 1-D and of equal length"),
-    (dict(blocks=ONE_BLOCK, event_blocks=[[0]], event_cycles=[[1.0]]),
-     "event columns must be 1-D and of equal length"),
-    (dict(blocks=ONE_BLOCK, event_blocks=[0, 7], event_cycles=[1.0, 1.0]), "unknown block 7 (event 1)"),
-    (dict(blocks=ONE_BLOCK, event_blocks=[0, 0], event_cycles=[1.0, -1.0]),
-     "event 1: negative cycle count"),
-    (dict(blocks=ONE_BLOCK, event_blocks=[0], event_cycles=[1.0], quanta=[1.5]),
-     "quantum records and quantum length must coexist"),
-    (dict(blocks=ONE_BLOCK, event_blocks=[0], event_cycles=[1.0], quantum_length=10),
-     "quantum records and quantum length must coexist"),
-    (dict(blocks=ONE_BLOCK, event_blocks=[0], event_cycles=[1.0], quanta=[1.5], quantum_length=0),
-     "quantum_length must be positive"),
+    (with_columns(event_blocks=[0, 7], event_cycles=[1.0, 1.0]), "unknown block 7 (event 1)"),
+    (with_columns(event_blocks=[0, 0], event_cycles=[1.0, -1.0]), "event 1: negative cycle count"),
+    (with_columns(quanta=[1.5]), "quantum records and quantum length must coexist"),
+    (with_columns(quantum_length=10), "quantum records and quantum length must coexist"),
+    (with_columns(quanta=[1.5], quantum_length=0), "quantum_length must be positive"),
+    # a column is refused, not converted, when numpy would change what it holds
+    (with_columns(event_blocks=[0.7, 1.2], event_cycles=[1.0, 1.0]),
+     "event_blocks must hold integers, got float"),
+    (with_columns(event_blocks=["1", "0"], event_cycles=[1.0, 1.0]),
+     "event_blocks must hold integers, got str"),
+    (with_columns(event_blocks=[True, 0], event_cycles=[1.0, 1.0]),
+     "event_blocks must hold integers, got bool"),
+    (with_columns(event_blocks=np.array([2**64 - 1], dtype=np.uint64)),
+     "event_blocks must hold integers within int64"),
+    (with_columns(event_blocks=[2**63]), "event_blocks must hold integers within int64"),
+    (with_columns(event_blocks=[0, 0], event_cycles=["1.0", "2"]),
+     "event_cycles must hold real numbers, got str"),
+    (with_columns(event_blocks=[0, 0], event_cycles=np.array([True, False])),
+     "event_cycles must hold real numbers, got bool"),
+    (with_columns(quanta=["1.5", True], quantum_length=5),
+     "quanta must hold real numbers, got bool, str"),
+    (with_columns(event_cycles=[10**400]), "event_cycles must hold real numbers within float64"),
+    (with_columns(quanta=[1.5], quantum_length=2**63),
+     "quantum_length must be an integer within int64, got 9223372036854775808"),
+    # a block the writer could not print, or its parser read back
+    (one_block(0, 0x1000, 2.5, Terminator.FALLTHROUGH),
+     "block 0: instruction_count must be an integer, got 2.5"),
+    (one_block(0, 0x1000, True, Terminator.FALLTHROUGH),
+     "block 0: instruction_count must be an integer, got True"),
+    (one_block(0, 16.0, 10, Terminator.FALLTHROUGH), "block 0: addresses must be non-negative integers"),
+    (one_block(0, 0x1000, 10, Terminator.BRANCH, True),
+     "block 0: addresses must be non-negative integers"),
+    (one_block(0.0, 0x1000, 10, Terminator.FALLTHROUGH),
+     "block 0.0: block_id must be an integer, got 0.0"),
+    (one_block(0, 0x1000, 10, "F"), "block 0: terminator must be a Terminator, got 'F'"),
 ])
 def test_constructor_rejects_columns_the_parser_never_builds(columns, message):
     with pytest.raises(TraceFormatError, match=re.escape(message)) as exc:
-        ExecutionTrace(**columns)
+        ExecutionTrace(**columns())
     assert exc.value.line is None
+
+
+INTEGER_TYPES = [int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+NUMBER_TYPES = INTEGER_TYPES + [float, np.float16, np.float32, np.float64]
+
+
+def holds(kind, value):
+    """Whether kind holds value: an integer type only an integer within its range."""
+    if issubclass(kind, np.integer):
+        info = np.iinfo(kind)
+        return isinstance(value, int) and info.min <= value <= info.max
+    return kind is not int or isinstance(value, int)
+
+
+def typed(data, value, types=NUMBER_TYPES):
+    """value as a Python or numpy number of a type drawn from those that hold it."""
+    return data.draw(st.sampled_from([kind for kind in types if holds(kind, value)]))(value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n_blocks=st.integers(1, 4), n_events=st.integers(1, 12),
+       golden=st.booleans(), with_quanta=st.booleans(), as_array=st.booleans())
+def test_a_trace_the_constructor_accepts_survives_the_text_format(
+        data, n_blocks, n_events, golden, with_quanta, as_array):
+    ids = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n_blocks, max_size=n_blocks,
+                             unique=True))
+    if data.draw(st.integers(0, 4)) == 0:
+        # an id past int64, as a uint64 or a Python int, must be refused, not wrapped
+        ids[0] = data.draw(st.integers(2**63, 2**64 - 1).filter(lambda b: b not in ids))
+    counts = [data.draw(st.integers(1, 200)) for _ in ids]
+    events = data.draw(st.lists(st.sampled_from(ids), min_size=n_events, max_size=n_events))
+    with_quanta = with_quanta or not golden
+    # cycles within float16's range; NaN where quanta stand in for them
+    cycles = [typed(data, data.draw(st.one_of(st.integers(0, 60000), st.floats(0, 60000))))
+              if golden or data.draw(st.booleans()) else math.nan for _ in events]
+    if not golden and not any(math.isnan(c) for c in cycles):
+        cycles[0] = math.nan
+    length = quanta = None
+    if with_quanta:
+        length = data.draw(st.integers(1, 300))
+        total = sum(counts[ids.index(b)] for b in events)
+        quanta = [typed(data, data.draw(st.floats(0.01, 100))) for _ in range(-(-total // length))]
+        length = typed(data, length, INTEGER_TYPES)
+
+    def build():
+        typed_ids = [typed(data, b, INTEGER_TYPES) if -(2**63) <= b < 2**63 else b for b in ids]
+        blocks = {bid: BlockDescriptor(bid, 0x1000 + 0x40 * i, typed(data, count, INTEGER_TYPES),
+                                       Terminator.FALLTHROUGH)
+                  for i, (bid, count) in enumerate(zip(typed_ids, counts))}
+        dtypes = [kind for kind in INTEGER_TYPES[1:] if holds(kind, min(events)) and holds(kind, max(events))]
+        if as_array and dtypes:
+            column = np.array(events, dtype=data.draw(st.sampled_from(dtypes)))
+        else:
+            column = [typed(data, b, INTEGER_TYPES) for b in events]
+        return ExecutionTrace(blocks=blocks, event_blocks=column,
+                              event_cycles=cycles, quanta=quanta, quantum_length=length)
+
+    if not all(-(2**63) <= b < 2**63 for b in ids):
+        with pytest.raises(TraceFormatError, match="within int64"):
+            build()
+        return
+    trace = build()
+    back = parse_trace(serialize_trace(trace))
+    assert back.blocks == trace.blocks
+    assert_same_columns(back, trace)
+    assert back.event_blocks.tolist() == events
+    np.testing.assert_array_equal(back.quanta, trace.quanta)
+    assert back.quantum_length == trace.quantum_length
+
+
+def test_constructor_counts_quanta_with_the_exact_ceiling():
+    # (2**60 + 1) / 2**59 rounds to 2.0 in float64; the ceiling is 3
+    blocks = {0: BlockDescriptor(0, 0x1000, 2**60, Terminator.FALLTHROUGH),
+              1: BlockDescriptor(1, 0x2000, 1, Terminator.FALLTHROUGH)}
+    columns = dict(blocks=blocks, event_blocks=[0, 1], event_cycles=[math.nan] * 2, quantum_length=2**59)
+    assert ExecutionTrace(**columns, quanta=[1.5] * 3).quanta.size == 3
+    with pytest.raises(TraceFormatError, match=re.escape(f"expected ceil({2**60 + 1}/{2**59}) = 3")):
+        ExecutionTrace(**columns, quanta=[1.5] * 2)
+
+
+@pytest.mark.parametrize("value, kind", [
+    (np.float32(3.4e38), Real), (np.float16(1.5), Real), (Fraction(1, 3), Real), (2**1023, Real),
+    (np.int8(-3), Integral), (np.uint64(2**63 - 1), Integral), (2**63 - 1, Integral), (-(2**63), Integral),
+])
+def test_check_number_takes_numbers_of_any_type_without_a_warning(value, kind):
+    check_number("x", value, kind)  # a numpy warning fails the test
+
+
+@pytest.mark.parametrize("value, kind, sign, message", [
+    (True, Integral, "", "x must be an integer, got True"),
+    (2.0, Integral, "", "x must be an integer, got 2.0"),
+    (np.uint64(2**64 - 1), Integral, "", "x must be an integer within int64, got "),
+    (-(2**63) - 1, Integral, "", f"x must be an integer within int64, got {-(2**63) - 1}"),
+    (10**400, Real, "", "x must be a finite real number, got 1000"),
+    (Fraction(10**400, 3), Real, "", "x must be a finite real number, got Fraction("),
+    (np.float32("inf"), Real, "", "x must be a finite real number, got "),
+    (False, Real, "", "x must be a finite real number, got False"),
+    ("1", Real, "", "x must be a finite real number, got '1'"),
+    (0, Integral, "positive", "x must be positive"),
+    (-0.5, Real, "non-negative", "x must be non-negative"),
+])
+def test_check_number_names_what_it_refuses(value, kind, sign, message):
+    with pytest.raises(ScenarioError) as exc:
+        check_number("x", value, kind, ScenarioError, sign)
+    assert str(exc.value).startswith(message)
 
 
 def test_constructor_rejects_non_finite_values():
