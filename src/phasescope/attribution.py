@@ -74,7 +74,7 @@ class EventIndex:
 
     def events_at(self, offsets: np.ndarray) -> np.ndarray:
         """Index of the event executing at each instruction offset."""
-        return np.searchsorted(self.starts, offsets, side="right") - 1
+        return self.starts.searchsorted(offsets, side="right") - 1
 
     def golden_event_cpi(self) -> np.ndarray:
         if self.event_cycles is None:
@@ -91,8 +91,11 @@ def _event_instructions(starts: np.ndarray) -> np.ndarray:
 def group_bounds(sorted_ids: np.ndarray) -> np.ndarray:
     """Bounds of the runs of equal ids in a sorted, non-empty array: run k
     is sorted_ids[bounds[k]:bounds[k + 1]]."""
-    cuts = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
-    return np.concatenate(([0], cuts, [sorted_ids.size]))
+    n = sorted_ids.size
+    edges = np.empty(n + 1, dtype=bool)
+    edges[0] = edges[n] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=edges[1:n])
+    return edges.nonzero()[0]
 
 
 def attribute_block_cpi(
@@ -129,25 +132,26 @@ def attribute_block_cpi(
     bounds = group_bounds(ids)
     firsts = bounds[:-1]
     values = values[order]
-    # One pairwise .sum() per block slice adds exactly the values, in exactly
-    # the order, that a per-block boolean mask would select. np.add.reduceat
-    # and np.bincount add in sequence, which changes last digits of the block
-    # CPIs.
-    sums = np.array([values[a:b].sum() for a, b in pairwise(bounds.tolist())])
-    weights = np.diff(bounds)
+    # One pairwise np.add.reduce (what .sum() runs) per block slice adds
+    # exactly the values, in exactly the order, that a per-block boolean mask
+    # would select. np.add.reduceat and np.bincount add in sequence, which
+    # changes last digits of the block CPIs.
+    sums = np.array([np.add.reduce(values[a:b]) for a, b in pairwise(bounds.tolist())])
+    block_ids = ids[firsts]
+    weights = bounds[1:] - firsts
     if mode == "golden":
         # every event of a block runs its instruction count, so the block's
         # instructions are an exact integer product (validation keeps the
         # trace total, and so each product, within int64)
-        weights *= [trace.blocks[b].instruction_count for b in ids[firsts].tolist()]
+        weights *= [trace.blocks[b].instruction_count for b in block_ids.tolist()]
     cpis = sums / weights
-    bad = np.flatnonzero(cpis <= 0)
+    bad = (cpis <= 0).nonzero()[0]
     if bad.size:
         # validation keeps cycles >= 0 and quantum CPIs > 0: the input
         # gave every event of this block 0 cycles
-        bid = int(ids[firsts[bad[0]]])
+        bid = int(block_ids[bad[0]])
         raise TraceFormatError(f"block {bid}: its events carry 0 cycles in all; a block CPI must be positive")
-    return dict(zip(ids[firsts].tolist(), cpis.tolist()))
+    return dict(zip(block_ids.tolist(), cpis.tolist()))
 
 
 def profile_rates(index: EventIndex, profiles: dict[int, float]) -> np.ndarray:
@@ -168,14 +172,19 @@ def sample_grid(start: int, stop: int, resolution: int) -> tuple[np.ndarray, int
     with stride = ceil((stop - start) / resolution) and the offsets at
     start + k*stride, so refining the resolution never changes shared
     offsets. ValueError on a resolution below 2 or an empty range."""
+    stride = _grid_stride(start, stop, resolution)
+    return np.arange(start, stop, stride, dtype=np.int64), stride
+
+
+def _grid_stride(start: int, stop: int, resolution: int) -> int:
+    """sample_grid's stride, with its checks."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     length = stop - start
     if length < 1:
         raise ValueError("empty sample range")
     # the ceiling in integers: a float quotient rounds past 2**53 or overflows
-    stride = -(-length // resolution)
-    return np.arange(start, stop, stride, dtype=np.int64), stride
+    return -(-length // resolution)
 
 
 def sample_range(
@@ -186,14 +195,28 @@ def sample_range(
     resolution: int,
 ) -> Waveform:
     """Zero-order-hold resampling of the CPI function over [start, stop) on
-    sample_grid(start, stop, resolution).
+    sample_grid(start, stop, resolution): rates[index.events_at(offsets)].
 
     rates holds the per-event CPI to sample (block profile rate or exact
-    per-event rate).
+    per-event rate). ValueError unless [start, stop) lies within the trace.
     """
-    offsets, stride = sample_grid(start, stop, resolution)
+    stride = _grid_stride(start, stop, resolution)
+    starts = index.starts
+    if start < 0 or stop > starts[-1]:
+        raise ValueError("sample range outside the trace")
+    # events first..last-1 overlap [start, stop); rather than search every
+    # offset, count the grid offsets each event holds: event e holds from
+    # the first offset at or after its start, k = ceil((starts[e] - start) / stride)
+    first = int(starts.searchsorted(start, side="right")) - 1
+    last = int(starts.searchsorted(stop))
+    edges = np.empty(last - first + 1, dtype=np.int64)
+    edges[0], edges[-1] = 0, -(-(stop - start) // stride)
+    inner = edges[1:-1]
+    np.subtract(starts[first + 1 : last], start + 1, out=inner)
+    inner //= stride
+    inner += 1
     return Waveform(
-        samples=rates[index.events_at(offsets)],
+        samples=rates[first:last].repeat(edges[1:] - edges[:-1]),
         sample_stride=stride,
         origin_instruction=start,
     )
@@ -225,7 +248,7 @@ def cycles_below(index: EventIndex, rates: np.ndarray, offsets: np.ndarray) -> n
     """
     prefix = np.zeros(len(rates) + 1, dtype=float)
     np.cumsum(_event_instructions(index.starts) * rates, out=prefix[1:])
-    ev = np.searchsorted(index.starts[:-1], offsets, side="right") - 1
+    ev = index.starts[:-1].searchsorted(offsets, side="right") - 1
     return prefix[ev] + (offsets - index.starts[ev]) * rates[ev]
 
 

@@ -75,6 +75,8 @@ class AnalysisConfig:
 
 #: each config field's type is that of its default (int or float)
 CONFIG_TYPES = {f.name: type(f.default) for f in fields(AnalysisConfig)}
+#: the config analyze runs without one; frozen, so one instance serves all
+_DEFAULT_CONFIG = AnalysisConfig()
 
 
 @dataclass
@@ -95,9 +97,12 @@ class PhaseNode:
         return self.start_instruction + self.length_instructions
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """This node and every node below it, in pre-order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 def _candidates_in_range(
@@ -106,9 +111,9 @@ def _candidates_in_range(
     """Potential phase heads in [start, stop): (instruction offsets, block
     ids) of every event whose CPI differs from its predecessor's by more
     than the threshold, in execution order (duplicates preserved)."""
-    lo = max(1, int(np.searchsorted(index.starts, start)))
-    hi = min(len(rates), int(np.searchsorted(index.starts, stop)))
-    jumps = lo + np.flatnonzero(np.abs(rates[lo:hi] - rates[lo - 1 : hi - 1]) > threshold)
+    lo = max(1, int(index.starts.searchsorted(start)))
+    hi = min(len(rates), int(index.starts.searchsorted(stop)))
+    jumps = lo + (np.abs(rates[lo:hi] - rates[lo - 1 : hi - 1]) > threshold).nonzero()[0]
     return index.starts[jumps], index.block_ids[jumps]
 
 
@@ -131,24 +136,27 @@ def align_phase(offsets: np.ndarray, block_ids: np.ndarray, length: int) -> tupl
         raise ValueError("no candidate heads")
 
     # group the candidates by block, each block's in the order given
-    order = np.argsort(block_ids, kind="stable")
+    order = block_ids.argsort(kind="stable")
     ids, offs = block_ids[order], offsets[order]
     bounds = group_bounds(ids)
-    recurring = bounds[:-1][np.diff(bounds) >= 2]
+    # block k has bounds[k + 1] - bounds[k] candidates, one gap fewer
+    gap_count = bounds[1:] - bounds[:-1] - 1
+    recurring = gap_count.nonzero()[0]
     if recurring.size:
-        # gaps between consecutive candidates of one block, sorted per block
+        # gaps between consecutive candidates of one block, sorted per block:
+        # block k's are gaps[bounds[k] - k:bounds[k + 1] - k - 1]
         same = ids[1:] == ids[:-1]
-        gap_ids, gaps = ids[1:][same], np.diff(offs)[same]
-        by_gap = np.lexsort((gaps, gap_ids))
-        gap_ids, gaps = gap_ids[by_gap], gaps[by_gap]
-        gap_bounds = group_bounds(gap_ids)
-        lo, count = gap_bounds[:-1], np.diff(gap_bounds)
+        gap_ids, gaps = ids[1:][same], (offs[1:] - offs[:-1])[same]
+        gaps = gaps[np.lexsort((gaps, gap_ids))]
+        firsts = bounds[recurring]
+        lo, count = firsts - recurring, gap_count[recurring]
         # the median of each block's gaps, as np.median gives it: the mean
         # of the two middle gaps in float64 (the middle gap twice when odd)
         median = (gaps[lo + (count - 1) // 2].astype(float) + gaps[lo + count // 2]) / 2
         score = np.abs(median - length)
-        best = np.lexsort((ids[recurring], offs[recurring], score))[0]
-        return int(offs[recurring[best]]), int(ids[recurring[best]])
+        first_ids, first_offs = ids[firsts], offs[firsts]
+        best = np.lexsort((first_ids, first_offs, score))[0]
+        return int(first_offs[best]), int(first_ids[best])
 
     first = int(np.argmin(offsets))
     return int(offsets[first]), int(block_ids[first])
@@ -166,23 +174,33 @@ def split_step(waveform: Waveform) -> Optional[tuple[int, float, float]]:
     n = samples.size
     if n < 2:
         return None
-    prefix = np.cumsum(samples)
-    t = np.arange(1, n)
-    before = prefix[:-1] / t
-    after = (prefix[-1] - prefix[:-1]) / (n - t)
+    prefix = samples.cumsum()
+    head, t = prefix[:-1], np.arange(1, n)
+    before = head / t
+    after = prefix[-1] - head
+    after /= t[::-1]  # n - t
     diff = np.abs(after - before)
-    best = int(np.argmax(diff))
-    with np.errstate(over="ignore"):
-        spread = float(samples.std())
-    if not math.isfinite(spread):
-        # std() squares the deviations, which overflows past about 1e154:
-        # take it of the samples scaled by their largest magnitude instead
-        scale = float(np.abs(samples).max())
-        spread = float((samples / scale).std()) * scale
-    if not diff[best] > spread:
+    best = int(diff.argmax())
+    if not diff[best] > _population_std(samples):
         return None
     boundary = waveform.origin_instruction + (best + 1) * waveform.sample_stride
     return boundary, float(before[best]), float(after[best])
+
+
+def _population_std(samples: np.ndarray) -> float:
+    """samples.std() bit for bit, from the ufunc reductions std() runs, less
+    its per-call cost. Where std() overflows (it squares the deviations, so
+    past about 1e154), it is the std() of the samples scaled by their
+    largest magnitude, times that magnitude."""
+    n = samples.size
+    with np.errstate(over="ignore"):
+        deviations = samples - np.add.reduce(samples) / n
+        deviations *= deviations
+        spread = math.sqrt(np.add.reduce(deviations) / n)
+    if not math.isfinite(spread):
+        scale = float(np.abs(samples).max())
+        spread = float((samples / scale).std()) * scale
+    return spread
 
 
 def classify_structure(
@@ -220,7 +238,7 @@ def analyze(
     spectrum_sink, when given, receives (depth, start, stop, spectrum) for
     every analyzed segment.
     """
-    cfg = config or AnalysisConfig()
+    cfg = config or _DEFAULT_CONFIG
     if profiles is None:
         profiles = attribute_block_cpi(trace)
     index = EventIndex.from_trace(trace)
@@ -354,22 +372,19 @@ def tree_to_dict(node: PhaseNode, blocks) -> dict:
     }
 
 
-def _positional(obj) -> bool:
-    """Every float in obj is 0 or 1e-4 <= |x| < 1e16: repr()'s positional
-    range, the rule trace.float_reprs applies (NaN and inf are outside)."""
-    if isinstance(obj, float):
-        return obj == 0 or 1e-4 <= abs(obj) < 1e16
-    if isinstance(obj, dict):
-        return all(map(_positional, obj.values()))
-    if isinstance(obj, list):
-        return all(map(_positional, obj))
-    return True
+def _positional(value) -> bool:
+    """value is no float, or 0, or 1e-4 <= |value| < 1e16: repr()'s
+    positional range, the rule trace.float_reprs applies (NaN and inf are
+    outside)."""
+    return not isinstance(value, float) or value == 0 or 1e-4 <= abs(value) < 1e16
 
 
-def _indented_json(payload) -> str:
+def _indented_json(payload, floats) -> str:
     """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) plus a
     newline, byte for byte, from orjson's native encoder where it writes the
-    same bytes (with indent, json runs its pure-Python encoder).
+    same bytes (with indent, json runs its pure-Python encoder). floats
+    yields every float the payload holds: the trees and marker tables
+    written here hold floats only as mean_cpi.
 
     orjson differs on floats outside _positional's range (1e16 for 1e+16,
     null for NaN) and refuses ints beyond 64 bits and numpy scalars with
@@ -385,7 +400,7 @@ def _indented_json(payload) -> str:
         text = orjson.dumps(payload, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS)
     except TypeError:  # orjson.JSONEncodeError is a TypeError
         text = None
-    if text is None or not _positional(payload):
+    if text is None or not all(map(_positional, floats)):
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     return text.decode() + "\n"
 
@@ -394,7 +409,7 @@ def tree_json(root: PhaseNode, blocks) -> str:
     """tree_to_dict(root, blocks) as indented JSON with sorted keys and a
     final newline, the bytes json.dumps writes (see _indented_json);
     ValueError on a NaN or infinite mean_cpi."""
-    return _indented_json(tree_to_dict(root, blocks))
+    return _indented_json(tree_to_dict(root, blocks), (node.mean_cpi for node in root.walk()))
 
 
 #: the f"{address:#x}" spelling of a non-negative address
@@ -450,4 +465,5 @@ def markers_json(markers: dict[int, dict]) -> str:
     """The export_markers table keyed by hex head address, as indented JSON
     with sorted keys and a final newline, the bytes json.dumps writes (see
     _indented_json); ValueError on a NaN or infinite mean_cpi."""
-    return _indented_json({f"{addr:#x}": marker for addr, marker in markers.items()})
+    payload = {f"{addr:#x}": marker for addr, marker in markers.items()}
+    return _indented_json(payload, (marker["mean_cpi"] for marker in markers.values()))

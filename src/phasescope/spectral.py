@@ -55,7 +55,8 @@ def dft_magnitude(waveform: Waveform) -> Spectrum:
     n = samples.size
     if n < 2:
         raise ValueError("waveform must have at least 2 samples")
-    mags = np.abs(np.fft.rfft(samples)) / n
+    mags = np.abs(np.fft.rfft(samples))
+    mags /= n
     return Spectrum(
         magnitudes=mags,
         source_length_instructions=n * waveform.sample_stride,
@@ -72,7 +73,7 @@ def main_spectrum(spectrum: Spectrum) -> MainSpectrum:
     nondc = spectrum.magnitudes[1:]
     if nondc.size == 0:
         raise FlatSpectrumError("spectrum has no non-DC bins")
-    k = int(np.argmax(nondc)) + 1  # argmax returns the first (smallest) index
+    k = int(nondc.argmax()) + 1  # argmax returns the first (smallest) index
     magnitude = float(spectrum.magnitudes[k])
     if magnitude <= 0.0:
         raise FlatSpectrumError("all non-DC magnitudes are zero")
@@ -84,13 +85,14 @@ def is_flat(waveform: Waveform, spectrum: Spectrum, config) -> bool:
     """True when the waveform is one phase: CPI range within
     config.flat_cpi_range, or every non-DC bin within
     config.flat_spectrum_ratio of the DC value."""
-    cpi_range = float(waveform.samples.max() - waveform.samples.min())
+    samples = waveform.samples
+    cpi_range = float(np.maximum.reduce(samples) - np.minimum.reduce(samples))
     if cpi_range <= config.flat_cpi_range:
         return True
     nondc = spectrum.magnitudes[1:]
     if nondc.size == 0:
         return True
-    return float(nondc.max()) <= config.flat_spectrum_ratio * spectrum.dc_value
+    return float(np.maximum.reduce(nondc)) <= config.flat_spectrum_ratio * spectrum.dc_value
 
 
 def spectrum_csv(spectrum: Spectrum) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Optional
@@ -128,16 +129,27 @@ def _validate(spec: ScenarioSpec) -> tuple[SegmentSpec, dict[int, tuple[int, flo
             events, cpi = int(seg.event_count), float(seg.block_cpi)
             min_cpi = min(min_cpi, cpi)
             instructions = events * int(seg.block_instruction_count)
-            size = (events, instructions, instructions * cpi, 1)
+            cycles = instructions * cpi
+            if not math.isfinite(cycles):
+                raise ScenarioError(
+                    f"segment {seg.label!r}: its scripted cycles, block_cpi times its "
+                    f"{instructions} instructions, overflow float64"
+                )
+            size = (events, instructions, cycles, 1)
         sizes[id(seg)] = size[1:]
         return size
 
     top = SegmentSpec("", nested=spec.segments, nested_repetitions=spec.repetitions)
-    events, instructions, _, _ = measure(top)
+    events, instructions, cycles, _ = measure(top)
     # checked before anything is allocated: the event columns are int64
     for what, total in (("events", events), ("instructions", instructions)):
         if total > _INT64_MAX:
             raise ScenarioError(f"scenario has {total} {what} in total, more than int64 holds")
+    # the trace refuses a cycle sum beyond float64, and numpy only warns
+    # where an event's cycles overflow: a flat segment's cycles are checked
+    # in measure, which names it, and a group's add up into this total
+    if not math.isfinite(cycles):
+        raise ScenarioError("the scripted cycles of the whole scenario overflow float64")
     if spec.noise_stddev >= min_cpi:
         raise ScenarioError("noise_stddev must stay below the smallest segment CPI")
     return top, sizes
@@ -171,17 +183,21 @@ def _assign_blocks(
     def address(block_id: int) -> int:
         return _BASE_ADDRESS + block_id * _ADDRESS_PITCH
 
-    edge_keys, first = np.unique(runs[:-1] * len(EntryKind) + kinds[1:], return_index=True)
-    first_target = dict(zip(edge_keys.tolist(), runs[first + 1].tolist()))
+    # first[b, k]: the first edge from block b into a run entered by kind k,
+    # or n_edges where there is none
+    n_edges = len(runs) - 1
+    first = np.full((len(flat), len(EntryKind)), n_edges, dtype=np.int64)
+    np.minimum.at(first, (runs[:-1], kinds[1:]), np.arange(n_edges))
+    call_edges = first[:, _KIND_CODE[EntryKind.CALL]].tolist()
+    back_edges = first[:, _KIND_CODE[EntryKind.BACKWARD_BRANCH]].tolist()
 
     blocks: dict[int, BlockDescriptor] = {}
     for bid, seg in enumerate(flat):
-        call = first_target.get(bid * len(EntryKind) + _KIND_CODE[EntryKind.CALL])
-        back = first_target.get(bid * len(EntryKind) + _KIND_CODE[EntryKind.BACKWARD_BRANCH])
-        if call is not None:
-            terminator, target = Terminator.CALL, address(call)
-        elif back is not None:
-            target = address(back)
+        call, back = call_edges[bid], back_edges[bid]
+        if call < n_edges:
+            terminator, target = Terminator.CALL, address(int(runs[call + 1]))
+        elif back < n_edges:
+            target = address(int(runs[back + 1]))
             if target > address(bid):
                 raise ScenarioError(
                     f"segment {seg.label!r}: backward-branch entry is not "

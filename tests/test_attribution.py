@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasescope import (
     BlockDescriptor,
@@ -460,6 +462,41 @@ def _quantum():
 def test_attribution_rejects_unusable_input(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@st.composite
+def sampled_ranges(draw):
+    """A golden trace of blocks with sparse ids, a range in it and a
+    resolution: coarse (strides of many instructions) or past the range's
+    length (a stride of one)."""
+    ids = draw(st.lists(st.sampled_from([-7, 0, 1, 2, 5, 1000, 2**40]), min_size=1, max_size=5,
+                        unique=True))
+    blocks = {bid: block(bid, draw(st.integers(1, 20))) for bid in ids}
+    events = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=80))
+    trace = golden_trace(blocks, events, [1.0 + i % 7 for i in range(len(events))])
+    total = trace.total_instructions
+    start = draw(st.integers(0, total - 1))
+    stop = draw(st.integers(start + 1, total))
+    return trace, start, stop, draw(st.integers(2, 3 * (stop - start) + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sampled_ranges())
+def test_sample_range_holds_the_rate_of_the_event_at_every_offset(case):
+    trace, start, stop, resolution = case
+    index = EventIndex.from_trace(trace)
+    rates = index.golden_event_cpi()
+    offsets, stride = sample_grid(start, stop, resolution)
+    wave = sample_range(index, rates, start, stop, resolution)
+    assert (wave.sample_stride, wave.origin_instruction) == (stride, start)
+    assert wave.samples.tobytes() == rates[index.events_at(offsets)].tobytes()
+
+
+def test_sample_range_refuses_a_range_outside_the_trace():
+    index = EventIndex.from_trace(_golden())  # 30 instructions
+    for start, stop in ((-1, 10), (0, 31)):
+        with pytest.raises(ValueError, match="sample range outside the trace"):
+            sample_range(index, np.ones(3), start, stop, 4)
 
 
 def test_sample_grid_is_the_grid_sample_range_samples_on():

@@ -727,6 +727,23 @@ def test_synth_refuses_a_count_beyond_int64_before_allocating(tmp_path, capsys, 
     assert not (tmp_path / "x.trace").exists()
 
 
+@pytest.mark.parametrize("scenario, message", [
+    ({"segments": [{"label": "a", "block_cpi": 1e308, "block_instruction_count": 2, "event_count": 3}]},
+     "segment 'a': its scripted cycles, block_cpi times its 6 instructions, overflow float64"),
+    # each segment's cycles are finite, their repetitions are not
+    ({"segments": [{"label": "a", "block_cpi": 1e307, "block_instruction_count": 2, "event_count": 3}],
+      "repetitions": 10},
+     "the scripted cycles of the whole scenario overflow float64"),
+], ids=["segment", "total"])
+def test_synth_refuses_scripted_cycles_beyond_float64_without_a_warning(tmp_path, capsys, scenario, message):
+    # tier-1 turns warnings into errors, which main reports as exit 1
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["synth", str(path), "--out-prefix", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: scenario {path}: {message}\n"
+    assert not (tmp_path / "x.trace").exists()
+
+
 @pytest.mark.parametrize("segments", [[1], {"a": 1}, [{"label": "g", "nested": {"b": 1}}]])
 def test_synth_rejects_segments_that_are_not_objects(tmp_path, capsys, segments):
     path = tmp_path / "scenario.json"

@@ -4,12 +4,15 @@ Trace text, trees, marker tables and comparison reports must not change
 when the implementation underneath them does; a digest changes only with
 an intended change of output. The generator's scripted annotation tree is
 covered too. Covered: the criterion-5 two-level
-scenario, the 20-scenario criterion-9 corpus and a quantum-mode scenario
-whose attribution uses Q/L records.
+scenario, the 20-scenario criterion-9 corpus, a quantum-mode scenario
+whose attribution uses Q/L records, and a corpus of noisy nested shapes
+(a body with a tail, three levels, unequal repetitions) whose analysis
+splits steps and aligns recurring candidate heads.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from phasescope import EntryKind, ScenarioSpec, SegmentSpec, analyze, generate, serialize_trace
@@ -43,13 +46,57 @@ QUANTA = ScenarioSpec(
     quantum_length=500,
 )
 
+
+def nest(label, body, reps, entry=EntryKind.FALLTHROUGH):
+    return SegmentSpec(label, nested=body, nested_repetitions=reps, entry_kind=entry)
+
+
+def _random_flats(rng, prefix, count):
+    return [flat(f"{prefix}{i}", round(float(rng.uniform(0.5, 3.0)), 4), int(rng.integers(3, 9)),
+                 2 * int(rng.integers(2, 8)) + 1) for i in range(count)]
+
+
+def _tail(rng):
+    body = nest("body", _random_flats(rng, "n", 8), 3, EntryKind.BACKWARD_BRANCH)
+    return [body, flat("tail", round(float(rng.uniform(0.5, 3.0)), 4), int(rng.integers(3, 9)),
+                       2 * int(rng.integers(7, 23)) + 1)]
+
+
+def _three_level(rng):
+    inner = nest("inner", _random_flats(rng, "i", int(rng.integers(2, 4))), int(rng.integers(2, 5)),
+                 EntryKind.BACKWARD_BRANCH)
+    middle = nest("middle", [inner, *_random_flats(rng, "m", 1)], int(rng.integers(2, 4)),
+                  EntryKind.BACKWARD_BRANCH)
+    return [middle, *_random_flats(rng, "o", 1)]
+
+
+def _unequal(rng):
+    return [nest("a", _random_flats(rng, "a", 2), 3, EntryKind.BACKWARD_BRANCH),
+            nest("b", _random_flats(rng, "b", 3), 2, EntryKind.CALL)]
+
+
+def _corpus_shape(i):
+    rng = np.random.default_rng(2000 + i)
+    segments = (_tail, _three_level, _unequal)[i % 3](rng)
+    return ScenarioSpec(segments=segments, repetitions=int(rng.integers(4, 12)),
+                        noise_stddev=round(float(rng.uniform(0.03, 0.08)), 4), seed=i)
+
+
 CASES = {
     "criterion-5": ([CRITERION_5], []),
+    "corpus-shapes": ([_corpus_shape(i) for i in range(12)], []),
     "criterion-9": ([_misaligned_scenario(i) for i in range(20)], []),
     "quanta": ([QUANTA], ["--tq", "500"]),
 }
 
 DIGESTS = {
+    "corpus-shapes": {
+        "trace": "90edf9060c503207c16a40ac544866460367288712090578f6e3f39aea3767b7",
+        "tree": "c3d5f857e9f417c6a17511a913636f7aa89961912ab4f2120a0619f4113b9557",
+        "markers": "007360326315bd882ee0468a97cef32cd117dc28c53f101d3dbe3f98de499767",
+        "compare": "a608465e8736beacd4b3698a963790115a71a44718e76e7d58129f2605d7800c",
+        "annotation": "5f88c754cc954f815d29724f3a7a23bfb3eb2bb451797c64f7db97d4d64003b0",
+    },
     "criterion-5": {
         "trace": "c310cafa86b920f8440667d5120e80dc2da1606ba79395247fd04110f609fcf8",
         "tree": "e03f3820efd2328e22cbc6cf360b184f03d54a8c481aab65ab3373b91ef57045",

@@ -6,10 +6,11 @@ import gc
 import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasescope import (
@@ -31,11 +32,14 @@ from phasescope import (
     export_markers,
     generate,
     main_spectrum,
+    parse_trace,
     split_step,
 )
+from phasescope import phases
 from phasescope.attribution import EventIndex, profile_rates, sample_range
 from phasescope.phases import (
     _candidates_in_range,
+    _population_std,
     markers_json,
     tree_from_dict,
     tree_json,
@@ -252,6 +256,44 @@ def test_split_a_step_whose_squared_deviations_overflow():
     assert boundary == 32 and before == pytest.approx(1.5625e306)
 
 
+@pytest.mark.xfail(strict=True, reason="node means are differences of float64 prefix sums: "
+                   "the 1e308 cycles before the second block leave none of its own")
+def test_a_mean_after_a_much_larger_cycle_sum_keeps_its_cycles():
+    trace = parse_trace("V 1\nB 0 0 64 F\nB 1 1000 64 F\nE 0 1e308\nE 1 1.0\n")
+    tree = analyze(trace)
+    leaves = [(node.head_block, node.mean_cpi) for node in tree.walk() if not node.children]
+    assert attribute_block_cpi(trace)[1] == 0.015625
+    assert leaves == [(0, 1.5625e306), (1, 0.015625)]
+
+
+def numpy_std_with_fallback(samples):
+    """The reference for split_step's spread: samples.std(), and where that
+    overflows, the std() of the samples over their largest magnitude, times
+    it."""
+    with np.errstate(over="ignore"):
+        spread = float(samples.std())
+    if not math.isfinite(spread):
+        scale = float(np.abs(samples).max())
+        spread = float((samples / scale).std()) * scale
+    return spread
+
+
+# CPIs are positive; their scale reaches past 1e154, where std() overflows
+cpi_samples = st.one_of(
+    st.lists(st.floats(1.0, 2.0), min_size=1, max_size=300).flatmap(
+        lambda unit: st.floats(1e-300, 8e307).map(lambda scale: np.array(unit) * scale)),
+    st.lists(st.floats(1e-300, 1.7e308), min_size=1, max_size=300).map(np.array),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(samples=cpi_samples)
+@example(samples=np.array([1.5625e306] * 32 + [0.015625] * 32))
+@example(samples=np.array([1e300, 1e200, 1.0]))
+def test_split_spread_is_numpys_std_bit_for_bit(samples):
+    assert _population_std(samples) == numpy_std_with_fallback(samples)
+
+
 def test_split_linear_ramp():
     # For an exact ramp the before/after mean gap is the same at every
     # boundary: closed form n/(2*(n-1)), about 0.5. That beats the
@@ -426,6 +468,51 @@ def test_spectrum_sink_gets_each_sampled_segment_in_node_order(cfg):
         expected = dft_magnitude(sample_range(index, rates, start, stop, cfg.resolution))
         assert spectrum.magnitudes.tobytes() == expected.magnitudes.tobytes()
         assert spectrum.source_length_instructions == expected.source_length_instructions
+
+
+@st.composite
+def rate_scenarios(draw):
+    """Small repeated scenarios, golden-only or with quanta."""
+    segments = [
+        SegmentSpec(f"s{i}", block_cpi=draw(st.floats(0.5, 4.0)),
+                    block_instruction_count=draw(st.integers(1, 40)),
+                    event_count=draw(st.integers(1, 12)),
+                    entry_kind=EntryKind.BACKWARD_BRANCH if i == 0 else EntryKind.FALLTHROUGH)
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    return ScenarioSpec(segments=segments, repetitions=draw(st.integers(2, 12)),
+                        noise_stddev=draw(st.sampled_from([0.0, 0.05])), seed=draw(st.integers(0, 99)),
+                        quantum_length=draw(st.one_of(st.none(), st.integers(7, 300))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=rate_scenarios())
+def test_analyze_samples_the_profile_rates_of_its_block_cpis(spec):
+    # the default path and the one a caller takes with its own block CPIs
+    # (the CLI's --waveform-csv) sample the same per-event rates
+    trace, _ = generate(spec)
+    cfg = AnalysisConfig(min_segment_instructions=2)
+    index = EventIndex.from_trace(trace)
+    sampled = []
+
+    def recording(index, rates, *args):
+        sampled.append(rates.tobytes())
+        return sample_range(index, rates, *args)
+
+    def rates_of(profiles):
+        sampled.clear()
+        with mock.patch.object(phases, "sample_range", recording):
+            tree = tree_json(analyze(trace, cfg, profiles=profiles), trace.blocks)
+        assert sampled and len(set(sampled)) == 1
+        return sampled[0], tree
+
+    default = rates_of(None)
+    for mode in ("auto", "golden", "quantum") if trace.has_quanta else ("auto", "golden"):
+        profiles = attribute_block_cpi(trace, mode)
+        rates, tree = rates_of(profiles)
+        assert rates == profile_rates(index, profiles).tobytes()
+        if mode == "auto":
+            assert (rates, tree) == default
 
 
 def test_analyze_leaves_no_reference_cycles():

@@ -132,6 +132,22 @@ def test_entry_kinds_realize_terminators():
     assert tail.target_address <= tail.start_address
 
 
+def test_a_call_edge_after_a_backward_branch_still_makes_a_call():
+    # "loop" branches back to itself (edge 0) before it calls "callee" (edge 1)
+    trace, _ = generate(ScenarioSpec(segments=[
+        SegmentSpec("g", nested=[flat("loop", 2.0, 10, 5, entry=EntryKind.BACKWARD_BRANCH)],
+                    nested_repetitions=2),
+        flat("callee", 1.0, 10, 5, entry=EntryKind.CALL),
+        flat("exit", 1.5, 10, 5, entry=EntryKind.CALL),
+    ]))
+    loop, callee, exit_ = trace.blocks[0], trace.blocks[1], trace.blocks[2]
+    assert trace.event_blocks[::5].tolist() == [0, 0, 1, 2]
+    assert loop.terminator is Terminator.CALL and loop.target_address == callee.start_address
+    # the first call edge from "callee" is its only edge
+    assert callee.terminator is Terminator.CALL and callee.target_address == exit_.start_address
+    assert exit_.terminator is Terminator.FALLTHROUGH and exit_.target_address is None
+
+
 def test_unrealizable_backward_branch_rejected():
     with pytest.raises(ScenarioError, match="backward-branch"):
         generate(ScenarioSpec(
