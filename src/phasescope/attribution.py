@@ -272,8 +272,12 @@ def quantum_cpis(index: EventIndex, quantum_length: int) -> np.ndarray:
     quantum_length = check_quantum_length(quantum_length)
     total = index.total_instructions
     n_quanta = -(-total // quantum_length)
-    bounds = np.minimum(np.arange(n_quanta + 1, dtype=np.int64) * quantum_length, total)
-    return np.diff(cycles_below(index, index.golden_event_cpi(), bounds)) / np.diff(bounds)
+    # quantum k starts at k * quantum_length < total: no bound overflows int64
+    bounds = np.arange(n_quanta + 1, dtype=np.int64)
+    bounds[:-1] *= quantum_length
+    bounds[-1] = total
+    cycles = cycles_below(index, index.golden_event_cpi(), bounds)
+    return (cycles[1:] - cycles[:-1]) / (bounds[1:] - bounds[:-1])
 
 
 def waveform_csv(trace: ExecutionTrace, waveform: Waveform) -> str:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
+from itertools import accumulate
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -21,8 +22,7 @@ from .phases import PhaseNode
 from .trace import ExecutionTrace
 
 
-@dataclass(frozen=True)
-class TqPhase:
+class TqPhase(NamedTuple):
     start_quantum: int
     quantum_count: int
     mean_cpi: float
@@ -66,17 +66,20 @@ def tq_phases(
 
     # Python floats: the same IEEE arithmetic as numpy scalars, unboxed
     values = cpis.tolist()
-    phases: list[TqPhase] = []
-    start, acc, count = 0, values[0], 1
-    for q, cpi in enumerate(values[1:], start=1):
+    counts, means = [], []
+    acc, count = values[0], 1
+    for cpi in values[1:]:
         if abs(cpi - acc / count) <= merge_delta:
             acc += cpi
             count += 1
         else:
-            phases.append(TqPhase(start, count, acc / count))
-            start, acc, count = q, cpi, 1
-    phases.append(TqPhase(start, count, acc / count))
-    return TqPhaseList(quantum_length, phases)
+            counts.append(count)
+            means.append(acc / count)
+            acc, count = cpi, 1
+    counts.append(count)
+    means.append(acc / count)
+    starts = accumulate(counts[:-1], initial=0)
+    return TqPhaseList(quantum_length, list(map(TqPhase._make, zip(starts, counts, means))))
 
 
 def _render_tree(
@@ -94,19 +97,25 @@ def _render_tree(
     children = node.children
     lo = node.start_instruction
     for i, child in enumerate(children):
-        length = child.length_instructions
-        if child.occurrence >= 2:
+        start, length, occurrence = child.start_instruction, child.length_instructions, child.occurrence
+        if occurrence >= 2:
             hi = children[i + 1].start_instruction if i + 1 < len(children) else node.end_instruction
-            span = mask & (offsets >= lo) & (offsets < hi)
-            folded = child.start_instruction + (offsets - child.start_instruction) % length
         else:
-            span = mask & (offsets >= child.start_instruction) & (
-                offsets < child.end_instruction
-            )
-            folded = offsets
-        lo = child.start_instruction + child.occurrence * length
+            lo, hi = start, start + length
+        span = offsets >= lo
+        span &= offsets < hi
+        span &= mask
+        lo = start + occurrence * length
         if not span.any():
             continue
+        folded = offsets
+        if occurrence >= 2:
+            # start + (offsets - start) mod length, as offsets less whole
+            # periods: numpy's integer floor division outruns its remainder
+            folded = offsets - start
+            folded //= length
+            folded *= length
+            np.subtract(offsets, folded, out=folded)
         _render_tree(child, folded, span, values)
 
 
@@ -114,27 +123,30 @@ def predict_waveform(
     source: Union[PhaseNode, TqPhaseList], total_instructions: int, resolution: int
 ) -> Waveform:
     """Render a method's piecewise-constant CPI prediction over the run,
-    sampled on the same grid build_waveform uses."""
+    sampled on the same grid build_waveform uses.
+
+    A TQ phase list predicts the sample at offset x by the phase holding
+    quantum x // quantum_length. Its phases must tile the run's quanta in
+    order from quantum 0; phase p, ending at quantum e_p, then holds the
+    samples below ceil(min(e_p x quantum_length, total_instructions) /
+    stride) that no earlier phase holds. A phase tree predicts each sample
+    by the deepest node covering it (see _render_tree)."""
     offsets, stride = sample_grid(0, total_instructions, resolution)
 
     if isinstance(source, TqPhaseList):
         length = check_quantum_length(source.quantum_length)
-        # each quantum is predicted by exactly one phase: the phases follow
-        # one another from quantum 0 and end at the run's last quantum
         quanta = -(-total_instructions // length)
         untiled = f"TQ phases must tile the run's {quanta} quanta in order"
-        end = 0
-        for phase in source.phases:
-            if phase.start_quantum != end or phase.quantum_count < 1:
-                raise ValueError(untiled)
-            end += phase.quantum_count
-        if end != quanta:
+        if not source.phases:
             raise ValueError(untiled)
-        per_quantum = np.repeat(
-            np.array([phase.mean_cpi for phase in source.phases], dtype=float),
-            [phase.quantum_count for phase in source.phases],
-        )
-        values = per_quantum[offsets // length]
+        # exact Python integers: each phase starts where the one before ends
+        starts, counts, means = zip(*source.phases)
+        ends = list(accumulate(counts))
+        if min(counts) < 1 or list(starts) != [0, *ends[:-1]] or ends[-1] != quanta:
+            raise ValueError(untiled)
+        # the first sample of each phase after the first, and the grid's end
+        edges = np.array([0, *[-(-end * length // stride) for end in ends[:-1]], offsets.size])
+        values = np.array(means, dtype=float).repeat(edges[1:] - edges[:-1])
     elif isinstance(source, PhaseNode):
         values = np.empty(offsets.size, dtype=float)
         _render_tree(source, offsets, np.ones(offsets.size, dtype=bool), values)
@@ -153,9 +165,12 @@ def error_rate(predicted: Waveform, golden: Waveform) -> ErrorReport:
     waveform, per sample on the shared instruction grid. The caller keeps
     which method made the prediction (comparison_json takes it per row).
 
-    ValueError when the MAPE is not finite. It names the offset and golden
-    CPI of the first sample whose term is not finite (a golden CPI of 0, or
-    one so small that the term overflows), else says the mean overflows."""
+    ValueError when the MAPE is not finite. It names the offset of the
+    first sample whose term is not finite and the CPI that makes it so: the
+    predicted CPI p when p is not finite or lies further from 1 by ratio
+    than the golden CPI g does (|p| x g > 1), else g (0, or so small that
+    the term overflows). When every term is finite it says the mean
+    overflows."""
     if (
         predicted.samples.size != golden.samples.size
         or predicted.sample_stride != golden.sample_stride
@@ -163,14 +178,21 @@ def error_rate(predicted: Waveform, golden: Waveform) -> ErrorReport:
     ):
         raise ValueError("waveforms must share grid (resolution and extent)")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        errors = np.abs(predicted.samples - golden.samples) / golden.samples * 100.0
-        mape = float(errors.mean())
+        errors = predicted.samples - golden.samples
+        np.abs(errors, out=errors)
+        errors /= golden.samples
+        errors *= 100.0
+        # the sum and division errors.mean() runs, bit for bit
+        mape = float(np.add.reduce(errors) / errors.size)
     if not math.isfinite(mape):
         undefined = np.flatnonzero(~np.isfinite(errors))
         if undefined.size:
             k = int(undefined[0])
+            p, g = float(predicted.samples[k]), float(golden.samples[k])
+            blame_prediction = not math.isfinite(p) or (math.isfinite(g) and abs(p) * g > 1)
+            side, cpi = ("predicted", p) if blame_prediction else ("golden", g)
             raise ValueError(
-                f"golden CPI is {float(golden.samples[k])!r} at instruction offset "
+                f"{side} CPI is {cpi!r} at instruction offset "
                 f"{int(golden.sample_offsets[k])}, where MAPE is undefined"
             )
         raise ValueError("MAPE overflows float64")

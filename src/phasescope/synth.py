@@ -247,8 +247,21 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
     if spec.noise_stddev > 0:
         rng = np.random.Generator(np.random.PCG64(spec.seed))
         noise = rng.normal(0.0, spec.noise_stddev, size=event_cpi.size)
-        event_cpi = np.maximum(_MIN_CPI, event_cpi + noise)
-    cycles = event_cpi * event_instr
+        # noise near float64's range overflows a CPI, a cycle count or their
+        # sum, which _validate bounded only for the scripted CPIs
+        with np.errstate(over="ignore"):
+            event_cpi = np.maximum(_MIN_CPI, event_cpi + noise)
+            cycles = event_cpi * event_instr
+            cycle_sum = cycles.sum()
+        if not math.isfinite(cycle_sum):
+            bad = np.flatnonzero(~np.isfinite(cycles))
+            where = "the trace's cycle sum"
+            if bad.size:
+                k = int(bad[0])
+                where = f"the {'cycle count' if math.isfinite(event_cpi[k]) else 'CPI'} of event {k}"
+            raise ScenarioError(f"noise_stddev {spec.noise_stddev!r} overflows float64 in {where}")
+    else:
+        cycles = event_cpi * event_instr
 
     quanta = None
     if spec.quantum_length is not None:

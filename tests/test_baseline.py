@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasescope import (
     BlockDescriptor,
@@ -20,6 +22,7 @@ from phasescope import (
     predict_waveform,
     tq_phases,
 )
+from phasescope.attribution import sample_grid
 from phasescope.baseline import TqPhase, TqPhaseList
 
 
@@ -337,6 +340,27 @@ def test_error_rate_refuses_a_mape_that_is_not_finite(predicted, golden, message
         error_rate(constant_wave(predicted, 2), golden)
 
 
+@pytest.mark.parametrize("cpi", [float("inf"), float("nan"), 1e308])
+def test_error_rate_names_a_predicted_cpi_that_leaves_mape_undefined(cpi):
+    # a caller-built TQ phase list: nothing checks its mean CPIs
+    trace = golden_trace_from_quanta([2.0, 2.0], quantum=4)
+    predicted = predict_waveform(TqPhaseList(4, [TqPhase(0, 2, cpi)]), 8, 2)
+    message = f"predicted CPI is {cpi!r} at instruction offset 0, where MAPE is undefined"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        error_rate(predicted, golden_waveform(trace, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5000), st.integers(0, 2**32 - 1))
+def test_error_rate_is_bit_identical_to_the_mean_of_the_terms(size, seed):
+    # CPIs spread over four orders of magnitude, at every summation block size
+    predicted, golden = np.exp(np.random.default_rng(seed).uniform(-4.6, 4.6, size=(2, size)))
+    expected = float((np.abs(predicted - golden) / golden * 100.0).mean())
+    wave = lambda samples: Waveform(samples=samples, sample_stride=1, origin_instruction=0)
+    mape = error_rate(wave(predicted), wave(golden)).mean_absolute_percentage_error
+    assert mape.hex() == expected.hex()
+
+
 def test_merge_is_bit_identical_to_the_numpy_scalar_merge():
     rng = np.random.default_rng(41)
     for _ in range(20):
@@ -356,3 +380,83 @@ def test_merge_is_bit_identical_to_the_numpy_scalar_merge():
 def test_prediction_at_a_resolution_beyond_float64_samples_every_instruction(source):
     wave = predict_waveform(source, 64, 10**400)
     assert (wave.sample_stride, wave.samples.tolist()) == (1, [1.5] * 64)
+
+
+# --- new sample paths against the ones they replaced ----------------------------
+
+_INT64_MAX = 2**63 - 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_tq_samples_match_the_per_quantum_lookup(data):
+    """Each sample takes the mean of the phase holding its quantum, as the
+    per-quantum array indexed by offset // quantum_length gives it."""
+    length = data.draw(st.one_of(st.integers(1, 40), st.integers(1, 10**6),
+                                 st.integers(2**62 - 2**10, 2**62 + 2**10)), label="length")
+    quanta = data.draw(st.integers(1, min(300, -(-_INT64_MAX // length))), label="quanta")
+    low = (quanta - 1) * length + 1
+    total = data.draw(st.integers(low, min(quanta * length, _INT64_MAX)), label="total")
+    counts = []
+    while sum(counts) < quanta:
+        counts.append(data.draw(st.integers(1, quanta - sum(counts))))
+    means = data.draw(st.lists(st.floats(0.05, 50.0), min_size=len(counts), max_size=len(counts)))
+    starts = np.cumsum([0, *counts[:-1]]).tolist()
+    resolution = data.draw(st.integers(2, 5000), label="resolution")
+
+    wave = predict_waveform(TqPhaseList(length, [TqPhase(*p) for p in zip(starts, counts, means)]),
+                            total, resolution)
+    offsets, stride = sample_grid(0, total, resolution)
+    per_quantum = np.repeat(np.array(means, dtype=float), counts)
+    assert wave.sample_stride == stride
+    assert np.array_equal(wave.samples, per_quantum[offsets // length])
+
+
+def _render_tree_by_masks(node, offsets, mask, values):
+    """Reference tree render: full-length spans built by `&` and every
+    repeating child's offsets folded with np.remainder, spans empty or not."""
+    values[mask] = node.mean_cpi
+    children = node.children
+    lo = node.start_instruction
+    for i, child in enumerate(children):
+        length = child.length_instructions
+        if child.occurrence >= 2:
+            hi = children[i + 1].start_instruction if i + 1 < len(children) else node.end_instruction
+            span = mask & (offsets >= lo) & (offsets < hi)
+            folded = child.start_instruction + (offsets - child.start_instruction) % length
+        else:
+            span = mask & (offsets >= child.start_instruction) & (
+                offsets < child.end_instruction
+            )
+            folded = offsets
+        lo = child.start_instruction + child.occurrence * length
+        if not span.any():
+            continue
+        _render_tree_by_masks(child, folded, span, values)
+
+
+@st.composite
+def phase_trees(draw, start, length, depth=0):
+    """A node over [start, start + length) whose children follow one another
+    with gaps, each single or repeating, anchored anywhere in its stretch."""
+    node = PhaseNode(0, start, length, draw(st.floats(0.05, 50.0)),
+                     occurrence=draw(st.sampled_from([1, 1, 2, 3, 5])))
+    cursor, end = start, start + length
+    while depth < 3 and cursor < end and draw(st.booleans()):
+        child_start = draw(st.integers(cursor, end - 1))
+        child_length = draw(st.integers(1, end - child_start))
+        child = draw(phase_trees(child_start, child_length, depth + 1))
+        node.children.append(child)
+        cursor = child_start + child.occurrence * child_length
+    return node
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 5000).flatmap(lambda total: st.tuples(
+    st.just(total), phase_trees(0, total), st.integers(2, 6000))))
+def test_tree_samples_match_the_mask_render(case):
+    total, tree, resolution = case
+    offsets, _ = sample_grid(0, total, resolution)
+    expected = np.empty(offsets.size, dtype=float)
+    _render_tree_by_masks(tree, offsets, np.ones(offsets.size, dtype=bool), expected)
+    assert np.array_equal(predict_waveform(tree, total, resolution).samples, expected)

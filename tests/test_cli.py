@@ -744,6 +744,26 @@ def test_synth_refuses_scripted_cycles_beyond_float64_without_a_warning(tmp_path
     assert not (tmp_path / "x.trace").exists()
 
 
+@pytest.mark.parametrize("segment, noise, seed, where", [
+    # seed 1's noise on event 0 overflows its CPI, then only its cycles;
+    # seed 6 leaves both events' cycles finite but not their sum
+    ((1.5e308, 1, 1), 1e308, 1, "the CPI of event 0"),
+    ((5e307, 3, 1), 4e307, 1, "the cycle count of event 0"),
+    ((6e307, 1, 2), 5e307, 6, "the trace's cycle sum"),
+], ids=["cpi", "cycles", "sum"])
+def test_synth_refuses_noise_beyond_float64_without_a_warning(tmp_path, segment, noise, seed, where):
+    cpi, instructions, events = segment
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"segments": [{"label": "a", "block_cpi": cpi,
+                                              "block_instruction_count": instructions,
+                                              "event_count": events}],
+                                "noise_stddev": noise, "seed": seed}))
+    proc = run_module("synth", str(path), "--out-prefix", str(tmp_path / "x"), python_flags=("-W", "error"))
+    message = f"error: scenario {path}: noise_stddev {noise!r} overflows float64 in {where}\n"
+    assert (proc.returncode, proc.stderr) == (2, message)
+    assert not (tmp_path / "x.trace").exists()
+
+
 @pytest.mark.parametrize("segments", [[1], {"a": 1}, [{"label": "g", "nested": {"b": 1}}]])
 def test_synth_rejects_segments_that_are_not_objects(tmp_path, capsys, segments):
     path = tmp_path / "scenario.json"

@@ -1,11 +1,13 @@
 """Byte identity of every emitted text against recorded SHA-256 digests.
 
-Trace text, trees, marker tables and comparison reports must not change
-when the implementation underneath them does; a digest changes only with
-an intended change of output. The generator's scripted annotation tree is
+Trace text, trees, marker tables, comparison reports and the per-sample
+predictions of `compare --samples-csv` must not change when the
+implementation underneath them does; a digest changes only with an
+intended change of output. The generator's scripted annotation tree is
 covered too. Covered: the criterion-5 two-level
 scenario, the 20-scenario criterion-9 corpus, a quantum-mode scenario
-whose attribution uses Q/L records, and a corpus of noisy nested shapes
+whose attribution uses Q/L records, the same scenario compared at TQ
+lengths at the edges, and a corpus of noisy nested shapes
 (a body with a tail, three levels, unequal repetitions) whose analysis
 splits steps and aligns recurring candidate heads.
 """
@@ -87,6 +89,9 @@ CASES = {
     "corpus-shapes": ([_corpus_shape(i) for i in range(12)], []),
     "criterion-9": ([_misaligned_scenario(i) for i in range(20)], []),
     "quanta": ([QUANTA], ["--tq", "500"]),
+    # TQ lengths at the edges: one instruction, a length that does not
+    # divide the run, one longer than the run, and the trace's own quanta
+    "tq-edges": ([QUANTA], ["--tq", "1", "--tq", "7", "--tq", "1000000", "--tq", "500"]),
 }
 
 DIGESTS = {
@@ -95,6 +100,7 @@ DIGESTS = {
         "tree": "c3d5f857e9f417c6a17511a913636f7aa89961912ab4f2120a0619f4113b9557",
         "markers": "007360326315bd882ee0468a97cef32cd117dc28c53f101d3dbe3f98de499767",
         "compare": "a608465e8736beacd4b3698a963790115a71a44718e76e7d58129f2605d7800c",
+        "samples": "75dbbacd252d87a00f31abf30d2efb7a995f78668c958c5892174e246a4fce0b",
         "annotation": "5f88c754cc954f815d29724f3a7a23bfb3eb2bb451797c64f7db97d4d64003b0",
     },
     "criterion-5": {
@@ -102,6 +108,7 @@ DIGESTS = {
         "tree": "e03f3820efd2328e22cbc6cf360b184f03d54a8c481aab65ab3373b91ef57045",
         "markers": "2c4607d65f8bb42b2104a97840e371ecbd17ecf591bfcf1ce3e5113e3afeccc2",
         "compare": "daeece94df3c503528e1dcc634400909ed1adac61343eaf21a3e04f9a3015829",
+        "samples": "bf3212faffd655d33cc1382f670ef993843c2e50e58b40e863e2568370e5767d",
         "annotation": "d7aacfbb7c637d7cf333313ca12b18be716e27c7755572ae0b8cca2b2a2b67f1",
     },
     "criterion-9": {
@@ -109,6 +116,7 @@ DIGESTS = {
         "tree": "36cda62e5ab93a2a7e2fef6c4faf3bad2d26ff691360c17e66b52d2e0dcf48ed",
         "markers": "5addee7bf1e88497d172a4aeb78bd36583c3ceec480f63a30bf7aa1b32e29976",
         "compare": "cbadbb5ba31f4e687619cfbece00ff4286dbf55c837d465de24a82e18b6c0735",
+        "samples": "38129cb16cd63f44bf324e2203c13cf5d1179f714f7a523a315f0fc94a0f54f1",
         "annotation": "4051cd326e48f983e10e10ccd105c088f33b1388a008ffda3baf8daf917ad83a",
     },
     "quanta": {
@@ -116,13 +124,22 @@ DIGESTS = {
         "tree": "0d30634cd64df597b0c4e9ece380a428ca79bed0cda448d474f18fdf6c528d3a",
         "markers": "a6c6500bef9edf48c7a9df969f6c198889f932e97e9f9146c6deaa225902e588",
         "compare": "d3a45c27e88bb77495b0fa3240da5ad70e2a1dee72a9df99653e9be8f0625d62",
+        "samples": "7f0d81127b749e06050a76ce1ed2158eff38116d7cc81703de05352a00919c8f",
+        "annotation": "fdd6ccae63e4bcdaafa06fbfb5811dd21ac643f9e52a56901771c62a0952dd31",
+    },
+    "tq-edges": {
+        "trace": "b76abe169191bf18fe36479189d67ac7e50323064c6975f41ebfb634312d80c1",
+        "tree": "0d30634cd64df597b0c4e9ece380a428ca79bed0cda448d474f18fdf6c528d3a",
+        "markers": "a6c6500bef9edf48c7a9df969f6c198889f932e97e9f9146c6deaa225902e588",
+        "compare": "0e1f6b3c05c9393be736cfcd7baf32ad39c1a4c029ba4bbad737b997349acd72",
+        "samples": "360186ae20b2965681c3144671d51d49fd9f74b0cdf8947745cb21fb98df1358",
         "annotation": "fdd6ccae63e4bcdaafa06fbfb5811dd21ac643f9e52a56901771c62a0952dd31",
     },
 }
 
 
 def digests(specs, compare_args, workdir):
-    kinds = ("trace", "tree", "markers", "compare", "annotation")
+    kinds = ("trace", "tree", "markers", "compare", "samples", "annotation")
     hashes = {kind: hashlib.sha256() for kind in kinds}
     for spec in specs:
         trace, annotation = generate(spec)
@@ -132,8 +149,10 @@ def digests(specs, compare_args, workdir):
         hashes["tree"].update(tree_json(tree, trace.blocks).encode())
         hashes["markers"].update(markers_json(export_markers(tree, trace.blocks)).encode())
         (workdir / "t.trace").write_text(text)
-        assert main(["compare", "t.trace", "--out", "cmp.json", *compare_args]) == 0
+        assert main(["compare", "t.trace", "--out", "cmp.json", "--samples-csv", "s.csv",
+                     *compare_args]) == 0
         hashes["compare"].update((workdir / "cmp.json").read_bytes())
+        hashes["samples"].update((workdir / "s.csv").read_bytes())
         hashes["annotation"].update(tree_json(annotation.true_phases, trace.blocks).encode())
     return {kind: h.hexdigest() for kind, h in hashes.items()}
 
