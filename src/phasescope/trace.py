@@ -43,8 +43,12 @@ read back to the same float64), and formats a whole column at once:
 ``float_reprs`` has orjson write the column's shortest digits in native
 code, then gives repr()'s own text to the few values outside repr()'s
 positional range (nonzero ``|x| < 1e-4``, ``|x| >= 1e16``), where the two
-spell the exponent differently. The event lines are then built by one
-``%`` formatting step, so every byte equals what per-event repr() gives.
+spell the exponent differently. An event line is then the text
+``"E <id> "``, built once per declared block, the value's text and a
+newline, and the lines of a chunk are joined in one step, so every byte
+equals what per-event repr() gives. The writer works through the events in
+chunks of a fixed size: ``save_trace`` writes each chunk's text as it is
+built, and ``serialize_trace`` joins the same chunks.
 The CSV writers use ``float_reprs`` too; the phase tree and marker JSON
 writers apply the same range rule to whole payloads
 (``phases._indented_json``).
@@ -58,7 +62,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from numbers import Integral, Real
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -239,15 +243,18 @@ class ExecutionTrace:
         if unknown.size:
             i = int(unknown[0])
             raise TraceFormatError(f"unknown block {int(events[i])} (event {i})")
-        negative = np.flatnonzero(cycles < 0)
-        if negative.size:
-            raise TraceFormatError(f"event {int(negative[0])}: negative cycle count")
-        infinite = np.flatnonzero(np.isinf(cycles))
-        if infinite.size:
-            raise TraceFormatError(f"event {int(infinite[0])}: non-finite cycle count")
-        with np.errstate(over="ignore"):
-            cycle_sum = np.nansum(cycles)
-        if not math.isfinite(cycle_sum):
+        missing = np.isnan(cycles)
+        golden = self.is_golden = not missing.any()
+        with np.errstate(over="ignore", invalid="ignore"):
+            # np.nansum's sum, NaN read as 0; an infinite count makes it non-finite
+            cycle_sum = np.add.reduce(cycles if golden else np.where(missing, 0.0, cycles))
+        if not math.isfinite(cycle_sum) or (cycles < 0).any():
+            negative = np.flatnonzero(cycles < 0)
+            if negative.size:
+                raise TraceFormatError(f"event {int(negative[0])}: negative cycle count")
+            infinite = np.flatnonzero(np.isinf(cycles))
+            if infinite.size:
+                raise TraceFormatError(f"event {int(infinite[0])}: non-finite cycle count")
             # node means and quantum CPIs divide prefix sums bounded by this sum
             raise TraceFormatError("cycle counts too large: their sum overflows float64")
         if int(counts.max()) * events.size > _INT64_MAX:
@@ -257,7 +264,6 @@ class ExecutionTrace:
         total = self.total_instructions = int(self.event_starts[-1])
         if total <= 0:
             raise TraceFormatError("trace has no events")
-        self.is_golden = not np.isnan(cycles).any()
         # every EventIndex shares these arrays, so none may change them
         for column in (events, cycles, self.event_starts):
             column.flags.writeable = False
@@ -289,7 +295,7 @@ class ExecutionTrace:
                     "instruction count overflows float64"
                 )
             quanta.flags.writeable = False
-        if not self.is_golden and self.quanta is None:
+        if not golden and self.quanta is None:
             raise TraceFormatError(
                 "mixed-mode violation: need per-event cycles on every event "
                 "or quantum records"
@@ -552,16 +558,22 @@ def float_reprs(values: np.ndarray) -> list[str]:
     return texts
 
 
-def _numbered_lines(kind: str, numbers: Sequence[int], values: np.ndarray) -> str:
-    """One "<kind> <number> <value>" line per pair, formatted in one step."""
-    fields: list = [None] * (2 * len(numbers))
-    fields[::2] = numbers
-    fields[1::2] = float_reprs(values)
-    return (f"{kind} %d %s\n" * len(numbers)) % tuple(fields)
+#: events (or quanta) written per step; bounds the writer's working memory
+_CHUNK_EVENTS = 1 << 14
 
 
-def serialize_trace(trace: ExecutionTrace) -> str:
-    """Render a trace in the text format; parse(serialize(t)) == t."""
+def _numbered_lines(prefixes: list[str], values: np.ndarray) -> str:
+    """One "<prefix><value>\\n" line per pair, the value as float_reprs
+    writes it ("null" for NaN), joined in one step."""
+    fields = ["\n"] * (3 * len(prefixes))
+    fields[::3] = prefixes
+    fields[1::3] = float_reprs(values)
+    return "".join(fields)
+
+
+def _trace_chunks(trace: ExecutionTrace) -> Iterator[str]:
+    """The text format of trace in pieces: the header and block table, then
+    the event lines and the quantum records, _CHUNK_EVENTS lines a piece."""
     out = ["V 1\n"]
     for block in trace.blocks.values():
         rec = (
@@ -571,14 +583,25 @@ def serialize_trace(trace: ExecutionTrace) -> str:
         if block.target_address is not None:
             rec += f" {block.target_address:x}"
         out.append(rec + "\n")
-    # an event without a cycle count is written "E <id> null", then loses
-    # the token; no other field of an E line can hold " null"
-    events = _numbered_lines("E", trace.event_blocks.tolist(), trace.event_cycles)
-    out.append(events.replace(" null", ""))
+    yield "".join(out)
+    prefix = {bid: f"E {bid} " for bid in trace.blocks}
+    for start in range(0, trace.event_blocks.size, _CHUNK_EVENTS):
+        part = slice(start, start + _CHUNK_EVENTS)
+        ids = trace.event_blocks[part].tolist()
+        events = _numbered_lines(list(map(prefix.__getitem__, ids)), trace.event_cycles[part])
+        # an event without a cycle count is written "E <id> null", then loses
+        # the token; no other field of an E line can hold " null"
+        yield events if trace.is_golden else events.replace(" null", "")
     if trace.quanta is not None:
-        out.append(f"L {trace.quantum_length}\n")
-        out.append(_numbered_lines("Q", range(trace.quanta.size), trace.quanta))
-    return "".join(out)
+        yield f"L {trace.quantum_length}\n"
+        for start in range(0, trace.quanta.size, _CHUNK_EVENTS):
+            stop = min(start + _CHUNK_EVENTS, trace.quanta.size)
+            yield _numbered_lines([f"Q {i} " for i in range(start, stop)], trace.quanta[start:stop])
+
+
+def serialize_trace(trace: ExecutionTrace) -> str:
+    """Render a trace in the text format; parse(serialize(t)) == t."""
+    return "".join(_trace_chunks(trace))
 
 
 def load_trace(path) -> ExecutionTrace:
@@ -592,5 +615,7 @@ def load_trace(path) -> ExecutionTrace:
 
 
 def save_trace(trace: ExecutionTrace, path) -> None:
+    """Write serialize_trace(trace) to the file at path, one chunk of lines
+    at a time, so the whole text is never held at once."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_trace(trace))
+        fh.writelines(_trace_chunks(trace))

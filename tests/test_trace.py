@@ -24,6 +24,7 @@ from phasescope import (
     TraceFormatError,
     generate,
     parse_trace,
+    save_trace,
     serialize_trace,
 )
 from phasescope import trace as trace_module
@@ -383,6 +384,11 @@ def with_columns(**columns):
      "event columns must be 1-D and of equal length"),
     (with_columns(event_blocks=[0, 7], event_cycles=[1.0, 1.0]), "unknown block 7 (event 1)"),
     (with_columns(event_blocks=[0, 0], event_cycles=[1.0, -1.0]), "event 1: negative cycle count"),
+    # the first negative count is named, even after an infinite one
+    (with_columns(event_blocks=[0, 0, 0], event_cycles=[np.inf, 2.0, -1.0]),
+     "event 2: negative cycle count"),
+    (with_columns(event_blocks=[0, 0, 0], event_cycles=[np.nan, np.inf, -np.inf],
+                  quanta=[1.5, 1.5, 1.5], quantum_length=10), "event 2: negative cycle count"),
     (with_columns(quanta=[1.5]), "quantum records and quantum length must coexist"),
     (with_columns(quantum_length=10), "quantum records and quantum length must coexist"),
     (with_columns(quanta=[1.5], quantum_length=0), "quantum_length must be positive"),
@@ -911,6 +917,22 @@ def extreme_cycles(trace):
     return ExecutionTrace(blocks=trace.blocks, event_blocks=trace.event_blocks, event_cycles=cycles)
 
 
+def fixed_trace(ids, events, cycles):
+    """Trace of blocks ids (10 instructions each) executing events with cycles."""
+    blocks = {b: BlockDescriptor(b, 0x40 * i, 10, Terminator.FALLTHROUGH) for i, b in enumerate(ids)}
+    return ExecutionTrace(blocks=blocks, event_blocks=events, event_cycles=cycles)
+
+
+def tiny_cycles(rng):
+    """Signed zeros, subnormals and the smallest normals among ordinary counts."""
+    cycles = rng.uniform(0.5, 9.0, 600)
+    cycles[::5] = [-0.0, 0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308] * 24
+    return fixed_trace([0, 1], rng.integers(0, 2, 600), cycles)
+
+
+EXTREME_IDS = [-(2**63), -(2**63) + 1, -5, -1, 2**63 - 2, 2**63 - 1]
+
+
 WRITER_CASES = {
     "golden": lambda rng: generate(SCENARIOS[2])[0],
     "golden and quanta": lambda rng: generate(SCENARIOS[1])[0],
@@ -921,6 +943,14 @@ WRITER_CASES = {
         random_trace(rng, 3000, quanta=True), [-1]),
     "sparse ids": lambda rng: random_trace(rng, 3000),
     "every exponent": lambda rng: extreme_cycles(random_trace(rng, 3000)),
+    "negative and int64-extreme ids": lambda rng: fixed_trace(
+        EXTREME_IDS, rng.choice(EXTREME_IDS, 600), rng.uniform(0.5, 9.0, 600)),
+    "signed zeros and subnormals": tiny_cycles,
+    "a block that never runs": lambda rng: fixed_trace(
+        [0, 1, 2], rng.choice([0, 2], 600), rng.uniform(0.5, 9.0, 600)),
+    "one event": lambda rng: fixed_trace([3], [3], [2.5]),
+    "only the first cycles missing": lambda rng: with_missing_cycles(
+        random_trace(rng, 3000, quanta=True), [0]),
 }
 
 
@@ -930,3 +960,47 @@ def test_serialize_matches_the_per_event_writer(case):
     text = serialize_trace(trace)
     assert text == reference_serialize(trace)
     assert_same_columns(parse_trace(text), trace)
+
+
+def with_quanta(trace, length):
+    """trace with quantum records of length instructions each."""
+    count = -(-trace.total_instructions // length)
+    cpis = np.random.default_rng(length).uniform(0.1, 5.0, count)
+    return ExecutionTrace(blocks=trace.blocks, event_blocks=trace.event_blocks,
+                          event_cycles=trace.event_cycles, quanta=cpis, quantum_length=length)
+
+
+#: traces whose events and quanta span several writer chunks of SHORT_CHUNK lines
+CHUNKED_CASES = {
+    "several chunks": lambda rng: random_trace(rng, 5 * SHORT_CHUNK + 3),
+    "missing cycles at a chunk edge": lambda rng: with_missing_cycles(
+        random_trace(rng, 3 * SHORT_CHUNK, quanta=True), [SHORT_CHUNK - 1, SHORT_CHUNK]),
+    "quanta": lambda rng: with_quanta(random_trace(rng, 3 * SHORT_CHUNK, golden=False, quanta=True), 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKED_CASES))
+def test_save_trace_writes_the_serialized_text_in_chunks(case, tmp_path):
+    trace = CHUNKED_CASES[case](np.random.default_rng(29))
+    path = tmp_path / "chunked.trace"
+    with mock.patch.object(trace_module, "_CHUNK_EVENTS", SHORT_CHUNK):
+        pieces = list(trace_module._trace_chunks(trace))
+        save_trace(trace, path)
+        text = serialize_trace(trace)
+    assert path.read_bytes() == text.encode() == reference_serialize(trace).encode()
+    assert max(piece.count("\n") for piece in pieces[1:]) <= SHORT_CHUNK
+    assert len(pieces) >= 4
+
+
+def test_save_trace_never_holds_the_whole_text(tmp_path):
+    trace = random_trace(np.random.default_rng(31), 100_000)
+    size = len(serialize_trace(trace))
+    tracemalloc.start()
+    try:
+        with mock.patch.object(trace_module, "_CHUNK_EVENTS", 4096):
+            save_trace(trace, tmp_path / "large.trace")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "large.trace").stat().st_size == size
+    assert peak < size / 4
