@@ -384,11 +384,6 @@ def with_columns(**columns):
      "event columns must be 1-D and of equal length"),
     (with_columns(event_blocks=[0, 7], event_cycles=[1.0, 1.0]), "unknown block 7 (event 1)"),
     (with_columns(event_blocks=[0, 0], event_cycles=[1.0, -1.0]), "event 1: negative cycle count"),
-    # the first negative count is named, even after an infinite one
-    (with_columns(event_blocks=[0, 0, 0], event_cycles=[np.inf, 2.0, -1.0]),
-     "event 2: negative cycle count"),
-    (with_columns(event_blocks=[0, 0, 0], event_cycles=[np.nan, np.inf, -np.inf],
-                  quanta=[1.5, 1.5, 1.5], quantum_length=10), "event 2: negative cycle count"),
     (with_columns(quanta=[1.5]), "quantum records and quantum length must coexist"),
     (with_columns(quantum_length=10), "quantum records and quantum length must coexist"),
     (with_columns(quanta=[1.5], quantum_length=0), "quantum_length must be positive"),
@@ -422,6 +417,11 @@ def with_columns(**columns):
     (one_block(0.0, 0x1000, 10, Terminator.FALLTHROUGH),
      "block 0.0: block_id must be an integer, got 0.0"),
     (one_block(0, 0x1000, 10, "F"), "block 0: terminator must be a Terminator, got 'F'"),
+    # the first negative count is named, even after an infinite one
+    (with_columns(event_blocks=[0, 0, 0], event_cycles=[np.inf, 2.0, -1.0]),
+     "event 2: negative cycle count"),
+    (with_columns(event_blocks=[0, 0, 0], event_cycles=[np.nan, np.inf, -np.inf],
+                  quanta=[1.5, 1.5, 1.5], quantum_length=10), "event 2: negative cycle count"),
 ])
 def test_constructor_rejects_columns_the_parser_never_builds(columns, message):
     with pytest.raises(TraceFormatError, match=re.escape(message)) as exc:
