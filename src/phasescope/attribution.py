@@ -2,9 +2,10 @@
 
 Quantum-mode attribution spreads each quantum's measured CPI back onto the
 blocks that executed in it (weighted by how often each block started there);
-golden-mode attribution averages exact per-event cycle counts. Waveforms are
-piecewise-constant CPI over the instruction axis, resampled onto a uniform
-grid by zero-order hold so a DFT can be applied.
+golden-mode attribution averages exact per-event cycle counts. CPI over the
+instruction axis is a step function (bounds, values), step e holding values[e]
+over [bounds[e], bounds[e + 1]): per-event, quantum and TQ phase CPIs alike.
+sample_range resamples one by zero-order hold for a DFT; cycles_below sums it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import pairwise
 from numbers import Integral
-from typing import Optional
 
 import numpy as np
 
@@ -47,45 +47,33 @@ class Waveform:
 
 @dataclass(frozen=True)
 class EventIndex:
-    """Prefix-sum view of the event stream for O(log E) offset lookups.
-
-    Three columns: block_ids and event_cycles (None unless golden) have
-    length E, starts has length E+1; event e covers instructions
-    [starts[e], starts[e+1]), so np.diff(starts) gives every event's
-    instruction count.
+    """Which block executes where, for O(log E) offset lookups: event e runs
+    block block_ids[e] over instructions [starts[e], starts[e+1]), so starts
+    (length E+1) bounds every per-event step function.
     """
 
     block_ids: np.ndarray
     starts: np.ndarray
-    event_cycles: Optional[np.ndarray]
 
     @classmethod
     def from_trace(cls, trace: ExecutionTrace) -> "EventIndex":
         """View of the columns the trace built at validation; copies nothing."""
-        return cls(
-            block_ids=trace.event_blocks,
-            starts=trace.event_starts,
-            event_cycles=trace.event_cycles if trace.is_golden else None,
-        )
-
-    @property
-    def total_instructions(self) -> int:
-        return int(self.starts[-1])
+        return cls(block_ids=trace.event_blocks, starts=trace.event_starts)
 
     def events_at(self, offsets: np.ndarray) -> np.ndarray:
         """Index of the event executing at each instruction offset."""
         return self.starts.searchsorted(offsets, side="right") - 1
 
-    def golden_event_cpi(self) -> np.ndarray:
-        if self.event_cycles is None:
-            raise ValueError("golden cycles required")
-        return self.event_cycles / _event_instructions(self.starts)
-
 
 def _event_instructions(starts: np.ndarray) -> np.ndarray:
-    """Each event's instruction count, from the prefix sums: np.diff(starts),
-    less np.diff's per-call cost, which shows on many small traces."""
+    """Each step's instruction count, from its bounds: np.diff(starts), less
+    np.diff's per-call cost, which shows on many small traces."""
     return starts[1:] - starts[:-1]
+
+
+def _golden_cpis(starts: np.ndarray, cycles: np.ndarray) -> np.ndarray:
+    """Each golden event's exact CPI: its cycles over its instructions."""
+    return cycles / _event_instructions(starts)
 
 
 def group_bounds(sorted_ids: np.ndarray) -> np.ndarray:
@@ -122,9 +110,9 @@ def attribute_block_cpi(
         # an event belongs to the quantum holding its first instruction
         values = trace.quanta[index.starts[:-1] // trace.quantum_length]
     else:
-        if index.event_cycles is None:
+        if not trace.is_golden:
             raise ValueError("golden attribution requires cycles on every event")
-        values = index.event_cycles
+        values = trace.event_cycles
 
     # a stable sort keeps each block's events in trace order
     order = np.argsort(index.block_ids, kind="stable")
@@ -188,24 +176,21 @@ def _grid_stride(start: int, stop: int, resolution: int) -> int:
 
 
 def sample_range(
-    index: EventIndex,
-    rates: np.ndarray,
+    starts: np.ndarray,
+    values: np.ndarray,
     start: int,
     stop: int,
     resolution: int,
 ) -> Waveform:
-    """Zero-order-hold resampling of the CPI function over [start, stop) on
-    sample_grid(start, stop, resolution): rates[index.events_at(offsets)].
-
-    rates holds the per-event CPI to sample (block profile rate or exact
-    per-event rate). ValueError unless [start, stop) lies within the trace.
-    """
+    """Zero-order-hold resampling of the step function (starts, values)
+    over [start, stop) on sample_grid(start, stop, resolution): each sample
+    is the value of the step holding its offset. ValueError unless [start,
+    stop) lies within [starts[0], starts[-1]]."""
     stride = _grid_stride(start, stop, resolution)
-    starts = index.starts
-    if start < 0 or stop > starts[-1]:
+    if start < starts[0] or stop > starts[-1]:
         raise ValueError("sample range outside the trace")
-    # events first..last-1 overlap [start, stop); rather than search every
-    # offset, count the grid offsets each event holds: event e holds from
+    # steps first..last-1 overlap [start, stop); rather than search every
+    # offset, count the grid offsets each step holds: step e holds from
     # the first offset at or after its start, k = ceil((starts[e] - start) / stride)
     first = int(starts.searchsorted(start, side="right")) - 1
     last = int(starts.searchsorted(stop))
@@ -216,7 +201,7 @@ def sample_range(
     inner //= stride
     inner += 1
     return Waveform(
-        samples=rates[first:last].repeat(edges[1:] - edges[:-1]),
+        samples=values[first:last].repeat(edges[1:] - edges[:-1]),
         sample_stride=stride,
         origin_instruction=start,
     )
@@ -227,57 +212,50 @@ def build_waveform(
 ) -> Waveform:
     """Full-trace CPI waveform using the block CPIs (see attribute_block_cpi)."""
     index = EventIndex.from_trace(trace)
-    return sample_range(index, profile_rates(index, profiles), 0, index.total_instructions, resolution)
+    return sample_range(index.starts, profile_rates(index, profiles), 0, trace.total_instructions, resolution)
 
 
 def golden_waveform(trace: ExecutionTrace, resolution: int = 4096) -> Waveform:
     """Exact per-instruction CPI waveform from per-event cycle counts."""
-    index = EventIndex.from_trace(trace)
-    return sample_range(index, index.golden_event_cpi(), 0, index.total_instructions, resolution)
+    if not trace.is_golden:
+        raise ValueError("golden cycles required")
+    cpis = _golden_cpis(trace.event_starts, trace.event_cycles)
+    return sample_range(trace.event_starts, cpis, 0, trace.total_instructions, resolution)
 
 
-def cycles_below(index: EventIndex, rates: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Cycles of the instructions before each offset in [0, total], where
-    every instruction of event e costs rates[e].
+def cycles_below(starts: np.ndarray, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Cycles of the instructions before each offset in [starts[0],
+    starts[-1]], where every instruction of step e costs values[e].
 
-    One np.cumsum of instr_count*rate per call gives the cycles before each
-    event; an offset inside event e adds its share of e to those. Only event
-    starts are searched, so the offset total falls in the last event, as its
-    end; that gives the whole sum bit for bit, since np.cumsum adds in
+    One np.cumsum of instr_count*value per call gives the cycles before each
+    step; an offset inside step e adds its share of e to those. Only step
+    starts are searched, so the offset starts[-1] falls in the last step, as
+    its end; that gives the whole sum bit for bit, since np.cumsum adds in
     sequence.
     """
-    prefix = np.zeros(len(rates) + 1, dtype=float)
-    np.cumsum(_event_instructions(index.starts) * rates, out=prefix[1:])
-    ev = index.starts[:-1].searchsorted(offsets, side="right") - 1
-    return prefix[ev] + (offsets - index.starts[ev]) * rates[ev]
+    prefix = np.zeros(len(values) + 1, dtype=float)
+    np.cumsum(_event_instructions(starts) * values, out=prefix[1:])
+    step = starts[:-1].searchsorted(offsets, side="right") - 1
+    return prefix[step] + (offsets - starts[step]) * values[step]
 
 
-def check_quantum_length(length) -> int:
-    """length as a Python int; ValueError unless it is a positive integer
-    that fits in int64."""
-    check_number("quantum_length", length, Integral)
-    if length < 1:
-        raise ValueError(f"quantum_length must be a positive integer, got {length!r}")
-    return int(length)
-
-
-def quantum_cpis(index: EventIndex, quantum_length: int) -> np.ndarray:
-    """Exact CPI of each quantum of a golden event stream: the cycles_below
-    difference across the quantum at the per-event rates of
-    golden_event_cpi, over its instruction count.
+def quantum_cpis(starts: np.ndarray, cycles: np.ndarray, quantum_length: int) -> np.ndarray:
+    """Exact CPI of each quantum of a golden event stream, event e costing
+    cycles[e] over [starts[e], starts[e+1]): the cycles_below difference
+    across the quantum at the per-event CPIs, over its instruction count.
 
     Every instruction of an event costs cycles/instr_count, so a quantum's
     CPI is well defined even when events straddle its boundaries.
     """
-    quantum_length = check_quantum_length(quantum_length)
-    total = index.total_instructions
+    quantum_length = check_number("quantum_length", quantum_length, Integral, ValueError, "positive")
+    total = int(starts[-1])
     n_quanta = -(-total // quantum_length)
     # quantum k starts at k * quantum_length < total: no bound overflows int64
     bounds = np.arange(n_quanta + 1, dtype=np.int64)
     bounds[:-1] *= quantum_length
     bounds[-1] = total
-    cycles = cycles_below(index, index.golden_event_cpi(), bounds)
-    return (cycles[1:] - cycles[:-1]) / (bounds[1:] - bounds[:-1])
+    below = cycles_below(starts, _golden_cpis(starts, cycles), bounds)
+    return (below[1:] - below[:-1]) / (bounds[1:] - bounds[:-1])
 
 
 def waveform_csv(trace: ExecutionTrace, waveform: Waveform) -> str:

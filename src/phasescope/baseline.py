@@ -13,13 +13,14 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from numbers import Integral
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .attribution import EventIndex, Waveform, check_quantum_length, quantum_cpis, sample_grid
+from .attribution import Waveform, quantum_cpis, sample_grid, sample_range
 from .phases import PhaseNode
-from .trace import ExecutionTrace
+from .trace import ExecutionTrace, check_number
 
 
 class TqPhase(NamedTuple):
@@ -46,19 +47,18 @@ def tq_phases(
 
     A quantum joins the current phase while its CPI is within merge_delta of
     the phase's running mean. Per-quantum CPI comes from the trace's quantum
-    records when they match quantum_length, else exactly from golden cycles.
+    records when they give the same quanta, else exactly from golden cycles.
     """
-    quantum_length = check_quantum_length(quantum_length)
+    quantum_length = check_number("quantum_length", quantum_length, Integral, ValueError, "positive")
     if not merge_delta > 0:
         raise ValueError(f"merge_delta must be positive, got {merge_delta!r}")
     total = trace.total_instructions
-    if quantum_length > total:
-        quantum_length = total  # degenerate request: one quantum spans the run
 
-    if trace.has_quanta and trace.quantum_length == quantum_length:
+    # every length at or past the run's end cuts it into one quantum
+    if trace.has_quanta and min(trace.quantum_length, total) == min(quantum_length, total):
         cpis = trace.quanta
     elif trace.is_golden:
-        cpis = quantum_cpis(EventIndex.from_trace(trace), quantum_length)
+        cpis = quantum_cpis(trace.event_starts, trace.event_cycles, quantum_length)
     else:
         raise ValueError(
             "need golden cycles or quantum records matching quantum_length"
@@ -127,14 +127,14 @@ def predict_waveform(
 
     A TQ phase list predicts the sample at offset x by the phase holding
     quantum x // quantum_length. Its phases must tile the run's quanta in
-    order from quantum 0; phase p, ending at quantum e_p, then holds the
-    samples below ceil(min(e_p x quantum_length, total_instructions) /
-    stride) that no earlier phase holds. A phase tree predicts each sample
-    by the deepest node covering it (see _render_tree)."""
+    order from quantum 0; phase p, ending at quantum e_p, then is the step
+    up to instruction min(e_p x quantum_length, total_instructions). A
+    phase tree predicts each sample by the deepest node covering it (see
+    _render_tree)."""
     offsets, stride = sample_grid(0, total_instructions, resolution)
 
     if isinstance(source, TqPhaseList):
-        length = check_quantum_length(source.quantum_length)
+        length = check_number("quantum_length", source.quantum_length, Integral, ValueError, "positive")
         quanta = -(-total_instructions // length)
         untiled = f"TQ phases must tile the run's {quanta} quanta in order"
         if not source.phases:
@@ -144,15 +144,14 @@ def predict_waveform(
         ends = list(accumulate(counts))
         if min(counts) < 1 or list(starts) != [0, *ends[:-1]] or ends[-1] != quanta:
             raise ValueError(untiled)
-        # the first sample of each phase after the first, and the grid's end
-        edges = np.array([0, *[-(-end * length // stride) for end in ends[:-1]], offsets.size])
-        values = np.array(means, dtype=float).repeat(edges[1:] - edges[:-1])
-    elif isinstance(source, PhaseNode):
-        values = np.empty(offsets.size, dtype=float)
-        _render_tree(source, offsets, np.ones(offsets.size, dtype=bool), values)
-    else:
+        # only the last phase ends at or past the run's end
+        bounds = np.array([0, *[end * length for end in ends[:-1]], total_instructions], dtype=np.int64)
+        return sample_range(bounds, np.array(means, dtype=float), 0, total_instructions, resolution)
+    if not isinstance(source, PhaseNode):
         raise TypeError(f"cannot render {type(source).__name__}")
 
+    values = np.empty(offsets.size, dtype=float)
+    _render_tree(source, offsets, np.ones(offsets.size, dtype=bool), values)
     return Waveform(
         samples=values,
         sample_stride=stride,

@@ -254,7 +254,7 @@ def analyze(
         if depth >= cfg.max_depth or length < cfg.min_segment_instructions:
             return node
 
-        wave = sample_range(index, rates, start, stop, cfg.resolution)
+        wave = sample_range(index.starts, rates, start, stop, cfg.resolution)
         spectrum = dft_magnitude(wave)
         if spectrum_sink is not None:
             spectrum_sink(depth, start, stop, spectrum)
@@ -285,12 +285,12 @@ def analyze(
         node.children = [segment(anchor, anchor + child_len, depth + 1, reps)]
         return node
 
-    root = segment(0, index.total_instructions, 0, 1)
+    root = segment(0, trace.total_instructions, 0, 1)
     del segment  # its closure holds itself: breaking that cycle frees rates on return
 
     starts = np.array([node.start_instruction for node in nodes], dtype=np.int64)
     lengths = np.array([node.length_instructions for node in nodes], dtype=np.int64)
-    below = cycles_below(index, rates, np.concatenate((starts, starts + lengths)))
+    below = cycles_below(index.starts, rates, np.concatenate((starts, starts + lengths)))
     means = (below[starts.size :] - below[: starts.size]) / lengths
     head_events = index.events_at(starts)
     heads = index.block_ids[head_events].tolist()
@@ -428,8 +428,7 @@ def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
     addresses: dict[int, int] = {}
 
     def integer(entry: dict, key: str, sign: str = "") -> int:
-        check_number(key, entry[key], Integral, ValueError, sign)
-        return int(entry[key])
+        return check_number(key, entry[key], Integral, ValueError, sign)
 
     def build(entry: dict) -> PhaseNode:
         head = integer(entry, "head_block")

@@ -23,14 +23,13 @@ from typing import Optional
 
 import numpy as np
 
-from .attribution import EventIndex, quantum_cpis
+from .attribution import quantum_cpis
 from .phases import PhaseNode, Structure, classify_structure
-from .trace import BlockDescriptor, ExecutionTrace, Terminator, check_number
+from .trace import _INT64_MAX, BlockDescriptor, ExecutionTrace, Terminator, check_number
 
 _BASE_ADDRESS = 0x1000
 _ADDRESS_PITCH = 0x100
 _MIN_CPI = 0.05
-_INT64_MAX = 2**63 - 1
 
 
 class ScenarioError(ValueError):
@@ -103,9 +102,8 @@ def _validate(spec: ScenarioSpec) -> tuple[SegmentSpec, dict[int, tuple[int, flo
         """(events, instructions, cycles, runs) of one pass through seg."""
         nonlocal min_cpi
         if seg.nested:
-            check_number(f"segment {seg.label!r}: nested_repetitions", seg.nested_repetitions, Integral,
-                         ScenarioError, "positive")
-            reps = int(seg.nested_repetitions)
+            reps = check_number(f"segment {seg.label!r}: nested_repetitions", seg.nested_repetitions,
+                                Integral, ScenarioError, "positive")
             events = instructions = runs = 0
             cycles = 0.0
             for inner in seg.nested:
@@ -269,8 +267,7 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
         # and validated once, with them
         starts = np.zeros(event_instr.size + 1, dtype=np.int64)
         np.cumsum(event_instr, out=starts[1:])
-        index = EventIndex(event_block, starts, cycles)
-        quanta = quantum_cpis(index, spec.quantum_length)
+        quanta = quantum_cpis(starts, cycles, spec.quantum_length)
     trace = ExecutionTrace(
         blocks=blocks,
         event_blocks=event_block,

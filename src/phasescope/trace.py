@@ -91,12 +91,13 @@ _TARGETED = (Terminator.BRANCH, Terminator.CALL)
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-def check_number(what: str, value, kind: type, error: type = ValueError, sign: str = "") -> None:
+def check_number(what: str, value, kind: type, error: type = ValueError, sign: str = "") -> Real:
     """The one check on a number from outside the program: with kind
     Integral, an integer that fits in int64 (the range of every integer
     column and decimal field of the text format); with kind Real, a real
     number finite as a float64; a bool is neither. sign "positive" or
-    "non-negative" asks for that sign too. Raises error naming what."""
+    "non-negative" asks for that sign too. Raises error naming what, else
+    returns the value, an integer as a Python int (no product of it wraps)."""
     try:
         # builtin types first: an ABC's isinstance costs some 20 times more
         ok = isinstance(value, (int, float, kind) if kind is Real else (int, kind)) and (
@@ -110,6 +111,7 @@ def check_number(what: str, value, kind: type, error: type = ValueError, sign: s
         raise error(f"{what} must be an integer within int64, got {value!r}")
     if sign and not (value > 0 if sign == "positive" else value >= 0):
         raise error(f"{what} must be {sign}")
+    return int(value) if kind is Integral else value
 
 
 @dataclass(frozen=True)
@@ -271,8 +273,8 @@ class ExecutionTrace:
         if (self.quanta is None) != (self.quantum_length is None):
             raise TraceFormatError("quantum records and quantum length must coexist")
         if self.quanta is not None:
-            check_number("quantum_length", self.quantum_length, Integral, TraceFormatError, "positive")
-            length = self.quantum_length = int(self.quantum_length)
+            length = self.quantum_length = check_number("quantum_length", self.quantum_length, Integral,
+                                                        TraceFormatError, "positive")
             quanta = self.quanta = _column("quanta", self.quanta, Real)
             expected = -(-total // length)
             if quanta.shape != (expected,):

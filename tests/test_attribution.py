@@ -3,6 +3,7 @@ brute-force oracles (instruction-by-instruction walks, hand-evaluated
 weighted averages)."""
 
 import re
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -247,11 +248,10 @@ def test_golden_waveform_uses_exact_event_cpi():
 def test_quantum_cpis_split_straddling_events():
     # event of 10 instructions at cpi 2.0 followed by 10 at 1.0; quanta of 5
     trace = golden_trace({0: block(0, 10), 1: block(1, 10)}, [0, 1], [20.0, 10.0])
-    index = EventIndex.from_trace(trace)
-    v = quantum_cpis(index, 5)
+    v = quantum_cpis(trace.event_starts, trace.event_cycles, 5)
     np.testing.assert_allclose(v, [2.0, 2.0, 1.0, 1.0])
     # straddle: quanta of 8 -> [2.0*8/8, (2*2 + 1*6)/8, (1*6 + pad)/4]
-    v = quantum_cpis(index, 8)
+    v = quantum_cpis(trace.event_starts, trace.event_cycles, 8)
     np.testing.assert_allclose(v, [2.0, (2.0 * 2 + 1.0 * 6) / 8, 1.0])
 
 
@@ -278,7 +278,7 @@ def test_node_fields_match_per_node_lookups():
         per_instr = walk_instructions(trace, profiles)
         for node in analyze(trace, profiles=profiles).walk():
             a, b = node.start_instruction, node.end_instruction
-            below = cycles_below(index, rates, np.array((a, b)))
+            below = cycles_below(index.starts, rates, np.array((a, b)))
             assert node.mean_cpi == float((below[1] - below[0]) / (b - a))
             assert node.mean_cpi == pytest.approx(float(per_instr[a:b].mean()), abs=1e-9)
             event = int(index.events_at(a))
@@ -305,7 +305,7 @@ def mask_loop_profiles(trace, mode):
         if mode == "quantum":
             out[int(bid)] = float(per_event_v[mask].sum() / int(mask.sum()))
         else:
-            out[int(bid)] = float(index.event_cycles[mask].sum() / int(instr_counts[mask].sum()))
+            out[int(bid)] = float(trace.event_cycles[mask].sum() / int(instr_counts[mask].sum()))
     return out
 
 
@@ -318,7 +318,7 @@ def random_quantum_trace(rng, block_ids, n_events):
     cycles = counts * rng.uniform(0.3, 4.0, n_events)
     golden = golden_trace(blocks, ids, cycles)
     length = int(rng.integers(20, 400))
-    quanta = quantum_cpis(EventIndex.from_trace(golden), length)
+    quanta = quantum_cpis(golden.event_starts, golden.event_cycles, length)
     return ExecutionTrace(blocks=blocks, event_blocks=ids, event_cycles=cycles,
                           quanta=quanta, quantum_length=length)
 
@@ -439,22 +439,22 @@ def _quantum():
      "waveform needs at least one sample"),
     (lambda: Waveform(samples=[1.0], sample_stride=0, origin_instruction=0),
      "sample_stride must be positive"),
-    (lambda: EventIndex.from_trace(_quantum()).golden_event_cpi(), "golden cycles required"),
+    (lambda: golden_waveform(_quantum()), "golden cycles required"),
     (lambda: attribute_block_cpi(_golden(), "mean"), "unknown attribution mode 'mean'"),
     (lambda: attribute_block_cpi(_golden(), "quantum"),
      "quantum attribution requires quantum records"),
     (lambda: attribute_block_cpi(_quantum(), "golden"),
      "golden attribution requires cycles on every event"),
-    (lambda: sample_range(EventIndex.from_trace(_golden()), np.ones(3), 0, 30, 1),
+    (lambda: sample_range(_golden().event_starts, np.ones(3), 0, 30, 1),
      "resolution must be >= 2"),
-    (lambda: sample_range(EventIndex.from_trace(_golden()), np.ones(3), 10, 10, 4),
+    (lambda: sample_range(_golden().event_starts, np.ones(3), 10, 10, 4),
      "empty sample range"),
     (lambda: sample_grid(5, 0, 4), "empty sample range"),
-    (lambda: quantum_cpis(EventIndex.from_trace(_golden()), 0),
-     "quantum_length must be a positive integer, got 0"),
-    (lambda: quantum_cpis(EventIndex.from_trace(_golden()), 2.5),
+    (lambda: quantum_cpis(_golden().event_starts, _golden().event_cycles, 0),
+     "quantum_length must be positive"),
+    (lambda: quantum_cpis(_golden().event_starts, _golden().event_cycles, 2.5),
      "quantum_length must be an integer, got 2.5"),
-    (lambda: quantum_cpis(EventIndex.from_trace(_golden()), True),
+    (lambda: quantum_cpis(_golden().event_starts, _golden().event_cycles, True),
      "quantum_length must be an integer, got True"),
 ], ids=["empty-waveform", "zero-stride", "no-golden-cycles", "unknown-mode", "quantum-without-quanta",
         "golden-without-cycles", "resolution-1", "empty-range", "reversed-range",
@@ -466,43 +466,48 @@ def test_attribution_rejects_unusable_input(call, message):
 
 @st.composite
 def sampled_ranges(draw):
-    """A golden trace of blocks with sparse ids, a range in it and a
-    resolution: coarse (strides of many instructions) or past the range's
+    """A step function, a range in it and a resolution. Its bounds strictly
+    increase from anywhere in int64, by steps of a few or of many
+    instructions, and each step has its own value; the resolution is
+    coarse (strides of many instructions) or, on a short range, past its
     length (a stride of one)."""
-    ids = draw(st.lists(st.sampled_from([-7, 0, 1, 2, 5, 1000, 2**40]), min_size=1, max_size=5,
-                        unique=True))
-    blocks = {bid: block(bid, draw(st.integers(1, 20))) for bid in ids}
-    events = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=80))
-    trace = golden_trace(blocks, events, [1.0 + i % 7 for i in range(len(events))])
-    total = trace.total_instructions
-    start = draw(st.integers(0, total - 1))
-    stop = draw(st.integers(start + 1, total))
-    return trace, start, stop, draw(st.integers(2, 3 * (stop - start) + 2))
+    widths = draw(st.lists(st.one_of(st.integers(1, 20), st.integers(1, 2**40)), min_size=1, max_size=80))
+    first = draw(st.integers(-(2**62), 2**62 - sum(widths)))
+    starts = np.array([first, *widths], dtype=np.int64).cumsum()
+    values = np.arange(1.0, len(widths) + 1.0)
+    start = draw(st.integers(int(starts[0]), int(starts[-1]) - 1))
+    stop = draw(st.integers(start + 1, int(starts[-1])))
+    return starts, values, start, stop, draw(st.integers(2, min(3 * (stop - start) + 2, 5000)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=sampled_ranges())
 def test_sample_range_holds_the_rate_of_the_event_at_every_offset(case):
-    trace, start, stop, resolution = case
-    index = EventIndex.from_trace(trace)
-    rates = index.golden_event_cpi()
+    starts, values, start, stop, resolution = case
     offsets, stride = sample_grid(start, stop, resolution)
-    wave = sample_range(index, rates, start, stop, resolution)
+    wave = sample_range(starts, values, start, stop, resolution)
     assert (wave.sample_stride, wave.origin_instruction) == (stride, start)
-    assert wave.samples.tobytes() == rates[index.events_at(offsets)].tobytes()
+    # the step holding an offset is the last one starting at or before it
+    bounds = starts.tolist()
+    expected = [values[bisect_right(bounds, x) - 1] for x in offsets.tolist()]
+    assert wave.samples.tolist() == expected
 
 
 def test_sample_range_refuses_a_range_outside_the_trace():
-    index = EventIndex.from_trace(_golden())  # 30 instructions
+    starts = _golden().event_starts  # 30 instructions
     for start, stop in ((-1, 10), (0, 31)):
         with pytest.raises(ValueError, match="sample range outside the trace"):
-            sample_range(index, np.ones(3), start, stop, 4)
+            sample_range(starts, np.ones(3), start, stop, 4)
+    # a step function need not start at instruction 0
+    with pytest.raises(ValueError, match="sample range outside the trace"):
+        sample_range(np.array([5, 10]), np.ones(1), 4, 10, 4)
+    assert sample_range(np.array([5, 10]), np.ones(1), 5, 10, 4).samples.tolist() == [1.0] * 3
 
 
 def test_sample_grid_is_the_grid_sample_range_samples_on():
     offsets, stride = sample_grid(7, 30, 4)
     assert stride == 6 and offsets.tolist() == [7, 13, 19, 25]
-    wave = sample_range(EventIndex.from_trace(_golden()), np.array([1.0, 2.0, 3.0]), 7, 30, 4)
+    wave = sample_range(_golden().event_starts, np.array([1.0, 2.0, 3.0]), 7, 30, 4)
     assert (wave.sample_stride, wave.origin_instruction) == (6, 7)
     assert wave.sample_offsets.tolist() == offsets.tolist()
     assert wave.samples.tolist() == [1.0, 2.0, 2.0, 3.0]
@@ -519,5 +524,5 @@ def test_a_resolution_beyond_float64_samples_every_instruction():
 def test_quantum_count_is_the_exact_ceiling():
     # (2**60 + 1) / 2**59 rounds to 2.0 in float64; the ceiling is 3
     trace = golden_trace({0: block(0, 2**60), 1: block(1, 1)}, [0, 1], [2.0**60, 2.0**60])
-    cpis = quantum_cpis(EventIndex.from_trace(trace), 2**59)
+    cpis = quantum_cpis(trace.event_starts, trace.event_cycles, 2**59)
     assert cpis.tolist() == [1.0, 1.0, 2.0**60]

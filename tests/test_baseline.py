@@ -19,6 +19,7 @@ from phasescope import (
     error_rate,
     generate,
     golden_waveform,
+    parse_trace,
     predict_waveform,
     tq_phases,
 )
@@ -139,6 +140,31 @@ def test_quantum_only_trace_with_mismatched_length_rejected():
         tq_phases(trace, 20, 0.1)
 
 
+# 20 instructions: two events at CPI 0.5 and 2.5 (golden CPI 1.5), and one
+# quantum record of CPI 7.0 for the whole run
+def run_of_one_quantum(length, cycles=(" 5.0", " 25.0")):
+    return parse_trace(f"V 1\nB 0 1000 10 F\nE 0{cycles[0]}\nE 0{cycles[1]}\nL {length}\nQ 0 7.0\n")
+
+
+@pytest.mark.parametrize("length", [20, 100])
+@pytest.mark.parametrize("requested", [20, 100, 2**62])
+def test_tq_scores_the_trace_quanta_when_the_requested_length_cuts_the_run_alike(length, requested):
+    # every length at or past the run's end cuts it into the one quantum
+    result = tq_phases(run_of_one_quantum(length), requested, 0.1)
+    assert (result.quantum_length, result.phases) == (requested, [TqPhase(0, 1, 7.0)])
+
+
+def test_tq_scores_golden_quanta_when_the_requested_length_cuts_the_run_otherwise():
+    result = tq_phases(run_of_one_quantum(100), 10, 0.1)
+    assert (result.quantum_length, result.phases) == (10, [TqPhase(0, 1, 0.5), TqPhase(1, 1, 2.5)])
+
+
+def test_quantum_only_trace_scores_its_quanta_past_the_run_end():
+    trace = run_of_one_quantum(100, cycles=("", ""))
+    assert not trace.is_golden
+    assert tq_phases(trace, 100, 0.1).phases == [TqPhase(0, 1, 7.0)]
+
+
 # --- prediction rendering ------------------------------------------------------
 
 def test_single_leaf_tree_renders_constant():
@@ -229,8 +255,8 @@ def test_tq_phase_list_must_tile_the_quanta(phases):
 
 @pytest.mark.parametrize("length", [0, -5, 2.5, True, "10"])
 def test_tq_phase_list_quantum_length_must_be_a_positive_integer(length):
-    noun = "a positive integer" if type(length) is int else "an integer"
-    message = f"quantum_length must be {noun}, got {length!r}"
+    message = ("quantum_length must be positive" if type(length) is int
+               else f"quantum_length must be an integer, got {length!r}")
     with pytest.raises(ValueError, match=re.escape(message)):
         predict_waveform(TqPhaseList(length, [TqPhase(0, 4, 1.0)]), 40, 40)
 
@@ -247,8 +273,8 @@ ALTERNATING = golden_trace_from_quanta([1.0, 2.0] * 80)
 @pytest.mark.parametrize("length, delta, message", [
     (2.5, 0.1, "quantum_length must be an integer, got 2.5"),
     (True, 0.1, "quantum_length must be an integer, got True"),
-    (0, 0.1, "quantum_length must be a positive integer, got 0"),
-    (-8, 0.1, "quantum_length must be a positive integer, got -8"),
+    (0, 0.1, "quantum_length must be positive"),
+    (-8, 0.1, "quantum_length must be positive"),
     (8, float("nan"), "merge_delta must be positive, got nan"),
     (8, 0.0, "merge_delta must be positive, got 0.0"),
     (8, -0.1, "merge_delta must be positive, got -0.1"),

@@ -465,7 +465,7 @@ def test_spectrum_sink_gets_each_sampled_segment_in_node_order(cfg):
     index = EventIndex.from_trace(trace)
     rates = profile_rates(index, attribute_block_cpi(trace))
     for _, start, stop, spectrum in calls:
-        expected = dft_magnitude(sample_range(index, rates, start, stop, cfg.resolution))
+        expected = dft_magnitude(sample_range(index.starts, rates, start, stop, cfg.resolution))
         assert spectrum.magnitudes.tobytes() == expected.magnitudes.tobytes()
         assert spectrum.source_length_instructions == expected.source_length_instructions
 
@@ -495,9 +495,9 @@ def test_analyze_samples_the_profile_rates_of_its_block_cpis(spec):
     index = EventIndex.from_trace(trace)
     sampled = []
 
-    def recording(index, rates, *args):
+    def recording(starts, rates, *args):
         sampled.append(rates.tobytes())
-        return sample_range(index, rates, *args)
+        return sample_range(starts, rates, *args)
 
     def rates_of(profiles):
         sampled.clear()
@@ -735,7 +735,7 @@ def test_segment_without_candidate_heads_anchors_its_instance_at_its_start():
     index = EventIndex.from_trace(trace)
     rates = profile_rates(index, attribute_block_cpi(trace))
     total = trace.total_instructions
-    main = main_spectrum(dft_magnitude(sample_range(index, rates, 0, total, cfg.resolution)))
+    main = main_spectrum(dft_magnitude(sample_range(index.starts, rates, 0, total, cfg.resolution)))
     theta = cfg.boundary_threshold_fraction * main.magnitude
     assert main.occurrence == 6 and np.abs(np.diff(rates)).max() < 0.051 < 0.1 < theta
     offsets, heads = _candidates_in_range(index, rates, theta, 0, total)

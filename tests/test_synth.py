@@ -28,7 +28,7 @@ from phasescope import (
     generate,
     serialize_trace,
 )
-from phasescope.attribution import EventIndex, quantum_cpis
+from phasescope.attribution import quantum_cpis
 from phasescope.phases import tree_json
 from phasescope.synth import (
     _ADDRESS_PITCH,
@@ -109,10 +109,8 @@ def test_quantum_records_satisfy_count_invariant():
     trace, _ = generate(spec)
     assert len(trace.quanta) == math.ceil(trace.total_instructions / 20)
     # quantum CPIs recompute exactly from the noisy golden events
-    from phasescope import EventIndex, quantum_cpis
-
     np.testing.assert_allclose(
-        trace.quanta, quantum_cpis(EventIndex.from_trace(trace), 20), atol=1e-12
+        trace.quanta, quantum_cpis(trace.event_starts, trace.event_cycles, 20), atol=1e-12
     )
 
 
@@ -511,7 +509,7 @@ def run_by_run_generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnot
     if spec.quantum_length is not None:
         starts = np.zeros(event_instr.size + 1, dtype=np.int64)
         np.cumsum(event_instr, out=starts[1:])
-        quanta = quantum_cpis(EventIndex(event_block, starts, cycles), spec.quantum_length)
+        quanta = quantum_cpis(starts, cycles, spec.quantum_length)
     trace = ExecutionTrace(blocks=blocks, event_blocks=event_block, event_cycles=cycles,
                            quanta=quanta, quantum_length=spec.quantum_length)
     return trace, GoldenAnnotation(_build_annotation(spec, trace, run_blocks, run_starts))
