@@ -10,9 +10,10 @@ sample_range resamples one by zero-order hold for a DFT; cycles_below sums it.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import pairwise
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -143,9 +144,20 @@ def attribute_block_cpi(
 
 
 def profile_rates(index: EventIndex, profiles: dict[int, float]) -> np.ndarray:
-    """Per-event CPI taken from the block CPIs, aligned with the index."""
+    """Per-event CPI taken from the block CPIs, aligned with the index.
+    ValueError naming the first block whose CPI is not a finite positive
+    real number (a bool or a str never is)."""
     ids = np.array(sorted(profiles), dtype=np.int64)
-    rates = np.array([profiles[b] for b in ids.tolist()], dtype=float)
+    cpis = [profiles[b] for b in ids.tolist()]
+    rates = None
+    # numpy would read "2" as 2.0 and True as 1.0, so the types go first
+    if all(t is float or issubclass(t, Real) and not issubclass(t, bool) for t in set(map(type, cpis))):
+        with suppress(OverflowError):  # an int or a Fraction beyond float64
+            rates = np.array(cpis, dtype=float)
+    if rates is None or not ((rates > 0) & (rates < np.inf)).all():  # NaN fails both
+        for bid, cpi in zip(ids.tolist(), cpis):  # as a float64 too: a tiny Fraction rounds to 0
+            check_number(f"block {bid}: CPI", cpi, Real, ValueError, "positive")
+            check_number(f"block {bid}: CPI", float(cpi), Real, ValueError, "positive")
     slot = positions_in(ids, index.block_ids)
     missing = np.flatnonzero(slot < 0)
     if missing.size:
@@ -159,13 +171,17 @@ def sample_grid(start: int, stop: int, resolution: int) -> tuple[np.ndarray, int
     """The sampling grid of [start, stop) at a resolution: (offsets, stride)
     with stride = ceil((stop - start) / resolution) and the offsets at
     start + k*stride, so refining the resolution never changes shared
-    offsets. ValueError on a resolution below 2 or an empty range."""
+    offsets. ValueError on a resolution that is not an integer of at
+    least 2, or on an empty range."""
     stride = _grid_stride(start, stop, resolution)
     return np.arange(start, stop, stride, dtype=np.int64), stride
 
 
 def _grid_stride(start: int, stop: int, resolution: int) -> int:
     """sample_grid's stride, with its checks."""
+    # any integer, not check_number's: one past int64 samples every instruction
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, Integral)):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     length = stop - start

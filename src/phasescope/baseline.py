@@ -19,7 +19,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .attribution import Waveform, quantum_cpis, sample_grid, sample_range
-from .phases import PhaseNode
+from .phases import PhaseNode, validate_tree
 from .trace import ExecutionTrace, check_number
 
 
@@ -130,7 +130,7 @@ def predict_waveform(
     order from quantum 0; phase p, ending at quantum e_p, then is the step
     up to instruction min(e_p x quantum_length, total_instructions). A
     phase tree predicts each sample by the deepest node covering it (see
-    _render_tree)."""
+    _render_tree), once validate_tree accepts it."""
     offsets, stride = sample_grid(0, total_instructions, resolution)
 
     if isinstance(source, TqPhaseList):
@@ -149,6 +149,7 @@ def predict_waveform(
         return sample_range(bounds, np.array(means, dtype=float), 0, total_instructions, resolution)
     if not isinstance(source, PhaseNode):
         raise TypeError(f"cannot render {type(source).__name__}")
+    validate_tree(source)
 
     values = np.empty(offsets.size, dtype=float)
     _render_tree(source, offsets, np.ones(offsets.size, dtype=bool), values)

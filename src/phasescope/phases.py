@@ -307,8 +307,9 @@ def analyze(
 
 
 def validate_tree(root: PhaseNode) -> None:
-    """Structural well-formedness: children ordered, disjoint, inside the
-    parent interval; ValueError naming the first violation."""
+    """Structural well-formedness: children ordered, disjoint, not empty,
+    inside the parent interval and occurring at least once; ValueError
+    naming the first violation."""
     for node in root.walk():
         cursor = node.start_instruction
         for child in node.children:
@@ -318,6 +319,8 @@ def validate_tree(root: PhaseNode) -> None:
                 raise ValueError("child extends past its parent")
             if child.length_instructions < 1:
                 raise ValueError("empty child interval")
+            if child.occurrence < 1:
+                raise ValueError("child occurs less than once")
             cursor = child.end_instruction
 
 

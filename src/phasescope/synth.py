@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .attribution import quantum_cpis
-from .phases import PhaseNode, Structure, classify_structure
+from .phases import PhaseNode, classify_structure
 from .trace import _INT64_MAX, BlockDescriptor, ExecutionTrace, Terminator, check_number
 
 _BASE_ADDRESS = 0x1000
@@ -83,10 +83,12 @@ class GoldenAnnotation:
 _KIND_CODE = {kind: code for code, kind in enumerate(EntryKind)}
 
 
-def _validate(spec: ScenarioSpec) -> tuple[SegmentSpec, dict[int, tuple[int, float, int]]]:
-    """Check and measure the scenario in one walk. Returns it as its outermost
-    group (spec.segments nested spec.repetitions times) and maps every segment's
-    id(), the group's too, to the (instructions, cycles, runs) of one pass."""
+def _plan(spec: ScenarioSpec) -> tuple[SegmentSpec, PhaseNode, list[list]]:
+    """Check and measure the scenario in one walk that also builds its truth
+    tree. Returns the scenario as its outermost group (spec.segments nested
+    spec.repetitions times), its truth tree's root, and a [node, first flat
+    leaf, flat leaf it is entered from or None] row per node made: generate
+    makes the leaves head blocks and structures once the blocks exist."""
     if not spec.segments:
         raise ScenarioError("scenario needs at least one segment")
     check_number("repetitions", spec.repetitions, Integral, ScenarioError, "positive")
@@ -95,25 +97,16 @@ def _validate(spec: ScenarioSpec) -> tuple[SegmentSpec, dict[int, tuple[int, flo
     if spec.quantum_length is not None:
         check_number("quantum_length", spec.quantum_length, Integral, ScenarioError, "positive")
 
-    sizes: dict[int, tuple[int, float, int]] = {}
+    rows: list[list] = []  # in preorder
     min_cpi = float("inf")
 
-    def measure(seg: SegmentSpec) -> tuple[int, int, float, int]:
-        """(events, instructions, cycles, runs) of one pass through seg."""
+    def visit(seg: SegmentSpec, cursor: int, entry: Optional[SegmentSpec],
+              out: list[PhaseNode]) -> tuple[int, int, float, SegmentSpec]:
+        """Check and measure one pass through seg, which starts at instruction
+        cursor and is entered from the flat leaf entry, and add its truth nodes
+        to out. Returns (events, instructions, cycles, last flat leaf)."""
         nonlocal min_cpi
-        if seg.nested:
-            reps = check_number(f"segment {seg.label!r}: nested_repetitions", seg.nested_repetitions,
-                                Integral, ScenarioError, "positive")
-            events = instructions = runs = 0
-            cycles = 0.0
-            for inner in seg.nested:
-                n_events, n_instructions, n_cycles, n_runs = measure(inner)
-                events += n_events
-                instructions += n_instructions
-                cycles += n_cycles
-                runs += n_runs
-            size = (events * reps, instructions * reps, cycles * reps, runs * reps)
-        else:
+        if not seg.nested:
             if seg.block_cpi is None or seg.block_instruction_count is None or seg.event_count is None:
                 raise ScenarioError(
                     f"segment {seg.label!r}: flat segment needs block_cpi, "
@@ -133,24 +126,59 @@ def _validate(spec: ScenarioSpec) -> tuple[SegmentSpec, dict[int, tuple[int, flo
                     f"segment {seg.label!r}: its scripted cycles, block_cpi times its "
                     f"{instructions} instructions, overflow float64"
                 )
-            size = (events, instructions, cycles, 1)
-        sizes[id(seg)] = size[1:]
-        return size
+            node = PhaseNode(-1, cursor, instructions, cycles / instructions)
+            out.append(node)
+            rows.append([node, seg, entry])
+            return events, instructions, cycles, seg
+
+        reps = check_number(f"segment {seg.label!r}: nested_repetitions", seg.nested_repetitions,
+                            Integral, ScenarioError, "positive")
+        if reps >= 2:
+            node = PhaseNode(-1, cursor, 0, math.nan, reps)
+            row = [node, None, entry]
+            out.append(node)
+            rows.append(row)
+            out, entry = node.children, None  # the body's first node is patched below
+        # else a single pass through the group adds no level of its own
+        body = len(rows)
+        events = instructions = 0
+        cycles = 0.0
+        last = entry
+        for inner in seg.nested:
+            n_events, n_instructions, n_cycles, last = visit(inner, cursor + instructions, last, out)
+            events += n_events
+            instructions += n_instructions
+            cycles += n_cycles
+        if reps >= 2:
+            node.length_instructions = instructions
+            node.mean_cpi = cycles * reps / (instructions * reps)  # one pass's may round apart
+            # the body's first node heads an iteration, re-entered from its last leaf
+            row[1], rows[body][2] = rows[body][1], last
+            if len(seg.nested) == 1 and seg.nested[0].is_flat:
+                node.children = []  # its one flat segment is the node itself
+        return events * reps, instructions * reps, cycles * reps, last
 
     top = SegmentSpec("", nested=spec.segments, nested_repetitions=spec.repetitions)
-    events, instructions, cycles, _ = measure(top)
+    children: list[PhaseNode] = []
+    events, instructions, cycles, last = visit(top, 0, None, children)
     # checked before anything is allocated: the event columns are int64
     for what, total in (("events", events), ("instructions", instructions)):
         if total > _INT64_MAX:
             raise ScenarioError(f"scenario has {total} {what} in total, more than int64 holds")
     # the trace refuses a cycle sum beyond float64, and numpy only warns
     # where an event's cycles overflow: a flat segment's cycles are checked
-    # in measure, which names it, and a group's add up into this total
+    # in visit, which names it, and a group's add up into this total
     if not math.isfinite(cycles):
         raise ScenarioError("the scripted cycles of the whole scenario overflow float64")
     if spec.noise_stddev >= min_cpi:
         raise ScenarioError("noise_stddev must stay below the smallest segment CPI")
-    return top, sizes
+    if spec.repetitions >= 2:
+        rows[0][2] = last  # the scenario's repetitions re-enter it from its last leaf
+    if len(spec.segments) == 1 and spec.segments[0].is_flat:
+        children = []  # a repeated constant run is one phase
+    root = PhaseNode(-1, 0, instructions, cycles / instructions, children=children)
+    rows.append([root, rows[0][1], None])
+    return top, root, rows
 
 
 def _layout(segments: list[SegmentSpec], flat: dict[int, tuple[int, SegmentSpec]]) -> np.ndarray:
@@ -226,48 +254,59 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
     recursion limit raises ScenarioError, raised from the RecursionError.
     """
     try:
-        # _validate, _layout and _build_annotation recurse once per level
-        top, sizes = _validate(spec)
+        # _plan and _layout recurse once per level
+        top, root, rows = _plan(spec)
         numbered: dict[int, tuple[int, SegmentSpec]] = {}
         runs, kinds = _layout([top], numbered).T
         flat = [seg for _, seg in numbered.values()]
         blocks = _assign_blocks(flat, runs, kinds)
-        annotation = GoldenAnnotation(_build_annotation(top, blocks, runs.tolist(), sizes))
     except RecursionError as exc:
         raise ScenarioError(f"scenario is nested too deeply: {exc}") from exc
+    for node, head, entry in rows:
+        node.head_block = numbered[id(head)][0]
+        context = None if entry is None else blocks[numbered[id(entry)][0]]
+        node.structure = classify_structure(blocks[node.head_block], context)
 
     # runs expand into events, which read their block's scripted numbers
     block_events = np.array([seg.event_count for seg in flat], dtype=np.int64)
     event_block = np.repeat(runs, block_events[runs])
     event_instr = np.array([seg.block_instruction_count for seg in flat], dtype=np.int64)[event_block]
-    event_cpi = np.array([seg.block_cpi for seg in flat], dtype=float)[event_block]
-
+    if spec.quantum_length is not None:
+        # the quanta read the instruction prefix sums, taken before event_instr goes
+        starts = np.zeros(event_instr.size + 1, dtype=np.int64)
+        np.cumsum(event_instr, out=starts[1:])
+    # each event's CPI, made its cycle count in place: no spare column is left when the trace copies
+    cpis = np.array([seg.block_cpi for seg in flat], dtype=float)
+    cycles = cpis[event_block]
     if spec.noise_stddev > 0:
         rng = np.random.Generator(np.random.PCG64(spec.seed))
-        noise = rng.normal(0.0, spec.noise_stddev, size=event_cpi.size)
+        noise = rng.normal(0.0, spec.noise_stddev, size=cycles.size)
         # noise near float64's range overflows a CPI, a cycle count or their
-        # sum, which _validate bounded only for the scripted CPIs
+        # sum, which _plan bounded only for the scripted CPIs
         with np.errstate(over="ignore"):
-            event_cpi = np.maximum(_MIN_CPI, event_cpi + noise)
-            cycles = event_cpi * event_instr
+            cycles += noise
+            np.maximum(cycles, _MIN_CPI, out=cycles)
+            cycles *= event_instr
             cycle_sum = cycles.sum()
         if not math.isfinite(cycle_sum):
             bad = np.flatnonzero(~np.isfinite(cycles))
             where = "the trace's cycle sum"
             if bad.size:
                 k = int(bad[0])
-                where = f"the {'cycle count' if math.isfinite(event_cpi[k]) else 'CPI'} of event {k}"
+                cpi = float(cpis[event_block[k]]) + float(noise[k])  # as the in-place sum made it
+                where = f"the {'cycle count' if math.isfinite(cpi) else 'CPI'} of event {k}"
             raise ScenarioError(f"noise_stddev {spec.noise_stddev!r} overflows float64 in {where}")
+        del noise
     else:
-        cycles = event_cpi * event_instr
+        cycles *= event_instr
+    del event_instr
 
     quanta = None
     if spec.quantum_length is not None:
         # quanta come from the event columns directly, so the trace is built
         # and validated once, with them
-        starts = np.zeros(event_instr.size + 1, dtype=np.int64)
-        np.cumsum(event_instr, out=starts[1:])
         quanta = quantum_cpis(starts, cycles, spec.quantum_length)
+        del starts
     trace = ExecutionTrace(
         blocks=blocks,
         event_blocks=event_block,
@@ -275,67 +314,7 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
         quanta=quanta,
         quantum_length=spec.quantum_length,
     )
-    return trace, annotation
-
-
-def _build_annotation(
-    top: SegmentSpec,
-    blocks: dict[int, BlockDescriptor],
-    runs: list[int],
-    sizes: dict[int, tuple[int, float, int]],
-) -> PhaseNode:
-    """Scripted phase tree: a root above the nodes of the outermost group top;
-    runs holds the block id of every run and sizes what _validate measured."""
-
-    def classify(head: int, context: Optional[int]) -> Structure:
-        return classify_structure(blocks[head], blocks[context] if context is not None else None)
-
-    def nodes(
-        segments: list[SegmentSpec], cursor: int, j: int, wrap_block: Optional[int]
-    ) -> list[PhaseNode]:
-        """Nodes for a segment list starting at instruction cursor and run j,
-        whose repeating context re-enters its first segment from wrap_block
-        (None when nothing recurs into it)."""
-        out: list[PhaseNode] = []
-        context = wrap_block
-        for seg in segments:
-            length, cycles, n_runs = sizes[id(seg)]
-            if seg.is_flat or seg.nested_repetitions >= 2:
-                reps = 1 if seg.is_flat else int(seg.nested_repetitions)
-                node = PhaseNode(
-                    head_block=runs[j],
-                    start_instruction=cursor,
-                    length_instructions=length // reps,
-                    mean_cpi=cycles / length,
-                    occurrence=reps,
-                    structure=classify(runs[j], context),
-                )
-                if not seg.is_flat and (len(seg.nested) > 1 or seg.nested[0].nested):
-                    # an inner iteration is re-entered from its own last run
-                    node.children = nodes(seg.nested, cursor, j, runs[j + n_runs // reps - 1])
-                out.append(node)
-            else:
-                # a single pass through the group adds no level of its own
-                out.extend(nodes(seg.nested, cursor, j, context))
-            cursor += length
-            j += n_runs
-            context = runs[j - 1]
-        return out
-
-    total, total_cycles, _ = sizes[id(top)]
-    root = PhaseNode(
-        head_block=runs[0],
-        start_instruction=0,
-        length_instructions=total,
-        mean_cpi=total_cycles / total,
-        occurrence=1,
-        structure=Structure.NONE,
-    )
-    if len(top.nested) == 1 and top.nested[0].is_flat:
-        return root  # a repeated constant run is one phase
-    # the scenario's repetitions re-enter its first segment from the last run
-    root.children = nodes([top], 0, 0, runs[-1] if top.nested_repetitions >= 2 else None)
-    return root
+    return trace, GoldenAnnotation(root)
 
 
 # --- scenario JSON ----------------------------------------------------------

@@ -2,8 +2,10 @@
 brute-force oracles (instruction-by-instruction walks, hand-evaluated
 weighted averages)."""
 
+import math
 import re
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -230,6 +232,35 @@ def test_missing_profile_rejected():
     del profiles[1]
     with pytest.raises(ValueError, match="missing profile for executed block 1"):
         build_waveform(trace, profiles, 8)
+
+
+@pytest.mark.parametrize("cpi, message", [
+    ("2", "must be a finite real number, got '2'"),
+    (True, "must be a finite real number, got True"),
+    (None, "must be a finite real number, got None"),
+    (math.nan, "must be a finite real number, got nan"),
+    (math.inf, "must be a finite real number, got inf"),
+    (10**400, "must be a finite real number, got 1000"),
+    (-1.0, "must be positive"),
+    (0, "must be positive"),
+    (Fraction(1, 10**400), "must be positive"),
+], ids=["str", "bool", "none", "nan", "inf", "int-beyond-float64", "negative", "zero",
+        "fraction-below-float64"])
+@pytest.mark.parametrize("entry", ["analyze", "build_waveform"])
+def test_a_block_cpi_from_outside_must_be_a_finite_positive_real(entry, cpi, message):
+    trace = golden_trace({0: block(0, 5), 1: block(1, 5)}, [0, 1, 0], [5.0, 10.0, 5.0])
+    profiles = {0: 1.0, 1: cpi}
+    with pytest.raises(ValueError, match=f"^block 1: CPI {message}"):
+        if entry == "analyze":
+            analyze(trace, profiles=profiles)
+        else:
+            build_waveform(trace, profiles, 8)
+
+
+def test_block_cpis_of_any_real_type_sample_as_their_floats():
+    trace = golden_trace({0: block(0, 5), 1: block(1, 5), 2: block(2, 5)}, [0, 1, 2], [5.0, 10.0, 5.0])
+    wave = build_waveform(trace, {0: 2, 1: Fraction(3, 2), 2: np.float32(0.5)}, 8)
+    assert wave.samples.tolist() == build_waveform(trace, {0: 2.0, 1: 1.5, 2: 0.5}, 8).samples.tolist()
 
 
 def test_unexecuted_block_omitted_from_profiles():

@@ -16,6 +16,8 @@ from phasescope import (
     SegmentSpec,
     Terminator,
     Waveform,
+    attribute_block_cpi,
+    build_waveform,
     error_rate,
     generate,
     golden_waveform,
@@ -299,6 +301,29 @@ def test_prediction_rejects_a_coarse_resolution_and_an_unknown_source():
         predict_waveform(PhaseNode(0, 0, 16, 1.0), 16, 1)
     with pytest.raises(TypeError, match="^cannot render list$"):
         predict_waveform([TqPhase(0, 2, 1.0)], 16, 16)
+
+
+@pytest.mark.parametrize("resolution", [8.5, np.float64(16.0), True], ids=["8.5", "float64-16", "True"])
+@pytest.mark.parametrize("render", [
+    lambda trace, r: golden_waveform(trace, r),
+    lambda trace, r: build_waveform(trace, attribute_block_cpi(trace), r),
+    lambda trace, r: predict_waveform(PhaseNode(0, 0, 30, 2.0), 30, r),
+    lambda trace, r: predict_waveform(TqPhaseList(10, [TqPhase(0, 3, 2.0)]), 30, r),
+], ids=["golden", "profiles", "tree", "tq"])
+def test_a_resolution_must_be_an_integer(render, resolution):
+    trace = golden_trace_from_quanta([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=f"^resolution must be an integer, got {re.escape(repr(resolution))}$"):
+        render(trace, resolution)
+
+
+@pytest.mark.parametrize("child, message", [
+    (PhaseNode(0, 0, 0, 2.0, occurrence=2), "empty child interval"),
+    (PhaseNode(0, 8, 16, 2.0), "child extends past its parent"),
+    (PhaseNode(0, 0, 8, 2.0, occurrence=0), "child occurs less than once"),
+], ids=["zero-length-repeating", "past-parent", "occurrence-0"])
+def test_prediction_refuses_a_tree_validate_tree_refuses(child, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        predict_waveform(PhaseNode(0, 0, 16, 1.0, children=[child]), 16, 16)
 
 
 def test_prediction_grid_matches_golden_grid():

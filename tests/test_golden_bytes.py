@@ -1,15 +1,16 @@
 """Byte identity of every emitted text against recorded SHA-256 digests.
 
-Trace text, trees, marker tables, comparison reports and the per-sample
-predictions of `compare --samples-csv` must not change when the
-implementation underneath them does; a digest changes only with an
-intended change of output. The generator's scripted annotation tree is
-covered too. Covered: the criterion-5 two-level
-scenario, the 20-scenario criterion-9 corpus, a quantum-mode scenario
-whose attribution uses Q/L records, the same scenario compared at TQ
-lengths at the edges, and a corpus of noisy nested shapes
-(a body with a tail, three levels, unequal repetitions) whose analysis
-splits steps and aligns recurring candidate heads.
+Trace text, trees, marker tables, comparison reports, the per-sample
+predictions of `compare --samples-csv`, the CSVs of `analyze
+--waveform-csv` and `analyze --spectrum-dir` and the output of
+`phasescope spectrum` must not change when the implementation underneath
+them does; a digest changes only with an intended change of output. The
+generator's scripted annotation tree is covered too. Covered: the
+criterion-5 two-level scenario, the 20-scenario criterion-9 corpus, a
+quantum-mode scenario whose attribution uses Q/L records, the same
+scenario compared at TQ lengths at the edges, and a corpus of noisy nested
+shapes (a body with a tail, three levels, unequal repetitions) whose
+analysis splits steps and aligns recurring candidate heads.
 """
 
 import hashlib
@@ -102,6 +103,9 @@ DIGESTS = {
         "compare": "a608465e8736beacd4b3698a963790115a71a44718e76e7d58129f2605d7800c",
         "samples": "75dbbacd252d87a00f31abf30d2efb7a995f78668c958c5892174e246a4fce0b",
         "annotation": "5f88c754cc954f815d29724f3a7a23bfb3eb2bb451797c64f7db97d4d64003b0",
+        "waveform": "2d1942da26172dc99d7e0f9a9c1cf4eb41b0af51a360d6d7533e8ad7c50e5af9",
+        "spectra": "ff059eab44fd73a220d88fec9f5ad1168a42c17970a1eaf11b0f84632c45a041",
+        "spectrum": "5126ddca5adc79849d369feaab23a78071567b10131e9be24ab4bc87d4790807",
     },
     "criterion-5": {
         "trace": "c310cafa86b920f8440667d5120e80dc2da1606ba79395247fd04110f609fcf8",
@@ -110,6 +114,9 @@ DIGESTS = {
         "compare": "daeece94df3c503528e1dcc634400909ed1adac61343eaf21a3e04f9a3015829",
         "samples": "bf3212faffd655d33cc1382f670ef993843c2e50e58b40e863e2568370e5767d",
         "annotation": "d7aacfbb7c637d7cf333313ca12b18be716e27c7755572ae0b8cca2b2a2b67f1",
+        "waveform": "b1cfaeda11a707b31fc2ce1ba7fb1e46b283da9f624b564c3895657c32c87a17",
+        "spectra": "0d8bf91a7e974a56c8c723677cb411d112b4baaa17d87b6e6855c8f540cbc099",
+        "spectrum": "616e6b9efb8ef476f6ee18d6216fb203f5ea62b0b55d7a6cec2d4648e43a6599",
     },
     "criterion-9": {
         "trace": "7845ad6aa907d41bee99f53d6fe227fb704c3cc7a4b3c0f1606428df70333f18",
@@ -118,6 +125,9 @@ DIGESTS = {
         "compare": "cbadbb5ba31f4e687619cfbece00ff4286dbf55c837d465de24a82e18b6c0735",
         "samples": "38129cb16cd63f44bf324e2203c13cf5d1179f714f7a523a315f0fc94a0f54f1",
         "annotation": "4051cd326e48f983e10e10ccd105c088f33b1388a008ffda3baf8daf917ad83a",
+        "waveform": "838cb492d3697f9ecdd71ac6441d3eb2da39227f8b5bc2970b3e75b4e2cb5bdb",
+        "spectra": "881f0958647c8b8787d3cfc8c24e140b7a3971bdf98e8f1443da24d41548cf17",
+        "spectrum": "fa3d8f7e7e63faf4145abd650f4abe54856fcffc72a5867f7c4218cd1669f3c2",
     },
     "quanta": {
         "trace": "b76abe169191bf18fe36479189d67ac7e50323064c6975f41ebfb634312d80c1",
@@ -126,6 +136,9 @@ DIGESTS = {
         "compare": "d3a45c27e88bb77495b0fa3240da5ad70e2a1dee72a9df99653e9be8f0625d62",
         "samples": "7f0d81127b749e06050a76ce1ed2158eff38116d7cc81703de05352a00919c8f",
         "annotation": "fdd6ccae63e4bcdaafa06fbfb5811dd21ac643f9e52a56901771c62a0952dd31",
+        "waveform": "7edd1074fdc31cbdbc8957efd89f104354e32a3a76a2adfb803f7e1d0937e23a",
+        "spectra": "5f16f1c98f1c8b295192260a15b3d116bac960a60f84dececd83e5b182ca8a9e",
+        "spectrum": "76674ee29380766f5714e646d8dec238a0754a875e25f7d419c35df373f3aed7",
     },
     "tq-edges": {
         "trace": "b76abe169191bf18fe36479189d67ac7e50323064c6975f41ebfb634312d80c1",
@@ -134,14 +147,18 @@ DIGESTS = {
         "compare": "0e1f6b3c05c9393be736cfcd7baf32ad39c1a4c029ba4bbad737b997349acd72",
         "samples": "360186ae20b2965681c3144671d51d49fd9f74b0cdf8947745cb21fb98df1358",
         "annotation": "fdd6ccae63e4bcdaafa06fbfb5811dd21ac643f9e52a56901771c62a0952dd31",
+        "waveform": "7edd1074fdc31cbdbc8957efd89f104354e32a3a76a2adfb803f7e1d0937e23a",
+        "spectra": "5f16f1c98f1c8b295192260a15b3d116bac960a60f84dececd83e5b182ca8a9e",
+        "spectrum": "76674ee29380766f5714e646d8dec238a0754a875e25f7d419c35df373f3aed7",
     },
 }
 
 
 def digests(specs, compare_args, workdir):
-    kinds = ("trace", "tree", "markers", "compare", "samples", "annotation")
+    kinds = ("trace", "tree", "markers", "compare", "samples", "annotation", "waveform", "spectra",
+             "spectrum")
     hashes = {kind: hashlib.sha256() for kind in kinds}
-    for spec in specs:
+    for i, spec in enumerate(specs):
         trace, annotation = generate(spec)
         text = serialize_trace(trace)
         tree = analyze(trace)
@@ -154,6 +171,13 @@ def digests(specs, compare_args, workdir):
         hashes["compare"].update((workdir / "cmp.json").read_bytes())
         hashes["samples"].update((workdir / "s.csv").read_bytes())
         hashes["annotation"].update(tree_json(annotation.true_phases, trace.blocks).encode())
+        assert main(["analyze", "t.trace", "--tree", "a.json", "--waveform-csv", "w.csv",
+                     "--spectrum-dir", f"spectra{i}"]) == 0
+        hashes["waveform"].update((workdir / "w.csv").read_bytes())
+        for path in sorted((workdir / f"spectra{i}").iterdir()):
+            hashes["spectra"].update(path.name.encode() + b"\n" + path.read_bytes())
+        assert main(["spectrum", "t.trace", "--out", "sp.csv"]) == 0
+        hashes["spectrum"].update((workdir / "sp.csv").read_bytes())
     return {kind: h.hexdigest() for kind, h in hashes.items()}
 
 

@@ -834,7 +834,8 @@ def test_tree_is_well_formed_and_node_means_are_exact(spec):
     ([PhaseNode(0, 50, 10, 1.0), PhaseNode(0, 0, 10, 1.0)], "children overlap or are out of order"),
     ([PhaseNode(0, 90, 20, 1.0)], "child extends past its parent"),
     ([PhaseNode(0, 10, 0, 1.0)], "empty child interval"),
-], ids=["overlap", "out-of-order", "past-parent", "empty"])
+    ([PhaseNode(0, 10, 10, 1.0, occurrence=0)], "child occurs less than once"),
+], ids=["overlap", "out-of-order", "past-parent", "empty", "zero-occurrence"])
 def test_validate_tree_names_the_first_violation(children, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         validate_tree(PhaseNode(0, 0, 100, 1.0, children=children))

@@ -35,7 +35,7 @@ from phasescope.synth import (
     _BASE_ADDRESS,
     _MIN_CPI,
     ScenarioError,
-    _validate,
+    _plan,
     scenario_from_json,
     scenario_json,
 )
@@ -486,7 +486,7 @@ def _build_annotation(
 def run_by_run_generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
     """Reference generate: the scenario expanded into one Python object per
     run, and the annotation measured node by node from the run starts."""
-    _validate(spec)
+    _plan(spec)
     runs = _flatten(spec.segments)
     blocks, run_blocks = _assign_blocks(runs, spec.repetitions)
 
