@@ -66,15 +66,17 @@ class EventIndex:
         return self.starts.searchsorted(offsets, side="right") - 1
 
 
-def _event_instructions(starts: np.ndarray) -> np.ndarray:
-    """Each step's instruction count, from its bounds: np.diff(starts), less
-    np.diff's per-call cost, which shows on many small traces."""
-    return starts[1:] - starts[:-1]
+def _step_widths(starts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each step's instruction count, np.diff(starts) taken in int64 and
+    written as float64 into out, where the caller goes on in place: no
+    spare column of the trace's size is made."""
+    return np.subtract(starts[1:], starts[:-1], out=out)
 
 
 def _golden_cpis(starts: np.ndarray, cycles: np.ndarray) -> np.ndarray:
     """Each golden event's exact CPI: its cycles over its instructions."""
-    return cycles / _event_instructions(starts)
+    cpis = _step_widths(starts, np.empty(cycles.size))
+    return np.divide(cycles, cpis, out=cpis)
 
 
 def group_bounds(sorted_ids: np.ndarray) -> np.ndarray:
@@ -104,29 +106,31 @@ def attribute_block_cpi(
     if mode not in ("quantum", "golden"):
         raise ValueError(f"unknown attribution mode {mode!r}")
 
-    index = EventIndex.from_trace(trace)
-    if mode == "quantum":
-        if not trace.has_quanta:
-            raise ValueError("quantum attribution requires quantum records")
-        # an event belongs to the quantum holding its first instruction
-        values = trace.quanta[index.starts[:-1] // trace.quantum_length]
-    else:
-        if not trace.is_golden:
-            raise ValueError("golden attribution requires cycles on every event")
-        values = trace.event_cycles
+    if mode == "quantum" and not trace.has_quanta:
+        raise ValueError("quantum attribution requires quantum records")
+    if mode == "golden" and not trace.is_golden:
+        raise ValueError("golden attribution requires cycles on every event")
 
-    # a stable sort keeps each block's events in trace order
+    # a stable sort keeps each block's events in trace order; each
+    # temporary as large as the trace is freed once read
+    index = EventIndex.from_trace(trace)
     order = np.argsort(index.block_ids, kind="stable")
     ids = index.block_ids[order]
     bounds = group_bounds(ids)
     firsts = bounds[:-1]
-    values = values[order]
+    block_ids = ids[firsts]
+    del ids
+    values = (index.starts if mode == "quantum" else trace.event_cycles)[order]
+    del order
+    if mode == "quantum":
+        # an event belongs to the quantum holding its first instruction
+        values //= trace.quantum_length
+        values = trace.quanta[values]
     # One pairwise np.add.reduce (what .sum() runs) per block slice adds
     # exactly the values, in exactly the order, that a per-block boolean mask
     # would select. np.add.reduceat and np.bincount add in sequence, which
     # changes last digits of the block CPIs.
     sums = np.array([np.add.reduce(values[a:b]) for a, b in pairwise(bounds.tolist())])
-    block_ids = ids[firsts]
     weights = bounds[1:] - firsts
     if mode == "golden":
         # every event of a block runs its instruction count, so the block's
@@ -249,8 +253,11 @@ def cycles_below(starts: np.ndarray, values: np.ndarray, offsets: np.ndarray) ->
     its end; that gives the whole sum bit for bit, since np.cumsum adds in
     sequence.
     """
-    prefix = np.zeros(len(values) + 1, dtype=float)
-    np.cumsum(_event_instructions(starts) * values, out=prefix[1:])
+    prefix = np.empty(len(values) + 1)
+    prefix[0] = 0.0
+    steps = _step_widths(starts, prefix[1:])
+    steps *= values
+    np.cumsum(steps, out=steps)
     step = starts[:-1].searchsorted(offsets, side="right") - 1
     return prefix[step] + (offsets - starts[step]) * values[step]
 

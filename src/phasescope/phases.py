@@ -113,7 +113,8 @@ def _candidates_in_range(
     than the threshold, in execution order (duplicates preserved)."""
     lo = max(1, int(index.starts.searchsorted(start)))
     hi = min(len(rates), int(index.starts.searchsorted(stop)))
-    jumps = lo + (np.abs(rates[lo:hi] - rates[lo - 1 : hi - 1]) > threshold).nonzero()[0]
+    steps = rates[lo:hi] - rates[lo - 1 : hi - 1]
+    jumps = lo + (np.abs(steps, out=steps) > threshold).nonzero()[0]
     return index.starts[jumps], index.block_ids[jumps]
 
 

@@ -270,12 +270,13 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
     # runs expand into events, which read their block's scripted numbers
     block_events = np.array([seg.event_count for seg in flat], dtype=np.int64)
     event_block = np.repeat(runs, block_events[runs])
+    del runs, kinds  # the layout, a row per run, goes once expanded
     event_instr = np.array([seg.block_instruction_count for seg in flat], dtype=np.int64)[event_block]
     if spec.quantum_length is not None:
         # the quanta read the instruction prefix sums, taken before event_instr goes
         starts = np.zeros(event_instr.size + 1, dtype=np.int64)
         np.cumsum(event_instr, out=starts[1:])
-    # each event's CPI, made its cycle count in place: no spare column is left when the trace copies
+    # each event's CPI, made its cycle count in place: no spare column is left for the trace
     cpis = np.array([seg.block_cpi for seg in flat], dtype=float)
     cycles = cpis[event_block]
     if spec.noise_stddev > 0:
@@ -307,6 +308,9 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
         # and validated once, with them
         quanta = quantum_cpis(starts, cycles, spec.quantum_length)
         del starts
+        quanta.flags.writeable = False
+    # read-only, the trace adopts the columns without a copy
+    event_block.flags.writeable = cycles.flags.writeable = False
     trace = ExecutionTrace(
         blocks=blocks,
         event_blocks=event_block,

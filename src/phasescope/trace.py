@@ -24,6 +24,11 @@ In memory the event stream is two numpy columns, block ids and cycle
 counts, built and validated once; validation adds a third, the prefix sums
 of the events' instruction counts, which every later stage reads. An
 event's own count is the difference of two consecutive prefix sums.
+Every column of a trace is read-only. The trace adopts a column that
+already is a 1-D, C-contiguous, read-only int64 or float64 array owning
+its memory, as the parser and the synthesizer hand theirs over, and copies
+any other; whoever hands a column over keeps no writable view of it and
+never makes it writable again.
 The quantum CPIs are one more column, indexed by quantum number; the
 parser checks that ``Q`` records come in index order 0, 1, 2, ... and names
 the line of the first one that does not.
@@ -148,11 +153,17 @@ class BlockDescriptor:
 
 
 def _column(name: str, values, kind: type) -> np.ndarray:
-    """A new int64 (kind Integral) or float64 (kind Real) array of values,
-    after the checks numpy's conversion would skip: TraceFormatError naming
-    the column when an element is not of kind (a bool or a string never
-    is), an integer does not fit in int64 or a number overflows float64.
-    NaN is a real number; the caller checks the shape."""
+    """A read-only int64 (kind Integral) or float64 (kind Real) array of
+    values. An ndarray that already is one, 1-D, C-contiguous and owning
+    its memory, is adopted as it is; anything else is copied, after the checks
+    numpy's conversion would skip: TraceFormatError naming the column when
+    an element is not of kind (a bool or a string never is), an integer
+    does not fit in int64 or a number overflows float64. NaN is a real
+    number; the caller checks the shape."""
+    dtype = np.int64 if kind is Integral else np.float64
+    if (type(values) is np.ndarray and values.dtype == dtype and values.ndim == 1
+            and values.flags.c_contiguous and values.flags.owndata and not values.flags.writeable):
+        return values  # no one can write to it any more: no copy is needed
     column = np.asarray(values)
     # a list's dtype hides what it held: [True, 0] and [1, 0] convert alike
     listed = column.ndim == 1 and not isinstance(values, np.ndarray)
@@ -169,9 +180,11 @@ def _column(name: str, values, kind: type) -> np.ndarray:
                             and column.max() > _INT64_MAX):
             raise TraceFormatError(f"{name} must hold integers within int64")
     try:
-        return np.array(column, dtype=np.int64 if kind is Integral else np.float64)
+        column = np.array(column, dtype=dtype)
     except OverflowError:  # an int or a Fraction beyond float64
         raise TraceFormatError(f"{name} must hold real numbers within float64") from None
+    column.flags.writeable = False
+    return column
 
 
 def positions_in(sorted_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -183,8 +196,9 @@ def positions_in(sorted_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     if sorted_ids.size == 0:
         return np.full(values.shape, -1, dtype=np.intp)
     slot = np.searchsorted(sorted_ids, values)
-    hit = np.take(sorted_ids, slot, mode="clip") == values
-    return np.where(hit, slot, -1)
+    # misses are marked in place, so no third array of the values' size is made
+    np.putmask(slot, np.take(sorted_ids, slot, mode="clip") != values, -1)
+    return slot
 
 
 @dataclass(eq=False)
@@ -200,10 +214,13 @@ class ExecutionTrace:
     when present, is the measured CPI of instructions
     [q * quantum_length, (q + 1) * quantum_length).
 
-    The trace copies the columns it is given and makes them read-only,
-    refusing a column whose conversion would change what it holds (see
-    _column); do not change the block table after construction either.
-    Safe to share across readers.
+    Every column is read-only. A column given as a 1-D, C-contiguous,
+    read-only int64 or float64 array that owns its memory (what parse_trace
+    and generate hand over) is adopted without a copy: the caller keeps no
+    writable view of it and must not make it writable again. Any other
+    column is copied, refusing one whose conversion would change what it
+    holds (see _column); do not change the block table after construction
+    either. Safe to share across readers.
     """
 
     blocks: dict[int, BlockDescriptor]
@@ -261,14 +278,17 @@ class ExecutionTrace:
             raise TraceFormatError("cycle counts too large: their sum overflows float64")
         if int(counts.max()) * events.size > _INT64_MAX:
             raise TraceFormatError("instruction counts too large: the total could overflow int64")
-        self.event_starts = np.zeros(events.size + 1, dtype=np.int64)
-        np.cumsum(counts[slot], out=self.event_starts[1:])
-        total = self.total_instructions = int(self.event_starts[-1])
+        # the events' counts gathered into place and summed there; every
+        # slot is valid, and take's default mode would buffer a copy
+        starts = self.event_starts = np.empty(events.size + 1, dtype=np.int64)
+        starts[0] = 0
+        np.take(counts, slot, out=starts[1:], mode="clip")
+        del slot
+        np.cumsum(starts[1:], out=starts[1:])
+        starts.flags.writeable = False  # every EventIndex shares it, as the other columns
+        total = self.total_instructions = int(starts[-1])
         if total <= 0:
             raise TraceFormatError("trace has no events")
-        # every EventIndex shares these arrays, so none may change them
-        for column in (events, cycles, self.event_starts):
-            column.flags.writeable = False
 
         if (self.quanta is None) != (self.quantum_length is None):
             raise TraceFormatError("quantum records and quantum length must coexist")
@@ -296,7 +316,6 @@ class ExecutionTrace:
                     "quantum cpis too large: the largest times the trace's "
                     "instruction count overflows float64"
                 )
-            quanta.flags.writeable = False
         if not golden and self.quanta is None:
             raise TraceFormatError(
                 "mixed-mode violation: need per-event cycles on every event "
@@ -525,8 +544,13 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
     if quantum_length is not None and not quanta:
         raise TraceFormatError("L quantum-length record present but no Q records")
 
-    event_blocks, event_cycles = np.concatenate(block_parts), np.concatenate(cycle_parts)
-    del block_parts, cycle_parts  # the trace copies the columns: free the chunks first
+    # each column's parts are freed before the next column is joined
+    event_blocks = np.concatenate(block_parts)
+    del block_parts
+    event_cycles = np.concatenate(cycle_parts)
+    del cycle_parts
+    # read-only, the trace adopts them without a copy
+    event_blocks.flags.writeable = event_cycles.flags.writeable = False
     return ExecutionTrace(
         blocks=blocks,
         event_blocks=event_blocks,

@@ -22,10 +22,14 @@ from phasescope import (
     SegmentSpec,
     Terminator,
     TraceFormatError,
+    analyze,
     generate,
+    golden_waveform,
+    load_trace,
     parse_trace,
     save_trace,
     serialize_trace,
+    tq_phases,
 )
 from phasescope import trace as trace_module
 from phasescope.synth import ScenarioError
@@ -219,6 +223,102 @@ def test_trace_retains_three_event_columns():
         tracemalloc.stop()
     assert retained <= 3 * 8 * ids.size + 64 * 1024
     np.testing.assert_array_equal(np.diff(trace.event_starts), ids + 1)
+
+
+def _traced_peak(call):
+    """(call(), the largest traced memory above the start while it ran)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_each_stage_peaks_within_its_bytes_per_event(tmp_path):
+    # a trace keeps 24 bytes per event; each stage adopts the columns it
+    # builds and frees or reuses its temporaries as large as the trace
+    spec = ScenarioSpec(
+        [SegmentSpec(f"b{i}", 1.0 + i / 8, 3 + i % 5, 2 + i % 3) for i in range(64)],
+        repetitions=524, noise_stddev=0.05, seed=3,
+    )
+    peaks = {}
+    (trace, _), peaks["generate"] = _traced_peak(lambda: generate(spec))
+    n = trace.event_blocks.size
+    assert 100_000 <= n <= 101_000
+    path = tmp_path / "stages.trace"
+    save_trace(trace, path)
+    _, peaks["load_trace"] = _traced_peak(lambda: load_trace(path))
+    _, peaks["analyze"] = _traced_peak(lambda: analyze(trace))
+    total = trace.total_instructions
+
+    def scoring():
+        golden_waveform(trace)
+        for length in (total // 64, total // 8):
+            tq_phases(trace, length, 0.1)
+
+    _, peaks["golden_waveform + tq_phases"] = _traced_peak(scoring)
+    limits = {"generate": 52, "load_trace": 44, "analyze": 26, "golden_waveform + tq_phases": 26}
+    over = {stage: round(peaks[stage] / n, 1) for stage, limit in limits.items()
+            if peaks[stage] > limit * n + 64 * 1024}
+    assert not over, f"bytes per event over the limits {limits}: {over}"
+
+
+def _locked(values, dtype):
+    column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
+def test_a_read_only_owning_column_is_adopted():
+    blocks = {0: BlockDescriptor(0, 0x1000, 10, Terminator.FALLTHROUGH)}
+    ids, cycles = _locked([0, 0, 0], np.int64), _locked([1.0, 2.0, 3.0], np.float64)
+    quanta = _locked([0.1, 0.2, 0.3], np.float64)
+    trace = ExecutionTrace(blocks=blocks, event_blocks=ids, event_cycles=cycles, quanta=quanta,
+                           quantum_length=10)
+    for given, kept in ((ids, trace.event_blocks), (cycles, trace.event_cycles), (quanta, trace.quanta)):
+        assert np.shares_memory(given, kept)
+        assert kept.flags.writeable is False
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(np.array, id="writable"),
+    pytest.param(lambda values, dtype: _locked([*values, 0], dtype)[:-1], id="read-only-view"),
+    pytest.param(lambda values, dtype: _locked([*values, *values], dtype)[::2], id="strided-view"),
+    pytest.param(lambda values, dtype: list(values), id="list"),
+    pytest.param(lambda values, dtype: _locked(values, {np.int64: np.int32, np.float64: np.float32}[dtype]),
+                 id="other-dtype"),
+    pytest.param(lambda values, dtype: _locked(values, np.dtype(dtype).newbyteorder()), id="byte-swapped"),
+])
+def test_any_other_column_is_copied(make):
+    blocks = {0: BlockDescriptor(0, 0x1000, 10, Terminator.FALLTHROUGH)}
+    ids, cycles = make([0, 0, 0], np.int64), make([1.0, 2.0, 3.0], np.float64)
+    trace = ExecutionTrace(blocks=blocks, event_blocks=ids, event_cycles=cycles)
+    for given, kept, dtype in ((ids, trace.event_blocks, np.int64), (cycles, trace.event_cycles, np.float64)):
+        assert not np.shares_memory(given, kept)
+        assert kept.dtype == dtype and kept.flags.owndata and kept.flags.writeable is False
+        assert kept.tolist() == np.asarray(given).tolist()
+
+
+def test_parser_and_generator_hand_their_columns_over(monkeypatch):
+    given = []
+    validate = ExecutionTrace._validate
+
+    def recording(self):
+        given.append((self.event_blocks, self.event_cycles, self.quanta))
+        validate(self)
+
+    monkeypatch.setattr(ExecutionTrace, "_validate", recording)
+    spec = ScenarioSpec([SegmentSpec("a", 1.5, 4, 3), SegmentSpec("b", 2.5, 6, 2)], repetitions=3,
+                        quantum_length=7)
+    traces = [parse_trace(GOLDEN_SIMPLE), generate(spec)[0]]
+    for trace, handed in zip(traces, given, strict=True):
+        for column, original in zip((trace.event_blocks, trace.event_cycles, trace.quanta), handed):
+            assert column is original  # the parser's quanta, a list it lets the trace copy, are None here
+            assert column is None or column.flags.owndata and column.flags.writeable is False
+    assert traces[0].quanta is None and traces[1].quanta is not None
 
 
 def test_quanta_are_a_read_only_float64_copy():
