@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -50,8 +50,7 @@ def tq_phases(
     records when they give the same quanta, else exactly from golden cycles.
     """
     quantum_length = check_number("quantum_length", quantum_length, Integral, ValueError, "positive")
-    if not merge_delta > 0:
-        raise ValueError(f"merge_delta must be positive, got {merge_delta!r}")
+    check_number("merge_delta", merge_delta, Real, ValueError, "positive")
     total = trace.total_instructions
 
     # every length at or past the run's end cuts it into one quantum

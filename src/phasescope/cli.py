@@ -12,7 +12,7 @@ import gc
 import json
 import sys
 from dataclasses import replace
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 from . import baseline, phases, spectral, synth
@@ -104,8 +104,7 @@ def cmd_compare(args) -> None:
     config = _config_from_args(args)
     for length in args.tq or []:
         check_number("--tq", length, Integral, InputError, "positive")
-    if not args.merge_delta > 0:
-        raise InputError("--merge-delta must be positive")
+    check_number("--merge-delta", args.merge_delta, Real, InputError, "positive")
     trace = load_trace(args.trace)
     if not trace.is_golden:
         raise InputError("golden cycles required for comparison")
@@ -126,13 +125,14 @@ def cmd_compare(args) -> None:
                   for label, wave, count in methods]
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    _write(args.out, baseline.comparison_json(args.trace, scores))
+    # the report goes last: an unusable samples path leaves no report behind
     if args.samples_csv:
         header = "instruction_offset,golden_cpi," + ",".join(label for label, _, _ in methods)
         cells = [map(str, golden.sample_offsets.tolist()), float_reprs(golden.samples)]
         cells += [float_reprs(wave.samples) for _, wave, _ in methods]
         rows = [header, *map(",".join, zip(*cells))]
         _write(args.samples_csv, "\n".join(rows) + "\n")
+    _write(args.out, baseline.comparison_json(args.trace, scores))
 
 
 def cmd_synth(args) -> None:
@@ -142,8 +142,9 @@ def cmd_synth(args) -> None:
         annotation_text = phases.tree_json(annotation.true_phases, trace.blocks)
     except (UnicodeDecodeError, TraceFormatError, synth.ScenarioError) as exc:
         raise InputError(f"scenario {args.scenario}: {exc}") from None
-    save_trace(trace, f"{args.out_prefix}.trace")
+    # the trace goes last: an unusable annotation path leaves no trace behind
     _write(f"{args.out_prefix}.annotation.json", annotation_text)
+    save_trace(trace, f"{args.out_prefix}.trace")
 
 
 def cmd_spectrum(args) -> None:

@@ -1,11 +1,12 @@
-"""Recursive hierarchical phase identification.
+"""Hierarchical phase identification.
 
-The driver repeatedly: samples a segment's CPI waveform, finds the dominant
-occurrence count in its spectrum, derives the pattern length, locates the
-head basic block by aligning candidate heads (big CPI jumps between
-consecutive events) against that length, then recurses into the first
-pattern instance. Occurrence-one segments are split at the strongest mean
-step instead; flat segments terminate the recursion.
+One function decides each segment's children: it samples the segment's CPI
+waveform, finds the dominant occurrence count in its spectrum, derives the
+pattern length, locates the head basic block by aligning candidate heads
+(big CPI jumps between consecutive events) against that length, and gives
+the first pattern instance as the one child. Occurrence-one segments are
+split at the strongest mean step instead; flat segments are leaves.
+analyze builds the tree from a work stack of those children, in pre-order.
 """
 
 from __future__ import annotations
@@ -244,37 +245,25 @@ def analyze(
         profiles = attribute_block_cpi(trace)
     index = EventIndex.from_trace(trace)
     rates = profile_rates(index, profiles)
-    # every node in creation order; the recursion sets interval and
-    # occurrence, then one batch pass sets head block, mean CPI and structure
-    nodes: list[PhaseNode] = []
 
-    def segment(start: int, stop: int, depth: int, occurrence: int) -> PhaseNode:
+    def children(start: int, stop: int, depth: int) -> list[tuple[int, int, int]]:
+        """The (start, stop, occurrence) of each child of the segment
+        [start, stop) at depth: none for a leaf, two for a split, one
+        instance for a repeat."""
         length = stop - start
-        node = PhaseNode(-1, start, length, math.nan, occurrence)
-        nodes.append(node)
         if depth >= cfg.max_depth or length < cfg.min_segment_instructions:
-            return node
-
+            return []
         wave = sample_range(index.starts, rates, start, stop, cfg.resolution)
         spectrum = dft_magnitude(wave)
         if spectrum_sink is not None:
             spectrum_sink(depth, start, stop, spectrum)
         if is_flat(wave, spectrum, cfg):
-            return node  # else some non-DC bin is nonzero, as main_spectrum needs
+            return []  # else some non-DC bin is nonzero, as main_spectrum needs
         main = main_spectrum(spectrum)
-
-        if main.occurrence == 1:
-            split = split_step(wave)
-            if split is None:
-                return node
-            boundary = split[0]
-            node.children = [
-                segment(start, boundary, depth + 1, 1),
-                segment(boundary, stop, depth + 1, 1),
-            ]
-            return node
-
         reps = main.occurrence
+        if reps == 1:
+            split = split_step(wave)
+            return [] if split is None else [(start, split[0], 1), (split[0], stop, 1)]
         # node lengths stay within occurrence*length <= segment + one stride
         instance = min(max(1, round(length / reps)), (length + wave.sample_stride) // reps)
         theta = cfg.boundary_threshold_fraction * main.magnitude
@@ -282,12 +271,19 @@ def analyze(
         anchor = align_phase(offsets, heads, instance)[0] if offsets.size else start
         # fold back to the earliest congruent instance (candidates are >= start)
         anchor = start + (anchor - start) % instance
-        child_len = min(instance, stop - anchor)
-        node.children = [segment(anchor, anchor + child_len, depth + 1, reps)]
-        return node
+        return [(anchor, anchor + min(instance, stop - anchor), reps)]
 
-    root = segment(0, trace.total_instructions, 0, 1)
-    del segment  # its closure holds itself: breaking that cycle frees rates on return
+    # every node in pre-order; the work stack sets interval and occurrence,
+    # then one batch pass sets head block, mean CPI and structure
+    root = PhaseNode(-1, 0, trace.total_instructions, math.nan)
+    nodes: list[PhaseNode] = []
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        nodes.append(node)
+        spans = children(node.start_instruction, node.end_instruction, depth)
+        node.children = [PhaseNode(-1, a, b - a, math.nan, reps) for a, b, reps in spans]
+        stack.extend((child, depth + 1) for child in reversed(node.children))
 
     starts = np.array([node.start_instruction for node in nodes], dtype=np.int64)
     lengths = np.array([node.length_instructions for node in nodes], dtype=np.int64)

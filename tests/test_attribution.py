@@ -287,7 +287,7 @@ def test_quantum_cpis_split_straddling_events():
 
 
 def test_node_fields_match_per_node_lookups():
-    # analyze fills every node's fields in one batch after the recursion;
+    # analyze fills every node's fields in one batch after building the tree;
     # each must equal what a lookup for that node alone gives
     nodes_seen, structures = 0, set()
     for seed in range(6):

@@ -277,11 +277,15 @@ ALTERNATING = golden_trace_from_quanta([1.0, 2.0] * 80)
     (True, 0.1, "quantum_length must be an integer, got True"),
     (0, 0.1, "quantum_length must be positive"),
     (-8, 0.1, "quantum_length must be positive"),
-    (8, float("nan"), "merge_delta must be positive, got nan"),
-    (8, 0.0, "merge_delta must be positive, got 0.0"),
-    (8, -0.1, "merge_delta must be positive, got -0.1"),
+    (8, float("nan"), "merge_delta must be a finite real number, got nan"),
+    (8, 0.0, "merge_delta must be positive"),
+    (8, -0.1, "merge_delta must be positive"),
+    (8, True, "merge_delta must be a finite real number, got True"),
+    (8, "0.1", "merge_delta must be a finite real number, got '0.1'"),
+    (8, float("inf"), "merge_delta must be a finite real number, got inf"),
+    (8, 10**400, f"merge_delta must be a finite real number, got {10**400!r}"),
 ], ids=["length-2.5", "length-True", "length-0", "length-negative", "delta-nan", "delta-0",
-        "delta-negative"])
+        "delta-negative", "delta-True", "delta-str", "delta-inf", "delta-huge-int"])
 def test_tq_phases_rejects_a_length_or_delta_the_prediction_cannot_use(length, delta, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         tq_phases(ALTERNATING, length, delta)

@@ -269,6 +269,14 @@ def test_compare_rejects_non_positive_settings_with_exit_2(tmp_path, capsys, tra
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_compare_rejects_a_non_finite_merge_delta_with_exit_2(tmp_path, capsys, trace_file, value):
+    out = tmp_path / "cmp.json"
+    assert main(["compare", str(trace_file), "--out", str(out), "--merge-delta", value]) == 2
+    assert capsys.readouterr().err == f"error: --merge-delta must be a finite real number, got {value}\n"
+    assert not out.exists()
+
+
 def test_json_writers_refuse_non_finite_numbers():
     from phasescope import PhaseNode
     from phasescope.baseline import comparison_json
@@ -856,6 +864,24 @@ def test_an_unusable_side_output_leaves_no_tree(tmp_path, capsys, trace_file, si
     out, err = capsys.readouterr()
     assert err.startswith("error: [Errno")
     assert out == "" and not tree.exists()
+
+
+def test_an_unusable_samples_csv_leaves_no_report(tmp_path, capsys, trace_file):
+    report = tmp_path / "cmp.json"
+    argv = ["compare", str(trace_file), "--out", str(report),
+            "--samples-csv", str(tmp_path / "missing" / "samples.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2]")
+    assert not report.exists()
+
+
+def test_an_unusable_annotation_path_leaves_no_trace(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(scenario_json(SCENARIO))
+    (tmp_path / "x.annotation.json").mkdir()
+    assert main(["synth", str(scenario), "--out-prefix", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 21]")
+    assert not (tmp_path / "x.trace").exists()
 
 
 # --- config sources: each error names the file or flag that gave the value -------

@@ -1,5 +1,5 @@
 """Phase identification: head candidates, alignment, step splitting,
-structure classification, the recursive driver, and marker export."""
+structure classification, the tree-building driver, and marker export."""
 
 import dataclasses
 import gc
@@ -379,7 +379,7 @@ def test_classify_no_context_is_none():
     assert classify_structure(block(1), ret) is Structure.NONE
 
 
-# --- the recursive driver ------------------------------------------------------
+# --- the tree-building driver --------------------------------------------------
 
 SQUARE = ScenarioSpec(
     segments=[
@@ -445,18 +445,20 @@ def test_two_level_recovery():
         assert node.mean_cpi == pytest.approx(expected, abs=1e-9)
 
 
+def preorder(node, depth=0):
+    """(node, depth) for node and every node below it, in pre-order: the
+    order analyze creates the nodes and samples the segments in."""
+    yield node, depth
+    for child in node.children:
+        yield from preorder(child, depth + 1)
+
+
 @pytest.mark.parametrize("cfg", [AnalysisConfig(), AnalysisConfig(max_depth=2)],
                          ids=["too-short-leaves", "max-depth"])
 def test_spectrum_sink_gets_each_sampled_segment_in_node_order(cfg):
     trace, _ = generate(TWO_LEVEL)
     calls = []
     root = analyze(trace, cfg, spectrum_sink=lambda *call: calls.append(call))
-
-    def preorder(node, depth=0):  # the order analyze creates the nodes in
-        yield node, depth
-        for child in node.children:
-            yield from preorder(child, depth + 1)
-
     sampled = [(depth, node.start_instruction, node.end_instruction)
                for node, depth in preorder(root)
                if depth < cfg.max_depth and node.length_instructions >= cfg.min_segment_instructions]
@@ -516,7 +518,8 @@ def test_analyze_samples_the_profile_rates_of_its_block_cpis(spec):
 
 
 def test_analyze_leaves_no_reference_cycles():
-    # the recursion is a nested function that refers to itself
+    # a nested function of analyze that referred to itself would keep its
+    # closure (the per-event rates among it) alive past the return
     trace, _ = generate(TWO_LEVEL)
     gc.collect()
     gc.disable()
@@ -827,6 +830,21 @@ def test_tree_is_well_formed_and_node_means_are_exact(spec):
         overlap = np.clip(np.minimum(ends, hi) - np.maximum(starts, lo), 0, None)
         exact = math.fsum((overlap * rates).tolist()) / node.length_instructions
         assert node.mean_cpi == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=nested_scenarios(), max_depth=st.integers(1, 8), min_segment=st.sampled_from([2, 64]))
+@example(spec=TWO_LEVEL, max_depth=8, min_segment=2)
+@example(spec=dataclasses.replace(TWO_LEVEL, quantum_length=60), max_depth=8, min_segment=2)
+def test_spectrum_sink_sees_each_sampled_node_once_in_preorder(spec, max_depth, min_segment):
+    # library callers see this order: a node's segment, then its children's
+    trace, _ = generate(spec)
+    cfg = AnalysisConfig(max_depth=max_depth, min_segment_instructions=min_segment)
+    calls = []
+    root = analyze(trace, cfg, spectrum_sink=lambda depth, start, stop, _: calls.append((depth, start, stop)))
+    assert calls == [(depth, node.start_instruction, node.end_instruction)
+                     for node, depth in preorder(root)
+                     if depth < max_depth and node.length_instructions >= min_segment]
 
 
 @pytest.mark.parametrize("children, message", [
