@@ -23,7 +23,6 @@ from .phases import (
 from .spectral import (
     FlatSpectrumError,
     MainSpectrum,
-    Spectrum,
     dft_magnitude,
     is_flat,
     main_spectrum,
@@ -53,7 +52,6 @@ __all__ = [
     "PhaseNode",
     "ScenarioSpec",
     "SegmentSpec",
-    "Spectrum",
     "Structure",
     "Terminator",
     "TqPhase",

@@ -15,6 +15,8 @@ from dataclasses import replace
 from numbers import Integral, Real
 from pathlib import Path
 
+import numpy as np
+
 from . import baseline, phases, spectral, synth
 from .attribution import attribute_block_cpi, build_waveform, golden_waveform, waveform_csv
 from .phases import CONFIG_TYPES, AnalysisConfig
@@ -75,7 +77,7 @@ def cmd_analyze(args) -> None:
     config = _config_from_args(args)
     trace = load_trace(args.trace)
 
-    spectra: list[tuple[int, int, int, spectral.Spectrum]] = []
+    spectra: list[tuple[int, int, int, np.ndarray]] = []
     sink = (lambda d, a, b, s: spectra.append((d, a, b, s))) if args.spectrum_dir else None
     # the waveform CSV needs the block profiles the analysis attributes
     profiles = attribute_block_cpi(trace) if args.waveform_csv else None
@@ -88,9 +90,9 @@ def cmd_analyze(args) -> None:
     if args.spectrum_dir:
         directory = Path(args.spectrum_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        for depth, start, stop, spec in spectra:
+        for depth, start, stop, magnitudes in spectra:
             path = directory / f"spectrum_d{depth}_i{start}_{stop}.csv"
-            _write(str(path), spectral.spectrum_csv(spec))
+            _write(str(path), spectral.spectrum_csv(magnitudes))
     if args.markers:
         _write(args.markers, phases.markers_json(phases.export_markers(tree, trace.blocks)))
     tree_text = phases.tree_json(tree, trace.blocks)
@@ -154,8 +156,7 @@ def cmd_spectrum(args) -> None:
         raise InputError("trace has one instruction: a spectrum needs at least 2 samples")
     profiles = attribute_block_cpi(trace)
     wave = build_waveform(trace, profiles, config.resolution)
-    spectrum = spectral.dft_magnitude(wave)
-    _write(args.out, spectral.spectrum_csv(spectrum))
+    _write(args.out, spectral.spectrum_csv(spectral.dft_magnitude(wave)))
 
 
 def cmd_markers(args) -> None:

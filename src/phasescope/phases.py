@@ -31,7 +31,7 @@ from .attribution import (
     profile_rates,
     sample_range,
 )
-from .spectral import Spectrum, dft_magnitude, is_flat, main_spectrum
+from .spectral import dft_magnitude, is_flat, main_spectrum
 from .trace import BlockDescriptor, ExecutionTrace, Terminator, check_number
 
 
@@ -228,7 +228,7 @@ def analyze(
     trace: ExecutionTrace,
     config: Optional[AnalysisConfig] = None,
     *,
-    spectrum_sink: Optional[Callable[[int, int, int, Spectrum], None]] = None,
+    spectrum_sink: Optional[Callable[[int, int, int, np.ndarray], None]] = None,
     profiles: Optional[dict[int, float]] = None,
 ) -> PhaseNode:
     """Build the hierarchical phase tree for a trace.
@@ -237,8 +237,9 @@ def analyze(
     defaults to attribute_block_cpi(trace); a caller that wants a specific
     attribution mode, or needs the block CPIs too, passes
     attribute_block_cpi(trace, mode) and the trace is attributed once.
-    spectrum_sink, when given, receives (depth, start, stop, spectrum) for
-    every analyzed segment.
+    spectrum_sink, when given, receives (depth, start, stop, magnitudes) for
+    every analyzed segment, magnitudes being the segment's dft_magnitude
+    array.
     """
     cfg = config or _DEFAULT_CONFIG
     if profiles is None:
@@ -254,12 +255,12 @@ def analyze(
         if depth >= cfg.max_depth or length < cfg.min_segment_instructions:
             return []
         wave = sample_range(index.starts, rates, start, stop, cfg.resolution)
-        spectrum = dft_magnitude(wave)
+        magnitudes = dft_magnitude(wave)
         if spectrum_sink is not None:
-            spectrum_sink(depth, start, stop, spectrum)
-        if is_flat(wave, spectrum, cfg):
+            spectrum_sink(depth, start, stop, magnitudes)
+        if is_flat(wave, magnitudes, cfg):
             return []  # else some non-DC bin is nonzero, as main_spectrum needs
-        main = main_spectrum(spectrum)
+        main = main_spectrum(magnitudes)
         reps = main.occurrence
         if reps == 1:
             split = split_step(wave)

@@ -36,7 +36,7 @@ from phasescope import (
     split_step,
 )
 from phasescope import phases
-from phasescope.attribution import EventIndex, profile_rates, sample_range
+from phasescope.attribution import EventIndex, profile_rates, sample_grid, sample_range
 from phasescope.phases import (
     _candidates_in_range,
     _population_std,
@@ -426,6 +426,24 @@ def test_square_wave_recovers_occurrence_and_split():
     assert cpis == pytest.approx([1.0, 2.0], abs=1e-9)
 
 
+def test_an_off_grid_instance_keeps_its_true_length():
+    # 7 x 101 = 707 instructions sampled every 8: the grid covers 712, yet
+    # the instance is D / X = 101 (712 / 7 would round to 102)
+    spec = ScenarioSpec(
+        segments=[
+            SegmentSpec("lo", block_cpi=1.0, block_instruction_count=50, event_count=1),
+            SegmentSpec("hi", block_cpi=2.0, block_instruction_count=51, event_count=1),
+        ],
+        repetitions=7,
+    )
+    trace, _ = generate(spec)
+    cfg = AnalysisConfig(resolution=100)
+    offsets, stride = sample_grid(0, trace.total_instructions, cfg.resolution)
+    assert (trace.total_instructions, stride, offsets.size * stride) == (707, 8, 712)
+    tree = analyze(trace, cfg)
+    assert [(c.start_instruction, c.length_instructions, c.occurrence) for c in tree.children] == [(50, 101, 7)]
+
+
 def test_two_level_recovery():
     trace, annotation = generate(TWO_LEVEL)
     tree = analyze(trace)
@@ -466,10 +484,9 @@ def test_spectrum_sink_gets_each_sampled_segment_in_node_order(cfg):
     assert [call[:3] for call in calls] == sampled
     index = EventIndex.from_trace(trace)
     rates = profile_rates(index, attribute_block_cpi(trace))
-    for _, start, stop, spectrum in calls:
+    for _, start, stop, magnitudes in calls:
         expected = dft_magnitude(sample_range(index.starts, rates, start, stop, cfg.resolution))
-        assert spectrum.magnitudes.tobytes() == expected.magnitudes.tobytes()
-        assert spectrum.source_length_instructions == expected.source_length_instructions
+        assert magnitudes.tobytes() == expected.tobytes()
 
 
 @st.composite

@@ -7,7 +7,6 @@ import pytest
 from phasescope import (
     AnalysisConfig,
     FlatSpectrumError,
-    Spectrum,
     Waveform,
     dft_magnitude,
     is_flat,
@@ -39,20 +38,20 @@ def naive_dft_magnitudes(samples):
 
 def test_constant_waveform_is_pure_dc():
     for n in (2, 7, 64):
-        spectrum = dft_magnitude(wave([2.5] * n))
-        assert spectrum.dc_value == pytest.approx(2.5, abs=1e-12)
-        assert np.all(spectrum.magnitudes[1:] < 1e-12)
+        magnitudes = dft_magnitude(wave([2.5] * n))
+        assert magnitudes[0] == pytest.approx(2.5, abs=1e-12)
+        assert np.all(magnitudes[1:] < 1e-12)
 
 
 def test_pure_cosine_lands_on_its_bin():
     n = 64
     samples = np.cos(2 * np.pi * 4 * np.arange(n) / n)
-    spectrum = dft_magnitude(wave(samples + 2.0))  # keep samples positive
-    nondc = spectrum.magnitudes[1:]
+    magnitudes = dft_magnitude(wave(samples + 2.0))  # keep samples positive
+    nondc = magnitudes[1:]
     k = int(np.argmax(nondc)) + 1
     assert k == 4
     # closed form: a unit cosine contributes amplitude/2 at its bin
-    assert spectrum.magnitudes[4] == pytest.approx(0.5, abs=1e-9)
+    assert magnitudes[4] == pytest.approx(0.5, abs=1e-9)
     others = np.delete(nondc, 3)
     assert np.all(others < 1e-9)
 
@@ -62,18 +61,17 @@ def test_fast_path_matches_naive_dft():
     for _ in range(20):
         n = int(rng.integers(2, 257))
         samples = rng.uniform(0.2, 4.0, size=n)
-        spectrum = dft_magnitude(wave(samples))
-        np.testing.assert_allclose(
-            spectrum.magnitudes, naive_dft_magnitudes(samples), atol=1e-9
-        )
+        magnitudes = dft_magnitude(wave(samples))
+        assert magnitudes.dtype == np.float64 and magnitudes.shape == (n // 2 + 1,)
+        np.testing.assert_allclose(magnitudes, naive_dft_magnitudes(samples), atol=1e-9)
 
 
 def test_dc_equals_mean():
     rng = np.random.default_rng(5)
     for _ in range(10):
         samples = rng.uniform(0.1, 5.0, size=int(rng.integers(2, 300)))
-        spectrum = dft_magnitude(wave(samples))
-        assert spectrum.dc_value == pytest.approx(float(samples.mean()), abs=1e-9)
+        magnitudes = dft_magnitude(wave(samples))
+        assert magnitudes[0] == pytest.approx(float(samples.mean()), abs=1e-9)
 
 
 def test_rotation_leaves_magnitudes_unchanged():
@@ -82,7 +80,7 @@ def test_rotation_leaves_magnitudes_unchanged():
     base = dft_magnitude(wave(samples))
     for shift in (1, 13, 64, 100):
         rotated = dft_magnitude(wave(np.roll(samples, shift)))
-        np.testing.assert_allclose(rotated.magnitudes, base.magnitudes, atol=1e-9)
+        np.testing.assert_allclose(rotated, base, atol=1e-9)
         assert main_spectrum(rotated).occurrence == main_spectrum(base).occurrence
 
 
@@ -91,7 +89,7 @@ def test_scaling_covariance():
     samples = rng.uniform(0.5, 3.0, size=96)
     base = dft_magnitude(wave(samples))
     scaled = dft_magnitude(wave(samples * 3.7))
-    np.testing.assert_allclose(scaled.magnitudes, base.magnitudes * 3.7, atol=1e-9)
+    np.testing.assert_allclose(scaled, base * 3.7, atol=1e-9)
     assert main_spectrum(scaled).occurrence == main_spectrum(base).occurrence
 
 
@@ -99,8 +97,7 @@ def test_scaling_covariance():
 def test_square_wave_fundamental_dominates(period):
     n = 256
     pattern = np.where(np.arange(n) % period < period // 2, 2.0, 1.0)
-    spectrum = dft_magnitude(wave(pattern))
-    main = main_spectrum(spectrum)
+    main = main_spectrum(dft_magnitude(wave(pattern)))
     assert main.occurrence == n // period
     # the naive oracle agrees on the winner
     naive = naive_dft_magnitudes(pattern)
@@ -108,38 +105,26 @@ def test_square_wave_fundamental_dominates(period):
 
 
 def test_paper_style_phase_lengths():
-    # 4 repetitions across 4500 instructions -> length 1125
+    # 4 repetitions across 4500 instructions (analyze's length: 1125)
     n = 2250
     pattern = np.where((np.arange(n) * 2) % 1125 < 560, 1.0, 2.0)
-    spectrum = dft_magnitude(wave(pattern, stride=2))
-    assert spectrum.source_length_instructions == 4500
-    main = main_spectrum(spectrum)
+    main = main_spectrum(dft_magnitude(wave(pattern, stride=2)))
     assert main.occurrence == 4
-    assert main.phase_length_instructions == 1125
-    # 40 repetitions across 400 instructions -> length 10
+    # 40 repetitions across 400 instructions (analyze's length: 10)
     pattern = np.where(np.arange(400) % 10 < 5, 1.0, 2.0)
     main = main_spectrum(dft_magnitude(wave(pattern)))
     assert main.occurrence == 40
-    assert main.phase_length_instructions == 10
 
 
 def test_tie_breaks_toward_smaller_occurrence():
-    spectrum = Spectrum(
-        magnitudes=np.array([5.0, 0.1, 0.0, 0.9, 0.2, 0.3, 0.9]),
-        source_length_instructions=600,
-    )
-    main = main_spectrum(spectrum)
+    main = main_spectrum(np.array([5.0, 0.1, 0.0, 0.9, 0.2, 0.3, 0.9]))
     assert main.occurrence == 3
-    assert main.phase_length_instructions == 200
+    assert main.magnitude == 0.9
 
 
 def test_flat_spectrum_raises():
-    spectrum = Spectrum(
-        magnitudes=np.array([2.0, 0.0, 0.0]),
-        source_length_instructions=4,
-    )
     with pytest.raises(FlatSpectrumError):
-        main_spectrum(spectrum)
+        main_spectrum(np.array([2.0, 0.0, 0.0]))
 
 
 def test_one_sample_has_no_spectrum():
@@ -148,7 +133,7 @@ def test_one_sample_has_no_spectrum():
 
 
 def test_a_dc_only_spectrum_has_no_main_bin_and_is_flat():
-    dc_only = Spectrum(magnitudes=np.array([1.5]), source_length_instructions=1)
+    dc_only = np.array([1.5])
     with pytest.raises(FlatSpectrumError, match="^spectrum has no non-DC bins$"):
         main_spectrum(dc_only)
     # the CPI range (1.0) is outside the flat band, so the bins decide
@@ -164,7 +149,7 @@ def test_is_flat_constant_and_thresholds():
     square = wave(np.where(np.arange(32) % 8 < 4, 2.0, 1.0))
     sq_spec = dft_magnitude(square)
     assert square.samples.max() - square.samples.min() == pytest.approx(1.0)
-    assert sq_spec.magnitudes[1:].max() > config.flat_spectrum_ratio * sq_spec.dc_value
+    assert sq_spec[1:].max() > config.flat_spectrum_ratio * sq_spec[0]
     assert not is_flat(square, sq_spec, config)
 
     # range 0.25 sits inside the default 0.3 band -> flat
@@ -173,18 +158,16 @@ def test_is_flat_constant_and_thresholds():
 
 
 def test_spectrum_csv_reserves_row_zero_for_dc():
-    spectrum = dft_magnitude(wave([1.0, 2.0, 1.0, 2.0]))
-    lines = spectrum_csv(spectrum).splitlines()
+    lines = spectrum_csv(dft_magnitude(wave([1.0, 2.0, 1.0, 2.0]))).splitlines()
     assert lines[0] == "occurrence,magnitude"
     assert lines[1].startswith("0,")
     assert float(lines[1].split(",")[1]) == pytest.approx(1.5)
 
 
 def test_spectrum_csv_matches_the_per_row_writer():
-    magnitudes = dft_magnitude(wave(np.where(np.arange(256) % 32 < 12, 2.75, 0.5))).magnitudes
+    magnitudes = dft_magnitude(wave(np.where(np.arange(256) % 32 < 12, 2.75, 0.5)))
     assert (magnitudes < 1e-4).any()  # round-off bins take the exponent spelling
-    spectrum = Spectrum(magnitudes=magnitudes, source_length_instructions=256)
     rows = ["occurrence,magnitude"]
-    for k, mag in enumerate(spectrum.magnitudes):
+    for k, mag in enumerate(magnitudes):
         rows.append(f"{k},{float(mag)!r}")
-    assert spectrum_csv(spectrum) == "\n".join(rows) + "\n"
+    assert spectrum_csv(magnitudes) == "\n".join(rows) + "\n"
