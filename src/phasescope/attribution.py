@@ -35,8 +35,9 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.size < 1:
             raise ValueError("waveform needs at least one sample")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be positive")
+        check_number("sample_stride", self.sample_stride, Integral, ValueError, "positive")
+        # any sign: sample_range also samples step functions over negative offsets
+        check_number("origin_instruction", self.origin_instruction, Integral)
 
     @property
     def sample_offsets(self) -> np.ndarray:

@@ -18,7 +18,12 @@ counts must be finite and non-negative, with a finite float64 sum, quantum
 CPIs finite and positive, the largest times the instruction count finite,
 block addresses non-negative and block start addresses distinct. Addresses
 are bare lowercase hex without leading zeros (``0``, ``1a0``), as the
-writer prints them.
+writer prints them. The parser checks the decimal fields with
+``check_number``, the one rule for numbers from outside (a block's fields
+in ``BlockDescriptor``; an event's block id and a quantum index need only
+match a declared block or the next index), and names the failing line in
+one place: every check in its line loop raises without a line, and the
+loop's one handler adds it.
 
 In memory the event stream is two numpy columns, block ids and cycle
 counts, built and validated once; validation adds a third, the prefix sums
@@ -133,17 +138,14 @@ class BlockDescriptor:
     def __post_init__(self):
         block = f"block {self.block_id}"
         check_number(f"{block}: block_id", self.block_id, Integral, TraceFormatError)
-        check_number(f"{block}: instruction_count", self.instruction_count, Integral, TraceFormatError)
+        check_number(f"{block}: instruction_count", self.instruction_count, Integral, TraceFormatError,
+                     "positive")
         # of any size: the parser reads hex addresses of any length
         for address in (self.start_address, 0 if self.target_address is None else self.target_address):
             if not isinstance(address, (int, Integral)) or isinstance(address, bool) or address < 0:
                 raise TraceFormatError(f"{block}: addresses must be non-negative integers")
         if not isinstance(self.terminator, Terminator):
             raise TraceFormatError(f"{block}: terminator must be a Terminator, got {self.terminator!r}")
-        if self.instruction_count < 1:
-            raise TraceFormatError(
-                f"{block}: instruction_count must be >= 1"
-            )
         has_target = self.target_address is not None
         if has_target != (self.terminator in _TARGETED):
             raise TraceFormatError(
@@ -331,7 +333,7 @@ class ExecutionTrace:
 _CHUNK_LINES = 4096
 
 
-def _decimal(convert, token: str, what: str, line: int):
+def _decimal(convert, token: str, what: str):
     """convert(token) for int or float, refusing what numpy's event reader
     refuses though int() and float() take it: "_" and non-ASCII digits."""
     if token.isascii() and "_" not in token:
@@ -339,15 +341,7 @@ def _decimal(convert, token: str, what: str, line: int):
             return convert(token)
         except ValueError:
             pass
-    raise TraceFormatError(f"malformed {what} {token!r}", line)
-
-
-def _parse_int(token: str, what: str, line: int) -> int:
-    """Decimal field; every one must fit in int64 to enter a column."""
-    value = _decimal(int, token, what, line)
-    if not _INT64_MIN <= value <= _INT64_MAX:
-        raise TraceFormatError(f"{what} {token!r} outside int64", line)
-    return value
+    raise TraceFormatError(f"malformed {what} {token!r}")
 
 
 #: addresses as save_trace writes them, bare lowercase hex; a sign is let
@@ -355,22 +349,10 @@ def _parse_int(token: str, what: str, line: int) -> int:
 _HEX_ADDRESS = re.compile(r"0|-?[1-9a-f][0-9a-f]*")
 
 
-def _parse_address(token: str, what: str, line: int) -> int:
+def _parse_address(token: str, what: str) -> int:
     if not _HEX_ADDRESS.fullmatch(token):
-        raise TraceFormatError(f"malformed {what} {token!r}", line)
+        raise TraceFormatError(f"malformed {what} {token!r}")
     return int(token, 16)
-
-
-def _parse_float(token: str, what: str, line: int, positive: bool = False) -> float:
-    """Finite decimal field, non-negative, or positive when asked."""
-    value = _decimal(float, token, what, line)
-    if not math.isfinite(value):
-        raise TraceFormatError(f"non-finite {what} {token!r}", line)
-    if not (value > 0 if positive else value >= 0):
-        raise TraceFormatError(
-            f"{what} {token!r} must be {'positive' if positive else 'non-negative'}", line
-        )
-    return value
 
 
 #: numpy record layouts of an ``E`` line with and without a cycle count
@@ -460,77 +442,73 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
         if columns is None:
             ids: list[int] = []
             cycles: list[float] = []
-            for lineno, raw in enumerate(run, start=first):
-                text = raw.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                fields = text.split()
-                kind = fields[0]
+            try:
+                for lineno, raw in enumerate(run, start=first):
+                    text = raw.split("#", 1)[0].strip()
+                    if not text:
+                        continue
+                    fields = text.split()
+                    kind = fields[0]
 
-                if not saw_version:
-                    if kind != "V" or len(fields) != 2 or fields[1] != "1":
-                        raise TraceFormatError("expected version header 'V 1'", lineno)
-                    saw_version = True
-                    continue
+                    if not saw_version:
+                        if kind != "V" or len(fields) != 2 or fields[1] != "1":
+                            raise TraceFormatError("expected version header 'V 1'")
+                        saw_version = True
+                        continue
 
-                if kind == "B":
-                    if len(fields) not in (5, 6):
-                        raise TraceFormatError("malformed block record", lineno)
-                    bid = _parse_int(fields[1], "block id", lineno)
-                    addr = _parse_address(fields[2], "address", lineno)
-                    count = _parse_int(fields[3], "instruction count", lineno)
-                    try:
-                        term = Terminator(fields[4])
-                    except ValueError:
-                        raise TraceFormatError(
-                            f"malformed terminator {fields[4]!r}", lineno
-                        ) from None
-                    target = (
-                        _parse_address(fields[5], "target address", lineno)
-                        if len(fields) == 6
-                        else None
-                    )
-                    if bid in blocks:
-                        raise TraceFormatError(f"duplicate block declaration {bid}", lineno)
-                    try:
+                    if kind == "B":
+                        if len(fields) not in (5, 6):
+                            raise TraceFormatError("malformed block record")
+                        bid = _decimal(int, fields[1], "block id")
+                        addr = _parse_address(fields[2], "address")
+                        count = _decimal(int, fields[3], "instruction count")
+                        try:
+                            term = Terminator(fields[4])
+                        except ValueError:
+                            raise TraceFormatError(f"malformed terminator {fields[4]!r}") from None
+                        target = _parse_address(fields[5], "target address") if len(fields) == 6 else None
+                        if bid in blocks:
+                            raise TraceFormatError(f"duplicate block declaration {bid}")
                         blocks[bid] = BlockDescriptor(bid, addr, count, term, target)
-                    except TraceFormatError as exc:
-                        raise TraceFormatError(str(exc), lineno) from None
-                    if addr in addresses:
-                        raise TraceFormatError(f"duplicate start_address {addr:#x}", lineno)
-                    addresses.add(addr)
-                elif kind == "E":
-                    if len(fields) not in (2, 3):
-                        raise TraceFormatError("malformed event record", lineno)
-                    bid = _parse_int(fields[1], "block id", lineno)
-                    if bid not in blocks:
-                        raise TraceFormatError(f"unknown block {bid}", lineno)
-                    ids.append(bid)
-                    cycles.append(
-                        _parse_float(fields[2], "cycle count", lineno)
-                        if len(fields) == 3
-                        else math.nan
-                    )
-                elif kind == "Q":
-                    if len(fields) != 3:
-                        raise TraceFormatError("malformed quantum record", lineno)
-                    qidx = _parse_int(fields[1], "quantum index", lineno)
-                    if qidx != len(quanta):
-                        raise TraceFormatError(
-                            f"quantum indices must be contiguous from 0 (got {qidx} at {len(quanta)})",
-                            lineno,
-                        )
-                    quanta.append(_parse_float(fields[2], "quantum cpi", lineno, positive=True))
-                elif kind == "L":
-                    if len(fields) != 2:
-                        raise TraceFormatError("malformed quantum length record", lineno)
-                    if quantum_length is not None:
-                        raise TraceFormatError("repeated quantum length record", lineno)
-                    quantum_length = _parse_int(fields[1], "quantum length", lineno)
-                    if quantum_length < 1:
-                        raise TraceFormatError(f"quantum length {fields[1]!r} must be positive", lineno)
-                else:
-                    raise TraceFormatError(f"malformed line: unknown record {kind!r}", lineno)
+                        if addr in addresses:
+                            raise TraceFormatError(f"duplicate start_address {addr:#x}")
+                        addresses.add(addr)
+                    elif kind == "E":
+                        if len(fields) not in (2, 3):
+                            raise TraceFormatError("malformed event record")
+                        # an id outside int64 is never a declared block's
+                        bid = _decimal(int, fields[1], "block id")
+                        if bid not in blocks:
+                            raise TraceFormatError(f"unknown block {bid}")
+                        ids.append(bid)
+                        cycles.append(math.nan if len(fields) == 2 else check_number(
+                            "cycle count", _decimal(float, fields[2], "cycle count"), Real,
+                            TraceFormatError, "non-negative"))
+                    elif kind == "Q":
+                        if len(fields) != 3:
+                            raise TraceFormatError("malformed quantum record")
+                        qidx = _decimal(int, fields[1], "quantum index")
+                        if qidx != len(quanta):
+                            raise TraceFormatError(
+                                f"quantum indices must be contiguous from 0 (got {qidx} at {len(quanta)})"
+                            )
+                        cpi = _decimal(float, fields[2], "quantum cpi")
+                        quanta.append(check_number("quantum cpi", cpi, Real, TraceFormatError, "positive"))
+                    elif kind == "L":
+                        if len(fields) != 2:
+                            raise TraceFormatError("malformed quantum length record")
+                        if quantum_length is not None:
+                            raise TraceFormatError("repeated quantum length record")
+                        length = _decimal(int, fields[1], "quantum length")
+                        quantum_length = check_number("quantum length", length, Integral,
+                                                      TraceFormatError, "positive")
+                    else:
+                        raise TraceFormatError(f"malformed line: unknown record {kind!r}")
+            except TraceFormatError as exc:
+                # the one place that names the line: every check above raises without it
+                if exc.line is not None:
+                    raise
+                raise TraceFormatError(str(exc), lineno) from None
             columns = np.array(ids, dtype=np.int64), np.array(cycles, dtype=float)
             if len(blocks) != known.size:
                 known = np.array(sorted(blocks), dtype=np.int64)

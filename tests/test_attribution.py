@@ -495,6 +495,19 @@ def test_attribution_rejects_unusable_input(call, message):
         call()
 
 
+@pytest.mark.parametrize("stride, origin, field", [
+    (2.5, 0, "sample_stride"),
+    (True, 0, "sample_stride"),
+    (np.float64(2.0), 0, "sample_stride"),
+    (2, 0.5, "origin_instruction"),
+    (2, "3", "origin_instruction"),
+])
+def test_waveform_takes_only_integer_strides_and_origins(stride, origin, field):
+    """A fractional stride or origin would put samples between instructions."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        Waveform(samples=[1.0, 1.0, 5.0, 5.0], sample_stride=stride, origin_instruction=origin)
+
+
 @st.composite
 def sampled_ranges(draw):
     """A step function, a range in it and a resolution. Its bounds strictly

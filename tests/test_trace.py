@@ -375,7 +375,7 @@ def test_out_of_order_quantum_index_names_its_line_in_a_later_chunk():
     ("V 1\nB 0 1000 10 F\nE 0\nE 0\nL 10\nQ 0 nan\nQ 1 1.5\n", 6),
 ])
 def test_non_finite_values_rejected_with_line(text, line):
-    with pytest.raises(TraceFormatError, match="non-finite") as exc:
+    with pytest.raises(TraceFormatError, match="must be a finite real number") as exc:
         parse_trace(text)
     assert exc.value.line == line
 
@@ -399,7 +399,7 @@ def test_non_finite_values_rejected_with_line(text, line):
                  id="negative-address"),
     pytest.param("V 1\nB 0 1000 5 B -10\nE 0 5.0\n", 2, "block 0: addresses must be non-negative",
                  id="negative-target"),
-    pytest.param("V 1\nB 0 1000 0 F\nE 0 5.0\n", 2, "block 0: instruction_count must be >= 1",
+    pytest.param("V 1\nB 0 1000 0 F\nE 0 5.0\n", 2, "block 0: instruction_count must be positive",
                  id="zero-instructions"),
     pytest.param("V 1\nB 0 1000 5 F 2000\nE 0 5.0\n", 2,
                  "block 0: target_address present iff terminator is branch or call", id="target"),
@@ -424,11 +424,67 @@ def test_non_finite_values_rejected_with_line(text, line):
     # an empty block table
     pytest.param("V 1\n" + "\n" * (_CHUNK_LINES - 1) + "E 0 5.0\n" * 10, _CHUNK_LINES + 1,
                  "unknown block 0", id="events-before-blocks"),
+    pytest.param("V 1\nB 0 1000 5 F\nE 0 -1.0\n", 3, "cycle count must be non-negative",
+                 id="negative-cycles"),
+    pytest.param("V 1\nB 0 1000 10 F\nE 0\nL 10\nQ 0 0\n", 5, "quantum cpi must be positive",
+                 id="zero-quantum-cpi"),
+    pytest.param("V 1\nB 0 1000 10 F\nE 0\nL 10\nQ 0 -1.5\n", 5, "quantum cpi must be positive",
+                 id="negative-quantum-cpi"),
+    pytest.param("V 1\nB 0 1000 10 F\nE 0\nL 99999999999999999999\nQ 0 1.5\n", 4,
+                 "quantum length must be an integer within int64, got 99999999999999999999",
+                 id="quantum-length-beyond-int64"),
+    # an index beyond int64 is never the next one
+    pytest.param("V 1\nB 0 1000 10 F\nE 0\nL 10\nQ 9223372036854775808 1.5\n", 5,
+                 "quantum indices must be contiguous from 0 (got 9223372036854775808 at 0)",
+                 id="quantum-index-beyond-int64"),
 ])
 def test_rejected_record_names_its_line(text, line, message):
     with pytest.raises(TraceFormatError, match=re.escape(f"line {line}: {message}")) as exc:
         parse_trace(text)
     assert exc.value.line == line
+
+
+#: tokens put in place of one numeric field of a valid trace
+BAD_NUMBERS = ["nan", "inf", "-1", "0", "1_0", "x", "9223372036854775808"]
+#: the errors about the trace as a whole, which name no line
+WHOLE_TRACE_ERRORS = ("quantum count mismatch", "instruction counts too large",
+                      "cycle counts too large", "quantum cpis too large", "mixed-mode violation")
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bad=st.sampled_from(BAD_NUMBERS), pick=st.integers(0, 2**16))
+def test_a_bad_number_fails_on_its_own_line_or_on_the_whole_trace(seed, bad, pick):
+    rng = np.random.default_rng(seed)
+    ids = list(range(1, int(rng.integers(2, 5))))  # never 0 or -1, which a bad token can declare
+    blocks = {b: BlockDescriptor(b, 0x100 * b, int(rng.integers(1, 6)),
+                                 Terminator.CALL if b % 2 else Terminator.FALLTHROUGH,
+                                 0x40 if b % 2 else None) for b in ids}
+    events = rng.choice(ids, int(rng.integers(1, 8)))
+    cycles = rng.uniform(0.5, 9.0, events.size)
+    cycles[rng.random(events.size) < 0.5] = np.nan  # E lines with and without a cycle count
+    length = int(rng.integers(1, 10))
+    total = sum(blocks[b].instruction_count for b in events.tolist())
+    trace = ExecutionTrace(blocks=blocks, event_blocks=events, event_cycles=cycles,
+                           quanta=rng.uniform(0.5, 3.0, -(-total // length)), quantum_length=length)
+    lines = serialize_trace(trace).splitlines()
+    # every field of a B, E, L or Q line but its kind and a block's terminator
+    numeric = [(at, f) for at, text in enumerate(lines) if text[0] != "V"
+               for f in range(1, len(text.split())) if (text[0], f) != ("B", 4)]
+    at, f = numeric[pick % len(numeric)]
+    fields = lines[at].split()
+    old, fields[f] = fields[f], bad
+    lines[at] = " ".join(fields)
+    line = at + 1
+    if fields[0] == "B" and f == 1 and bad in ("0", "-1"):
+        # the block is declared under a new id: its first event names an unknown block
+        line = next((i + 1 for i, text in enumerate(lines) if text.split()[:2] == ["E", old]), None)
+    try:
+        parse_trace("\n".join(lines) + "\n")
+    except TraceFormatError as exc:
+        if exc.line is None:
+            assert str(exc).startswith(WHOLE_TRACE_ERRORS), str(exc)
+        else:
+            assert exc.line == line, str(exc)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -669,13 +725,15 @@ def test_cycle_sums_at_the_float64_limit_are_accepted():
     assert trace.total_instructions == 2
 
 
-@pytest.mark.parametrize("text, line", [
-    ("V 1\nB 9223372036854775808 1000 5 F\nE 0 5.0\n", 2),
-    ("V 1\nB 0 1000 5 F\nE -9223372036854775809 5.0\n", 3),
-    ("V 1\nB 0 1000 99999999999999999999 F\nE 0 5.0\n", 2),
+@pytest.mark.parametrize("text, line, message", [
+    ("V 1\nB 9223372036854775808 1000 5 F\nE 0 5.0\n", 2,
+     "block 9223372036854775808: block_id must be an integer within int64"),
+    ("V 1\nB 0 1000 5 F\nE -9223372036854775809 5.0\n", 3, "unknown block -9223372036854775809"),
+    ("V 1\nB 0 1000 99999999999999999999 F\nE 0 5.0\n", 2,
+     "block 0: instruction_count must be an integer within int64"),
 ])
-def test_decimal_fields_outside_int64_rejected_with_line(text, line):
-    with pytest.raises(TraceFormatError, match="outside int64") as exc:
+def test_decimal_fields_outside_int64_rejected_with_line(text, line, message):
+    with pytest.raises(TraceFormatError, match=message) as exc:
         parse_trace(text)
     assert exc.value.line == line
 
@@ -755,14 +813,14 @@ def test_round_trip_reproduces_columns_exactly(seed, n_events, mode, odd_lines, 
 
 
 BAD_EVENT_LINES = [
-    ("E 0 nan", "non-finite cycle count"),
-    ("E 0 -inf", "non-finite cycle count"),
+    ("E 0 nan", "cycle count must be a finite real number, got nan"),
+    ("E 0 -inf", "cycle count must be a finite real number, got -inf"),
     ("E x 1.0", "malformed block id"),
     ("E 0 1.0e", "malformed cycle count"),
     ("E 0 1.0 2", "malformed event record"),
     ("E", "malformed event record"),
     ("E 99 1.0", "unknown block 99"),
-    ("E 9223372036854775808 1.0", "outside int64"),
+    ("E 9223372036854775808 1.0", "unknown block 9223372036854775808"),
     ("Z 0 1.0", "unknown record"),
 ]
 
