@@ -22,7 +22,6 @@ from .phases import (
 )
 from .spectral import (
     FlatSpectrumError,
-    MainSpectrum,
     dft_magnitude,
     is_flat,
     main_spectrum,
@@ -48,7 +47,6 @@ __all__ = [
     "ExecutionTrace",
     "FlatSpectrumError",
     "GoldenAnnotation",
-    "MainSpectrum",
     "PhaseNode",
     "ScenarioSpec",
     "SegmentSpec",

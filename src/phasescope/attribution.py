@@ -33,6 +33,8 @@ class Waveform:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
+        if self.samples.ndim != 1:
+            raise ValueError(f"waveform samples must be 1-D, got shape {self.samples.shape}")
         if self.samples.size < 1:
             raise ValueError("waveform needs at least one sample")
         check_number("sample_stride", self.sample_stride, Integral, ValueError, "positive")
@@ -103,11 +105,11 @@ def attribute_block_cpi(
     cycles sum to 0 raises TraceFormatError.
     """
     if mode == "auto":
-        mode = "quantum" if trace.has_quanta else "golden"
+        mode = "quantum" if trace.quanta is not None else "golden"
     if mode not in ("quantum", "golden"):
         raise ValueError(f"unknown attribution mode {mode!r}")
 
-    if mode == "quantum" and not trace.has_quanta:
+    if mode == "quantum" and trace.quanta is None:
         raise ValueError("quantum attribution requires quantum records")
     if mode == "golden" and not trace.is_golden:
         raise ValueError("golden attribution requires cycles on every event")

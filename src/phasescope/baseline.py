@@ -54,7 +54,7 @@ def tq_phases(
     total = trace.total_instructions
 
     # every length at or past the run's end cuts it into one quantum
-    if trace.has_quanta and min(trace.quantum_length, total) == min(quantum_length, total):
+    if trace.quanta is not None and min(trace.quantum_length, total) == min(quantum_length, total):
         cpis = trace.quanta
     elif trace.is_golden:
         cpis = quantum_cpis(trace.event_starts, trace.event_cycles, quantum_length)

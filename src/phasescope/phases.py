@@ -164,13 +164,13 @@ def align_phase(offsets: np.ndarray, block_ids: np.ndarray, length: int) -> tupl
     return int(offsets[first]), int(block_ids[first])
 
 
-def split_step(waveform: Waveform) -> Optional[tuple[int, float, float]]:
+def split_step(waveform: Waveform) -> Optional[int]:
     """Best two-way split of a non-repeating segment.
 
-    Scans every sample boundary and returns (boundary_instruction,
-    mean_before, mean_after) for the largest mean jump, provided it exceeds
-    the population standard deviation of the whole waveform (strict);
-    otherwise None and the segment is one phase.
+    Scans every sample boundary and returns the boundary instruction of the
+    largest jump between the means before and after it, provided the jump
+    exceeds the population standard deviation of the whole waveform
+    (strict); otherwise None and the segment is one phase.
     """
     samples = waveform.samples
     n = samples.size
@@ -185,8 +185,7 @@ def split_step(waveform: Waveform) -> Optional[tuple[int, float, float]]:
     best = int(diff.argmax())
     if not diff[best] > _population_std(samples):
         return None
-    boundary = waveform.origin_instruction + (best + 1) * waveform.sample_stride
-    return boundary, float(before[best]), float(after[best])
+    return waveform.origin_instruction + (best + 1) * waveform.sample_stride
 
 
 def _population_std(samples: np.ndarray) -> float:
@@ -233,9 +232,12 @@ def analyze(
 ) -> PhaseNode:
     """Build the hierarchical phase tree for a trace.
 
-    The root covers the whole execution. profiles maps block id to CPI and
-    defaults to attribute_block_cpi(trace); a caller that wants a specific
-    attribution mode, or needs the block CPIs too, passes
+    The root covers the whole execution. Each segment's children are read
+    from two plain values: main_spectrum's bin k, the occurrence whose
+    magnitude magnitudes[k] sets the head-candidate threshold, and, where k
+    is 1, split_step's boundary instruction. profiles maps block id to CPI
+    and defaults to attribute_block_cpi(trace); a caller that wants a
+    specific attribution mode, or needs the block CPIs too, passes
     attribute_block_cpi(trace, mode) and the trace is attributed once.
     spectrum_sink, when given, receives (depth, start, stop, magnitudes) for
     every analyzed segment, magnitudes being the segment's dft_magnitude
@@ -260,14 +262,13 @@ def analyze(
             spectrum_sink(depth, start, stop, magnitudes)
         if is_flat(wave, magnitudes, cfg):
             return []  # else some non-DC bin is nonzero, as main_spectrum needs
-        main = main_spectrum(magnitudes)
-        reps = main.occurrence
+        reps = main_spectrum(magnitudes)
         if reps == 1:
-            split = split_step(wave)
-            return [] if split is None else [(start, split[0], 1), (split[0], stop, 1)]
+            boundary = split_step(wave)
+            return [] if boundary is None else [(start, boundary, 1), (boundary, stop, 1)]
         # node lengths stay within occurrence*length <= segment + one stride
         instance = min(max(1, round(length / reps)), (length + wave.sample_stride) // reps)
-        theta = cfg.boundary_threshold_fraction * main.magnitude
+        theta = cfg.boundary_threshold_fraction * magnitudes[reps]
         offsets, heads = _candidates_in_range(index, rates, theta, start, stop)
         anchor = align_phase(offsets, heads, instance)[0] if offsets.size else start
         # fold back to the earliest congruent instance (candidates are >= start)

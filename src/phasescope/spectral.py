@@ -4,13 +4,12 @@ A spectrum is the float64 magnitude array of the waveform's DFT, normalized
 by the sample count: index k is occurrence k for k = 0..N//2, so index 0
 (DC) equals the mean CPI and the remaining bins are amplitude-like in CPI
 units. Bin k counts how many times a pattern occurs across the analyzed
-range; `analyze` derives the instance length from the dominant non-DC
-occurrence, as range_length / occurrence instructions.
+range. main_spectrum returns the dominant non-DC bin's index k; `analyze`
+derives the instance length from it, as range_length / k instructions, and
+reads the bin's magnitude from the array as magnitudes[k].
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +19,6 @@ from .trace import float_reprs
 
 class FlatSpectrumError(ValueError):
     """No meaningful dominant bin exists (spectrum is identically flat)."""
-
-
-@dataclass(frozen=True)
-class MainSpectrum:
-    """The dominant non-DC bin: its occurrence k (index into the magnitude
-    array, at least 1) and its magnitude."""
-
-    occurrence: int
-    magnitude: float
 
 
 def dft_magnitude(waveform: Waveform) -> np.ndarray:
@@ -46,8 +36,9 @@ def dft_magnitude(waveform: Waveform) -> np.ndarray:
     return mags
 
 
-def main_spectrum(magnitudes: np.ndarray) -> MainSpectrum:
-    """Dominant non-DC bin; ties break toward smaller occurrence.
+def main_spectrum(magnitudes: np.ndarray) -> int:
+    """The dominant non-DC bin's index k, its occurrence (at least 1); ties
+    break toward smaller occurrence. Its magnitude is magnitudes[k].
 
     Smaller occurrence = longer pattern, preferring the coarsest repeating
     structure. Raises FlatSpectrumError when every non-DC magnitude is zero;
@@ -57,10 +48,9 @@ def main_spectrum(magnitudes: np.ndarray) -> MainSpectrum:
     if nondc.size == 0:
         raise FlatSpectrumError("spectrum has no non-DC bins")
     k = int(nondc.argmax()) + 1  # argmax returns the first (smallest) index
-    magnitude = float(magnitudes[k])
-    if magnitude <= 0.0:
+    if magnitudes[k] <= 0.0:
         raise FlatSpectrumError("all non-DC magnitudes are zero")
-    return MainSpectrum(occurrence=k, magnitude=magnitude)
+    return k
 
 
 def is_flat(waveform: Waveform, magnitudes: np.ndarray, config) -> bool:

@@ -365,6 +365,8 @@ def _segment_to_dict(seg: SegmentSpec) -> dict:
 
 
 def scenario_json(spec: ScenarioSpec) -> str:
+    """The spec as indented JSON with sorted keys and a final newline;
+    ValueError on a NaN or infinite number, which JSON cannot spell."""
     payload = {
         "segments": [_segment_to_dict(s) for s in spec.segments],
         "repetitions": spec.repetitions,
@@ -373,4 +375,4 @@ def scenario_json(spec: ScenarioSpec) -> str:
     }
     if spec.quantum_length is not None:
         payload["quantum_length"] = spec.quantum_length
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

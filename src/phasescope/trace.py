@@ -324,10 +324,6 @@ class ExecutionTrace:
                 "or quantum records"
             )
 
-    @property
-    def has_quanta(self) -> bool:
-        return self.quanta is not None
-
 
 #: lines parsed per step; bounds the parser's working memory
 _CHUNK_LINES = 4096
@@ -517,10 +513,6 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
 
     if not saw_version:
         raise TraceFormatError("empty stream: missing version header")
-    if quanta and quantum_length is None:
-        raise TraceFormatError("Q records present but no L quantum-length record")
-    if quantum_length is not None and not quanta:
-        raise TraceFormatError("L quantum-length record present but no Q records")
 
     # each column's parts are freed before the next column is joined
     event_blocks = np.concatenate(block_parts)

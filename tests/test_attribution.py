@@ -495,6 +495,14 @@ def test_attribution_rejects_unusable_input(call, message):
         call()
 
 
+@pytest.mark.parametrize("samples", [3.0, np.ones((2, 3))], ids=["shape-()", "shape-(2,3)"])
+def test_waveform_takes_only_1d_samples(samples):
+    """A scalar or a 2-D array has no sample order to resample or split."""
+    shape = np.shape(samples)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'waveform samples must be 1-D, got shape {shape}')}$"):
+        Waveform(samples=samples, sample_stride=1, origin_instruction=0)
+
+
 @pytest.mark.parametrize("stride, origin, field", [
     (2.5, 0, "sample_stride"),
     (True, 0, "sample_stride"),

@@ -233,11 +233,18 @@ def test_align_tie_breaks_and_medians(offsets, block_ids, length, expected):
 
 # --- occurrence-one splitting -------------------------------------------------
 
+def means_around(w, boundary):
+    """The means of w's samples before and after the boundary instruction."""
+    k = (boundary - w.origin_instruction) // w.sample_stride
+    return float(w.samples[:k].mean()), float(w.samples[k:].mean())
+
+
 def test_split_ideal_step():
     n = 64
     w = wave([1.0] * (n // 2) + [2.0] * (n // 2))
-    boundary, before, after = split_step(w)
+    boundary = split_step(w)
     assert boundary == n // 2
+    before, after = means_around(w, boundary)
     assert before == pytest.approx(1.0)
     assert after == pytest.approx(2.0)
 
@@ -252,8 +259,9 @@ def test_split_of_one_sample_returns_none():
 
 def test_split_a_step_whose_squared_deviations_overflow():
     # the deviations, about 1e306, overflow float64 when std() squares them
-    boundary, before, _ = split_step(wave([1.5625e306] * 32 + [0.015625] * 32))
-    assert boundary == 32 and before == pytest.approx(1.5625e306)
+    w = wave([1.5625e306] * 32 + [0.015625] * 32)
+    boundary = split_step(w)
+    assert boundary == 32 and means_around(w, boundary)[0] == pytest.approx(1.5625e306)
 
 
 @pytest.mark.xfail(strict=True, reason="node means are differences of float64 prefix sums: "
@@ -302,10 +310,11 @@ def test_split_linear_ramp():
     # are asserted here.
     n = 100
     samples = np.linspace(1.0, 2.0, n)
-    result = split_step(wave(samples))
-    assert result is not None
-    boundary, before, after = result
+    w = wave(samples)
+    boundary = split_step(w)
+    assert boundary is not None
     assert 1 <= boundary <= n - 1
+    before, after = means_around(w, boundary)
     assert after - before == pytest.approx(n / (2 * (n - 1)), abs=1e-9)
     assert float(samples.std()) == pytest.approx(0.29, abs=0.01)
     assert after - before > float(samples.std())
@@ -318,15 +327,16 @@ def test_split_rounded_step_lands_mid_ramp():
     samples = np.concatenate([
         np.full(low, 1.0), np.linspace(1.0, 2.0, ramp), np.full(high, 2.0)
     ])
-    boundary, before, after = split_step(wave(samples))
+    w = wave(samples)
+    boundary = split_step(w)
     assert low <= boundary <= low + ramp
+    before, after = means_around(w, boundary)
     assert before < 1.3 and after > 1.7
 
 
 def test_split_respects_stride_and_origin():
     w = wave([1.0, 1.0, 3.0, 3.0], stride=10, origin=200)
-    boundary, _, _ = split_step(w)
-    assert boundary == 220
+    assert split_step(w) == 220
 
 
 def test_segment_without_a_split_is_a_leaf(monkeypatch):
@@ -526,7 +536,7 @@ def test_analyze_samples_the_profile_rates_of_its_block_cpis(spec):
         return sampled[0], tree
 
     default = rates_of(None)
-    for mode in ("auto", "golden", "quantum") if trace.has_quanta else ("auto", "golden"):
+    for mode in ("auto", "golden", "quantum") if trace.quanta is not None else ("auto", "golden"):
         profiles = attribute_block_cpi(trace, mode)
         rates, tree = rates_of(profiles)
         assert rates == profile_rates(index, profiles).tobytes()
@@ -755,9 +765,10 @@ def test_segment_without_candidate_heads_anchors_its_instance_at_its_start():
     index = EventIndex.from_trace(trace)
     rates = profile_rates(index, attribute_block_cpi(trace))
     total = trace.total_instructions
-    main = main_spectrum(dft_magnitude(sample_range(index.starts, rates, 0, total, cfg.resolution)))
-    theta = cfg.boundary_threshold_fraction * main.magnitude
-    assert main.occurrence == 6 and np.abs(np.diff(rates)).max() < 0.051 < 0.1 < theta
+    magnitudes = dft_magnitude(sample_range(index.starts, rates, 0, total, cfg.resolution))
+    k = main_spectrum(magnitudes)
+    theta = cfg.boundary_threshold_fraction * magnitudes[k]
+    assert k == 6 and np.abs(np.diff(rates)).max() < 0.051 < 0.1 < theta
     offsets, heads = _candidates_in_range(index, rates, theta, 0, total)
     assert offsets.size == heads.size == 0
 

@@ -243,6 +243,15 @@ def test_scenario_json_round_trip():
     assert scenario_json(back) == scenario_json(spec)
 
 
+@pytest.mark.parametrize("spec", [
+    ScenarioSpec(segments=[flat("a", float("nan"), 5, 5)]),
+    ScenarioSpec(segments=[flat("a", 1.0, 5, 5)], noise_stddev=float("inf")),
+], ids=["nan-block-cpi", "infinite-noise"])
+def test_scenario_json_refuses_numbers_json_cannot_spell(spec):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        scenario_json(spec)
+
+
 def test_scenario_json_errors():
     with pytest.raises(ScenarioError, match="invalid scenario JSON"):
         scenario_from_json("{not json")

@@ -52,7 +52,7 @@ def test_parse_simple_golden_trace():
     assert trace.event_blocks.tolist() == [0, 0, 0]
     assert trace.event_cycles.tolist() == [5.0, 5.0, 5.0]
     assert trace.is_golden
-    assert not trace.has_quanta
+    assert trace.quanta is None
     assert trace.total_instructions == 15
 
 
@@ -105,9 +105,9 @@ def test_quantum_count_mismatch():
 
 
 def test_quantum_records_need_length_record():
-    with pytest.raises(TraceFormatError, match="no L quantum-length"):
+    with pytest.raises(TraceFormatError, match="must coexist"):
         parse_trace("V 1\nB 0 1000 5 F\nE 0\nQ 0 1.5\n")
-    with pytest.raises(TraceFormatError, match="no Q records"):
+    with pytest.raises(TraceFormatError, match="must coexist"):
         parse_trace("V 1\nB 0 1000 5 F\nE 0 5.0\nL 10\n")
 
 
@@ -123,7 +123,7 @@ def test_target_address_iff_branch_or_call():
 def test_quantum_mode_trace_parses():
     text = "V 1\nB 0 1000 10 F\nE 0\nE 0\nL 10\nQ 0 1.5\nQ 1 2.5\n"
     trace = parse_trace(text)
-    assert trace.has_quanta
+    assert trace.quanta is not None
     assert not trace.is_golden
     assert trace.quanta.tolist() == [1.5, 2.5]
 
