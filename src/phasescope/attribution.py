@@ -51,10 +51,9 @@ class Waveform:
 
 @dataclass(frozen=True)
 class EventIndex:
-    """Which block executes where, for O(log E) offset lookups: event e runs
-    block block_ids[e] over instructions [starts[e], starts[e+1]), so starts
-    (length E+1) bounds every per-event step function.
-    """
+    """Views of two trace columns: event e runs block block_ids[e] over
+    instructions [starts[e], starts[e+1]), so starts (length E+1) bounds
+    every per-event step function."""
 
     block_ids: np.ndarray
     starts: np.ndarray
@@ -63,10 +62,6 @@ class EventIndex:
     def from_trace(cls, trace: ExecutionTrace) -> "EventIndex":
         """View of the columns the trace built at validation; copies nothing."""
         return cls(block_ids=trace.event_blocks, starts=trace.event_starts)
-
-    def events_at(self, offsets: np.ndarray) -> np.ndarray:
-        """Index of the event executing at each instruction offset."""
-        return self.starts.searchsorted(offsets, side="right") - 1
 
 
 def _step_widths(starts: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -152,12 +147,18 @@ def attribute_block_cpi(
 
 def profile_rates(index: EventIndex, profiles: dict[int, float]) -> np.ndarray:
     """Per-event CPI taken from the block CPIs, aligned with the index.
-    ValueError naming the first block whose CPI is not a finite positive
-    real number (a bool or a str never is)."""
-    ids = np.array(sorted(profiles), dtype=np.int64)
+    ValueError naming the first block id that is not an integer within
+    int64, or the first block whose CPI is not a finite positive real
+    number (a bool or a str is neither)."""
+    ids = rates = None
+    # numpy would read 0.0 as block 0 and "2" as 2.0, so the types go first
+    if all(t is int or issubclass(t, Integral) and not issubclass(t, bool) for t in set(map(type, profiles))):
+        with suppress(OverflowError):  # an int beyond int64
+            ids = np.array(sorted(profiles), dtype=np.int64)
+    if ids is None:
+        for bid in profiles:  # check_number raises on the first bad id
+            check_number("profile block id", bid, Integral)
     cpis = [profiles[b] for b in ids.tolist()]
-    rates = None
-    # numpy would read "2" as 2.0 and True as 1.0, so the types go first
     if all(t is float or issubclass(t, Real) and not issubclass(t, bool) for t in set(map(type, cpis))):
         with suppress(OverflowError):  # an int or a Fraction beyond float64
             rates = np.array(cpis, dtype=float)
@@ -288,7 +289,6 @@ def waveform_csv(trace: ExecutionTrace, waveform: Waveform) -> str:
     """Plot-ready CSV: instruction_offset,cpi,block_id, where block_id is
     the trace's block executing at that offset."""
     offsets = waveform.sample_offsets
-    index = EventIndex.from_trace(trace)
-    heads = index.block_ids[index.events_at(offsets)]
+    heads = trace.event_blocks[trace.event_starts.searchsorted(offsets, side="right") - 1]
     rows = zip(offsets.tolist(), float_reprs(waveform.samples), heads.tolist())
     return "instruction_offset,cpi,block_id\n" + "".join("%d,%s,%d\n" % row for row in rows)

@@ -63,10 +63,11 @@ def _config_from_args(args) -> AnalysisConfig:
     return config
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, names=tuple(CONFIG_TYPES)) -> None:
+    """--config and a flag for each config field named."""
     parser.add_argument("--config", help="JSON file with analysis config fields")
-    for name, kind in CONFIG_TYPES.items():
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=CONFIG_TYPES[name])
 
 
 def _write(path: str, text: str) -> None:
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="emit the full-trace spectrum CSV")
     p.add_argument("trace")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, ["resolution"])  # the only field the spectrum reads
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("markers", help="emit a marker table from a saved phase tree")

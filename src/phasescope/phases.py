@@ -223,6 +223,21 @@ def classify_structure(
     return Structure.NONE
 
 
+def set_heads(trace: ExecutionTrace, nodes, entries) -> None:
+    """Set each node's head_block, the block of the event holding its start,
+    and structure, classify_structure of that block entered from the event
+    before the one holding instruction entries[i] (none before event 0)."""
+    n = len(nodes)
+    offsets = np.concatenate(([node.start_instruction for node in nodes], entries))
+    events = trace.event_starts.searchsorted(offsets, side="right") - 1
+    events[n:] -= 1  # the event each node is entered from, or -1
+    ids = trace.event_blocks[np.maximum(events, 0)].tolist()
+    blocks = trace.blocks
+    for node, head, event, context in zip(nodes, ids, events[n:].tolist(), ids[n:]):
+        node.head_block = head
+        node.structure = classify_structure(blocks[head], blocks[context] if event >= 0 else None)
+
+
 def analyze(
     trace: ExecutionTrace,
     config: Optional[AnalysisConfig] = None,
@@ -235,7 +250,8 @@ def analyze(
     The root covers the whole execution. Each segment's children are read
     from two plain values: main_spectrum's bin k, the occurrence whose
     magnitude magnitudes[k] sets the head-candidate threshold, and, where k
-    is 1, split_step's boundary instruction. profiles maps block id to CPI
+    is 1, split_step's boundary instruction; set_heads reads each node's head
+    block and structure, entered at its start. profiles maps block id to CPI
     and defaults to attribute_block_cpi(trace); a caller that wants a
     specific attribution mode, or needs the block CPIs too, passes
     attribute_block_cpi(trace, mode) and the trace is attributed once.
@@ -276,7 +292,7 @@ def analyze(
         return [(anchor, anchor + min(instance, stop - anchor), reps)]
 
     # every node in pre-order; the work stack sets interval and occurrence,
-    # then one batch pass sets head block, mean CPI and structure
+    # then one batch pass sets mean CPI, and set_heads head block and structure
     root = PhaseNode(-1, 0, trace.total_instructions, math.nan)
     nodes: list[PhaseNode] = []
     stack = [(root, 0)]
@@ -284,23 +300,17 @@ def analyze(
         node, depth = stack.pop()
         nodes.append(node)
         spans = children(node.start_instruction, node.end_instruction, depth)
-        node.children = [PhaseNode(-1, a, b - a, math.nan, reps) for a, b, reps in spans]
-        stack.extend((child, depth + 1) for child in reversed(node.children))
+        if spans:  # most nodes are leaves, whose children stay the empty default
+            node.children = [PhaseNode(-1, a, b - a, math.nan, reps) for a, b, reps in spans]
+            stack.extend((child, depth + 1) for child in reversed(node.children))
 
     starts = np.array([node.start_instruction for node in nodes], dtype=np.int64)
     lengths = np.array([node.length_instructions for node in nodes], dtype=np.int64)
     below = cycles_below(index.starts, rates, np.concatenate((starts, starts + lengths)))
     means = (below[starts.size :] - below[: starts.size]) / lengths
-    head_events = index.events_at(starts)
-    heads = index.block_ids[head_events].tolist()
-    contexts = index.block_ids[np.maximum(head_events - 1, 0)].tolist()
-    blocks = trace.blocks
-    for node, mean, head, event, context in zip(
-        nodes, means.tolist(), heads, head_events.tolist(), contexts
-    ):
-        node.head_block = head
+    for node, mean in zip(nodes, means.tolist()):
         node.mean_cpi = mean
-        node.structure = classify_structure(blocks[head], blocks[context] if event > 0 else None)
+    set_heads(trace, nodes, starts)  # each node is entered at its start
     validate_tree(root)
     return root
 

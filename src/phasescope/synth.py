@@ -5,7 +5,8 @@ repeated a number of times. Each flat segment is one basic block executed
 event_count times at a scripted CPI; any other segment nests an inner group.
 The generator emits a golden-mode trace (optionally with quantum samples)
 plus an annotation tree describing the phases it scripted, so analysis
-results can be checked against known truth.
+results can be checked against known truth. phases.set_heads reads its head
+blocks and structures off the trace, as it does an analyzed tree's.
 
 Randomness (per-event CPI noise) comes from numpy's PCG64 generator seeded
 from the scenario seed, so identical scenarios produce byte-identical
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .attribution import quantum_cpis
-from .phases import PhaseNode, classify_structure
+from .phases import PhaseNode, set_heads
 from .trace import _INT64_MAX, BlockDescriptor, ExecutionTrace, Terminator, check_number
 
 _BASE_ADDRESS = 0x1000
@@ -86,9 +87,9 @@ _KIND_CODE = {kind: code for code, kind in enumerate(EntryKind)}
 def _plan(spec: ScenarioSpec) -> tuple[SegmentSpec, PhaseNode, list[list]]:
     """Check and measure the scenario in one walk that also builds its truth
     tree. Returns the scenario as its outermost group (spec.segments nested
-    spec.repetitions times), its truth tree's root, and a [node, first flat
-    leaf, flat leaf it is entered from or None] row per node made: generate
-    makes the leaves head blocks and structures once the blocks exist."""
+    spec.repetitions times), its truth tree's root, and a [node, instruction
+    it is entered at] row per node made: its start, or the start of the second
+    pass for a repeated body's first node. phases.set_heads reads them."""
     if not spec.segments:
         raise ScenarioError("scenario needs at least one segment")
     check_number("repetitions", spec.repetitions, Integral, ScenarioError, "positive")
@@ -100,11 +101,9 @@ def _plan(spec: ScenarioSpec) -> tuple[SegmentSpec, PhaseNode, list[list]]:
     rows: list[list] = []  # in preorder
     min_cpi = float("inf")
 
-    def visit(seg: SegmentSpec, cursor: int, entry: Optional[SegmentSpec],
-              out: list[PhaseNode]) -> tuple[int, int, float, SegmentSpec]:
+    def visit(seg: SegmentSpec, cursor: int, out: list[PhaseNode]) -> tuple[int, int, float]:
         """Check and measure one pass through seg, which starts at instruction
-        cursor and is entered from the flat leaf entry, and add its truth nodes
-        to out. Returns (events, instructions, cycles, last flat leaf)."""
+        cursor, and add its truth nodes to out; returns (events, instructions, cycles)."""
         nonlocal min_cpi
         if not seg.nested:
             if seg.block_cpi is None or seg.block_instruction_count is None or seg.event_count is None:
@@ -128,39 +127,37 @@ def _plan(spec: ScenarioSpec) -> tuple[SegmentSpec, PhaseNode, list[list]]:
                 )
             node = PhaseNode(-1, cursor, instructions, cycles / instructions)
             out.append(node)
-            rows.append([node, seg, entry])
-            return events, instructions, cycles, seg
+            rows.append([node, cursor])
+            return events, instructions, cycles
 
         reps = check_number(f"segment {seg.label!r}: nested_repetitions", seg.nested_repetitions,
                             Integral, ScenarioError, "positive")
         if reps >= 2:
             node = PhaseNode(-1, cursor, 0, math.nan, reps)
-            row = [node, None, entry]
             out.append(node)
-            rows.append(row)
-            out, entry = node.children, None  # the body's first node is patched below
+            rows.append([node, cursor])
+            out = node.children
         # else a single pass through the group adds no level of its own
         body = len(rows)
         events = instructions = 0
         cycles = 0.0
-        last = entry
         for inner in seg.nested:
-            n_events, n_instructions, n_cycles, last = visit(inner, cursor + instructions, last, out)
+            n_events, n_instructions, n_cycles = visit(inner, cursor + instructions, out)
             events += n_events
             instructions += n_instructions
             cycles += n_cycles
         if reps >= 2:
             node.length_instructions = instructions
             node.mean_cpi = cycles * reps / (instructions * reps)  # one pass's may round apart
-            # the body's first node heads an iteration, re-entered from its last leaf
-            row[1], rows[body][2] = rows[body][1], last
+            # the body's first node heads an iteration, re-entered where the second pass starts
+            rows[body][1] = cursor + instructions
             if len(seg.nested) == 1 and seg.nested[0].is_flat:
                 node.children = []  # its one flat segment is the node itself
-        return events * reps, instructions * reps, cycles * reps, last
+        return events * reps, instructions * reps, cycles * reps
 
     top = SegmentSpec("", nested=spec.segments, nested_repetitions=spec.repetitions)
     children: list[PhaseNode] = []
-    events, instructions, cycles, last = visit(top, 0, None, children)
+    events, instructions, cycles = visit(top, 0, children)
     # checked before anything is allocated: the event columns are int64
     for what, total in (("events", events), ("instructions", instructions)):
         if total > _INT64_MAX:
@@ -173,11 +170,11 @@ def _plan(spec: ScenarioSpec) -> tuple[SegmentSpec, PhaseNode, list[list]]:
     if spec.noise_stddev >= min_cpi:
         raise ScenarioError("noise_stddev must stay below the smallest segment CPI")
     if spec.repetitions >= 2:
-        rows[0][2] = last  # the scenario's repetitions re-enter it from its last leaf
+        rows[0][1] = rows[0][0].end_instruction  # each repetition re-enters the scenario where one ends
     if len(spec.segments) == 1 and spec.segments[0].is_flat:
         children = []  # a repeated constant run is one phase
     root = PhaseNode(-1, 0, instructions, cycles / instructions, children=children)
-    rows.append([root, rows[0][1], None])
+    rows.append([root, 0])
     return top, root, rows
 
 
@@ -250,8 +247,10 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
     included, as its outermost group. Event cycles are block_cpi *
     instruction_count with optional Gaussian CPI noise (clamped so CPI
     never drops below 0.05); quantum records, when requested, are computed
-    exactly from the noisy events. A scenario nested past the interpreter's
-    recursion limit raises ScenarioError, raised from the RecursionError.
+    exactly from the noisy events. phases.set_heads then reads the annotation's
+    head blocks and structures off the validated trace. A scenario nested past
+    the interpreter's recursion limit raises ScenarioError, raised from the
+    RecursionError.
     """
     try:
         # _plan and _layout recurse once per level
@@ -262,10 +261,6 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
         blocks = _assign_blocks(flat, runs, kinds)
     except RecursionError as exc:
         raise ScenarioError(f"scenario is nested too deeply: {exc}") from exc
-    for node, head, entry in rows:
-        node.head_block = numbered[id(head)][0]
-        context = None if entry is None else blocks[numbered[id(entry)][0]]
-        node.structure = classify_structure(blocks[node.head_block], context)
 
     # runs expand into events, which read their block's scripted numbers
     block_events = np.array([seg.event_count for seg in flat], dtype=np.int64)
@@ -318,6 +313,7 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
         quanta=quanta,
         quantum_length=spec.quantum_length,
     )
+    set_heads(trace, *zip(*rows))  # the nodes, and the instruction each is entered at
     return trace, GoldenAnnotation(root)
 
 

@@ -502,8 +502,6 @@ def parse_trace(stream: Union[str, Iterable[str]]) -> ExecutionTrace:
                         raise TraceFormatError(f"malformed line: unknown record {kind!r}")
             except TraceFormatError as exc:
                 # the one place that names the line: every check above raises without it
-                if exc.line is not None:
-                    raise
                 raise TraceFormatError(str(exc), lineno) from None
             columns = np.array(ids, dtype=np.int64), np.array(cycles, dtype=float)
             if len(blocks) != known.size:

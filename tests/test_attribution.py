@@ -257,6 +257,25 @@ def test_a_block_cpi_from_outside_must_be_a_finite_positive_real(entry, cpi, mes
             build_waveform(trace, profiles, 8)
 
 
+@pytest.mark.parametrize("key, message", [
+    ("x", "must be an integer, got 'x'"),
+    (0.0, "must be an integer, got 0.0"),
+    (True, "must be an integer, got True"),
+    (2**70, "must be an integer within int64, got 1180591620717411303424"),
+], ids=["str", "float", "bool", "int-beyond-int64"])
+@pytest.mark.parametrize("entry", ["analyze", "build_waveform"])
+def test_a_block_id_keying_block_cpis_must_be_an_integer_within_int64(entry, key, message):
+    trace = golden_trace({0: block(0, 5), 1: block(1, 5)}, [0, 1, 0], [5.0, 10.0, 5.0])
+    profiles = {0: 1.0, 1: 2.0}
+    profiles.pop(key, None)  # 0.0 and True would stand in for blocks 0 and 1
+    profiles[key] = 1.0
+    with pytest.raises(ValueError, match=f"^profile block id {message}$"):
+        if entry == "analyze":
+            analyze(trace, profiles=profiles)
+        else:
+            build_waveform(trace, profiles, 8)
+
+
 def test_block_cpis_of_any_real_type_sample_as_their_floats():
     trace = golden_trace({0: block(0, 5), 1: block(1, 5), 2: block(2, 5)}, [0, 1, 2], [5.0, 10.0, 5.0])
     wave = build_waveform(trace, {0: 2, 1: Fraction(3, 2), 2: np.float32(0.5)}, 8)
@@ -312,7 +331,7 @@ def test_node_fields_match_per_node_lookups():
             below = cycles_below(index.starts, rates, np.array((a, b)))
             assert node.mean_cpi == float((below[1] - below[0]) / (b - a))
             assert node.mean_cpi == pytest.approx(float(per_instr[a:b].mean()), abs=1e-9)
-            event = int(index.events_at(a))
+            event = int(trace.event_starts.searchsorted(a, side="right")) - 1
             assert node.head_block == int(index.block_ids[event])
             context = trace.blocks[int(index.block_ids[event - 1])] if event > 0 else None
             assert node.structure is classify_structure(trace.blocks[node.head_block], context)

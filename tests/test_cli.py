@@ -186,6 +186,20 @@ def test_spectrum_command(tmp_path, trace_file):
     assert int(np.argmax(mags[1:])) + 1 == 4  # 4 repetitions
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--boundary-threshold-fraction", "0.5"), ("--flat-cpi-range", "0.3"),
+    ("--flat-spectrum-ratio", "0.02"), ("--max-depth", "3"), ("--min-segment-instructions", "64"),
+])
+def test_spectrum_takes_no_flag_of_a_config_field_it_does_not_read(tmp_path, capsys, trace_file,
+                                                                   flag, value):
+    out = tmp_path / "spec.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", str(trace_file), "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_markers_command_from_saved_tree(tmp_path, trace_file):
     tree = tmp_path / "tree.json"
     direct = tmp_path / "m1.json"

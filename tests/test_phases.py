@@ -389,6 +389,29 @@ def test_classify_no_context_is_none():
     assert classify_structure(block(1), ret) is Structure.NONE
 
 
+def test_set_heads_judges_each_node_by_the_event_before_the_one_holding_its_entry():
+    # block 0 calls block 1, block 1 branches back to block 0; four instructions each
+    blocks = {
+        0: BlockDescriptor(0, 0x1000, 4, Terminator.CALL, target_address=0x1100),
+        1: BlockDescriptor(1, 0x1100, 4, Terminator.BRANCH, target_address=0x1000),
+        2: BlockDescriptor(2, 0x1200, 4, Terminator.FALLTHROUGH),
+    }
+    trace = ExecutionTrace(blocks=blocks, event_blocks=np.array([0, 1, 2]),
+                           event_cycles=np.array([4.0, 8.0, 4.0]))
+    # (start, entry) -> (head block, structure)
+    cases = {
+        (0, 0): (0, Structure.NONE),  # entered at instruction 0: no context
+        (2, 3): (0, Structure.NONE),  # inside the first event: no context either
+        (4, 4): (1, Structure.FUNCTION),  # entered from block 0's call
+        (8, 8): (2, Structure.LOOP),  # entered from block 1's backward branch
+        (8, 6): (2, Structure.FUNCTION),  # inside block 1's event: judged by block 0's
+        (9, 12): (2, Structure.NONE),  # the trace's end: judged by its last event
+    }
+    nodes = [PhaseNode(-1, start, 1, 1.0) for start, _ in cases]
+    phases.set_heads(trace, nodes, [entry for _, entry in cases])
+    assert [(node.head_block, node.structure) for node in nodes] == list(cases.values())
+
+
 # --- the tree-building driver --------------------------------------------------
 
 SQUARE = ScenarioSpec(
