@@ -9,7 +9,7 @@ from .attribution import (
     golden_waveform,
     quantum_cpis,
 )
-from .baseline import ErrorReport, TqPhase, TqPhaseList, error_rate, predict_waveform, tq_phases
+from .baseline import ErrorReport, TqPhaseList, error_rate, predict_waveform, tq_phases
 from .phases import (
     AnalysisConfig,
     PhaseNode,
@@ -52,7 +52,6 @@ __all__ = [
     "SegmentSpec",
     "Structure",
     "Terminator",
-    "TqPhase",
     "TqPhaseList",
     "TraceFormatError",
     "Waveform",

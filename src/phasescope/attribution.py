@@ -24,7 +24,8 @@ from .trace import ExecutionTrace, TraceFormatError, check_number, float_reprs, 
 class Waveform:
     """Uniformly resampled CPI signal.
 
-    samples[k] is the CPI at instruction origin_instruction + k * sample_stride.
+    samples[k], a finite real number, is the CPI at instruction
+    origin_instruction + k * sample_stride.
     """
 
     samples: np.ndarray
@@ -32,11 +33,19 @@ class Waveform:
     origin_instruction: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 1:
-            raise ValueError(f"waveform samples must be 1-D, got shape {self.samples.shape}")
-        if self.samples.size < 1:
+        given = self.samples
+        samples = np.asarray(given)
+        if samples.ndim != 1:
+            raise ValueError(f"waveform samples must be 1-D, got shape {samples.shape}")
+        if samples.size < 1:
             raise ValueError("waveform needs at least one sample")
+        # numpy reads True and "1.5" as floats, and a list's dtype hides what it
+        # held ([True, 2] makes an int array): only finite plain numbers go unread
+        if not (samples.dtype.kind in "fiu" and (given is samples or set(map(type, given)) <= {float, int})
+                and np.count_nonzero(np.isfinite(samples)) == samples.size):
+            for k, value in enumerate(samples.tolist() if given is samples else given):
+                check_number(f"waveform sample {k}", value, Real)
+        self.samples = samples.astype(float, copy=False)
         check_number("sample_stride", self.sample_stride, Integral, ValueError, "positive")
         # any sign: sample_range also samples step functions over negative offsets
         check_number("origin_instruction", self.origin_instruction, Integral)

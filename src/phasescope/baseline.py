@@ -2,9 +2,9 @@
 
 The TQ baseline chops the execution into fixed-length instruction quanta,
 measures each quantum's CPI, and greedily merges consecutive quanta whose
-CPI stays within merge_delta of the running phase mean. Both the TQ phase
-list and a phase tree can be rendered back into a predicted CPI waveform
-and scored against the golden waveform with MAPE.
+CPI stays within merge_delta of the running phase mean, run-length coding
+the quanta. The TQ phase list and a phase tree both render back into a
+predicted CPI waveform, scored against the golden waveform with MAPE.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 from numbers import Integral, Real
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -23,16 +23,12 @@ from .phases import PhaseNode, validate_tree
 from .trace import ExecutionTrace, check_number
 
 
-class TqPhase(NamedTuple):
-    start_quantum: int
-    quantum_count: int
-    mean_cpi: float
-
-
 @dataclass
 class TqPhaseList:
+    """phases[p] = (quantum count, mean CPI): phase p starts where p - 1 ends."""
+
     quantum_length: int
-    phases: list[TqPhase]
+    phases: list[tuple[int, float]]
 
 
 @dataclass
@@ -65,20 +61,17 @@ def tq_phases(
 
     # Python floats: the same IEEE arithmetic as numpy scalars, unboxed
     values = cpis.tolist()
-    counts, means = [], []
+    phases = []
     acc, count = values[0], 1
     for cpi in values[1:]:
         if abs(cpi - acc / count) <= merge_delta:
             acc += cpi
             count += 1
         else:
-            counts.append(count)
-            means.append(acc / count)
+            phases.append((count, acc / count))
             acc, count = cpi, 1
-    counts.append(count)
-    means.append(acc / count)
-    starts = accumulate(counts[:-1], initial=0)
-    return TqPhaseList(quantum_length, list(map(TqPhase._make, zip(starts, counts, means))))
+    phases.append((count, acc / count))
+    return TqPhaseList(quantum_length, phases)
 
 
 def _render_tree(
@@ -125,23 +118,31 @@ def predict_waveform(
     sampled on the same grid build_waveform uses.
 
     A TQ phase list predicts the sample at offset x by the phase holding
-    quantum x // quantum_length. Its phases must tile the run's quanta in
-    order from quantum 0; phase p, ending at quantum e_p, then is the step
-    up to instruction min(e_p x quantum_length, total_instructions). A
-    phase tree predicts each sample by the deepest node covering it (see
-    _render_tree), once validate_tree accepts it."""
+    quantum x // quantum_length. Its counts, positive integers within int64,
+    must sum to the run's quanta and its means be finite reals (ValueError
+    naming the phase); phase p, ending at quantum e_p (the counts up to p
+    summed), then is the step up to instruction min(e_p x quantum_length,
+    total_instructions). A phase tree predicts each sample by the deepest
+    node covering it (see _render_tree), once validate_tree accepts it."""
     offsets, stride = sample_grid(0, total_instructions, resolution)
 
     if isinstance(source, TqPhaseList):
         length = check_number("quantum_length", source.quantum_length, Integral, ValueError, "positive")
         quanta = -(-total_instructions // length)
-        untiled = f"TQ phases must tile the run's {quanta} quanta in order"
+        untiled = f"TQ phases must tile the run's {quanta} quanta"
         if not source.phases:
             raise ValueError(untiled)
-        # exact Python integers: each phase starts where the one before ends
-        starts, counts, means = zip(*source.phases)
+        counts, means = zip(*source.phases, strict=True)
+        # a bool is an int and numpy reads "1.5" as 1.5: only tq_phases' plain pairs
+        # skip check_number (a float sum is finite only when every term is)
+        if not (set(map(type, counts)) == {int} and set(map(type, means)) == {float}
+                and math.isfinite(sum(means))):
+            for p, (count, mean) in enumerate(zip(counts, means)):
+                check_number(f"TQ phase {p}: quantum count", count, Integral, ValueError, "positive")
+                check_number(f"TQ phase {p}: mean CPI", mean, Real)
+            counts = list(map(int, counts))  # exact sums: numpy integers would wrap
         ends = list(accumulate(counts))
-        if min(counts) < 1 or list(starts) != [0, *ends[:-1]] or ends[-1] != quanta:
+        if min(counts) < 1 or ends[-1] != quanta:
             raise ValueError(untiled)
         # only the last phase ends at or past the run's end
         bounds = np.array([0, *[end * length for end in ends[:-1]], total_instructions], dtype=np.int64)
@@ -164,12 +165,12 @@ def error_rate(predicted: Waveform, golden: Waveform) -> ErrorReport:
     waveform, per sample on the shared instruction grid. The caller keeps
     which method made the prediction (comparison_json takes it per row).
 
-    ValueError when the MAPE is not finite. It names the offset of the
-    first sample whose term is not finite and the CPI that makes it so: the
-    predicted CPI p when p is not finite or lies further from 1 by ratio
-    than the golden CPI g does (|p| x g > 1), else g (0, or so small that
-    the term overflows). When every term is finite it says the mean
-    overflows."""
+    ValueError when the MAPE is not finite. Samples are finite (Waveform),
+    so a term is not finite only when the golden CPI g is 0 or the term
+    overflows: the error names the offset of the first such sample and the
+    predicted CPI p when it lies further from 1 by ratio than g does
+    (|p| x g > 1), else g (0, or so small that the term overflows). When
+    every term is finite it says the mean overflows."""
     if (
         predicted.samples.size != golden.samples.size
         or predicted.sample_stride != golden.sample_stride
@@ -188,8 +189,7 @@ def error_rate(predicted: Waveform, golden: Waveform) -> ErrorReport:
         if undefined.size:
             k = int(undefined[0])
             p, g = float(predicted.samples[k]), float(golden.samples[k])
-            blame_prediction = not math.isfinite(p) or (math.isfinite(g) and abs(p) * g > 1)
-            side, cpi = ("predicted", p) if blame_prediction else ("golden", g)
+            side, cpi = ("predicted", p) if abs(p) * g > 1 else ("golden", g)
             raise ValueError(
                 f"{side} CPI is {cpi!r} at instruction offset "
                 f"{int(golden.sample_offsets[k])}, where MAPE is undefined"

@@ -522,6 +522,22 @@ def test_waveform_takes_only_1d_samples(samples):
         Waveform(samples=samples, sample_stride=1, origin_instruction=0)
 
 
+@pytest.mark.parametrize("samples, message", [
+    ([1.0, np.nan, 5, 5], "waveform sample 1 must be a finite real number, got nan"),
+    ([1.0, np.inf, 5, 5], "waveform sample 1 must be a finite real number, got inf"),
+    (np.array([2.0, 1.0, -np.inf]), "waveform sample 2 must be a finite real number, got -inf"),
+    (["1.5", "2", "1", "3"], "waveform sample 0 must be a finite real number, got '1.5'"),
+    ([True, False, True, False], "waveform sample 0 must be a finite real number, got True"),
+    ([2, True], "waveform sample 1 must be a finite real number, got True"),
+    ([1.0, 10**400], f"waveform sample 1 must be a finite real number, got {10**400!r}"),
+], ids=["nan", "inf", "array-minus-inf", "str", "bool", "int-then-bool", "beyond-float64"])
+def test_waveform_takes_only_finite_real_samples(samples, message):
+    """numpy would read a str or a bool as a float, and a spectrum of a
+    non-finite sample is NaN throughout."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Waveform(samples=samples, sample_stride=1, origin_instruction=0)
+
+
 @pytest.mark.parametrize("stride, origin, field", [
     (2.5, 0, "sample_stride"),
     (True, 0, "sample_stride"),
