@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .attribution import Waveform, quantum_cpis, sample_grid, sample_range
+from .attribution import Waveform, _grid_stride, quantum_cpis, sample_grid, sample_range
 from .phases import PhaseNode, validate_tree
 from .trace import ExecutionTrace, check_number
 
@@ -124,7 +124,7 @@ def predict_waveform(
     summed), then is the step up to instruction min(e_p x quantum_length,
     total_instructions). A phase tree predicts each sample by the deepest
     node covering it (see _render_tree), once validate_tree accepts it."""
-    offsets, stride = sample_grid(0, total_instructions, resolution)
+    _grid_stride(0, total_instructions, resolution)  # the grid's checks first, on both branches
 
     if isinstance(source, TqPhaseList):
         length = check_number("quantum_length", source.quantum_length, Integral, ValueError, "positive")
@@ -151,6 +151,7 @@ def predict_waveform(
         raise TypeError(f"cannot render {type(source).__name__}")
     validate_tree(source)
 
+    offsets, stride = sample_grid(0, total_instructions, resolution)
     values = np.empty(offsets.size, dtype=float)
     _render_tree(source, offsets, np.ones(offsets.size, dtype=bool), values)
     return Waveform(

@@ -41,12 +41,14 @@ the line of the first one that does not.
 The parser reads lines in fixed-size chunks and cuts a chunk that holds
 other records (the block table, the ``Q`` and ``L`` records) into runs of
 lines that start with ``E`` and runs of other lines. A run of ``E`` lines is
-converted by one ``np.loadtxt`` call into a record array (kind, block id
-and, when present, cycle count). Any other run, any run holding a NUL or a
-non-ASCII character, and any run numpy's reader rejects or whose values
-fail a check (a kind other than ``E``, a non-finite or negative cycle
-count, an unknown block), goes through the line-by-line loop, which gives
-the same columns and names the offending line.
+rewritten as one flat JSON array, a null where each line starts and then
+its fields, and converted by one ``orjson.loads`` call (see
+_event_columns). Any other run goes through the line-by-line loop, and so
+does a run that is not ASCII, holds a byte other than those of JSON
+numbers, single spaces and newlines (a tab, a comment), a sign other than
+an exponent's (``-0``) or whose values fail a check (a line of another width, an id that is not an
+int within int64, an unknown block): the loop gives the same columns and
+names the offending line.
 
 The writer prints every float as repr() does (the shortest digits that
 read back to the same float64), and formats a whole column at once:
@@ -330,8 +332,9 @@ _CHUNK_LINES = 4096
 
 
 def _decimal(convert, token: str, what: str):
-    """convert(token) for int or float, refusing what numpy's event reader
-    refuses though int() and float() take it: "_" and non-ASCII digits."""
+    """convert(token) for int or float, refusing what the format refuses
+    though int() and float() take it: "_" and non-ASCII digits (as JSON,
+    which _event_columns reads, does)."""
     if token.isascii() and "_" not in token:
         try:
             return convert(token)
@@ -351,48 +354,67 @@ def _parse_address(token: str, what: str) -> int:
     return int(token, 16)
 
 
-#: numpy record layouts of an ``E`` line with and without a cycle count
-_EVENT_ROWS = {
-    3: np.dtype([("kind", "U2"), ("block", "i8"), ("cycles", "f8")]),
-    2: np.dtype([("kind", "U2"), ("block", "i8")]),
-}
+#: byte map of a run of ``E`` lines: the bytes of a JSON number map to
+#: themselves, a space to a comma and any other byte to ``x``
+_EVENT_BYTES = bytes(c if c in b"0123456789.eE+-\n" else ord("," if c == ord(" ") else "x")
+                     for c in range(256))
 
 
 def _event_columns(
     run: list[str], known: np.ndarray
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """(block ids, cycles) of a run made only of ``E`` lines, converted by
-    one ``np.loadtxt`` call; None when any line needs the line-by-line
+    one ``orjson.loads`` call; None when any line needs the line-by-line
     parser (another record, a comment, a blank line, a bad field, an unknown
     block), which then reports the error with its line number.
 
-    numpy's reader accepts the field spellings the line loop accepts (no
-    ``1_0``, no non-ASCII digits; see _decimal), splits fields at the same
-    whitespace and gives the same values, so an accepted run yields the
-    columns the line loop would. It does drop trailing NULs from the
-    kind field ("E\\x00" reads as "E"), and a field holding a non-ASCII
-    character it cannot convert can crash the process (numpy 2.4: a
-    segmentation fault in about one run in three for "E \\U000d6a92 5.0"),
-    so a run holding a NUL or any non-ASCII character goes to the line loop.
+    The lines are joined with ``xxx`` (``\\nxxx`` for lines without their
+    newline, as ``str.splitlines`` gives them) and mapped by _EVENT_BYTES,
+    and each ``\\nxxxE,`` becomes ``,null,`` (of the same length, which
+    bytes.replace does fastest): one flat JSON array with a null where each
+    line starts. The run is read only when it is ASCII, starts with ``E ``,
+    keeps no ``x`` (a byte of another record, a tab, a line not joined at a
+    newline) and no ``-`` but an exponent's, and the array holds a null at
+    every width-th item (width 2 or 3) and, between them, ints within int64
+    for the ids and numbers for the cycles: each line then is ``E`` and
+    width - 1 numbers, each after one space. JSON's number syntax is a
+    subset of what int() and float() take (no ``_``, ``+5``, ``.5``,
+    ``007``), and orjson reads a number as float() does and an int past
+    uint64 as a float (the tests pin both), so a run read here gives the
+    columns the line loop gives.
     """
-    layout = _EVENT_ROWS.get(len(run[0].split()))
-    text = "".join(run)
-    if layout is None or "\x00" in text or not text.isascii():
+    import orjson  # here, as in float_reprs: importing the package skips it
+
+    n = len(run)
+    # the columns first, before the run's temporaries: run after run they
+    # then pack together in the heap, where columns made after the
+    # temporaries pin the holes those leave (CLI analyze of 10^7 events
+    # peaked at 659 MB RSS that way, at 530 MB this way)
+    ids, cycles = np.empty(n, dtype=np.int64), np.full(n, math.nan)
+    text = "xxx".join(run) if run[0][-1:] == "\n" else "\nxxx".join(run)
+    if not (text.isascii() and text.startswith("E ")):
         return None
+    body = text.encode().translate(_EVENT_BYTES).replace(b"\nxxxE,", b",null,")
+    del text  # a temporary freed early is fewer pages to fault in afresh
+    if b"x" in body:
+        return None
+    if b"-" in body and body.count(b"-") != body.count(b"e-") + body.count(b"E-"):
+        return None  # a sign but an exponent's: JSON reads -0 as the int 0, float() as -0.0
     try:
-        rows = np.loadtxt(run, dtype=layout, comments=None, ndmin=1)
-    except ValueError:
+        values = orjson.loads(b"".join((b"[null,", memoryview(body)[2:], b"]")))
+    except orjson.JSONDecodeError:
         return None
-    if rows.size != len(run) or (rows["kind"] != "E").any():
+    width = len(values) // n
+    if width not in (2, 3) or len(values) != width * n or values[::width].count(None) != n:
         return None
-    # copies, so that each run's record array is freed while parsing goes on
-    ids = rows["block"].copy()
-    if "cycles" in layout.names:
-        cycles = rows["cycles"].copy()
-        if not ((cycles >= 0) & (cycles < math.inf)).all():
-            return None  # NaN, infinite or negative: the line loop names the line
-    else:
-        cycles = np.full(ids.size, math.nan)
+    read = np.array(values[1::width])
+    if read.dtype != np.int64:
+        return None  # a float, an int past int64 (uint64, object) or a null
+    ids[:] = read
+    if width == 3:
+        cycles[:] = values[2::width]
+        if not np.isfinite(cycles).all():
+            return None  # a null, read as NaN
     if (positions_in(known, ids) < 0).any():
         return None
     return ids, cycles

@@ -407,7 +407,7 @@ def test_non_finite_values_rejected_with_line(text, line):
                  id="quantum-2-fields"),
     pytest.param("V 1\nB 0 1000 10 F\nE 0\nL\nQ 0 1.5\n", 4, "malformed quantum length record",
                  id="bare-L"),
-    # int() and float() take "_" and non-ASCII digits, numpy's reader does not
+    # int() and float() take "_" and non-ASCII digits, the format does not
     pytest.param("V 1\nB 1 1000 5 F\nB 10 2000 5 F\nE 1_0 5.0\n", 4, "malformed block id '1_0'",
                  id="block-id-underscore"),
     pytest.param("V 1\nB 1 1000 5 F\nE 1 5_0\n", 3, "malformed cycle count '5_0'",
@@ -869,21 +869,22 @@ def test_event_lines_of_mixed_chunks_convert_at_once(monkeypatch):
 
 
 @pytest.mark.parametrize("odd", ["E \U000d6a92 5.0", "E 1\U000d6a92 5.0", "E\xa01 5.0",
-                                 "E 1\u30005.0", "E \u0663 5.0"])
-def test_event_runs_holding_non_ascii_text_skip_numpys_reader(monkeypatch, odd):
-    """numpy's reader can crash the process on a non-ASCII field it cannot
-    convert (a segmentation fault in about one run in three for the first
-    line), so such a run is parsed by the line loop alone."""
-    runs = []
+                                 "E 1\u30005.0", "E \u0663 5.0", "E\t1 5.0", "E 1 -5.0", "E -0 5.0",
+                                 "E 1 5e-5-", "E 1 5,0", 'E "1" 5.0', "E [1] 5.0", "E 1 null",
+                                 "E 1 5.0 # c", "E 1 0x10", "E 1 5.0\x00"])
+@pytest.mark.parametrize("as_file", [False, True])
+def test_event_runs_holding_off_list_characters_never_reach_orjson(monkeypatch, odd, as_file):
+    """A run holding a non-ASCII character, an ASCII one that is no part
+    of a JSON number, a space or a newline, or a sign but an exponent's,
+    goes to the line loop before orjson reads any of it."""
+    import orjson
 
-    def reader(run, **kwargs):  # records the run instead of risking the crash
-        runs.append(run)
-        raise ValueError
-
-    monkeypatch.setattr(np, "loadtxt", reader)
+    payloads = []
+    loads = orjson.loads
+    monkeypatch.setattr(orjson, "loads", lambda data: payloads.append(data) or loads(data))
     text = "V 1\nB 1 1000 4 F\n" + "E 1 5.0\n" * 3 + odd + "\n" + "E 1 5.0\n" * 3
-    assert_parses_as_the_line_loop(text)
-    assert runs == []
+    assert_parses_as_the_line_loop(text, as_file)
+    assert payloads == []
 
 
 @pytest.mark.parametrize("chunk", ["first", "last"])
@@ -902,13 +903,21 @@ def test_malformed_event_in_a_mixed_chunk_names_its_line(chunk, bad):
 
 # --- event chunks in odd spellings ----------------------------------------------
 
-#: spellings that numpy's reader accepts as well as int()/float()
+#: spellings that int() and float() accept; some of them JSON reads too
 GOOD_SEPARATORS = [" ", " ", "\t", "\xa0", "  ", "\u3000", " \x0b", "\x1c"]
 GOOD_IDS = ["1", "+1", "003", "-0", "3"]
-GOOD_CYCLES = ["5.0", "+5", "007", ".5", "5.", "1E3", "-0.0", "0", "2.5e-3"]
-#: tokens that one or both reject, or that change the line's meaning
+#: among them a 55-digit halfway case (rounds to even, 0.5), the edges of
+#: the subnormals and of float64, and ints past 2**53 and uint64
+GOOD_CYCLES = ["5.0", "+5", "007", ".5", "5.", "1E3", "-0.0", "0", "2.5e-3", "5e0", "1e+05",
+               "1E+3", "1e-320", "2.4703282292062328e-324", "2.4703282292062327e-324",
+               "1.7976931348623157e308", "9007199254740993", "18446744073709551616",
+               "0.500000000000000055511151231257827021181583404541015625"]
+#: tokens that one or both reject, or that change the line's meaning; among
+#: them spellings JSON reads otherwise than int() and float() (or at all)
 BAD_TOKENS = ["EX", "E\x00", "e", "1_0", "\u0663", "5.0", "0x10", "9", "99999999999999999999",
-              "1#", "nan", "inf", "1e400", "-1", "2.5#c", "#", ""]
+              "1#", "nan", "inf", "1e400", "-1", "2.5#c", "#", "",
+              "-0", "5,0", '"5"', "null", "[1]", "5e0", "9223372036854775808", "18446744073709551615",
+              "1.7976931348623159e308", "xxx", "E"]
 SHORT_CHUNK = 64
 
 
@@ -998,6 +1007,76 @@ def test_odd_event_chunks_parse_as_the_line_loop_does(data, with_cycles, fill, s
 
     with mock.patch.object(trace_module, "_CHUNK_LINES", SHORT_CHUNK):
         assert_parses_as_the_line_loop(text, as_file)
+
+
+@pytest.mark.parametrize("pair", [
+    ("E 1 5.0 7", "E 2"), ("E 2", "E 1 5.0 7"), ("E 1 5.0 E", "2 5.0"), ("E 1 5.0 ", "2 5.0"),
+    ("E 1 5.0", "xxxE 2 5.0"), ("E 1 5.0 5.0 5.0", "E"), ("E 1", "E 2 5.0"),
+])
+@pytest.mark.parametrize("as_file", [False, True])
+def test_lines_of_other_lengths_side_by_side_parse_as_the_line_loop(pair, as_file):
+    """Two lines deep in a full chunk whose fields add up to two lines of
+    the chunk's width (a 3-field line next to a 1-field line) parse, or
+    fail, as in the line loop."""
+    events = [f"E {i % 4} {1.0 + i % 7 / 8!r}" for i in range(2 * _CHUNK_LINES)]
+    events[_CHUNK_LINES + 100:_CHUNK_LINES + 102] = pair
+    text = "V 1\n" + "".join(f"B {b} {0x1000 + 0x40 * b:x} 4 F\n" for b in range(4))
+    assert_parses_as_the_line_loop(text + "\n".join(events) + "\n", as_file)
+
+
+@pytest.mark.parametrize("odd", [["E 1 5.0\nE 2 5.0\n", "E 3 ", "5.0\n"], ["E 1 \n5.0\n"], ["E 1 5.0"],
+                                 ["E 1 5.0\n\n", "", "E 2 5.0\n"], ["E 1 5.0\nxxxE 2 5.0\n", ""]])
+def test_iterables_of_lines_holding_newlines_parse_as_the_line_loop(odd):
+    """An iterable may hand over lines holding no newline or several, in a
+    full chunk of lines that end with one: they parse, or fail, as in the
+    line loop."""
+    lines = ["V 1\n"] + [f"B {b} {0x1000 + 0x40 * b:x} 4 F\n" for b in range(4)]
+    events = [f"E {i % 4} 5.0\n" for i in range(2 * _CHUNK_LINES)]
+    events[_CHUNK_LINES + 100:_CHUNK_LINES + 100 + len(odd)] = odd
+    assert_parses_as_the_line_loop(lines + events)
+
+
+def halfway_text(x):
+    """The exact decimal halfway between float64 x and the next one up,
+    in positional notation."""
+    mid = (Fraction(x) + Fraction(float(np.nextafter(x, math.inf)))) / 2
+    digits = mid.denominator.bit_length() - 1  # 2**-d has d decimals
+    text = str(mid.numerator * 5**digits).rjust(digits + 1, "0")
+    return f"{text[:-digits]}.{text[-digits:]}" if digits else text
+
+
+@st.composite
+def cycle_texts(draw):
+    """A non-negative cycle count as the writer (repr), %.17g, %.25f, the
+    halfway decimal between two floats or an integer spells it."""
+    spelling = draw(st.sampled_from(["repr", "17g", "25f", "halfway", "int"]))
+    if spelling == "int":
+        return str(draw(st.integers(0, 10**30)))
+    x = abs(draw(st.floats(0.0, float(np.nextafter(np.finfo(float).max, 0)))))
+    spell = {"repr": repr, "17g": "%.17g".__mod__, "25f": "%.25f".__mod__, "halfway": halfway_text}
+    return spell[spelling](x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63 - 2, 2**64 + 2)),
+                               cycle_texts()), min_size=1, max_size=30),
+       with_cycles=st.booleans(), split=st.booleans())
+def test_converted_columns_are_int_and_float_of_each_field(rows, with_cycles, split):
+    """The fast path's columns equal int() and float() of each field byte
+    for byte, for ids inside int64 and cycle counts in every spelling
+    above; an id past int64 sends the run to the line loop. pyproject.toml
+    asks only for orjson>=3.8: this pins the reader of the orjson
+    installed."""
+    lines = [f"E {bid} {cycles}" if with_cycles else f"E {bid}" for bid, cycles in rows]
+    ids = [bid for bid, _ in rows]
+    known = np.array(sorted({bid for bid in ids if bid < 2**63}), dtype=np.int64)
+    columns = trace_module._event_columns(lines if split else [line + "\n" for line in lines], known)
+    if max(ids) >= 2**63:
+        assert columns is None  # the line loop reads it, and names the unknown block
+        return
+    want_cycles = [float(cycles) for _, cycles in rows] if with_cycles else [math.nan] * len(rows)
+    assert columns[0].tobytes() == np.array(ids, dtype=np.int64).tobytes()
+    assert columns[1].tobytes() == np.array(want_cycles).tobytes()
 
 
 # --- float text and the trace writer ------------------------------------------
