@@ -108,6 +108,28 @@ def attribute_block_cpi(
     Blocks with no dynamic occurrence are omitted. A block whose golden
     cycles sum to 0 raises TraceFormatError.
     """
+    block_ids, cpis, _, _ = _attribute(trace, mode, keep_order=False)
+    return dict(zip(block_ids.tolist(), cpis.tolist()))
+
+
+def attribute_event_cpi(trace: ExecutionTrace) -> np.ndarray:
+    """Each event's block CPI under attribute_block_cpi(trace), aligned with
+    the trace's events: profile_rates(EventIndex.from_trace(trace),
+    attribute_block_cpi(trace)) bit for bit, scattered back through the
+    attribution's own sort instead of searching every event's block."""
+    _, cpis, bounds, order = _attribute(trace, "auto", keep_order=True)
+    rates = np.empty(order.size)
+    # one block at a time: no third column of the trace's size, the block
+    # CPIs repeated over the sort, is made
+    for (a, b), cpi in zip(pairwise(bounds.tolist()), cpis.tolist()):
+        rates[order[a:b]] = cpi
+    return rates
+
+
+def _attribute(trace: ExecutionTrace, mode: str, keep_order: bool):
+    """attribute_block_cpi's sort and sums: (block ids ascending, their
+    CPIs, the bounds of each block's events in the sort, and the stable
+    sort order of the events by block, or None unless keep_order)."""
     if mode == "auto":
         mode = "quantum" if trace.quanta is not None else "golden"
     if mode not in ("quantum", "golden"):
@@ -128,7 +150,8 @@ def attribute_block_cpi(
     block_ids = ids[firsts]
     del ids
     values = (index.starts if mode == "quantum" else trace.event_cycles)[order]
-    del order
+    if not keep_order:
+        order = None
     if mode == "quantum":
         # an event belongs to the quantum holding its first instruction
         values //= trace.quantum_length
@@ -151,7 +174,7 @@ def attribute_block_cpi(
         # gave every event of this block 0 cycles
         bid = int(block_ids[bad[0]])
         raise TraceFormatError(f"block {bid}: its events carry 0 cycles in all; a block CPI must be positive")
-    return dict(zip(block_ids.tolist(), cpis.tolist()))
+    return block_ids, cpis, bounds, order
 
 
 def profile_rates(index: EventIndex, profiles: dict[int, float]) -> np.ndarray:
@@ -233,8 +256,13 @@ def sample_range(
     np.subtract(starts[first + 1 : last], start + 1, out=inner)
     inner //= stride
     inner += 1
+    # each step's count, written over its first edge: the output trails the
+    # operand it overlaps, so numpy differences in place with no copy and
+    # no second column of the segment's steps is made
+    counts = edges[:-1]
+    np.subtract(edges[1:], counts, out=counts)
     return Waveform(
-        samples=values[first:last].repeat(edges[1:] - edges[:-1]),
+        samples=values[first:last].repeat(counts),
         sample_stride=stride,
         origin_instruction=start,
     )

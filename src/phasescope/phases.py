@@ -5,8 +5,11 @@ waveform, finds the dominant occurrence count in its spectrum, derives the
 pattern length, locates the head basic block by aligning candidate heads
 (big CPI jumps between consecutive events) against that length, and gives
 the first pattern instance as the one child. Occurrence-one segments are
-split at the strongest mean step instead; flat segments are leaves.
-analyze builds the tree from a work stack of those children, in pre-order.
+split at the strongest mean step instead; flat segments are leaves, and a
+segment whose CPI range alone makes it flat ends before its DFT unless a
+spectrum sink listens. analyze builds the tree from a work stack of those
+children, in pre-order; a child of a segment sampled at stride 1 reads its
+samples off its parent's instead of sampling the trace again.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ import numpy as np
 from .attribution import (
     EventIndex,
     Waveform,
-    attribute_block_cpi,
+    attribute_block_cpi,  # noqa: F401 -- resolved here by bench/spans.py
+    attribute_event_cpi,
     cycles_below,
     group_bounds,
     profile_rates,
     sample_range,
 )
-from .spectral import dft_magnitude, is_flat, main_spectrum
+from .spectral import cpi_range_flat, dft_magnitude, is_flat, main_spectrum
 from .trace import BlockDescriptor, ExecutionTrace, Terminator, check_number
 
 
@@ -251,28 +255,29 @@ def analyze(
     from two plain values: main_spectrum's bin k, the occurrence whose
     magnitude magnitudes[k] sets the head-candidate threshold, and, where k
     is 1, split_step's boundary instruction; set_heads reads each node's head
-    block and structure, entered at its start. profiles maps block id to CPI
-    and defaults to attribute_block_cpi(trace); a caller that wants a
-    specific attribution mode, or needs the block CPIs too, passes
-    attribute_block_cpi(trace, mode) and the trace is attributed once.
-    spectrum_sink, when given, receives (depth, start, stop, magnitudes) for
-    every analyzed segment, magnitudes being the segment's dft_magnitude
-    array.
+    block and structure, entered at its start. A segment whose CPI range is
+    within flat_cpi_range is a leaf before its DFT is taken, unless a
+    spectrum_sink listens. A segment whose parent was sampled at stride 1
+    reads its samples from the parent's, the values sample_range would give.
+    profiles maps block id to CPI and defaults to attribute_block_cpi(trace),
+    whose sort then gives the per-event CPIs too (attribute_event_cpi); a
+    caller that wants a specific attribution mode, or needs the block CPIs
+    too, passes attribute_block_cpi(trace, mode) and the trace is attributed
+    once. spectrum_sink, when given, receives (depth, start, stop,
+    magnitudes) for every sampled segment, magnitudes being the segment's
+    dft_magnitude array.
     """
     cfg = config or _DEFAULT_CONFIG
-    if profiles is None:
-        profiles = attribute_block_cpi(trace)
     index = EventIndex.from_trace(trace)
-    rates = profile_rates(index, profiles)
+    rates = attribute_event_cpi(trace) if profiles is None else profile_rates(index, profiles)
 
-    def children(start: int, stop: int, depth: int) -> list[tuple[int, int, int]]:
+    def children(wave: Waveform, stop: int, depth: int) -> list[tuple[int, int, int]]:
         """The (start, stop, occurrence) of each child of the segment
-        [start, stop) at depth: none for a leaf, two for a split, one
-        instance for a repeat."""
-        length = stop - start
-        if depth >= cfg.max_depth or length < cfg.min_segment_instructions:
-            return []
-        wave = sample_range(index.starts, rates, start, stop, cfg.resolution)
+        [start, stop) at depth, sampled as wave from its start: none for a
+        leaf, two for a split, one instance for a repeat."""
+        start = wave.origin_instruction
+        if spectrum_sink is None and cpi_range_flat(wave, cfg):
+            return []  # is_flat's first test, which needs no spectrum
         magnitudes = dft_magnitude(wave)
         if spectrum_sink is not None:
             spectrum_sink(depth, start, stop, magnitudes)
@@ -282,6 +287,7 @@ def analyze(
         if reps == 1:
             boundary = split_step(wave)
             return [] if boundary is None else [(start, boundary, 1), (boundary, stop, 1)]
+        length = stop - start
         # node lengths stay within occurrence*length <= segment + one stride
         instance = min(max(1, round(length / reps)), (length + wave.sample_stride) // reps)
         theta = cfg.boundary_threshold_fraction * magnitudes[reps]
@@ -292,17 +298,29 @@ def analyze(
         return [(anchor, anchor + min(instance, stop - anchor), reps)]
 
     # every node in pre-order; the work stack sets interval and occurrence,
-    # then one batch pass sets mean CPI, and set_heads head block and structure
+    # then one batch pass sets mean CPI, and set_heads head block and structure.
+    # Each entry carries its parent's waveform when that was sampled at
+    # stride 1: it holds every instruction of the child, so the child's
+    # samples are a view of it
     root = PhaseNode(-1, 0, trace.total_instructions, math.nan)
     nodes: list[PhaseNode] = []
-    stack = [(root, 0)]
+    stack: list[tuple[PhaseNode, int, Optional[Waveform]]] = [(root, 0, None)]
     while stack:
-        node, depth = stack.pop()
+        node, depth, held = stack.pop()
         nodes.append(node)
-        spans = children(node.start_instruction, node.end_instruction, depth)
-        if spans:  # most nodes are leaves, whose children stay the empty default
+        start, stop = node.start_instruction, node.end_instruction
+        if depth >= cfg.max_depth or stop - start < cfg.min_segment_instructions:
+            continue  # a leaf, whose children stay the empty default
+        if held is None:
+            wave = sample_range(index.starts, rates, start, stop, cfg.resolution)
+        else:
+            offset = start - held.origin_instruction
+            wave = Waveform(held.samples[offset : offset + stop - start], 1, start)
+        spans = children(wave, stop, depth)
+        if spans:
             node.children = [PhaseNode(-1, a, b - a, math.nan, reps) for a, b, reps in spans]
-            stack.extend((child, depth + 1) for child in reversed(node.children))
+            held = wave if wave.sample_stride == 1 else None
+            stack.extend((child, depth + 1, held) for child in reversed(node.children))
 
     starts = np.array([node.start_instruction for node in nodes], dtype=np.int64)
     lengths = np.array([node.length_instructions for node in nodes], dtype=np.int64)

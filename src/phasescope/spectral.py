@@ -53,13 +53,18 @@ def main_spectrum(magnitudes: np.ndarray) -> int:
     return k
 
 
+def cpi_range_flat(waveform: Waveform, config) -> bool:
+    """is_flat's first test, which needs no spectrum: the waveform's CPI
+    range is within config.flat_cpi_range."""
+    samples = waveform.samples
+    return float(np.maximum.reduce(samples) - np.minimum.reduce(samples)) <= config.flat_cpi_range
+
+
 def is_flat(waveform: Waveform, magnitudes: np.ndarray, config) -> bool:
     """True when the waveform is one phase: CPI range within
-    config.flat_cpi_range, or every non-DC bin within
+    config.flat_cpi_range (cpi_range_flat), or every non-DC bin within
     config.flat_spectrum_ratio of the DC value."""
-    samples = waveform.samples
-    cpi_range = float(np.maximum.reduce(samples) - np.minimum.reduce(samples))
-    if cpi_range <= config.flat_cpi_range:
+    if cpi_range_flat(waveform, config):
         return True
     nondc = magnitudes[1:]
     if nondc.size == 0:

@@ -31,6 +31,7 @@ from phasescope import (
 from phasescope.attribution import (
     EventIndex,
     Waveform,
+    attribute_event_cpi,
     cycles_below,
     profile_rates,
     sample_grid,
@@ -387,6 +388,10 @@ def test_attribution_equals_mask_loop_exactly(n_blocks, sparse):
         assert list(profiles) == list(expected)  # ascending block id
         for bid, cpi in expected.items():
             assert profiles[bid] == cpi  # exact: same additions, same order
+    # analyze's per-event CPIs, scattered from the same sort in auto mode
+    for auto in (trace, golden_trace(trace.blocks, trace.event_blocks, trace.event_cycles)):
+        expected = profile_rates(EventIndex.from_trace(auto), attribute_block_cpi(auto))
+        assert attribute_event_cpi(auto).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["golden", "quantum"])

@@ -892,10 +892,19 @@ def test_spectrum_sink_sees_each_sampled_node_once_in_preorder(spec, max_depth, 
     trace, _ = generate(spec)
     cfg = AnalysisConfig(max_depth=max_depth, min_segment_instructions=min_segment)
     calls = []
-    root = analyze(trace, cfg, spectrum_sink=lambda depth, start, stop, _: calls.append((depth, start, stop)))
-    assert calls == [(depth, node.start_instruction, node.end_instruction)
-                     for node, depth in preorder(root)
-                     if depth < max_depth and node.length_instructions >= min_segment]
+    root = analyze(trace, cfg, spectrum_sink=lambda *call: calls.append(call))
+    assert [call[:3] for call in calls] == [(depth, node.start_instruction, node.end_instruction)
+                                            for node, depth in preorder(root)
+                                            if depth < max_depth and node.length_instructions >= min_segment]
+    # each spectrum is that of the segment sampled afresh from the block
+    # CPIs, whether analyze sampled it or read it off a stride-1 parent
+    index = EventIndex.from_trace(trace)
+    rates = profile_rates(index, attribute_block_cpi(trace))
+    for _, start, stop, magnitudes in calls:
+        expected = dft_magnitude(sample_range(index.starts, rates, start, stop, cfg.resolution))
+        assert magnitudes.tobytes() == expected.tobytes()
+    # a listening sink changes no node: range-flat leaves skip only the DFT
+    assert tree_json(root, trace.blocks) == tree_json(analyze(trace, cfg), trace.blocks)
 
 
 @pytest.mark.parametrize("children, message", [
