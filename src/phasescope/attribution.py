@@ -10,7 +10,6 @@ sample_range resamples one by zero-order hold for a DFT; cycles_below sums it.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from itertools import pairwise
 from numbers import Integral, Real
@@ -182,23 +181,12 @@ def profile_rates(index: EventIndex, profiles: dict[int, float]) -> np.ndarray:
     ValueError naming the first block id that is not an integer within
     int64, or the first block whose CPI is not a finite positive real
     number (a bool or a str is neither)."""
-    ids = rates = None
-    # numpy would read 0.0 as block 0 and "2" as 2.0, so the types go first
-    if all(t is int or issubclass(t, Integral) and not issubclass(t, bool) for t in set(map(type, profiles))):
-        with suppress(OverflowError):  # an int beyond int64
-            ids = np.array(sorted(profiles), dtype=np.int64)
-    if ids is None:
-        for bid in profiles:  # check_number raises on the first bad id
-            check_number("profile block id", bid, Integral)
-    cpis = [profiles[b] for b in ids.tolist()]
-    if all(t is float or issubclass(t, Real) and not issubclass(t, bool) for t in set(map(type, cpis))):
-        with suppress(OverflowError):  # an int or a Fraction beyond float64
-            rates = np.array(cpis, dtype=float)
-    if rates is None or not ((rates > 0) & (rates < np.inf)).all():  # NaN fails both
-        for bid, cpi in zip(ids.tolist(), cpis):  # as a float64 too: a tiny Fraction rounds to 0
-            check_number(f"block {bid}: CPI", cpi, Real, ValueError, "positive")
-            check_number(f"block {bid}: CPI", float(cpi), Real, ValueError, "positive")
-    slot = positions_in(ids, index.block_ids)
+    ids = sorted(check_number("profile block id", bid, Integral) for bid in profiles)
+    rates = np.empty(len(ids))
+    for i, bid in enumerate(ids):  # as a float64 too: a tiny Fraction rounds to 0
+        cpi = check_number(f"block {bid}: CPI", profiles[bid], Real, ValueError, "positive")
+        rates[i] = check_number(f"block {bid}: CPI", float(cpi), Real, ValueError, "positive")
+    slot = positions_in(np.array(ids, dtype=np.int64), index.block_ids)
     missing = np.flatnonzero(slot < 0)
     if missing.size:
         raise ValueError(

@@ -1,15 +1,16 @@
 """Hierarchical phase identification.
 
-One function decides each segment's children: it samples the segment's CPI
-waveform, finds the dominant occurrence count in its spectrum, derives the
-pattern length, locates the head basic block by aligning candidate heads
-(big CPI jumps between consecutive events) against that length, and gives
-the first pattern instance as the one child. Occurrence-one segments are
-split at the strongest mean step instead; flat segments are leaves, and a
-segment whose CPI range alone makes it flat ends before its DFT unless a
-spectrum sink listens. analyze builds the tree from a work stack of those
-children, in pre-order; a child of a segment sampled at stride 1 reads its
-samples off its parent's instead of sampling the trace again.
+One function decides each segment's children from its sampled CPI waveform
+in two steps, module-level functions looked up by name at each call, so one
+can be swapped: shape reads the dominant occurrence count off the spectrum (a
+flat segment is a leaf, an occurrence-one segment splits at its strongest
+mean step), and for a repeat anchor places the first pattern instance of the
+derived length by aligning candidate heads (big CPI jumps between consecutive
+events) against it; that instance is the one child. A segment whose CPI range
+alone makes it flat ends before its DFT unless a spectrum sink listens.
+analyze builds the tree from a work stack of those children, in pre-order; a
+child of a segment sampled at stride 1 reads its samples off its parent's
+instead of sampling the trace again.
 """
 
 from __future__ import annotations
@@ -108,19 +109,6 @@ class PhaseNode:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
-
-
-def _candidates_in_range(
-    index: EventIndex, rates: np.ndarray, threshold: float, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Potential phase heads in [start, stop): (instruction offsets, block
-    ids) of every event whose CPI differs from its predecessor's by more
-    than the threshold, in execution order (duplicates preserved)."""
-    lo = max(1, int(index.starts.searchsorted(start)))
-    hi = min(len(rates), int(index.starts.searchsorted(stop)))
-    steps = rates[lo:hi] - rates[lo - 1 : hi - 1]
-    jumps = lo + (np.abs(steps, out=steps) > threshold).nonzero()[0]
-    return index.starts[jumps], index.block_ids[jumps]
 
 
 def align_phase(offsets: np.ndarray, block_ids: np.ndarray, length: int) -> tuple[int, int]:
@@ -242,6 +230,34 @@ def set_heads(trace: ExecutionTrace, nodes, entries) -> None:
         node.structure = classify_structure(blocks[head], blocks[context] if event >= 0 else None)
 
 
+def shape(
+    wave: Waveform, stop: int, magnitudes: np.ndarray, cfg: AnalysisConfig
+) -> tuple[int, Optional[int]]:
+    """analyze's first step on the segment [start, stop) sampled as wave, with
+    magnitudes its dft_magnitude array: (1, None) for a leaf, (1, b) for a
+    split at instruction b, (k, None) for k >= 2 instances. A flat segment is
+    a leaf; else k is main_spectrum's bin, and a k of 1 takes split_step's b."""
+    if is_flat(wave, magnitudes, cfg):
+        return 1, None  # else some non-DC bin is nonzero, as main_spectrum needs
+    reps = main_spectrum(magnitudes)
+    return (1, split_step(wave)) if reps == 1 else (reps, None)
+
+
+def anchor(index: EventIndex, rates: np.ndarray, threshold: float, start: int, stop: int, length: int) -> int:
+    """analyze's second step: where the first instance of length instructions
+    in [start, stop) starts. align_phase picks among the events there whose
+    CPI (rates) steps by more than threshold from their predecessor's, folded
+    back to the earliest congruent instruction; start when none does."""
+    lo = max(1, int(index.starts.searchsorted(start)))
+    hi = min(len(rates), int(index.starts.searchsorted(stop)))
+    steps = rates[lo:hi] - rates[lo - 1 : hi - 1]
+    jumps = lo + (np.abs(steps, out=steps) > threshold).nonzero()[0]
+    if not jumps.size:
+        return start
+    head = align_phase(index.starts[jumps], index.block_ids[jumps], length)[0]
+    return start + (head - start) % length  # candidates are >= start
+
+
 def analyze(
     trace: ExecutionTrace,
     config: Optional[AnalysisConfig] = None,
@@ -251,12 +267,12 @@ def analyze(
 ) -> PhaseNode:
     """Build the hierarchical phase tree for a trace.
 
-    The root covers the whole execution. Each segment's children are read
-    from two plain values: main_spectrum's bin k, the occurrence whose
-    magnitude magnitudes[k] sets the head-candidate threshold, and, where k
-    is 1, split_step's boundary instruction; set_heads reads each node's head
-    block and structure, entered at its start. A segment whose CPI range is
-    within flat_cpi_range is a leaf before its DFT is taken, unless a
+    The root covers the whole execution. Each segment's children come from
+    two steps, looked up in this module at each call: shape's (occurrence k,
+    boundary), and for k >= 2 anchor's instance start, given the threshold
+    boundary_threshold_fraction * magnitudes[k]; set_heads reads each node's
+    head block and structure, entered at its start. A segment whose CPI range
+    is within flat_cpi_range is a leaf before its DFT is taken, unless a
     spectrum_sink listens. A segment whose parent was sampled at stride 1
     reads its samples from the parent's, the values sample_range would give.
     profiles maps block id to CPI and defaults to attribute_block_cpi(trace),
@@ -281,21 +297,14 @@ def analyze(
         magnitudes = dft_magnitude(wave)
         if spectrum_sink is not None:
             spectrum_sink(depth, start, stop, magnitudes)
-        if is_flat(wave, magnitudes, cfg):
-            return []  # else some non-DC bin is nonzero, as main_spectrum needs
-        reps = main_spectrum(magnitudes)
+        reps, boundary = shape(wave, stop, magnitudes, cfg)
         if reps == 1:
-            boundary = split_step(wave)
             return [] if boundary is None else [(start, boundary, 1), (boundary, stop, 1)]
         length = stop - start
         # node lengths stay within occurrence*length <= segment + one stride
         instance = min(max(1, round(length / reps)), (length + wave.sample_stride) // reps)
-        theta = cfg.boundary_threshold_fraction * magnitudes[reps]
-        offsets, heads = _candidates_in_range(index, rates, theta, start, stop)
-        anchor = align_phase(offsets, heads, instance)[0] if offsets.size else start
-        # fold back to the earliest congruent instance (candidates are >= start)
-        anchor = start + (anchor - start) % instance
-        return [(anchor, anchor + min(instance, stop - anchor), reps)]
+        head = anchor(index, rates, cfg.boundary_threshold_fraction * magnitudes[reps], start, stop, instance)
+        return [(head, head + min(instance, stop - head), reps)]
 
     # every node in pre-order; the work stack sets interval and occurrence,
     # then one batch pass sets mean CPI, and set_heads head block and structure.

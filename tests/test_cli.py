@@ -378,20 +378,21 @@ def test_analyze_spectrum_of_the_whole_trace_is_the_spectrum_command(tmp_path, t
 
 
 def test_analyze_waveform_csv_attributes_once(tmp_path, trace_file, monkeypatch):
-    from phasescope import attribution, cli, phases
+    from phasescope import attribution
 
     trace = load_trace(trace_file)
     profiles = attribution.attribute_block_cpi(trace)
     expected = attribution.waveform_csv(trace, attribution.build_waveform(trace, profiles, 4096))
 
     calls = []
+    attribute = attribution._attribute
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return attribution.attribute_block_cpi(*args, **kwargs)
+        return attribute(*args, **kwargs)
 
-    monkeypatch.setattr(phases, "attribute_block_cpi", counting)
-    monkeypatch.setattr(cli, "attribute_block_cpi", counting)
+    # attribute_block_cpi and attribute_event_cpi both sort and sum here
+    monkeypatch.setattr(attribution, "_attribute", counting)
     wave = tmp_path / "wave.csv"
     tree = tmp_path / "tree.json"
     assert main(["analyze", str(trace_file), "--tree", str(tree), "--waveform-csv", str(wave)]) == 0

@@ -31,14 +31,12 @@ from phasescope import (
     dft_magnitude,
     export_markers,
     generate,
-    main_spectrum,
     parse_trace,
     split_step,
 )
 from phasescope import phases
 from phasescope.attribution import EventIndex, profile_rates, sample_grid, sample_range
 from phasescope.phases import (
-    _candidates_in_range,
     _population_std,
     markers_json,
     tree_from_dict,
@@ -104,11 +102,21 @@ def golden_trace(blocks, ids_and_cpis):
 
 
 def candidates(trace, threshold):
-    """(offsets, block ids) of the candidate heads over the whole trace."""
+    """(offsets, block ids) of the candidate heads over the whole trace, as
+    phases.anchor hands them to align_phase (none when it makes no call)."""
     index = EventIndex.from_trace(trace)
     rates = profile_rates(index, attribute_block_cpi(trace))
-    offsets, heads = _candidates_in_range(index, rates, threshold, 0, trace.total_instructions)
-    return offsets.tolist(), heads.tolist()
+    seen = []
+
+    def recording(offsets, block_ids, length):
+        seen.append((offsets.tolist(), block_ids.tolist()))
+        return align_phase(offsets, block_ids, length)
+
+    total = trace.total_instructions
+    with mock.patch.object(phases, "align_phase", recording):
+        head = phases.anchor(index, rates, threshold, 0, total, total)
+    assert 0 <= head < total
+    return seen[0] if seen else ([], [])
 
 
 def test_constant_cpi_yields_no_candidates():
@@ -363,6 +371,22 @@ def test_segment_without_a_split_is_a_leaf(monkeypatch):
     assert root.mean_cpi == pytest.approx(1.1)
 
 
+def test_a_segment_flat_by_its_spectrum_ratio_alone_is_a_leaf():
+    # CPI 20.0 and 20.5 alternating 8 times: the range 0.5 is above
+    # flat_cpi_range, but bin 8 (about 0.16) is within flat_spectrum_ratio
+    # 0.02 of the DC value 20.25, so the root is one phase
+    trace, _ = generate(ScenarioSpec(
+        segments=[
+            SegmentSpec("lo", block_cpi=20.0, block_instruction_count=10, event_count=10),
+            SegmentSpec("hi", block_cpi=20.5, block_instruction_count=10, event_count=10),
+        ],
+        repetitions=8,
+    ))
+    assert analyze(trace).children == []
+    tree = analyze(trace, AnalysisConfig(flat_spectrum_ratio=0.005))
+    assert [(c.start_instruction, c.length_instructions, c.occurrence) for c in tree.children] == [(100, 200, 8)]
+
+
 # --- structure classification -------------------------------------------------
 
 def test_classify_call_context_is_function():
@@ -459,22 +483,36 @@ def test_square_wave_recovers_occurrence_and_split():
     assert cpis == pytest.approx([1.0, 2.0], abs=1e-9)
 
 
+#: lo and hi, 101 instructions, 7 times; the rule anchors the instance on hi, at 50
+OFF_GRID = ScenarioSpec(
+    segments=[
+        SegmentSpec("lo", block_cpi=1.0, block_instruction_count=50, event_count=1),
+        SegmentSpec("hi", block_cpi=2.0, block_instruction_count=51, event_count=1),
+    ],
+    repetitions=7,
+)
+
+
 def test_an_off_grid_instance_keeps_its_true_length():
     # 7 x 101 = 707 instructions sampled every 8: the grid covers 712, yet
     # the instance is D / X = 101 (712 / 7 would round to 102)
-    spec = ScenarioSpec(
-        segments=[
-            SegmentSpec("lo", block_cpi=1.0, block_instruction_count=50, event_count=1),
-            SegmentSpec("hi", block_cpi=2.0, block_instruction_count=51, event_count=1),
-        ],
-        repetitions=7,
-    )
-    trace, _ = generate(spec)
+    trace, _ = generate(OFF_GRID)
     cfg = AnalysisConfig(resolution=100)
     offsets, stride = sample_grid(0, trace.total_instructions, cfg.resolution)
     assert (trace.total_instructions, stride, offsets.size * stride) == (707, 8, 712)
     tree = analyze(trace, cfg)
     assert [(c.start_instruction, c.length_instructions, c.occurrence) for c in tree.children] == [(50, 101, 7)]
+
+
+def test_analyze_looks_its_two_steps_up_at_each_call():
+    trace, _ = generate(OFF_GRID)
+    cfg = AnalysisConfig(resolution=100)
+    with mock.patch.object(phases, "shape", lambda wave, stop, magnitudes, cfg: (1, None)):
+        assert analyze(trace, cfg).children == []
+    # the rule anchors the instance at 50 (the test above)
+    with mock.patch.object(phases, "anchor", lambda index, rates, threshold, start, stop, length: start):
+        tree = analyze(trace, cfg)
+    assert [(c.start_instruction, c.length_instructions, c.occurrence) for c in tree.children] == [(0, 101, 7)]
 
 
 def test_two_level_recovery():
@@ -784,18 +822,18 @@ def test_segment_without_candidate_heads_anchors_its_instance_at_its_start():
     body = [SegmentSpec(f"r{i}", block_cpi=cpi, block_instruction_count=10, event_count=5)
             for i, cpi in enumerate(ramp)]
     trace, _ = generate(ScenarioSpec(segments=[SegmentSpec("ramp", nested=body, nested_repetitions=6)]))
-    cfg = AnalysisConfig()
-    index = EventIndex.from_trace(trace)
-    rates = profile_rates(index, attribute_block_cpi(trace))
-    total = trace.total_instructions
-    magnitudes = dft_magnitude(sample_range(index.starts, rates, 0, total, cfg.resolution))
-    k = main_spectrum(magnitudes)
-    theta = cfg.boundary_threshold_fraction * magnitudes[k]
-    assert k == 6 and np.abs(np.diff(rates)).max() < 0.051 < 0.1 < theta
-    offsets, heads = _candidates_in_range(index, rates, theta, 0, total)
-    assert offsets.size == heads.size == 0
+    anchors = []
+    rule_anchor = phases.anchor
 
-    child = analyze(trace, cfg).children[0]
+    def recording(index, rates, threshold, start, stop, length):
+        anchors.append((rates, threshold, start, rule_anchor(index, rates, threshold, start, stop, length)))
+        return anchors[-1][-1]
+
+    with mock.patch.object(phases, "anchor", recording):
+        child = analyze(trace).children[0]
+    rates, theta, start, head = anchors[0]
+    assert np.abs(np.diff(rates)).max() < 0.051 < 0.1 < theta
+    assert start == head == 0
     assert (child.start_instruction, child.length_instructions, child.occurrence) == (0, 2000, 6)
 
 

@@ -155,6 +155,18 @@ def test_is_flat_constant_and_thresholds():
     assert is_flat(small, dft_magnitude(small), config)
 
 
+def test_a_spectrum_within_the_ratio_is_flat_though_its_cpi_range_is_not():
+    # a square wave of range 0.5 around 20.25: bin 4 holds about 0.16, within
+    # 0.02 of the DC value (0.405) but not within 0.005 of it (0.101)
+    config = AnalysisConfig()
+    square = wave(np.where(np.arange(32) % 8 < 4, 20.5, 20.0))
+    magnitudes = dft_magnitude(square)
+    assert square.samples.max() - square.samples.min() == 0.5 > config.flat_cpi_range
+    assert 0.101 < magnitudes[1:].max() <= config.flat_spectrum_ratio * magnitudes[0]
+    assert is_flat(square, magnitudes, config)
+    assert not is_flat(square, magnitudes, AnalysisConfig(flat_spectrum_ratio=0.005))
+
+
 def test_spectrum_csv_reserves_row_zero_for_dc():
     lines = spectrum_csv(dft_magnitude(wave([1.0, 2.0, 1.0, 2.0]))).splitlines()
     assert lines[0] == "occurrence,magnitude"
