@@ -6,11 +6,11 @@ can be swapped: shape reads the dominant occurrence count off the spectrum (a
 flat segment is a leaf, an occurrence-one segment splits at its strongest
 mean step), and for a repeat anchor places the first pattern instance of the
 derived length by aligning candidate heads (big CPI jumps between consecutive
-events) against it; that instance is the one child. A segment whose CPI range
-alone makes it flat ends before its DFT unless a spectrum sink listens.
-analyze builds the tree from a work stack of those children, in pre-order; a
-child of a segment sampled at stride 1 reads its samples off its parent's
-instead of sampling the trace again.
+events) against it; that instance is the one child. Every sampled segment
+takes its DFT, and shape alone decides whether it is flat. analyze builds
+the tree from a work stack of those children, in pre-order; a child of a
+segment sampled at stride 1 reads its samples off its parent's instead of
+sampling the trace again.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .attribution import (
     profile_rates,
     sample_range,
 )
-from .spectral import cpi_range_flat, dft_magnitude, is_flat, main_spectrum
+from .spectral import dft_magnitude, is_flat, main_spectrum
 from .trace import BlockDescriptor, ExecutionTrace, Terminator, check_number
 
 
@@ -51,12 +51,12 @@ class AnalysisConfig:
     """Analysis parameters, checked on construction and dataclasses.replace:
     an int field takes an integer, a float field a finite real number, as
     trace.check_number defines them, each within its range; ValueError
-    names the field."""
+    names the field. The two fractions no caller varies are constants read
+    where they apply: spectral.FLAT_SPECTRUM_RATIO and
+    BOUNDARY_THRESHOLD_FRACTION."""
 
     resolution: int = 4096
-    boundary_threshold_fraction: float = 0.5
     flat_cpi_range: float = 0.3
-    flat_spectrum_ratio: float = 0.02
     max_depth: int = 8
     min_segment_instructions: int = 64
 
@@ -65,12 +65,8 @@ class AnalysisConfig:
             check_number(f"config field {name}", getattr(self, name), Integral if kind is int else Real)
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
-        if not 0.0 < self.boundary_threshold_fraction <= 1.0:
-            raise ValueError("boundary_threshold_fraction must be in (0, 1]")
         if self.flat_cpi_range < 0.0:
             raise ValueError("flat_cpi_range must be non-negative")
-        if not 0.0 < self.flat_spectrum_ratio < 1.0:
-            raise ValueError("flat_spectrum_ratio must be in (0, 1)")
         # tree_to_dict takes two frames per level (its list comprehension
         # too): 500 levels overflow the default recursion limit of 1000
         if not 1 <= self.max_depth <= 256:
@@ -243,6 +239,11 @@ def shape(
     return (1, split_step(wave)) if reps == 1 else (reps, None)
 
 
+#: anchor's threshold for a repeat of k instances, as a fraction of
+#: magnitudes[k]: a candidate head's CPI steps by more than that
+BOUNDARY_THRESHOLD_FRACTION = 0.5
+
+
 def anchor(index: EventIndex, rates: np.ndarray, threshold: float, start: int, stop: int, length: int) -> int:
     """analyze's second step: where the first instance of length instructions
     in [start, stop) starts. align_phase picks among the events there whose
@@ -270,18 +271,16 @@ def analyze(
     The root covers the whole execution. Each segment's children come from
     two steps, looked up in this module at each call: shape's (occurrence k,
     boundary), and for k >= 2 anchor's instance start, given the threshold
-    boundary_threshold_fraction * magnitudes[k]; set_heads reads each node's
-    head block and structure, entered at its start. A segment whose CPI range
-    is within flat_cpi_range is a leaf before its DFT is taken, unless a
-    spectrum_sink listens. A segment whose parent was sampled at stride 1
-    reads its samples from the parent's, the values sample_range would give.
-    profiles maps block id to CPI and defaults to attribute_block_cpi(trace),
-    whose sort then gives the per-event CPIs too (attribute_event_cpi); a
-    caller that wants a specific attribution mode, or needs the block CPIs
-    too, passes attribute_block_cpi(trace, mode) and the trace is attributed
-    once. spectrum_sink, when given, receives (depth, start, stop,
-    magnitudes) for every sampled segment, magnitudes being the segment's
-    dft_magnitude array.
+    BOUNDARY_THRESHOLD_FRACTION * magnitudes[k]; set_heads reads each node's
+    head block and structure, entered at its start. A segment whose parent
+    was sampled at stride 1 reads its samples from the parent's, the values
+    sample_range would give. profiles maps block id to CPI and defaults to
+    attribute_block_cpi(trace), whose sort then gives the per-event CPIs too
+    (attribute_event_cpi); a caller that wants a specific attribution mode,
+    or needs the block CPIs too, passes attribute_block_cpi(trace, mode) and
+    the trace is attributed once. spectrum_sink, when given, receives (depth,
+    start, stop, magnitudes) for every sampled segment, magnitudes being the
+    segment's dft_magnitude array; it only observes, the tree is the same.
     """
     cfg = config or _DEFAULT_CONFIG
     index = EventIndex.from_trace(trace)
@@ -292,8 +291,6 @@ def analyze(
         [start, stop) at depth, sampled as wave from its start: none for a
         leaf, two for a split, one instance for a repeat."""
         start = wave.origin_instruction
-        if spectrum_sink is None and cpi_range_flat(wave, cfg):
-            return []  # is_flat's first test, which needs no spectrum
         magnitudes = dft_magnitude(wave)
         if spectrum_sink is not None:
             spectrum_sink(depth, start, stop, magnitudes)
@@ -303,7 +300,7 @@ def analyze(
         length = stop - start
         # node lengths stay within occurrence*length <= segment + one stride
         instance = min(max(1, round(length / reps)), (length + wave.sample_stride) // reps)
-        head = anchor(index, rates, cfg.boundary_threshold_fraction * magnitudes[reps], start, stop, instance)
+        head = anchor(index, rates, BOUNDARY_THRESHOLD_FRACTION * magnitudes[reps], start, stop, instance)
         return [(head, head + min(instance, stop - head), reps)]
 
     # every node in pre-order; the work stack sets interval and occurrence,

@@ -6,7 +6,9 @@ by the sample count: index k is occurrence k for k = 0..N//2, so index 0
 units. Bin k counts how many times a pattern occurs across the analyzed
 range. main_spectrum returns the dominant non-DC bin's index k; `analyze`
 derives the instance length from it, as range_length / k instructions, and
-reads the bin's magnitude from the array as magnitudes[k].
+reads the bin's magnitude from the array as magnitudes[k]. is_flat decides
+that a waveform is one phase, by its CPI range or by its spectrum, before
+main_spectrum is asked.
 """
 
 from __future__ import annotations
@@ -53,23 +55,21 @@ def main_spectrum(magnitudes: np.ndarray) -> int:
     return k
 
 
-def cpi_range_flat(waveform: Waveform, config) -> bool:
-    """is_flat's first test, which needs no spectrum: the waveform's CPI
-    range is within config.flat_cpi_range."""
-    samples = waveform.samples
-    return float(np.maximum.reduce(samples) - np.minimum.reduce(samples)) <= config.flat_cpi_range
+#: is_flat's spectrum test: every non-DC bin within this fraction of the DC value
+FLAT_SPECTRUM_RATIO = 0.02
 
 
 def is_flat(waveform: Waveform, magnitudes: np.ndarray, config) -> bool:
     """True when the waveform is one phase: CPI range within
-    config.flat_cpi_range (cpi_range_flat), or every non-DC bin within
-    config.flat_spectrum_ratio of the DC value."""
-    if cpi_range_flat(waveform, config):
+    config.flat_cpi_range, or every non-DC bin within FLAT_SPECTRUM_RATIO
+    of the DC value."""
+    samples = waveform.samples
+    if float(np.maximum.reduce(samples) - np.minimum.reduce(samples)) <= config.flat_cpi_range:
         return True
     nondc = magnitudes[1:]
     if nondc.size == 0:
         return True
-    return float(np.maximum.reduce(nondc)) <= config.flat_spectrum_ratio * float(magnitudes[0])
+    return float(np.maximum.reduce(nondc)) <= FLAT_SPECTRUM_RATIO * float(magnitudes[0])
 
 
 def spectrum_csv(magnitudes: np.ndarray) -> str:

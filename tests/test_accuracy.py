@@ -203,9 +203,7 @@ def rung_tree(rung, trace, truth):
         return truth
     anchor, max_depth = STEPS[rung]
     with mock.patch.object(phases, "shape", truth_shape(truth)), mock.patch.object(phases, "anchor", anchor):
-        # a sink keeps range-flat segments for the shape step: without one,
-        # analyze ends them before it is asked
-        return analyze(trace, AnalysisConfig(max_depth=max_depth), spectrum_sink=lambda *segment: None)
+        return analyze(trace, AnalysisConfig(max_depth=max_depth))
 
 
 def rung_scores(rung, shape):

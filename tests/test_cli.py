@@ -187,8 +187,7 @@ def test_spectrum_command(tmp_path, trace_file):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--boundary-threshold-fraction", "0.5"), ("--flat-cpi-range", "0.3"),
-    ("--flat-spectrum-ratio", "0.02"), ("--max-depth", "3"), ("--min-segment-instructions", "64"),
+    ("--flat-cpi-range", "0.3"), ("--max-depth", "3"), ("--min-segment-instructions", "64"),
 ])
 def test_spectrum_takes_no_flag_of_a_config_field_it_does_not_read(tmp_path, capsys, trace_file,
                                                                    flag, value):
@@ -605,8 +604,8 @@ def test_config_file_not_holding_an_object_exits_2_naming_the_file(tmp_path, cap
     ('{"min_segment_instructions": "64"}', "min_segment_instructions", "'64'"),
     ('{"flat_cpi_range": NaN}', "flat_cpi_range", "nan"),
     ('{"flat_cpi_range": Infinity}', "flat_cpi_range", "inf"),
-    ('{"flat_spectrum_ratio": false}', "flat_spectrum_ratio", "False"),
-    ('{"boundary_threshold_fraction": null}', "boundary_threshold_fraction", "None"),
+    ('{"max_depth": "3"}', "max_depth", "'3'"),
+    ('{"min_segment_instructions": 64.0}', "min_segment_instructions", "64.0"),
     # an integer past float64 is no finite real number, one past int64 no config integer
     ('{"flat_cpi_range": 1%s}' % ("0" * 400), "flat_cpi_range", "1" + "0" * 400),
     ('{"resolution": 9223372036854775808}', "resolution", "9223372036854775808"),
@@ -662,24 +661,36 @@ def test_a_step_between_huge_and_small_cpis_splits_without_a_warning(tmp_path, c
 
 def test_integer_config_value_for_a_float_field_is_accepted(tmp_path, trace_file):
     config = tmp_path / "config.json"
-    config.write_text('{"flat_cpi_range": 0, "boundary_threshold_fraction": 1}')
+    config.write_text('{"flat_cpi_range": 0}')
     by_file, by_floats = tmp_path / "by_file.json", tmp_path / "by_floats.json"
     assert main(["analyze", str(trace_file), "--tree", str(by_file), "--config", str(config)]) == 0
-    assert main(["analyze", str(trace_file), "--tree", str(by_floats), "--flat-cpi-range", "0.0",
-                 "--boundary-threshold-fraction", "1.0"]) == 0
+    assert main(["analyze", str(trace_file), "--tree", str(by_floats), "--flat-cpi-range", "0.0"]) == 0
     assert by_file.read_bytes() == by_floats.read_bytes()
 
 
 def test_config_flags_follow_the_config_fields():
     args = build_parser().parse_args([
-        "analyze", "t.trace", "--resolution", "8", "--boundary-threshold-fraction", "0.25",
-        "--flat-cpi-range", "0.5", "--flat-spectrum-ratio", "0.125", "--max-depth", "3",
+        "analyze", "t.trace", "--resolution", "8", "--flat-cpi-range", "0.5", "--max-depth", "3",
         "--min-segment-instructions", "16",
     ])
     values = {f.name: getattr(args, f.name) for f in fields(AnalysisConfig)}
-    assert values == {"resolution": 8, "boundary_threshold_fraction": 0.25, "flat_cpi_range": 0.5,
-                      "flat_spectrum_ratio": 0.125, "max_depth": 3, "min_segment_instructions": 16}
-    assert [type(v) for v in values.values()] == [int, float, float, float, int, int]
+    assert values == {"resolution": 8, "flat_cpi_range": 0.5, "max_depth": 3, "min_segment_instructions": 16}
+    assert [type(v) for v in values.values()] == [int, float, int, int]
+
+
+@pytest.mark.parametrize("field, value", [("flat_spectrum_ratio", 0.02), ("boundary_threshold_fraction", 0.5)])
+def test_the_fixed_fractions_take_no_flag_and_no_config_key(tmp_path, capsys, trace_file, field, value):
+    # both are module constants (spectral.FLAT_SPECTRUM_RATIO, phases.BOUNDARY_THRESHOLD_FRACTION)
+    tree, config = tmp_path / "tree.json", tmp_path / "config.json"
+    flag = "--" + field.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(trace_file), "--tree", str(tree), flag, str(value)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    config.write_text(json.dumps({field: value}))
+    assert main(["analyze", str(trace_file), "--tree", str(tree), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: unknown config fields: [{field!r}]\n"
+    assert not tree.exists()
 
 
 NESTED_SCENARIO = json.loads(scenario_json(ScenarioSpec(
@@ -908,14 +919,13 @@ def test_an_unusable_annotation_path_leaves_no_trace(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value, message", [
     ("resolution", 1, "resolution must be >= 2"),
-    ("boundary_threshold_fraction", 0.0, "boundary_threshold_fraction must be in (0, 1]"),
-    ("boundary_threshold_fraction", 1.5, "boundary_threshold_fraction must be in (0, 1]"),
+    ("resolution", 0, "resolution must be >= 2"),
     ("flat_cpi_range", -0.5, "flat_cpi_range must be non-negative"),
-    ("flat_spectrum_ratio", 0.0, "flat_spectrum_ratio must be in (0, 1)"),
-    ("flat_spectrum_ratio", 1.0, "flat_spectrum_ratio must be in (0, 1)"),
+    ("flat_cpi_range", -0.001, "flat_cpi_range must be non-negative"),
     ("max_depth", 0, "max_depth must be in [1, 256]"),
     ("max_depth", 257, "max_depth must be in [1, 256]"),
     ("min_segment_instructions", 1, "min_segment_instructions must be >= 2"),
+    ("min_segment_instructions", 0, "min_segment_instructions must be >= 2"),
 ])
 @pytest.mark.parametrize("by_file", [True, False], ids=["file", "flag"])
 def test_an_out_of_range_config_value_exits_2_naming_its_source(

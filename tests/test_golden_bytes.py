@@ -10,7 +10,9 @@ criterion-5 two-level scenario, the 20-scenario criterion-9 corpus, a
 quantum-mode scenario whose attribution uses Q/L records, the same
 scenario compared at TQ lengths at the edges, and a corpus of noisy nested
 shapes (a body with a tail, three levels, unequal repetitions) whose
-analysis splits steps and aligns recurring candidate heads.
+analysis splits steps and aligns recurring candidate heads. A spectrum sink
+only observes: with or without one, analyze asks its shape step about the
+same segments and writes the same tree.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from phasescope import EntryKind, ScenarioSpec, SegmentSpec, analyze, generate, serialize_trace
+from phasescope import phases, spectral
 from phasescope.cli import main
 from phasescope.phases import export_markers, markers_json, tree_json
 from test_acceptance import _misaligned_scenario
@@ -186,3 +189,38 @@ def test_outputs_match_recorded_digests(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the report names the trace by the path given
     specs, compare_args = CASES[case]
     assert digests(specs, compare_args, tmp_path) == DIGESTS[case]
+
+
+def shaped(trace, sink, monkeypatch):
+    """The (start, stop) of each segment analyze asks phases.shape about,
+    and the tree's bytes, with this spectrum sink."""
+    asked, real = [], phases.shape
+
+    def recorded(wave, stop, magnitudes, cfg):
+        asked.append((wave.origin_instruction, stop))
+        return real(wave, stop, magnitudes, cfg)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(phases, "shape", recorded)
+        tree = analyze(trace, spectrum_sink=sink)
+    return asked, tree_json(tree, trace.blocks)
+
+
+def test_a_spectrum_sink_changes_neither_the_segments_shape_decides_nor_the_tree(monkeypatch):
+    for spec in CASES["corpus-shapes"][0]:
+        trace, _ = generate(spec)
+        assert shaped(trace, None, monkeypatch) == shaped(trace, lambda *segment: None, monkeypatch)
+
+
+@pytest.mark.parametrize("module, constant, value, changed", [
+    (phases, "BOUNDARY_THRESHOLD_FRACTION", 0.75, 1),
+    (spectral, "FLAT_SPECTRUM_RATIO", 0.05, 2),
+])
+def test_the_fixed_fractions_are_read_when_analyze_runs(monkeypatch, module, constant, value, changed):
+    # neither is a config field, but each still decides trees: another
+    # value changes this many of the 12 corpus shapes
+    traces = [generate(spec)[0] for spec in CASES["corpus-shapes"][0]]
+    trees = [tree_json(analyze(trace), trace.blocks) for trace in traces]
+    monkeypatch.setattr(module, constant, value)
+    assert sum(tree_json(analyze(trace), trace.blocks) != tree
+               for trace, tree in zip(traces, trees)) == changed

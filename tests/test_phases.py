@@ -69,8 +69,8 @@ def wave(samples, stride=1, origin=0):
     ("resolution", True, "an integer"),
     ("min_segment_instructions", "64", "an integer"),
     ("flat_cpi_range", float("nan"), "a finite real number"),
-    ("flat_spectrum_ratio", True, "a finite real number"),
-    ("boundary_threshold_fraction", "0.5", "a finite real number"),
+    ("flat_cpi_range", True, "a finite real number"),
+    ("flat_cpi_range", "0.5", "a finite real number"),
     ("flat_cpi_range", 10**400, "a finite real number"),
     ("resolution", 2**63, "an integer within int64"),
 ])
@@ -81,8 +81,9 @@ def test_config_rejects_a_wrongly_typed_field(field, value, noun):
 
 
 def test_config_takes_integers_for_float_fields_and_numpy_numbers():
-    config = AnalysisConfig(resolution=np.int64(512), flat_cpi_range=0, flat_spectrum_ratio=np.float64(0.5))
-    assert (config.resolution, config.flat_cpi_range, config.flat_spectrum_ratio) == (512, 0, 0.5)
+    config = AnalysisConfig(resolution=np.int64(512), flat_cpi_range=0)
+    assert (config.resolution, config.flat_cpi_range) == (512, 0)
+    assert AnalysisConfig(flat_cpi_range=np.float64(0.5)).flat_cpi_range == 0.5
 
 
 def test_config_replace_checks_the_values_it_applies():
@@ -371,19 +372,26 @@ def test_segment_without_a_split_is_a_leaf(monkeypatch):
     assert root.mean_cpi == pytest.approx(1.1)
 
 
-def test_a_segment_flat_by_its_spectrum_ratio_alone_is_a_leaf():
-    # CPI 20.0 and 20.5 alternating 8 times: the range 0.5 is above
-    # flat_cpi_range, but bin 8 (about 0.16) is within flat_spectrum_ratio
-    # 0.02 of the DC value 20.25, so the root is one phase
+def alternating(hi_cpi):
+    """CPI 20.0 and hi_cpi alternating 8 times, 100 instructions each."""
     trace, _ = generate(ScenarioSpec(
         segments=[
             SegmentSpec("lo", block_cpi=20.0, block_instruction_count=10, event_count=10),
-            SegmentSpec("hi", block_cpi=20.5, block_instruction_count=10, event_count=10),
+            SegmentSpec("hi", block_cpi=hi_cpi, block_instruction_count=10, event_count=10),
         ],
         repetitions=8,
     ))
-    assert analyze(trace).children == []
-    tree = analyze(trace, AnalysisConfig(flat_spectrum_ratio=0.005))
+    return trace
+
+
+def test_a_segment_flat_by_its_spectrum_ratio_alone_is_a_leaf():
+    # CPI 20.0 and 20.5: the range 0.5 is above flat_cpi_range, but bin 8
+    # (about 0.16) is within FLAT_SPECTRUM_RATIO 0.02 of the DC value 20.25,
+    # so the root is one phase
+    assert analyze(alternating(20.5)).children == []
+    # CPI 20.0 and 22.0: bin 8 (about 0.653) is past 0.02 of the DC value 21
+    # (0.42), so the root repeats
+    tree = analyze(alternating(22.0))
     assert [(c.start_instruction, c.length_instructions, c.occurrence) for c in tree.children] == [(100, 200, 8)]
 
 
@@ -941,7 +949,7 @@ def test_spectrum_sink_sees_each_sampled_node_once_in_preorder(spec, max_depth, 
     for _, start, stop, magnitudes in calls:
         expected = dft_magnitude(sample_range(index.starts, rates, start, stop, cfg.resolution))
         assert magnitudes.tobytes() == expected.tobytes()
-    # a listening sink changes no node: range-flat leaves skip only the DFT
+    # a listening sink changes no node
     assert tree_json(root, trace.blocks) == tree_json(analyze(trace, cfg), trace.blocks)
 
 

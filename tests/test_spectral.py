@@ -12,7 +12,7 @@ from phasescope import (
     is_flat,
     main_spectrum,
 )
-from phasescope.spectral import spectrum_csv
+from phasescope.spectral import FLAT_SPECTRUM_RATIO, spectrum_csv
 
 
 def wave(samples, stride=1, origin=0):
@@ -147,7 +147,7 @@ def test_is_flat_constant_and_thresholds():
     square = wave(np.where(np.arange(32) % 8 < 4, 2.0, 1.0))
     sq_spec = dft_magnitude(square)
     assert square.samples.max() - square.samples.min() == pytest.approx(1.0)
-    assert sq_spec[1:].max() > config.flat_spectrum_ratio * sq_spec[0]
+    assert sq_spec[1:].max() > FLAT_SPECTRUM_RATIO * sq_spec[0]
     assert not is_flat(square, sq_spec, config)
 
     # range 0.25 sits inside the default 0.3 band -> flat
@@ -157,14 +157,19 @@ def test_is_flat_constant_and_thresholds():
 
 def test_a_spectrum_within_the_ratio_is_flat_though_its_cpi_range_is_not():
     # a square wave of range 0.5 around 20.25: bin 4 holds about 0.16, within
-    # 0.02 of the DC value (0.405) but not within 0.005 of it (0.101)
+    # 0.02 of the DC value (0.405); one of range 2.0 around 21 puts about
+    # 0.653 there, past 0.02 of the DC value (0.42)
     config = AnalysisConfig()
     square = wave(np.where(np.arange(32) % 8 < 4, 20.5, 20.0))
     magnitudes = dft_magnitude(square)
     assert square.samples.max() - square.samples.min() == 0.5 > config.flat_cpi_range
-    assert 0.101 < magnitudes[1:].max() <= config.flat_spectrum_ratio * magnitudes[0]
+    assert 0.16 < magnitudes[1:].max() <= FLAT_SPECTRUM_RATIO * magnitudes[0]
     assert is_flat(square, magnitudes, config)
-    assert not is_flat(square, magnitudes, AnalysisConfig(flat_spectrum_ratio=0.005))
+    steep = wave(np.where(np.arange(32) % 8 < 4, 22.0, 20.0))
+    magnitudes = dft_magnitude(steep)
+    assert magnitudes[1:].max() == pytest.approx(0.653, abs=1e-3)
+    assert magnitudes[1:].max() > FLAT_SPECTRUM_RATIO * magnitudes[0] == pytest.approx(0.42)
+    assert not is_flat(steep, magnitudes, config)
 
 
 def test_spectrum_csv_reserves_row_zero_for_dc():
