@@ -51,7 +51,10 @@ class Waveform:
 
     @property
     def sample_offsets(self) -> np.ndarray:
-        """Absolute instruction offset of each sample."""
+        """Absolute instruction offset of each sample; ValueError when the
+        last lies past int64, where the int64 offsets would wrap."""
+        last = int(self.origin_instruction) + int(self.sample_stride) * (self.samples.size - 1)
+        check_number("last sample offset", last, Integral)
         return self.origin_instruction + self.sample_stride * np.arange(
             self.samples.size, dtype=np.int64
         )
@@ -312,8 +315,11 @@ def quantum_cpis(starts: np.ndarray, cycles: np.ndarray, quantum_length: int) ->
 
 def waveform_csv(trace: ExecutionTrace, waveform: Waveform) -> str:
     """Plot-ready CSV: instruction_offset,cpi,block_id, where block_id is
-    the trace's block executing at that offset."""
+    the trace's block executing at that offset. ValueError unless every
+    offset lies within [0, total_instructions)."""
     offsets = waveform.sample_offsets
+    if offsets[0] < 0 or offsets[-1] >= trace.total_instructions:
+        raise ValueError("sample range outside the trace")
     heads = trace.event_blocks[trace.event_starts.searchsorted(offsets, side="right") - 1]
     rows = zip(offsets.tolist(), float_reprs(waveform.samples), heads.tolist())
     return "instruction_offset,cpi,block_id\n" + "".join("%d,%s,%d\n" % row for row in rows)

@@ -123,7 +123,8 @@ def predict_waveform(
     naming the phase); phase p, ending at quantum e_p (the counts up to p
     summed), then is the step up to instruction min(e_p x quantum_length,
     total_instructions). A phase tree predicts each sample by the deepest
-    node covering it (see _render_tree), once validate_tree accepts it."""
+    node covering it (see _render_tree), once validate_tree accepts it and
+    its root is [0, total_instructions) (ValueError otherwise)."""
     _grid_stride(0, total_instructions, resolution)  # the grid's checks first, on both branches
 
     if isinstance(source, TqPhaseList):
@@ -150,6 +151,9 @@ def predict_waveform(
     if not isinstance(source, PhaseNode):
         raise TypeError(f"cannot render {type(source).__name__}")
     validate_tree(source)
+    if (source.start_instruction, source.end_instruction) != (0, total_instructions):
+        raise ValueError(f"phase tree root [{source.start_instruction}, {source.end_instruction}) "
+                         f"must cover the run [0, {total_instructions})")
 
     offsets, stride = sample_grid(0, total_instructions, resolution)
     values = np.empty(offsets.size, dtype=float)

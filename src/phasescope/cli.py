@@ -27,47 +27,25 @@ class InputError(ValueError):
     """Input violates a command's contract (maps to exit code 2)."""
 
 
-def _read_json(path: str, what: str):
-    """The JSON value in the file at path; InputError "cannot read <what>
-    <path>: ..." when the file cannot be read, is not UTF-8 or not JSON
-    (ValueError), or nests past the interpreter's recursion limit."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
-        raise InputError(f"cannot read {what} {path}: {exc}") from None
-
-
 def _config_from_args(args) -> AnalysisConfig:
-    """AnalysisConfig() updated by dataclasses.replace with the --config
-    file's fields, then with each config flag given; a value it rejects is
-    an InputError naming its source, "config <path>" or "--<flag>"."""
-    sources: list[tuple[str, dict]] = []
-    if getattr(args, "config", None):
-        values = _read_json(args.config, "config")
-        if not isinstance(values, dict):
-            raise InputError(f"config {args.config} must hold a JSON object of config fields")
-        unknown = values.keys() - CONFIG_TYPES.keys()
-        if unknown:
-            raise InputError(f"unknown config fields: {sorted(unknown)}")
-        sources.append((f"config {args.config}", values))
-    for name in CONFIG_TYPES:
-        override = getattr(args, name, None)
-        if override is not None:
-            sources.append(("--" + name.replace("_", "-"), {name: override}))
+    """AnalysisConfig() updated by dataclasses.replace with each config flag
+    given; a value it rejects is an InputError naming the flag."""
     config = AnalysisConfig()
-    for source, values in sources:
-        try:
-            config = replace(config, **values)
-        except ValueError as exc:
-            raise InputError(f"{source}: {exc}") from None
+    for name in CONFIG_TYPES:
+        value = getattr(args, name, None)
+        if value is not None:
+            try:
+                config = replace(config, **{name: value})
+            except ValueError as exc:
+                raise InputError(f"--{name.replace('_', '-')}: {exc}") from None
     return config
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, names=tuple(CONFIG_TYPES)) -> None:
-    """--config and a flag for each config field named."""
-    parser.add_argument("--config", help="JSON file with analysis config fields")
+    """A flag for each config field named, its default the field's."""
     for name in names:
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=CONFIG_TYPES[name])
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=CONFIG_TYPES[name],
+                            help=f"default {getattr(AnalysisConfig, name)}")
 
 
 def _write(path: str, text: str) -> None:
@@ -161,10 +139,10 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_markers(args) -> None:
-    tree = _read_json(args.tree, "tree")
+    # unreadable, not UTF-8, not JSON or not a tree (ValueError), or nested near the recursion limit
     try:
-        root, addresses = phases.tree_from_dict(tree)
-    except (ValueError, RecursionError) as exc:  # a malformed tree, or one nested near the limit
+        root, addresses = phases.tree_from_dict(json.loads(Path(args.tree).read_text(encoding="utf-8")))
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read tree {args.tree}: {exc}") from None
     _write(args.out, phases.markers_json(phases.export_markers(root, addresses)))
 

@@ -479,6 +479,23 @@ def test_waveform_csv_matches_the_per_row_writer():
     assert waveform_csv(trace, wave) == "\n".join(rows) + "\n"
 
 
+@pytest.mark.parametrize("origin, stride", [(-4, 1), (0, 20), (19, 2)], ids=["before", "at-end", "past-end"])
+def test_waveform_csv_refuses_an_offset_outside_the_trace(origin, stride):
+    # two events over instructions [0, 20): no block executes at -4 or from 20 on
+    trace = golden_trace({0: block(0, 10), 1: block(1, 10)}, [0, 1], [10.0, 20.0])
+    assert waveform_csv(trace, Waveform(np.ones(2), 19, 0)) == \
+        "instruction_offset,cpi,block_id\n0,1.0,0\n19,1.0,1\n"
+    with pytest.raises(ValueError, match="^sample range outside the trace$"):
+        waveform_csv(trace, Waveform(np.ones(2), stride, origin))
+
+
+def test_sample_offsets_past_int64_are_refused():
+    # int64 offsets would wrap to [0, 2**62, -2**63, -2**62]
+    with pytest.raises(ValueError, match=f"^last sample offset must be an integer within int64, got {3 * 2**62}$"):
+        Waveform(np.ones(4), 2**62, 0).sample_offsets
+    assert Waveform(np.ones(2), 2**62, 2**62 - 1).sample_offsets.tolist() == [2**62 - 1, 2**63 - 1]
+
+
 # --- input checks ---------------------------------------------------------------
 
 def _golden():

@@ -358,6 +358,13 @@ def test_prediction_refuses_a_tree_validate_tree_refuses(child, message):
         predict_waveform(PhaseNode(0, 0, 16, 1.0, children=[child]), 16, 16)
 
 
+@pytest.mark.parametrize("start, length", [(0, 100), (50, 100), (0, 300)])
+def test_prediction_refuses_a_tree_that_does_not_cover_the_run(start, length):
+    message = f"phase tree root [{start}, {start + length}) must cover the run [0, 200)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        predict_waveform(PhaseNode(0, start, length, 1.0), 200, 16)
+
+
 def test_prediction_grid_matches_golden_grid():
     spec = ScenarioSpec(
         segments=[

@@ -87,20 +87,23 @@ def test_analyze_without_tree_writes_the_tree_to_stdout(tmp_path, capsys, trace_
     assert capsys.readouterr().out.encode("utf-8") == tree.read_bytes()
 
 
-@pytest.mark.parametrize("config_text, flag, message", [
-    (None, "--config", "cannot read config {config}: [Errno 2]"),
-    ("{not json", "--config", "cannot read config {config}: Expecting property name"),
-    (None, "--resolution", "--resolution: resolution must be >= 2"),
-], ids=["missing-config", "malformed-config", "resolution-1"])
-def test_analyze_with_an_unusable_config_exits_2(tmp_path, capsys, trace_file, config_text, flag, message):
-    config = tmp_path / "config.json"
-    if config_text is not None:
-        config.write_text(config_text)
+def test_analyze_with_an_unusable_config_exits_2(tmp_path, capsys, trace_file):
     tree = tmp_path / "tree.json"
-    value = str(config) if flag == "--config" else "1"
-    assert main(["analyze", str(trace_file), "--tree", str(tree), flag, value]) == 2
-    assert capsys.readouterr().err.startswith("error: " + message.format(config=config))
+    assert main(["analyze", str(trace_file), "--tree", str(tree), "--resolution", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: --resolution: resolution must be >= 2")
     assert not tree.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "spectrum"])
+def test_a_config_file_is_no_argument(tmp_path, capsys, trace_file, command):
+    # every setting is its own flag; a --config file is no input of any command
+    config, out = tmp_path / "x.json", tmp_path / "out"
+    config.write_text(json.dumps({"resolution": 64}))
+    with pytest.raises(SystemExit) as exc:
+        main([*writing_to(command, trace_file, out), "--config", str(config)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --config {config}" in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []
 
 
 def test_synth_on_a_missing_scenario_file_exits_2(tmp_path, capsys):
@@ -233,21 +236,12 @@ def test_outputs_are_deterministic(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_config_file_and_flag_overrides(tmp_path, trace_file):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"resolution": 512, "max_depth": 1}))
+def test_config_flags_set_the_analysis(tmp_path, trace_file):
     tree = tmp_path / "tree.json"
-    assert main([
-        "analyze", str(trace_file), "--tree", str(tree),
-        "--config", str(config), "--max-depth", "3",
-    ]) == 0
+    assert main(["analyze", str(trace_file), "--tree", str(tree), "--resolution", "512", "--max-depth", "3"]) == 0
     obj = json.loads(tree.read_text())
     # depth 3 allows the template and its split children to appear
     assert obj["children"] and obj["children"][0]["children"]
-
-    bad = tmp_path / "bad_config.json"
-    bad.write_text(json.dumps({"no_such_field": 1}))
-    assert main(["analyze", str(trace_file), "--tree", str(tree), "--config", str(bad)]) == 2
 
 
 @pytest.mark.parametrize("text, line", [
@@ -486,7 +480,7 @@ def test_program_entry_freezes_after_main_and_exits_with_its_code(monkeypatch):
     assert steps == ["main", "freeze"]
 
 
-# --- malformed tree, config and scenario files --------------------------------
+# --- malformed tree and scenario files ----------------------------------------
 
 MALFORMED_TREES = {
     "empty object": lambda tree: {},
@@ -530,6 +524,27 @@ def test_markers_on_a_malformed_tree_exits_2_naming_the_file(tmp_path, capsys, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "[Errno 2] No such file or directory"),
+    ("", "[Errno 21] Is a directory"),
+    (b'{"start": 0}\xff', "'utf-8' codec can't decode byte 0xff"),
+    (b"{not json", "Expecting property name enclosed in double quotes"),
+    (b"null", "malformed phase tree: TypeError"),
+    (b"3", "malformed phase tree: TypeError"),
+    (b'"tree"', "malformed phase tree: TypeError"),
+], ids=["missing", "directory", "not-utf8", "not-json", "null", "number", "string"])
+def test_markers_on_an_unreadable_tree_exits_2_naming_the_file(tmp_path, capsys, content, message):
+    # the one read of the tree turns each way it fails into the same error
+    path, out = tmp_path / "tree.json", tmp_path / "markers.json"
+    if content == "":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    assert main(["markers", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read tree {path}: {message}")
+    assert not out.exists()
+
+
 # --- JSON nested past the interpreter's recursion limit -----------------------
 
 DEEP_JSON = '{"children": [' * 3000
@@ -553,15 +568,6 @@ def test_markers_on_a_tree_nested_too_deeply_exits_2_naming_the_file(tmp_path, c
     assert not out.exists()
 
 
-def test_config_nested_too_deeply_exits_2_naming_the_file(tmp_path, capsys, trace_file):
-    config = tmp_path / "config.json"
-    config.write_text(DEEP_JSON)
-    tree = tmp_path / "tree.json"
-    assert main(["analyze", str(trace_file), "--tree", str(tree), "--config", str(config)]) == 2
-    assert f"cannot read config {config}: maximum recursion depth exceeded" in capsys.readouterr().err
-    assert not tree.exists()
-
-
 def deep_scenario(levels):
     segment = SegmentSpec("a", block_cpi=1.0, block_instruction_count=2, event_count=3)
     for depth in range(levels):
@@ -582,43 +588,6 @@ def test_synth_on_a_scenario_nested_too_deeply_exits_2_naming_the_file(
     assert f"scenario {path}: scenario is nested too deeply: maximum recursion depth exceeded" in \
         capsys.readouterr().err
     assert not (tmp_path / "x.trace").exists()
-
-
-@pytest.mark.parametrize("text", ["[1]", "null", "3", '"resolution"'])
-def test_config_file_not_holding_an_object_exits_2_naming_the_file(tmp_path, capsys, trace_file, text):
-    config = tmp_path / "config.json"
-    config.write_text(text)
-    tree = tmp_path / "tree.json"
-    assert main(["analyze", str(trace_file), "--tree", str(tree), "--config", str(config)]) == 2
-    assert str(config) in capsys.readouterr().err
-    assert not tree.exists()
-
-
-@pytest.mark.parametrize("text, field, got", [
-    ('{"resolution": NaN}', "resolution", "nan"),
-    ('{"resolution": 100.5}', "resolution", "100.5"),
-    ('{"resolution": 512.0}', "resolution", "512.0"),
-    ('{"resolution": true}', "resolution", "True"),
-    ('{"max_depth": 2.5}', "max_depth", "2.5"),
-    ('{"max_depth": true}', "max_depth", "True"),
-    ('{"min_segment_instructions": "64"}', "min_segment_instructions", "'64'"),
-    ('{"flat_cpi_range": NaN}', "flat_cpi_range", "nan"),
-    ('{"flat_cpi_range": Infinity}', "flat_cpi_range", "inf"),
-    ('{"max_depth": "3"}', "max_depth", "'3'"),
-    ('{"min_segment_instructions": 64.0}', "min_segment_instructions", "64.0"),
-    # an integer past float64 is no finite real number, one past int64 no config integer
-    ('{"flat_cpi_range": 1%s}' % ("0" * 400), "flat_cpi_range", "1" + "0" * 400),
-    ('{"resolution": 9223372036854775808}', "resolution", "9223372036854775808"),
-])
-def test_wrongly_typed_config_value_exits_2_naming_field_and_file(
-        tmp_path, capsys, trace_file, text, field, got):
-    config = tmp_path / "config.json"
-    config.write_text(text)
-    tree = tmp_path / "tree.json"
-    assert main(["analyze", str(trace_file), "--tree", str(tree), "--config", str(config)]) == 2
-    err = capsys.readouterr().err
-    assert f"config {config}: config field {field} must be" in err and f"got {got}" in err
-    assert not tree.exists()
 
 
 def test_non_finite_config_flag_exits_2_naming_the_flag(tmp_path, capsys, trace_file):
@@ -659,15 +628,6 @@ def test_a_step_between_huge_and_small_cpis_splits_without_a_warning(tmp_path, c
     assert capsys.readouterr().err == ""
 
 
-def test_integer_config_value_for_a_float_field_is_accepted(tmp_path, trace_file):
-    config = tmp_path / "config.json"
-    config.write_text('{"flat_cpi_range": 0}')
-    by_file, by_floats = tmp_path / "by_file.json", tmp_path / "by_floats.json"
-    assert main(["analyze", str(trace_file), "--tree", str(by_file), "--config", str(config)]) == 0
-    assert main(["analyze", str(trace_file), "--tree", str(by_floats), "--flat-cpi-range", "0.0"]) == 0
-    assert by_file.read_bytes() == by_floats.read_bytes()
-
-
 def test_config_flags_follow_the_config_fields():
     args = build_parser().parse_args([
         "analyze", "t.trace", "--resolution", "8", "--flat-cpi-range", "0.5", "--max-depth", "3",
@@ -679,17 +639,14 @@ def test_config_flags_follow_the_config_fields():
 
 
 @pytest.mark.parametrize("field, value", [("flat_spectrum_ratio", 0.02), ("boundary_threshold_fraction", 0.5)])
-def test_the_fixed_fractions_take_no_flag_and_no_config_key(tmp_path, capsys, trace_file, field, value):
+def test_the_fixed_fractions_take_no_flag(tmp_path, capsys, trace_file, field, value):
     # both are module constants (spectral.FLAT_SPECTRUM_RATIO, phases.BOUNDARY_THRESHOLD_FRACTION)
-    tree, config = tmp_path / "tree.json", tmp_path / "config.json"
+    tree = tmp_path / "tree.json"
     flag = "--" + field.replace("_", "-")
     with pytest.raises(SystemExit) as exc:
         main(["analyze", str(trace_file), "--tree", str(tree), flag, str(value)])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
-    config.write_text(json.dumps({field: value}))
-    assert main(["analyze", str(trace_file), "--tree", str(tree), "--config", str(config)]) == 2
-    assert capsys.readouterr().err == f"error: unknown config fields: [{field!r}]\n"
     assert not tree.exists()
 
 
@@ -846,15 +803,6 @@ def test_a_trace_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_a_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, trace_file):
-    config = tmp_path / "config.json"
-    config.write_bytes(b'{"resolution": 64}\xff')
-    tree = tmp_path / "tree.json"
-    assert main(["analyze", str(trace_file), "--tree", str(tree), "--config", str(config)]) == 2
-    assert f"error: cannot read config {config}: 'utf-8' codec" in capsys.readouterr().err
-    assert not tree.exists()
-
-
 def test_a_scenario_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_bytes(scenario_json(SCENARIO).encode() + b"\xff")
@@ -915,7 +863,7 @@ def test_an_unusable_annotation_path_leaves_no_trace(tmp_path, capsys):
     assert not (tmp_path / "x.trace").exists()
 
 
-# --- config sources: each error names the file or flag that gave the value -------
+# --- config flags: each error names the flag that gave the value --------------
 
 @pytest.mark.parametrize("field, value, message", [
     ("resolution", 1, "resolution must be >= 2"),
@@ -927,41 +875,59 @@ def test_an_unusable_annotation_path_leaves_no_trace(tmp_path, capsys):
     ("min_segment_instructions", 1, "min_segment_instructions must be >= 2"),
     ("min_segment_instructions", 0, "min_segment_instructions must be >= 2"),
 ])
-@pytest.mark.parametrize("by_file", [True, False], ids=["file", "flag"])
-def test_an_out_of_range_config_value_exits_2_naming_its_source(
-        tmp_path, capsys, trace_file, field, value, message, by_file):
-    config, tree = tmp_path / "config.json", tmp_path / "tree.json"
+def test_an_out_of_range_config_value_exits_2_naming_its_flag(
+        tmp_path, capsys, trace_file, field, value, message):
+    tree = tmp_path / "tree.json"
     flag = "--" + field.replace("_", "-")
-    if by_file:
-        config.write_text(json.dumps({field: value}))
-        argv, source = ["--config", str(config)], f"config {config}"
-    else:
-        argv, source = [flag, str(value)], flag
-    assert main(["analyze", str(trace_file), "--tree", str(tree), *argv]) == 2
-    assert capsys.readouterr().err == f"error: {source}: {message}\n"
+    assert main(["analyze", str(trace_file), "--tree", str(tree), flag, str(value)]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: {message}\n"
     assert not tree.exists()
 
 
-@pytest.mark.parametrize("text, message", [
-    ('{"resolution": 1}', "resolution must be >= 2"),
-    ('{"resolution": 1.5}', "config field resolution must be an integer, got 1.5"),
-], ids=["out-of-range", "wrongly-typed"])
-def test_a_bad_file_value_exits_2_though_a_flag_overrides_it(tmp_path, capsys, trace_file, text, message):
-    config, tree = tmp_path / "config.json", tmp_path / "tree.json"
-    config.write_text(text)
-    argv = ["analyze", str(trace_file), "--tree", str(tree), "--config", str(config), "--resolution", "64"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: config {config}: {message}\n"
+@pytest.mark.parametrize("field, value, kind", [
+    ("resolution", "nan", "int"),
+    ("resolution", "100.5", "int"),
+    ("resolution", "512.0", "int"),
+    ("resolution", "true", "int"),
+    ("max_depth", "2.5", "int"),
+    ("max_depth", "true", "int"),
+    ("min_segment_instructions", "64.0", "int"),
+    ("flat_cpi_range", "true", "float"),
+])
+def test_a_config_flag_value_not_of_its_type_exits_2_naming_the_flag(
+        tmp_path, capsys, trace_file, field, value, kind):
+    tree = tmp_path / "tree.json"
+    flag = "--" + field.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(trace_file), "--tree", str(tree), flag, value])
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: invalid {kind} value: {value!r}" in capsys.readouterr().err
     assert not tree.exists()
 
 
-def test_a_flag_value_is_checked_after_the_file_is_applied(tmp_path, capsys, trace_file):
-    config, tree = tmp_path / "config.json", tmp_path / "tree.json"
-    config.write_text('{"resolution": 64, "max_depth": 3}')
-    argv = ["analyze", str(trace_file), "--tree", str(tree), "--config", str(config)]
-    assert main(argv + ["--max-depth", "300"]) == 2
-    assert capsys.readouterr().err == "error: --max-depth: max_depth must be in [1, 256]\n"
-    assert main(argv + ["--max-depth", "2", "--resolution", "32"]) == 0
+@pytest.mark.parametrize("field, value, got", [
+    ("flat_cpi_range", "inf", "a finite real number, got inf"),
+    ("flat_cpi_range", "-inf", "a finite real number, got -inf"),
+    # a float literal or an integer past float64 reads as inf
+    ("flat_cpi_range", "1e400", "a finite real number, got inf"),
+    ("flat_cpi_range", "1" + "0" * 400, "a finite real number, got inf"),
+    ("max_depth", str(2**63), f"an integer within int64, got {2**63}"),
+    ("min_segment_instructions", str(2**63), f"an integer within int64, got {2**63}"),
+], ids=["inf", "-inf", "1e400", "10**400", "max_depth-2**63", "min_segment_instructions-2**63"])
+def test_a_config_flag_value_its_field_refuses_exits_2_naming_the_flag(
+        tmp_path, capsys, trace_file, field, value, got):
+    tree = tmp_path / "tree.json"
+    flag = "--" + field.replace("_", "-")
+    assert main(["analyze", str(trace_file), "--tree", str(tree), f"{flag}={value}"]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: config field {field} must be {got}\n"
+    assert not tree.exists()
+
+
+def test_integer_config_value_for_a_float_field_is_accepted(tmp_path, trace_file):
+    by_int, by_float = tmp_path / "by_int.json", tmp_path / "by_float.json"
+    assert main(["analyze", str(trace_file), "--tree", str(by_int), "--flat-cpi-range", "0"]) == 0
+    assert main(["analyze", str(trace_file), "--tree", str(by_float), "--flat-cpi-range", "0.0"]) == 0
+    assert by_int.read_bytes() == by_float.read_bytes()
 
 
 def ramp_trace(path):

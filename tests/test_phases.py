@@ -73,6 +73,11 @@ def wave(samples, stride=1, origin=0):
     ("flat_cpi_range", "0.5", "a finite real number"),
     ("flat_cpi_range", 10**400, "a finite real number"),
     ("resolution", 2**63, "an integer within int64"),
+    ("resolution", 512.0, "an integer"),
+    ("max_depth", True, "an integer"),
+    ("max_depth", "3", "an integer"),
+    ("min_segment_instructions", 64.0, "an integer"),
+    ("flat_cpi_range", float("inf"), "a finite real number"),
 ])
 def test_config_rejects_a_wrongly_typed_field(field, value, noun):
     message = f"config field {field} must be {noun}, got {value!r}"
