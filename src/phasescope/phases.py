@@ -448,6 +448,9 @@ def tree_json(root: PhaseNode, blocks) -> str:
     return _indented_json(tree_to_dict(root, blocks), (node.mean_cpi for node in root.walk()))
 
 
+#: the keys of a tree_to_dict node
+_TREE_KEYS = {"head_block", "head_address", "start", "length", "occurrence", "mean_cpi", "structure",
+              "children"}
 #: the f"{address:#x}" spelling of a non-negative address
 _HEX_ADDRESS = re.compile(r"0x(0|[1-9a-f][0-9a-f]*)")
 
@@ -460,20 +463,26 @@ def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
     occurrence at least 1, mean_cpi a finite real number other than a bool,
     every child ordered inside its parent (validate_tree), and a head_block
     at one address, spelled as tree_to_dict writes it: 0x and lowercase hex
-    digits without leading zeros."""
+    digits without leading zeros, given to no other head_block. A node holds
+    no key beyond the eight tree_to_dict writes."""
     addresses: dict[int, int] = {}
+    heads: dict[int, int] = {}  # address -> head_block
 
     def integer(entry: dict, key: str, sign: str = "") -> int:
         return check_number(key, entry[key], Integral, ValueError, sign)
 
     def build(entry: dict) -> PhaseNode:
-        head = integer(entry, "head_block")
+        head = integer(entry, "head_block")  # a TypeError on a node that is not an object
+        if unknown := entry.keys() - _TREE_KEYS:
+            raise ValueError(f"node has unknown key {min(unknown)!r}")
         text = entry["head_address"]
         if not _HEX_ADDRESS.fullmatch(text):
             raise ValueError(f"head_address must be written 0x<lowercase hex>, got {text!r}")
         address = int(text, 16)
         if addresses.setdefault(head, address) != address:
             raise ValueError(f"head_block {head} is given at two addresses")
+        if (other := heads.setdefault(address, head)) != head:
+            raise ValueError(f"head_address {text} is given to head_blocks {other} and {head}")
         cpi = entry["mean_cpi"]
         check_number("mean_cpi", cpi, Real)
         return PhaseNode(

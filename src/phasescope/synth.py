@@ -8,6 +8,11 @@ plus an annotation tree describing the phases it scripted, so analysis
 results can be checked against known truth. phases.set_heads reads its head
 blocks and structures off the trace, as it does an analyzed tree's.
 
+A scenario's JSON form is its dataclasses' fields: each object holds the
+keyword arguments of its SegmentSpec or ScenarioSpec, an entry_kind as its
+value, so the dataclasses alone name the fields and their defaults, and a
+key that names no field is refused.
+
 Randomness (per-event CPI noise) comes from numpy's PCG64 generator seeded
 from the scenario seed, so identical scenarios produce byte-identical
 traces anywhere.
@@ -18,7 +23,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 from typing import Optional
 
@@ -53,7 +58,7 @@ class SegmentSpec:
     this segment and drives the generated predecessor terminators.
     """
 
-    label: str
+    label: str = ""
     block_cpi: Optional[float] = None
     block_instruction_count: Optional[int] = None
     event_count: Optional[int] = None
@@ -105,6 +110,11 @@ def _plan(spec: ScenarioSpec) -> tuple[SegmentSpec, PhaseNode, list[list]]:
         """Check and measure one pass through seg, which starts at instruction
         cursor, and add its truth nodes to out; returns (events, instructions, cycles)."""
         nonlocal min_cpi
+        if not isinstance(seg.label, str):
+            raise ScenarioError(f"segment label must be a str, got {seg.label!r}")
+        if not isinstance(seg.entry_kind, EntryKind):
+            raise ScenarioError(f"segment {seg.label!r}: entry_kind must be an EntryKind, "
+                                f"got {seg.entry_kind!r}")
         if not seg.nested:
             if seg.block_cpi is None or seg.block_instruction_count is None or seg.event_count is None:
                 raise ScenarioError(
@@ -320,55 +330,33 @@ def generate(spec: ScenarioSpec) -> tuple[ExecutionTrace, GoldenAnnotation]:
 # --- scenario JSON ----------------------------------------------------------
 
 def _segment_from_dict(obj: dict) -> SegmentSpec:
-    nested = obj.get("nested")
-    return SegmentSpec(
-        label=str(obj.get("label", "")),
-        block_cpi=obj.get("block_cpi"),
-        block_instruction_count=obj.get("block_instruction_count"),
-        event_count=obj.get("event_count"),
-        entry_kind=EntryKind(obj.get("entry_kind", "fallthrough")),
-        nested=[_segment_from_dict(s) for s in nested] if nested else None,
-        nested_repetitions=obj.get("nested_repetitions", 1),
-    )
+    seg = SegmentSpec(**obj)
+    seg.entry_kind = EntryKind(seg.entry_kind)
+    seg.nested = [_segment_from_dict(s) for s in seg.nested] if seg.nested else None
+    return seg
 
 
 def scenario_from_json(text: str) -> ScenarioSpec:
+    """The spec a scenario_json text spells; ScenarioError on text that is
+    not JSON or on a key that names no field of the dataclass it fills."""
     try:
-        obj = json.loads(text)
-        return ScenarioSpec(
-            segments=[_segment_from_dict(s) for s in obj["segments"]],
-            repetitions=obj.get("repetitions", 1),
-            noise_stddev=obj.get("noise_stddev", 0.0),
-            seed=obj.get("seed", 0),
-            quantum_length=obj.get("quantum_length"),
-        )
+        spec = ScenarioSpec(**json.loads(text))
+        spec.segments = [_segment_from_dict(s) for s in spec.segments]
+        return spec
     except RecursionError as exc:  # JSON nested past the interpreter's recursion limit
         raise ScenarioError(f"scenario is nested too deeply: {exc}") from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError too
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError too
         raise ScenarioError(f"invalid scenario JSON: {exc}") from None
 
 
-def _segment_to_dict(seg: SegmentSpec) -> dict:
-    out: dict = {"label": seg.label, "entry_kind": seg.entry_kind.value}
-    if seg.nested:
-        out["nested"] = [_segment_to_dict(s) for s in seg.nested]
-        out["nested_repetitions"] = seg.nested_repetitions
-    else:
-        out["block_cpi"] = seg.block_cpi
-        out["block_instruction_count"] = seg.block_instruction_count
-        out["event_count"] = seg.event_count
-    return out
+def _json_fields(pairs) -> dict:
+    """asdict's dict of a spec as JSON: its fields that are not None, an enum as its value."""
+    return {name: value.value if isinstance(value, enum.Enum) else value
+            for name, value in pairs if value is not None}
 
 
 def scenario_json(spec: ScenarioSpec) -> str:
     """The spec as indented JSON with sorted keys and a final newline;
     ValueError on a NaN or infinite number, which JSON cannot spell."""
-    payload = {
-        "segments": [_segment_to_dict(s) for s in spec.segments],
-        "repetitions": spec.repetitions,
-        "noise_stddev": spec.noise_stddev,
-        "seed": spec.seed,
-    }
-    if spec.quantum_length is not None:
-        payload["quantum_length"] = spec.quantum_length
+    payload = asdict(spec, dict_factory=_json_fields)
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

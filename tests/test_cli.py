@@ -500,6 +500,9 @@ MALFORMED_TREES = {
         **tree, "children": [{**tree, "children": [], "length": tree["length"] + 1}]},
     "head block at two addresses": lambda tree: {
         **tree, "children": [{**tree, "children": [], "head_address": "0x1"}]},
+    "two head blocks at one address": lambda tree: {
+        **tree, "children": [{**tree, "children": [], "head_block": tree["head_block"] + 1}]},
+    "unknown key": lambda tree: {**tree, "children": [], "phase_path": []},
     # a leaf, so no other node's address or interval can refuse it instead
     "signed, spaced and underscored head address": lambda tree: {
         **tree, "children": [], "head_address": " -0x1_0 "},

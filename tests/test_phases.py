@@ -646,6 +646,20 @@ def test_tree_json_round_trip():
     assert tree_json(rebuilt, addresses) == text
 
 
+def tree_node(head_block, head_address, children=(), **extra):
+    return {"head_block": head_block, "head_address": head_address, "start": 0, "length": 10,
+            "occurrence": 1, "mean_cpi": 1.0, "structure": "none", "children": list(children), **extra}
+
+
+@pytest.mark.parametrize("tree, message", [
+    (tree_node(0, "0x10", [tree_node(1, "0x10")]), "head_address 0x10 is given to head_blocks 0 and 1"),
+    (tree_node(0, "0x10", [tree_node(0, "0x10", phase_path=[0])]), "node has unknown key 'phase_path'"),
+], ids=["two-head-blocks-at-one-address", "unknown-key"])
+def test_tree_from_dict_refuses_what_tree_to_dict_never_writes(tree, message):
+    with pytest.raises(ValueError, match=f"^malformed phase tree: {re.escape(message)}$"):
+        tree_from_dict(tree)
+
+
 # --- JSON writers against the standard library's bytes -------------------------
 
 EDGE_FLOATS = [5e-324, 2.2250738585072014e-308, 1e-05, 9.999999999999999e-05, 1e-4, 0.1,

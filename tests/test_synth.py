@@ -3,10 +3,13 @@ records, annotation shape, and scenario JSON handling."""
 
 import dataclasses
 import itertools
+import json
 import math
+import re
 import time
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -29,6 +32,7 @@ from phasescope import (
     serialize_trace,
 )
 from phasescope.attribution import quantum_cpis
+from phasescope.cli import main
 from phasescope.phases import tree_json
 from phasescope.synth import (
     _ADDRESS_PITCH,
@@ -229,18 +233,26 @@ def test_scenario_json_nested_past_the_recursion_limit_raises_scenario_error():
 
 
 def test_scenario_json_round_trip():
+    # every field of both dataclasses set, so each is written and read back
     spec = ScenarioSpec(
         segments=[
             flat("a", 1.0, 5, 7, entry=EntryKind.BACKWARD_BRANCH),
-            SegmentSpec("g", nested=[flat("b", 2.0, 3, 2)], nested_repetitions=3),
+            SegmentSpec("g", 2.0, 3, 4, EntryKind.CALL, [flat("b", 2.0, 3, 2)], nested_repetitions=3),
         ],
         repetitions=4,
         noise_stddev=0.1,
         seed=9,
         quantum_length=15,
     )
-    back = scenario_from_json(scenario_json(spec))
-    assert scenario_json(back) == scenario_json(spec)
+    text = scenario_json(spec)
+    written = json.loads(text)
+    assert written.keys() == {f.name for f in dataclasses.fields(ScenarioSpec)}
+    segment_fields = {f.name for f in dataclasses.fields(SegmentSpec)}
+    assert written["segments"][0].keys() == segment_fields - {"nested"}  # nested_repetitions too
+    assert written["segments"][1].keys() == segment_fields
+    back = scenario_from_json(text)
+    assert back == spec
+    assert scenario_json(back) == text
 
 
 @pytest.mark.parametrize("spec", [
@@ -311,6 +323,63 @@ def test_scenario_json_keeps_numbers_as_written():
     assert (spec.repetitions, spec.seed, spec.segments[0].nested_repetitions) == (3.0, "7", 2.5)
     with pytest.raises(ScenarioError, match="repetitions must be an integer"):
         generate(spec)
+
+
+def test_scenario_json_reads_absent_keys_as_the_dataclass_defaults():
+    spec = scenario_from_json('{"segments": [{"block_cpi": 1.0, "block_instruction_count": 5, '
+                              '"event_count": 7}, {"nested": []}]}')
+    assert spec == ScenarioSpec(segments=[SegmentSpec("", 1.0, 5, 7), SegmentSpec("")])
+
+
+FLAT_JSON = {"label": "a", "block_cpi": 1.0, "block_instruction_count": 5, "event_count": 7}
+#: a scenario with one misspelled key, and that key
+MISSPELLED = {
+    "top level": ({"segments": [FLAT_JSON], "repetitons": 3}, "repetitons"),
+    "flat segment": ({"segments": [{**FLAT_JSON, "event_cout": 7}]}, "event_cout"),
+    "nested group": ({"segments": [{"label": "g", "nested": [FLAT_JSON], "nested_repetition": 5}]},
+                     "nested_repetition"),
+}
+
+
+@pytest.mark.parametrize("case", MISSPELLED)
+def test_scenario_json_refuses_a_key_that_names_no_field(case):
+    scenario, key = MISSPELLED[case]
+    with pytest.raises(ScenarioError, match=f"^invalid scenario JSON: .*unexpected keyword argument '{key}'$"):
+        scenario_from_json(json.dumps(scenario))
+
+
+@pytest.mark.parametrize("case", MISSPELLED)
+def test_synth_on_a_misspelled_scenario_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(MISSPELLED[case][0]))
+    assert main(["synth", str(path), "--out-prefix", str(tmp_path / "x")]) == 2
+    assert f"error: scenario {path}: invalid scenario JSON" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("segment, message", [
+    (SegmentSpec(None, 1.0, 5, 7), "segment label must be a str, got None"),
+    (SegmentSpec("a", 1.0, 5, 7, entry_kind="call"), "segment 'a': entry_kind must be an EntryKind, got 'call'"),
+    (SegmentSpec("g", nested=[SegmentSpec("a", 1.0, 5, 7, entry_kind="call")], nested_repetitions=2),
+     "segment 'a': entry_kind must be an EntryKind"),
+], ids=["null-label", "str-entry-kind", "str-entry-kind-in-a-group"])
+def test_plan_refuses_a_label_that_is_no_str_and_an_entry_kind_that_is_no_enum(segment, message):
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        generate(ScenarioSpec(segments=[segment, flat("b", 2.0, 3, 4)]))
+
+
+def test_every_bench_scenario_reads_strictly_and_round_trips_to_its_trace_bytes(monkeypatch):
+    # the benchmark's scenario dicts, read with its own module: strictness
+    # may never refuse them, and their written form gives the same trace
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    scenarios = [make(seed) for make in (workloads.golden_512blk, workloads.quanta_8blk) for seed in (1, 2)]
+    scenarios += workloads.hier_corpus(1) + workloads.hier_corpus(2)
+    for scenario in scenarios:
+        spec = scenario_from_json(json.dumps(scenario))
+        trace = serialize_trace(generate(spec)[0])
+        assert serialize_trace(generate(scenario_from_json(scenario_json(spec)))[0]) == trace
 
 
 # --- run layout against the run-by-run expansion --------------------------------
