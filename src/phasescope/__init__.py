@@ -20,12 +20,7 @@ from .phases import (
     export_markers,
     split_step,
 )
-from .spectral import (
-    FlatSpectrumError,
-    dft_magnitude,
-    is_flat,
-    main_spectrum,
-)
+from .spectral import dft_magnitude, is_flat, main_spectrum
 from .synth import EntryKind, GoldenAnnotation, ScenarioSpec, SegmentSpec, generate
 from .trace import (
     BlockDescriptor,
@@ -45,7 +40,6 @@ __all__ = [
     "ErrorReport",
     "EventIndex",
     "ExecutionTrace",
-    "FlatSpectrumError",
     "GoldenAnnotation",
     "PhaseNode",
     "ScenarioSpec",

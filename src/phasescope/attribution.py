@@ -202,17 +202,16 @@ def sample_grid(start: int, stop: int, resolution: int) -> tuple[np.ndarray, int
     """The sampling grid of [start, stop) at a resolution: (offsets, stride)
     with stride = ceil((stop - start) / resolution) and the offsets at
     start + k*stride, so refining the resolution never changes shared
-    offsets. ValueError on a resolution that is not an integer of at
-    least 2, or on an empty range."""
+    offsets. ValueError on a resolution that is not an integer within
+    int64 (check_number) of at least 2, or on an empty range; 2**63 - 1
+    already samples every instruction of any trace."""
     stride = _grid_stride(start, stop, resolution)
     return np.arange(start, stop, stride, dtype=np.int64), stride
 
 
 def _grid_stride(start: int, stop: int, resolution: int) -> int:
     """sample_grid's stride, with its checks."""
-    # any integer, not check_number's: one past int64 samples every instruction
-    if isinstance(resolution, bool) or not isinstance(resolution, (int, Integral)):
-        raise ValueError(f"resolution must be an integer, got {resolution!r}")
+    resolution = check_number("resolution", resolution, Integral)
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     length = stop - start

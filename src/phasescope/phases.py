@@ -202,12 +202,8 @@ def classify_structure(
         return Structure.NONE
     if context.terminator is Terminator.CALL:
         return Structure.FUNCTION
-    if (
-        context.terminator is Terminator.BRANCH
-        and context.target_address is not None
-        and context.target_address <= context.start_address
-    ):
-        return Structure.LOOP
+    if context.terminator is Terminator.BRANCH and context.target_address <= context.start_address:
+        return Structure.LOOP  # a BlockDescriptor branch always has a target
     return Structure.NONE
 
 
@@ -234,7 +230,7 @@ def shape(
     split at instruction b, (k, None) for k >= 2 instances. A flat segment is
     a leaf; else k is main_spectrum's bin, and a k of 1 takes split_step's b."""
     if is_flat(wave, magnitudes, cfg):
-        return 1, None  # else some non-DC bin is nonzero, as main_spectrum needs
+        return 1, None
     reps = main_spectrum(magnitudes)
     return (1, split_step(wave)) if reps == 1 else (reps, None)
 
@@ -464,7 +460,7 @@ def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
     every child ordered inside its parent (validate_tree), and a head_block
     at one address, spelled as tree_to_dict writes it: 0x and lowercase hex
     digits without leading zeros, given to no other head_block. A node holds
-    no key beyond the eight tree_to_dict writes."""
+    the eight keys tree_to_dict writes and no other."""
     addresses: dict[int, int] = {}
     heads: dict[int, int] = {}  # address -> head_block
 
@@ -492,7 +488,7 @@ def tree_from_dict(obj: dict) -> tuple[PhaseNode, dict[int, int]]:
             mean_cpi=float(cpi),
             occurrence=integer(entry, "occurrence", "positive"),
             structure=Structure(entry["structure"]),
-            children=[build(c) for c in entry.get("children", [])],
+            children=[build(c) for c in entry["children"]],
         )
 
     try:

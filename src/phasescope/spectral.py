@@ -4,11 +4,11 @@ A spectrum is the float64 magnitude array of the waveform's DFT, normalized
 by the sample count: index k is occurrence k for k = 0..N//2, so index 0
 (DC) equals the mean CPI and the remaining bins are amplitude-like in CPI
 units. Bin k counts how many times a pattern occurs across the analyzed
-range. main_spectrum returns the dominant non-DC bin's index k; `analyze`
-derives the instance length from it, as range_length / k instructions, and
-reads the bin's magnitude from the array as magnitudes[k]. is_flat decides
-that a waveform is one phase, by its CPI range or by its spectrum, before
-main_spectrum is asked.
+range. is_flat alone decides that a waveform is one phase, by its CPI
+range or by its spectrum; main_spectrum, asked only of a waveform that is
+not flat, returns the dominant non-DC bin's index k. `analyze` derives the
+instance length from it, as range_length / k instructions, and reads the
+bin's magnitude from the array as magnitudes[k].
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ import numpy as np
 
 from .attribution import Waveform
 from .trace import float_reprs
-
-
-class FlatSpectrumError(ValueError):
-    """No meaningful dominant bin exists (spectrum is identically flat)."""
 
 
 def dft_magnitude(waveform: Waveform) -> np.ndarray:
@@ -39,20 +35,14 @@ def dft_magnitude(waveform: Waveform) -> np.ndarray:
 
 
 def main_spectrum(magnitudes: np.ndarray) -> int:
-    """The dominant non-DC bin's index k, its occurrence (at least 1); ties
-    break toward smaller occurrence. Its magnitude is magnitudes[k].
-
-    Smaller occurrence = longer pattern, preferring the coarsest repeating
-    structure. Raises FlatSpectrumError when every non-DC magnitude is zero;
-    callers should gate on is_flat() first for threshold-based flatness.
-    """
-    nondc = magnitudes[1:]
-    if nondc.size == 0:
-        raise FlatSpectrumError("spectrum has no non-DC bins")
-    k = int(nondc.argmax()) + 1  # argmax returns the first (smallest) index
-    if magnitudes[k] <= 0.0:
-        raise FlatSpectrumError("all non-DC magnitudes are zero")
-    return k
+    """The dominant non-DC bin's index k, its occurrence (at least 1): the
+    argmax of magnitudes[1:], ties broken toward smaller occurrence (a
+    longer pattern, the coarsest repeating structure), so an all-zero
+    spectrum gives 1. Its magnitude is magnitudes[k]. Whether the spectrum
+    is flat is is_flat's question. ValueError on fewer than 2 bins."""
+    if magnitudes.size < 2:
+        raise ValueError("spectrum has no non-DC bins")
+    return int(magnitudes[1:].argmax()) + 1  # argmax returns the first (smallest) index
 
 
 #: is_flat's spectrum test: every non-DC bin within this fraction of the DC value

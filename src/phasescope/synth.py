@@ -31,7 +31,7 @@ import numpy as np
 
 from .attribution import quantum_cpis
 from .phases import PhaseNode, set_heads
-from .trace import _INT64_MAX, BlockDescriptor, ExecutionTrace, Terminator, check_number
+from .trace import BlockDescriptor, ExecutionTrace, Terminator, check_number
 
 _BASE_ADDRESS = 0x1000
 _ADDRESS_PITCH = 0x100
@@ -170,8 +170,7 @@ def _plan(spec: ScenarioSpec) -> tuple[SegmentSpec, PhaseNode, list[list]]:
     events, instructions, cycles = visit(top, 0, children)
     # checked before anything is allocated: the event columns are int64
     for what, total in (("events", events), ("instructions", instructions)):
-        if total > _INT64_MAX:
-            raise ScenarioError(f"scenario has {total} {what} in total, more than int64 holds")
+        check_number(f"total {what}", total, Integral, ScenarioError)
     # the trace refuses a cycle sum beyond float64, and numpy only warns
     # where an event's cycles overflow: a flat segment's cycles are checked
     # in visit, which names it, and a group's add up into this total

@@ -414,7 +414,7 @@ def _event_columns(
     if width == 3:
         cycles[:] = values[2::width]
         if not np.isfinite(cycles).all():
-            return None  # a null, read as NaN
+            return None  # a reader that returns inf for an overflowing number
     if (positions_in(known, ids) < 0).any():
         return None
     return ids, cycles

@@ -24,7 +24,7 @@ def test_exports_are_sorted_and_unique():
 
 def test_deleted_types_are_not_exported():
     for name in ("BlockProfile", "ProfileSource", "MarkerTable", "NoAlignmentError", "Spectrum",
-                 "MainSpectrum", "TqPhase"):
+                 "MainSpectrum", "TqPhase", "FlatSpectrumError"):
         assert name not in phasescope.__all__
         assert not hasattr(phasescope, name)
 

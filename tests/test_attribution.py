@@ -16,6 +16,7 @@ from phasescope import (
     BlockDescriptor,
     EntryKind,
     ExecutionTrace,
+    PhaseNode,
     ScenarioSpec,
     SegmentSpec,
     Structure,
@@ -26,6 +27,7 @@ from phasescope import (
     classify_structure,
     generate,
     golden_waveform,
+    predict_waveform,
     quantum_cpis,
 )
 from phasescope.attribution import (
@@ -622,12 +624,29 @@ def test_sample_grid_is_the_grid_sample_range_samples_on():
     assert wave.samples.tolist() == [1.0, 2.0, 2.0, 3.0]
 
 
-def test_a_resolution_beyond_float64_samples_every_instruction():
-    # a float quotient 64 / 10**400 raised ZeroDivisionError or OverflowError
-    offsets, stride = sample_grid(0, 64, 10**400)
+def test_a_resolution_beyond_float64_is_refused_as_beyond_int64():
+    # 2**63 - 1 already samples every instruction of any trace
+    for sample in (lambda: sample_grid(0, 64, 10**400), lambda: golden_waveform(_golden(), 10**400)):
+        with pytest.raises(ValueError, match=f"^resolution must be an integer within int64, got {10**400}$"):
+            sample()
+    offsets, stride = sample_grid(0, 64, 2**63 - 1)
     assert stride == 1 and offsets.tolist() == list(range(64))
-    wave = golden_waveform(_golden(), 10**400)
-    assert wave.sample_stride == 1 and wave.samples.tolist() == [1.0] * 10 + [2.0] * 10 + [3.0] * 10
+
+
+@pytest.mark.parametrize("resolution, message", [
+    (2**63, f"resolution must be an integer within int64, got {2**63}"),
+    (True, "resolution must be an integer, got True"),
+    (4.0, "resolution must be an integer, got 4.0"),
+    ("4", "resolution must be an integer, got '4'"),
+])
+def test_every_sampler_checks_the_resolution_with_the_one_number_rule(resolution, message):
+    trace = _golden()
+    for sample in (lambda: sample_range(trace.event_starts, np.ones(3), 0, 30, resolution),
+                   lambda: build_waveform(trace, {0: 1.5}, resolution),
+                   lambda: golden_waveform(trace, resolution),
+                   lambda: predict_waveform(PhaseNode(0, 0, 30, 1.5), 30, resolution)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample()
 
 
 def test_quantum_count_is_the_exact_ceiling():

@@ -468,8 +468,10 @@ def test_merge_is_bit_identical_to_the_numpy_scalar_merge():
 @pytest.mark.parametrize("source", [
     PhaseNode(0, 0, 64, 1.5), TqPhaseList(8, [(8, 1.5)]),
 ], ids=["tree", "tq"])
-def test_prediction_at_a_resolution_beyond_float64_samples_every_instruction(source):
-    wave = predict_waveform(source, 64, 10**400)
+def test_prediction_at_a_resolution_beyond_float64_is_refused_as_beyond_int64(source):
+    with pytest.raises(ValueError, match=f"^resolution must be an integer within int64, got {10**400}$"):
+        predict_waveform(source, 64, 10**400)
+    wave = predict_waveform(source, 64, 2**63 - 1)
     assert (wave.sample_stride, wave.samples.tolist()) == (1, [1.5] * 64)
 
 

@@ -13,6 +13,9 @@ shapes (a body with a tail, three levels, unequal repetitions) whose
 analysis splits steps and aligns recurring candidate heads. A spectrum sink
 only observes: with or without one, analyze asks its shape step about the
 same segments and writes the same tree.
+
+`PYTHONPATH=src python tests/test_golden_bytes.py` prints DIGESTS as
+measured now, as source to record.
 """
 
 import hashlib
@@ -224,3 +227,19 @@ def test_the_fixed_fractions_are_read_when_analyze_runs(monkeypatch, module, con
     monkeypatch.setattr(module, constant, value)
     assert sum(tree_json(analyze(trace), trace.blocks) != tree
                for trace, tree in zip(traces, trees)) == changed
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+    from pathlib import Path
+
+    print("DIGESTS = {")
+    for case in sorted(CASES):
+        print(f'    "{case}": {{')
+        with tempfile.TemporaryDirectory() as workdir:  # one per case, as the test's tmp_path
+            os.chdir(workdir)  # the report names the trace by the path given
+            for kind, digest in digests(*CASES[case], Path(workdir)).items():
+                print(f'        "{kind}": "{digest}",')
+        print("    },")
+    print("}")

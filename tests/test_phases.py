@@ -654,7 +654,8 @@ def tree_node(head_block, head_address, children=(), **extra):
 @pytest.mark.parametrize("tree, message", [
     (tree_node(0, "0x10", [tree_node(1, "0x10")]), "head_address 0x10 is given to head_blocks 0 and 1"),
     (tree_node(0, "0x10", [tree_node(0, "0x10", phase_path=[0])]), "node has unknown key 'phase_path'"),
-], ids=["two-head-blocks-at-one-address", "unknown-key"])
+    ({key: value for key, value in tree_node(0, "0x10").items() if key != "children"}, "KeyError: 'children'"),
+], ids=["two-head-blocks-at-one-address", "unknown-key", "no-children-key"])
 def test_tree_from_dict_refuses_what_tree_to_dict_never_writes(tree, message):
     with pytest.raises(ValueError, match=f"^malformed phase tree: {re.escape(message)}$"):
         tree_from_dict(tree)

@@ -6,7 +6,6 @@ import pytest
 
 from phasescope import (
     AnalysisConfig,
-    FlatSpectrumError,
     Waveform,
     dft_magnitude,
     is_flat,
@@ -120,9 +119,9 @@ def test_tie_breaks_toward_smaller_occurrence():
     assert magnitudes[k] == 0.9
 
 
-def test_flat_spectrum_raises():
-    with pytest.raises(FlatSpectrumError):
-        main_spectrum(np.array([2.0, 0.0, 0.0]))
+def test_an_all_zero_spectrum_gives_occurrence_1():
+    # flatness is is_flat's question: main_spectrum is the bin rule alone
+    assert main_spectrum(np.array([2.0, 0.0, 0.0])) == 1
 
 
 def test_one_sample_has_no_spectrum():
@@ -132,7 +131,7 @@ def test_one_sample_has_no_spectrum():
 
 def test_a_dc_only_spectrum_has_no_main_bin_and_is_flat():
     dc_only = np.array([1.5])
-    with pytest.raises(FlatSpectrumError, match="^spectrum has no non-DC bins$"):
+    with pytest.raises(ValueError, match="^spectrum has no non-DC bins$"):
         main_spectrum(dc_only)
     # the CPI range (1.0) is outside the flat band, so the bins decide
     assert is_flat(wave([1.0, 2.0]), dc_only, AnalysisConfig())

@@ -297,7 +297,8 @@ def test_numpy_counts_are_measured_without_int64_wraparound():
     spec = ScenarioSpec(segments=[flat("a", 1.0, np.int64(2**62), np.int64(4))])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an overflowing numpy product only warns
-        with pytest.raises(ScenarioError, match=f"scenario has {2**64} instructions in total"):
+        with pytest.raises(ScenarioError,
+                           match=f"^total instructions must be an integer within int64, got {2**64}$"):
             generate(spec)
 
 

@@ -979,6 +979,23 @@ def test_each_fast_path_guard_falls_back_to_the_line_loop(line):
     assert_parses_as_the_line_loop(text)
 
 
+def test_an_inf_from_the_json_reader_falls_back_to_the_line_loop(monkeypatch):
+    """orjson refuses 1e400, while the standard library's reader gives inf:
+    read with it, the run is left to the line loop, which names the line."""
+    import json
+
+    import orjson
+
+    monkeypatch.setattr(orjson, "loads", json.loads)
+    events = [f"E {i % 4} {1.0 + i % 7 / 8!r}" for i in range(2 * _CHUNK_LINES)]
+    events[_CHUNK_LINES + 100] = "E 1 1e400"
+    text = "V 1\n" + "".join(f"B {b} {0x1000 + 0x40 * b:x} 4 F\n" for b in range(4))
+    line = 6 + _CHUNK_LINES + 100  # after the version line and 4 blocks
+    message = "cycle count must be a finite real number, got inf"
+    with pytest.raises(TraceFormatError, match=f"^line {line}: {message}$"):
+        parse_trace(text + "\n".join(events) + "\n")
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), with_cycles=st.booleans(), fill=st.booleans(),
        seed=st.integers(0, 2**32 - 1), as_file=st.booleans())
